@@ -29,7 +29,6 @@ from .information import (
     mi_wf,
     mutual_information,
     shannon_entropy,
-    wf_hl_equivalence_check,
 )
 from .montecarlo import (
     CalibrationResult,
@@ -43,31 +42,19 @@ from .montecarlo import (
     sample_shot,
 )
 from .receivers import (
-    BdsDistribution,
     GaussianDensity,
-    HlDistribution,
-    WfDistribution,
-    bds_probs,
     homodyne_pdf,
     poisson_logpmf,
     poisson_pmf,
-    skellam_pmf,
     skellam_pmf_grid,
-    wf_pmf,
 )
 from .security import (
     RankTwoState,
     SecurityReport,
     WiretapScenario,
-    fock_entropy_oracle,
     holevo_chi_bds,
     holevo_chi_wf,
-    joint_abe_pmf,
-    kgr_ca,
-    kgr_ia_dr,
-    kgr_ia_rr,
     mi_bob_eve,
-    normalized_k,
     rank2_entropy,
     security_report,
     security_report_for,

@@ -63,9 +63,17 @@ class ChannelParams:
             raise ValidationError(
                 f"visibility must lie in [0, 1], got {self.visibility}"
             )
-        q0, q1 = self.priors
-        if q0 < 0.0 or q1 < 0.0 or abs(q0 + q1 - 1.0) > 1e-12:
-            raise ValidationError(f"priors must be nonnegative and sum to 1, got {self.priors}")
+        try:
+            q0, q1 = self.priors
+            finite = math.isfinite(q0) and math.isfinite(q1)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"priors must be a pair of numbers, got {self.priors!r}"
+            ) from exc
+        if not finite or q0 < 0.0 or q1 < 0.0 or abs(q0 + q1 - 1.0) > 1e-12:
+            raise ValidationError(
+                f"priors must be finite, nonnegative and sum to 1, got {self.priors}"
+            )
 
     @classmethod
     def from_means(cls, signal_mean, lo_mean, *, visibility=1.0, loss_db=0.0,

@@ -5,16 +5,18 @@ information is H(mixture) - sum_k q_k H(conditional_k), evaluated over
 certified truncation windows; the certified window tails are propagated into
 an explicit error bound instead of being silently dropped.
 
-For phase-shift keying the raw-count readout and the count-difference
-readout carry identical information: the count pair is equivalent to the
-(sum, difference) pair and the sum factor of the joint law does not depend
-on the encoded symbol.  :func:`wf_hl_equivalence_check` verifies that
-factorization numerically.
+Every readout is computed from one certified law: the mirrored
+count-difference conditionals of :func:`_hl_conditionals`.  For phase-shift
+keying the raw-count readout carries exactly the information of the
+difference readout: the count pair is equivalent to the (sum, difference)
+pair and the sum factor of the joint law does not depend on the encoded
+symbol, so the difference is a sufficient statistic.  The count-pair grid is
+kept out of the package; the test suite holds it as an independent oracle,
+together with a numerical check of that factorization.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -25,14 +27,12 @@ from .errors import NumericsError, ValidationError
 from .receivers import (
     DEFAULT_TAIL_TOL,
     homodyne_pdf,
-    poisson_pmf,
     poisson_window,
     skellam_pmf_grid,
 )
 
 __all__ = [
     "MiReport",
-    "FactorizationCheck",
     "shannon_entropy",
     "binary_entropy",
     "mutual_information",
@@ -43,11 +43,9 @@ __all__ = [
     "mi_homodyne",
     "mi_report",
     "certified_error_bound",
-    "wf_hl_equivalence_check",
 ]
 
 _LN2 = math.log(2.0)
-_ROW_BLOCK = 1024
 _HOMODYNE_QUAD_TOL = 1e-9
 
 
@@ -113,51 +111,7 @@ def _mi_error_bound(tails, priors, alphabet_size) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Raw-count readout (both detector outputs)
-# ---------------------------------------------------------------------------
-
-def _wf_arm_pmfs(params: ChannelParams, tail_tol):
-    """Arm pmf vectors for symbol 1 on the square union window.
-
-    Symbol 0 is the exact arm swap, so the two conditional grids are mutual
-    transposes and only one vector pair is ever built.
-    """
-    r = detection_rates(params, 1)
-    n_max, tail_t = poisson_window(r.mu_t, 0.5 * tail_tol)
-    m_max, tail_r = poisson_window(r.mu_r, 0.5 * tail_tol)
-    w = max(n_max, m_max)
-    counts = np.arange(w + 1)
-    pt = poisson_pmf(counts, r.mu_t)
-    pr = poisson_pmf(counts, r.mu_r)
-    return pt, pr, tail_t + tail_r
-
-
-def mi_wf(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
-    """MI of the symbol vs the raw count pair (n, m), in bits.
-
-    The mixture entropy is accumulated in row blocks so the full grid is
-    never materialized; the conditional entropies use the exact product
-    factorization of the truncated grid.
-    """
-    q0, q1 = params.priors
-    pt, pr, _ = _wf_arm_pmfs(params, tail_tol)
-    sum_t, sum_r = float(pt.sum()), float(pr.sum())
-    ent_t = float(-xlogy(pt, pt).sum() / _LN2)
-    ent_r = float(-xlogy(pr, pr).sum() / _LN2)
-    # grid entropy of outer(a, b): sum(b)*H(a) + sum(a)*H(b), exactly
-    h_cond = sum_r * ent_t + sum_t * ent_r
-    h_mix = 0.0
-    for start in range(0, len(pt), _ROW_BLOCK):
-        sl = slice(start, start + _ROW_BLOCK)
-        # rows of the mixture: symbol 1 contributes outer(pt, pr), symbol 0
-        # the transposed grid outer(pr, pt)
-        block = q0 * np.outer(pr[sl], pt) + q1 * np.outer(pt[sl], pr)
-        h_mix -= float(xlogy(block, block).sum()) / _LN2
-    return h_mix - (q0 * h_cond + q1 * h_cond)
-
-
-# ---------------------------------------------------------------------------
-# Count-difference readout
+# Count-difference law and the readouts derived from it
 # ---------------------------------------------------------------------------
 
 def _hl_conditionals(params: ChannelParams, tail_tol):
@@ -177,6 +131,28 @@ def _hl_conditionals(params: ChannelParams, tail_tol):
     return np.arange(lo, hi + 1), full0, full1, tail
 
 
+def _sign_split(params: ChannelParams, tail_tol):
+    """P(sign outcome 0 | symbol k) for k = 0, 1.
+
+    Outcome 0 collects the negative differences and half of the Delta = 0
+    mass (the fair tie split); outcome 1 has the complementary probability.
+    """
+    deltas, p0, p1, _ = _hl_conditionals(params, tail_tol)
+    neg, zero = deltas < 0, deltas == 0
+    return tuple(float(p[neg].sum() + 0.5 * p[zero].sum()) for p in (p0, p1))
+
+
+def mi_wf(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
+    """MI of the symbol vs the raw count pair (n, m), in bits.
+
+    Evaluated on the difference alphabet: (n, m) is equivalent to
+    (n + m, n - m), and p(n + m | n - m) is the same for both symbols, so the
+    difference is a sufficient statistic and I(K; n, m) = I(K; n - m).
+    """
+    _, p0, p1, _ = _hl_conditionals(params, tail_tol)
+    return mutual_information((p0, p1), params.priors)
+
+
 def mi_hl(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
     """MI of the symbol vs the count difference Delta = n - m, in bits."""
     _, p0, p1, _ = _hl_conditionals(params, tail_tol)
@@ -190,10 +166,7 @@ def mi_bds(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
     equal priors this equals 1 - h2(p_err) of the induced binary symmetric
     channel.
     """
-    deltas, p0, p1, _ = _hl_conditionals(params, tail_tol)
-    neg, zero = deltas < 0, deltas == 0
-    b0 = float(p0[neg].sum() + 0.5 * p0[zero].sum())
-    b1 = float(p1[neg].sum() + 0.5 * p1[zero].sum())
+    b0, b1 = _sign_split(params, tail_tol)
     return mutual_information(
         (np.array([b0, 1.0 - b0]), np.array([b1, 1.0 - b1])), params.priors
     )
@@ -241,7 +214,7 @@ def mi_homodyne(params: ChannelParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Report and equivalence check
+# Report
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -257,9 +230,15 @@ class MiReport:
 
 
 def certified_error_bound(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
-    """Certified bound (bits) on the MI truncation error for these windows."""
+    """Certified bound (bits) on the MI truncation error for these windows.
+
+    The larger of the difference-law bound and the bound for the per-arm
+    count windows, each arm certified to half the tolerance.
+    """
     deltas, _, _, tail = _hl_conditionals(params, tail_tol)
-    _, _, wf_tail = _wf_arm_pmfs(params, tail_tol)
+    r = detection_rates(params, 1)
+    wf_tail = (poisson_window(r.mu_t, 0.5 * tail_tol)[1]
+               + poisson_window(r.mu_r, 0.5 * tail_tol)[1])
     return max(
         _mi_error_bound((wf_tail, wf_tail), params.priors, (len(deltas) + 1) ** 2),
         _mi_error_bound((tail, tail), params.priors, len(deltas)),
@@ -277,60 +256,3 @@ def mi_report(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> MiReport:
         truncation_tolerance=tail_tol,
         error_bound=bound,
     )
-
-
-class FactorizationCheck(NamedTuple):
-    """Residuals of the (sum, difference) factorization of the count-pair law."""
-
-    max_symbol_dependence: float
-    max_normalization_deviation: float
-
-
-def wf_hl_equivalence_check(params: ChannelParams, mass_floor=1e-30) -> FactorizationCheck:
-    """Verify that the count-pair law factors through the count difference.
-
-    Rebinned onto (sigma, Delta) = (n + m, n - m), the joint law is
-    p(Delta | symbol) * f(sigma, Delta) with the same f for both symbols.
-    Returns the largest |f_0 - f_1| over all cells where both difference laws
-    carry at least ``mass_floor``, and the largest |sum_sigma f - 1|.
-    """
-    r = detection_rates(params, 1)
-    # generous windows so every retained difference bin has full sum coverage
-    n_max, _ = poisson_window(r.mu_t, 1e-18)
-    m_max, _ = poisson_window(r.mu_r, 1e-18)
-    w = max(n_max, m_max)
-    counts = np.arange(w + 1)
-    pt = poisson_pmf(counts, r.mu_t)
-    pr = poisson_pmf(counts, r.mu_r)
-    grid1 = np.outer(pt, pr)  # rows n, cols m
-    from .receivers import _skellam_pmf_bessel, _skellam_pmf_convolution, _TINY_RATE_PRODUCT
-
-    deltas = np.arange(-w, w + 1)
-    if r.mu_t == 0.0 or r.mu_r == 0.0:
-        hl1 = np.where(
-            deltas >= 0, poisson_pmf(np.abs(deltas), r.mu_t), 0.0
-        ) if r.mu_r == 0.0 else np.where(
-            deltas <= 0, poisson_pmf(np.abs(deltas), r.mu_r), 0.0
-        )
-    elif r.mu_t * r.mu_r < _TINY_RATE_PRODUCT:
-        hl1 = _skellam_pmf_convolution(r.mu_t, r.mu_r, deltas)
-    else:
-        hl1 = _skellam_pmf_bessel(r.mu_t, r.mu_r, deltas)
-    hl0 = hl1[::-1]
-
-    max_dep = 0.0
-    max_norm = 0.0
-    for i, d in enumerate(deltas):
-        mass1, mass0 = hl1[i], hl0[i]
-        if mass1 < mass_floor or mass0 < mass_floor:
-            continue
-        # cells with n - m = d: diagonal offset -d of the (n, m) grid holds
-        # symbol 1; the transposed grid (offset +d) holds symbol 0
-        f1 = np.diagonal(grid1, offset=-int(d)) / mass1
-        f0 = np.diagonal(grid1, offset=int(d)) / mass0
-        max_dep = max(max_dep, float(np.abs(f1 - f0).max()))
-        max_norm = max(
-            max_norm, abs(float(f1.sum()) - 1.0), abs(float(f0.sum()) - 1.0)
-        )
-    return FactorizationCheck(max_symbol_dependence=max_dep,
-                              max_normalization_deviation=max_norm)

@@ -1,19 +1,18 @@
-"""Exact conditional outcome statistics of the three readout strategies.
+"""Certified count laws of the hybrid receiver.
 
-Three ways to read the same pair of photon-number-resolving detectors:
+Both detector arms count Poisson photons.  Every readout strategy is computed
+from the law of the count difference Delta = n - m, which is Skellam and is
+evaluated here through the exponentially scaled modified Bessel function of
+the first kind in log domain.  The raw count pair carries no more
+information than its difference (see :mod:`pnrchan.information`), and the
+sign readout is an aggregation of the difference law, so no count-pair grid
+is ever built.  The macroscopic-LO Gaussian limit of the standardized
+difference serves as the ideal-homodyne reference.
 
-* weak-field (WF): keep the raw count tuple (n, m) from both arms; the
-  conditional law is a product of two Poissons on a truncated grid.
-* homodyne-like (HL): keep only the count difference Delta = n - m; the
-  conditional law is Skellam, evaluated here through the exponentially
-  scaled modified Bessel function of the first kind in log domain.
-* binary decision by sign (BDS): keep sign(Delta) with a fair split of the
-  Delta = 0 mass; a two-outcome law derived analytically from the Skellam.
-
-Every distribution carries an explicit truncation window and a certified
-tail mass.  Windows default to mean + 12*sigma + 30 and grow until the
-certificate (Poisson survival function per arm, Chernoff bound for the
-difference) falls below the requested tolerance; failure to certify raises
+Every law carries an explicit truncation window and a certified tail mass.
+Windows default to mean + 12*sigma + 30 and grow until the certificate
+(Poisson survival function per arm, Chernoff bound for the difference)
+falls below the requested tolerance; failure to certify raises
 :class:`~pnrchan.errors.NumericsError`.
 """
 
@@ -24,23 +23,17 @@ import numpy as np
 from scipy.special import gammaln, ive
 from scipy.stats import poisson as _poisson
 
-from .channel import ChannelParams, detection_rates
+from .channel import ChannelParams
 from .errors import NumericsError, ValidationError
 
 __all__ = [
     "DEFAULT_TAIL_TOL",
-    "WfDistribution",
-    "HlDistribution",
-    "BdsDistribution",
     "GaussianDensity",
     "poisson_logpmf",
     "poisson_pmf",
     "poisson_window",
     "skellam_window",
     "skellam_pmf_grid",
-    "wf_pmf",
-    "skellam_pmf",
-    "bds_probs",
     "homodyne_pdf",
 ]
 
@@ -48,7 +41,6 @@ DEFAULT_TAIL_TOL = 1e-10
 
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _WINDOW_GROWTH_STEPS = 60
-_GRID_CELL_LIMIT = 40_000_000
 # Below this product of rates the Bessel closed form is abandoned for the
 # direct log-domain convolution series.
 _TINY_RATE_PRODUCT = 1e-280
@@ -303,67 +295,8 @@ def skellam_pmf_grid(mu_t, mu_r, tail_tol=DEFAULT_TAIL_TOL):
 
 
 # ---------------------------------------------------------------------------
-# Distribution containers
+# Ideal-homodyne limit
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WfDistribution:
-    """Joint count-pair law p(n, m | symbol) on a truncated grid.
-
-    ``probs[n, m]`` covers 0 <= n <= n_max, 0 <= m <= m_max; ``tail_mass`` is
-    the probability outside the grid (1 minus the grid sum, clipped at 0).
-    """
-
-    n_max: int
-    m_max: int
-    probs: np.ndarray
-    tail_mass: float
-    symbol: int
-
-    @property
-    def arm_t(self):
-        """Marginal pmf of the transmitted-arm count."""
-        return self.probs.sum(axis=1)
-
-    @property
-    def arm_r(self):
-        """Marginal pmf of the reflected-arm count."""
-        return self.probs.sum(axis=0)
-
-
-@dataclass(frozen=True)
-class HlDistribution:
-    """Count-difference law p(Delta | symbol) on a certified integer window."""
-
-    delta_min: int
-    delta_max: int
-    probs: np.ndarray
-    tail_mass: float
-    symbol: int
-
-    @property
-    def deltas(self):
-        return np.arange(self.delta_min, self.delta_max + 1)
-
-    @property
-    def mean(self):
-        return float((self.deltas * self.probs).sum())
-
-    @property
-    def variance(self):
-        d = self.deltas
-        m = self.mean
-        return float((((d - m) ** 2) * self.probs).sum())
-
-
-@dataclass(frozen=True)
-class BdsDistribution:
-    """Binary sign-readout law: p0 for outcome 0, p1 = 1 - p0 for outcome 1."""
-
-    p0: float
-    p1: float
-    symbol: int
-
 
 @dataclass(frozen=True)
 class GaussianDensity:
@@ -377,52 +310,6 @@ class GaussianDensity:
         return np.exp(-0.5 * (x - self.mean) ** 2 / self.variance) / math.sqrt(
             2.0 * math.pi * self.variance
         )
-
-
-# ---------------------------------------------------------------------------
-# Strategy distributions conditioned on the encoded symbol
-# ---------------------------------------------------------------------------
-
-def wf_pmf(params: ChannelParams, symbol: int, tail_tol=DEFAULT_TAIL_TOL) -> WfDistribution:
-    """Product-Poisson grid of the raw count pair for one symbol."""
-    r = detection_rates(params, symbol)
-    n_max, bound_t = poisson_window(r.mu_t, 0.5 * tail_tol)
-    m_max, bound_r = poisson_window(r.mu_r, 0.5 * tail_tol)
-    if (n_max + 1) * (m_max + 1) > _GRID_CELL_LIMIT:
-        raise ValidationError(
-            f"count grid ({n_max + 1} x {m_max + 1}) exceeds the cell limit; "
-            "use the difference-based operations at this LO energy"
-        )
-    pt = poisson_pmf(np.arange(n_max + 1), r.mu_t)
-    pr = poisson_pmf(np.arange(m_max + 1), r.mu_r)
-    probs = np.outer(pt, pr)
-    tail = max(0.0, 1.0 - float(probs.sum()))
-    if bound_t + bound_r > tail_tol:
-        raise NumericsError("count-grid tail certification failed")
-    return WfDistribution(n_max=n_max, m_max=m_max, probs=probs, tail_mass=tail,
-                          symbol=symbol)
-
-
-def skellam_pmf(params: ChannelParams, symbol: int, tail_tol=DEFAULT_TAIL_TOL) -> HlDistribution:
-    """Count-difference law for one symbol."""
-    r = detection_rates(params, symbol)
-    deltas, probs, _ = skellam_pmf_grid(r.mu_t, r.mu_r, tail_tol)
-    tail = max(0.0, 1.0 - float(probs.sum()))
-    return HlDistribution(delta_min=int(deltas[0]), delta_max=int(deltas[-1]),
-                          probs=probs, tail_mass=tail, symbol=symbol)
-
-
-def bds_probs(params: ChannelParams, symbol: int, tail_tol=DEFAULT_TAIL_TOL) -> BdsDistribution:
-    """Binary sign readout: negative differences and half the zero mass.
-
-    The tie at Delta = 0 is resolved analytically as an even split; sampling
-    the actual coin lives in the Monte Carlo module.
-    """
-    hl = skellam_pmf(params, symbol, tail_tol)
-    d = hl.deltas
-    p0 = float(hl.probs[d < 0].sum() + 0.5 * hl.probs[d == 0].sum())
-    p0 = min(max(p0, 0.0), 1.0)
-    return BdsDistribution(p0=p0, p1=1.0 - p0, symbol=symbol)
 
 
 def homodyne_pdf(params: ChannelParams, symbol: int) -> GaussianDensity:

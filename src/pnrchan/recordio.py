@@ -28,13 +28,28 @@ __all__ = [
 SHOT_HEADER = "shot_id,symbol,n_t,n_r"
 
 
+def _umask():
+    """The process umask; reading it means setting it, so it is put back at once."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def write_text_atomic(path, text):
-    """Write ``text`` to ``path`` via a same-directory temp file and rename."""
+    """Write ``text`` to ``path`` via a same-directory temp file and rename.
+
+    The file is flushed to disk before the rename, and it gets the mode an
+    ordinary ``open`` would give it (0o666 less the umask) rather than the
+    owner-only mode of the temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".pnrchan-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            os.chmod(tmp_path, 0o666 & ~_umask())
             handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         try:

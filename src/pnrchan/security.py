@@ -2,15 +2,17 @@
 
 The eavesdropper receives exactly the beam fraction lost in transmission
 (pure-loss wiretap model) and reads it with an ideal version of the honest
-receiver.  Individual-attack key rates compare the honest MI with the
-eavesdropper's MI in direct (Alice-side) or reverse (Bob-side)
-reconciliation; collective attacks replace the eavesdropper's MI with the
-Holevo information of her quantum ensemble.
+receiver.  All key figures come from one :class:`SecurityReport`.
+Individual-attack key rates compare the honest MI with the eavesdropper's MI
+in direct (Alice-side) or reverse (Bob-side) reconciliation; collective
+attacks replace the eavesdropper's MI with the Holevo information of her
+quantum ensemble.  Every figure is derived from the certified count-difference
+laws of the two receivers.
 
 Eve's states span a two-dimensional subspace (two opposite coherent
 amplitudes), so every von Neumann entropy reduces to the binary entropy of a
-Gram-matrix eigenvalue.  A truncated number-basis diagonalization is kept as
-an independent test oracle for that closed form.
+Gram-matrix eigenvalue.  The test suite checks that closed form against a
+truncated number-basis diagonalization.
 """
 
 import math
@@ -18,41 +20,34 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import xlogy
 
-from .channel import ChannelParams, coherent_overlap, detection_rates, eve_params
-from .errors import NumericsError, ValidationError
+from .channel import ChannelParams, coherent_overlap, eve_params
+from .errors import ValidationError
 from .information import (
     _hl_conditionals,
+    _sign_split,
     binary_entropy,
     mi_bds,
     mi_wf,
     shannon_entropy,
 )
-from .receivers import DEFAULT_TAIL_TOL, poisson_pmf, poisson_window
+from .receivers import DEFAULT_TAIL_TOL
 
 __all__ = [
     "WiretapScenario",
     "SecurityReport",
     "RankTwoState",
-    "JointAbeDistribution",
     "rank2_entropy",
-    "fock_entropy_oracle",
-    "joint_abe_pmf",
     "mi_bob_eve",
-    "kgr_ia_dr",
-    "kgr_ia_rr",
     "holevo_chi_wf",
     "holevo_chi_bds",
-    "kgr_ca",
-    "normalized_k",
     "security_report",
     "security_report_for",
 ]
 
 _LN2 = math.log(2.0)
 _K_DEFINED_FLOOR = 1e-12
-_JOINT_CELL_LIMIT = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -124,49 +119,9 @@ def rank2_entropy(state: RankTwoState) -> float:
     return binary_entropy(min(lam, 1.0))
 
 
-def _coherent_number_vector(beta: float, cutoff: int) -> np.ndarray:
-    """Number-basis coefficients of a real-amplitude coherent state."""
-    n = np.arange(cutoff + 1, dtype=float)
-    if beta == 0.0:
-        v = np.zeros(cutoff + 1)
-        v[0] = 1.0
-        return v
-    log_mag = -0.5 * beta * beta + n * math.log(abs(beta)) - 0.5 * gammaln(n + 1.0)
-    signs = np.ones(cutoff + 1) if beta > 0 else (-1.0) ** n
-    return signs * np.exp(log_mag)
-
-
-def fock_entropy_oracle(weights, amplitudes, cutoff: int) -> float:
-    """Entropy of a coherent-state mixture by truncated diagonalization.
-
-    Independent verification route for :func:`rank2_entropy`: builds the
-    density matrix in the number basis up to ``cutoff``, symmetrizes, and
-    diagonalizes.  A trace deficit above 1e-12 means the cutoff clipped real
-    state mass and raises :class:`NumericsError`.
-    """
-    rho = np.zeros((cutoff + 1, cutoff + 1))
-    for w, beta in zip(weights, amplitudes):
-        v = _coherent_number_vector(float(beta), cutoff)
-        rho += w * np.outer(v, v)
-    rho = 0.5 * (rho + rho.T)
-    deficit = abs(1.0 - float(np.trace(rho)))
-    if deficit > 1e-12:
-        raise NumericsError(
-            f"number-basis cutoff {cutoff} too small: trace deficit {deficit:.2e}"
-        )
-    evals = np.linalg.eigvalsh(rho)
-    evals = evals[evals > 1e-18]
-    return float(-(evals * np.log2(evals)).sum())
-
-
 # ---------------------------------------------------------------------------
 # Individual attacks
 # ---------------------------------------------------------------------------
-
-def kgr_ia_dr(scenario: WiretapScenario, tail_tol=DEFAULT_TAIL_TOL) -> float:
-    """Direct-reconciliation key rate I(A;B) - I(A;E); negative means no key."""
-    return mi_wf(scenario.bob, tail_tol) - mi_wf(scenario.eve, tail_tol)
-
 
 def mi_bob_eve(scenario: WiretapScenario, tail_tol=DEFAULT_TAIL_TOL) -> float:
     """I(B;E) between the two receivers' outcomes, marginalized over symbols.
@@ -174,8 +129,8 @@ def mi_bob_eve(scenario: WiretapScenario, tail_tol=DEFAULT_TAIL_TOL) -> float:
     Computed on the difference x difference alphabet: the count pair factors
     as (difference law) x (symbol-independent sum factor), so per-cell
     likelihood ratios -- and hence the MI -- only depend on the differences.
-    The full four-index reduction is validated against
-    :func:`joint_abe_pmf` in the test suite.
+    The test suite checks this reduction against the full four-index joint
+    law of the symbol and both count pairs.
     """
     q0, q1 = scenario.bob.priors
     _, b0, b1, _ = _hl_conditionals(scenario.bob, tail_tol)
@@ -185,54 +140,6 @@ def mi_bob_eve(scenario: WiretapScenario, tail_tol=DEFAULT_TAIL_TOL) -> float:
     h_e = shannon_entropy(joint.sum(axis=0))
     h_be = shannon_entropy(joint.ravel())
     return h_b + h_e - h_be
-
-
-def kgr_ia_rr(scenario: WiretapScenario, tail_tol=DEFAULT_TAIL_TOL) -> float:
-    """Reverse-reconciliation key rate I(A;B) - I(B;E)."""
-    return mi_wf(scenario.bob, tail_tol) - mi_bob_eve(scenario, tail_tol)
-
-
-@dataclass(frozen=True)
-class JointAbeDistribution:
-    """Full joint law over (symbol; Bob's count pair; Eve's count pair).
-
-    ``probs`` has shape (2, nb+1, mb+1, ne+1, me+1).  Exists for validation
-    at small windows; production paths work on the difference alphabets.
-    """
-
-    probs: np.ndarray
-    tail_mass: float
-
-
-def joint_abe_pmf(scenario: WiretapScenario, tail_tol=DEFAULT_TAIL_TOL) -> JointAbeDistribution:
-    """Product joint law q_k * p_B(n_b, m_b | k) * p_E(n_e, m_e | k)."""
-    rb = detection_rates(scenario.bob, 1)
-    re = detection_rates(scenario.eve, 1)
-    nb, _ = poisson_window(rb.mu_t, 0.25 * tail_tol)
-    mb, _ = poisson_window(rb.mu_r, 0.25 * tail_tol)
-    ne, _ = poisson_window(re.mu_t, 0.25 * tail_tol)
-    me, _ = poisson_window(re.mu_r, 0.25 * tail_tol)
-    wb, we = max(nb, mb), max(ne, me)
-    cells = 2 * (wb + 1) ** 2 * (we + 1) ** 2
-    if cells > _JOINT_CELL_LIMIT:
-        raise ValidationError(
-            f"four-index joint would hold {cells} cells; reduce the rates or "
-            "use the difference-based path"
-        )
-    cb = np.arange(wb + 1)
-    ce = np.arange(we + 1)
-    bt = poisson_pmf(cb, rb.mu_t)
-    br = poisson_pmf(cb, rb.mu_r)
-    et = poisson_pmf(ce, re.mu_t)
-    er = poisson_pmf(ce, re.mu_r)
-    q0, q1 = scenario.bob.priors
-    grid_b1 = np.outer(bt, br)
-    grid_e1 = np.outer(et, er)
-    probs = np.empty((2, wb + 1, wb + 1, we + 1, we + 1))
-    probs[0] = q0 * np.einsum("ab,cd->abcd", grid_b1.T, grid_e1.T)
-    probs[1] = q1 * np.einsum("ab,cd->abcd", grid_b1, grid_e1)
-    tail = max(0.0, 1.0 - float(probs.sum()))
-    return JointAbeDistribution(probs=probs, tail_mass=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +187,7 @@ def holevo_chi_bds(scenario: WiretapScenario, tail_tol=DEFAULT_TAIL_TOL) -> floa
     """Holevo information conditioned on the binary sign readout."""
     q0, q1 = scenario.bob.priors
     overlap = _eve_overlap(scenario)
-    deltas, b0, b1, _ = _hl_conditionals(scenario.bob, tail_tol)
-    neg, zero = deltas < 0, deltas == 0
-    sign0_given = np.array(
-        [float(b0[neg].sum() + 0.5 * b0[zero].sum()),
-         float(b1[neg].sum() + 0.5 * b1[zero].sum())]
-    )
+    sign0_given = np.array(_sign_split(scenario.bob, tail_tol))
     s_cond = 0.0
     for cond in (sign0_given, 1.0 - sign0_given):
         pj = q0 * cond[0] + q1 * cond[1]
@@ -294,15 +196,6 @@ def holevo_chi_bds(scenario: WiretapScenario, tail_tol=DEFAULT_TAIL_TOL) -> floa
         w1 = q1 * cond[1] / pj
         s_cond += pj * float(_posterior_entropy(np.array([w1]), overlap)[0])
     return _eve_total_entropy(scenario) - s_cond
-
-
-def kgr_ca(scenario: WiretapScenario, strategy: str, tail_tol=DEFAULT_TAIL_TOL) -> float:
-    """Collective-attack key rate I_p(A;B) - chi_p(B;E) for p in {wf, bds}."""
-    if strategy == "wf":
-        return mi_wf(scenario.bob, tail_tol) - holevo_chi_wf(scenario, tail_tol)
-    if strategy == "bds":
-        return mi_bds(scenario.bob, tail_tol) - holevo_chi_bds(scenario, tail_tol)
-    raise ValidationError(f"strategy must be 'wf' or 'bds', got {strategy!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +285,3 @@ def security_report_for(bob: ChannelParams, eve_lo_amplitude=None,
     scenario = WiretapScenario.from_bob(bob, attack="CA", reconciliation="RR",
                                         eve_lo_amplitude=eve_lo_amplitude)
     return security_report(scenario, tail_tol)
-
-
-def normalized_k(scenario: WiretapScenario, tail_tol=DEFAULT_TAIL_TOL) -> dict:
-    """The normalized informations K = delta-I / I(A;B) for each scenario."""
-    report = security_report(scenario, tail_tol)
-    return {
-        "k_dr": report.k_dr,
-        "k_rr": report.k_rr,
-        "k_ca_wf": report.k_ca_wf,
-        "k_ca_bds": report.k_ca_bds,
-    }

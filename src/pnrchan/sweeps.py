@@ -7,6 +7,7 @@ a process pool; rows are assembled in grid order regardless of completion
 order, which keeps the output byte-identical for any worker count.
 """
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -40,6 +41,13 @@ STRATEGIES = ("wf", "hl", "bds", "hom")
 SECURITY_SCENARIOS = ("ia-dr", "ia-rr", "ca-rr")
 
 WORKERS_ENV = "PNRCHAN_WORKERS"
+
+
+def _check_tail_tol(tail_tol):
+    # zero and negative tolerances are left to the window certification,
+    # which reports them as numerical failures
+    if not math.isfinite(tail_tol):
+        raise ValidationError(f"tail_tol must be finite, got {tail_tol}")
 
 
 def _check_grid(grid):
@@ -91,6 +99,7 @@ class SweepSpec:
         if self.mode == "loss" and self.lo_mean is None:
             raise ValidationError("loss mode needs a fixed lo_mean")
         _check_grid(self.grid)
+        _check_tail_tol(self.tail_tol)
 
 
 def sweep_columns(spec: SweepSpec):
@@ -178,6 +187,7 @@ class SecuritySpec:
         if self.signal_mean < 0.0 or self.lo_mean < 0.0:
             raise ValidationError("mean photon numbers must be >= 0")
         _check_grid(self.grid)
+        _check_tail_tol(self.tail_tol)
 
 
 SECURITY_TABLE_COLUMNS = (

@@ -15,12 +15,9 @@ from scipy.stats import poisson as sp_poisson
 
 from pnrchan import (
     ChannelParams,
-    WiretapScenario,
     coherent_overlap,
     detection_rates,
-    fock_entropy_oracle,
     homodyne_pdf,
-    kgr_ia_dr,
     mi_bds,
     mi_hl,
     mi_homodyne,
@@ -36,6 +33,8 @@ from pnrchan import (
 )
 from pnrchan import cli
 
+from oracles import fock_entropy_oracle, mi_wf_grid
+
 
 def report(name, ok, detail):
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -49,31 +48,35 @@ def params_for(signal_mean, lo_mean, xi):
 
 @pytest.fixture(scope="module")
 def random_grid_mis():
-    """The shared 200-point randomized grid for criteria 1 and 2."""
+    """The shared 200-point randomized grid for criteria 1 and 2.
+
+    Each point holds the count-pair grid oracle and the production WF, HL
+    and BDS informations.
+    """
     rng = np.random.default_rng(20240901)
     points = []
     start = time.monotonic()
     for _ in range(200):
         p = params_for(rng.uniform(0.01, 5.0), rng.uniform(0.0, 20.0),
                        rng.uniform(0.0, 1.0))
-        points.append((p, mi_wf(p), mi_hl(p), mi_bds(p)))
+        points.append((p, mi_wf_grid(p), mi_wf(p), mi_hl(p), mi_bds(p)))
     elapsed = time.monotonic() - start
     return points, elapsed
 
 
 def test_c01_wf_hl_equivalence(random_grid_mis):
     points, elapsed = random_grid_mis
-    worst = max(abs(w - h) for _, w, h, _ in points)
+    worst = max(abs(g - w) for _, g, w, _, _ in points)
     ok = worst <= 1e-9 and elapsed < 60.0
     assert report("C01 WF-HL equivalence",
-                  ok, f"max |I_WF - I_HL| = {worst:.2e} over 200 points, "
-                      f"{elapsed:.1f} s")
+                  ok, f"max |I_WF(count-pair grid) - I_WF| = {worst:.2e} over "
+                      f"200 points, {elapsed:.1f} s")
 
 
 def test_c02_data_processing_hierarchy(random_grid_mis):
     points, _ = random_grid_mis
-    violations = sum(1 for _, _, h, b in points if b > h + 1e-12)
-    gaps = [h - b for _, _, h, b in points if h > 1e-3]
+    violations = sum(1 for _, _, _, h, b in points if b > h + 1e-12)
+    gaps = [h - b for _, _, _, h, b in points if h > 1e-3]
     min_gap = min(gaps)
     ok = violations == 0 and min_gap > 1e-6
     assert report("C02 data-processing hierarchy",
@@ -187,19 +190,15 @@ def test_c08_holevo_dominance_on_loss_grid():
 
 
 def test_c09_three_db_direct_reconciliation_bound():
-    lo = math.sqrt(12.15)
-    at_half = kgr_ia_dr(WiretapScenario.from_bob(ChannelParams(
-        alpha=math.sqrt(3.2), transmissivity=0.5, lo_amplitude=lo,
-        visibility=1.0)))
-    above = kgr_ia_dr(WiretapScenario.from_bob(ChannelParams(
-        alpha=math.sqrt(3.2), transmissivity=0.55, lo_amplitude=lo,
-        visibility=1.0)))
-    below = kgr_ia_dr(WiretapScenario.from_bob(ChannelParams(
-        alpha=math.sqrt(3.2), transmissivity=0.45, lo_amplitude=lo,
-        visibility=1.0)))
-    imperfect = kgr_ia_dr(WiretapScenario.from_bob(ChannelParams(
-        alpha=math.sqrt(3.2), transmissivity=0.5, lo_amplitude=lo,
-        visibility=0.94)))
+    def delta_dr(transmissivity, xi):
+        return security_report_for(ChannelParams(
+            alpha=math.sqrt(3.2), transmissivity=transmissivity,
+            lo_amplitude=math.sqrt(12.15), visibility=xi)).delta_ia_dr
+
+    at_half = delta_dr(0.5, 1.0)
+    above = delta_dr(0.55, 1.0)
+    below = delta_dr(0.45, 1.0)
+    imperfect = delta_dr(0.5, 0.94)
     ok = abs(at_half) <= 1e-9 and above > 0.0 > below and imperfect < 0.0
     assert report("C09 3 dB direct-reconciliation bound",
                   ok, f"dI_DR(T=0.5) = {at_half:.2e}, sign change "

@@ -1,0 +1,66 @@
+"""Guards that keep the checked-in benchmark runnable against the package.
+
+The preset tables must stay within 1e-9 of the reference tables the
+benchmark checks against, and every function the benchmark's tracer wraps
+must still exist where it looks for it.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from pnrchan import ChannelParams, cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PRESETS = {"fig3": "sweep", "fig4": "sweep", "fig5": "security", "fig6": "security"}
+
+
+def read_table(path):
+    lines = [line for line in Path(path).read_text().splitlines()
+             if line and not line.startswith("#")]
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_matches_reference_table(tmp_path, preset):
+    out = tmp_path / f"{preset}.csv"
+    assert cli.main([PRESETS[preset], "--preset", preset, "-o", str(out)]) == 0
+    columns, rows = read_table(out)
+    ref_columns, ref_rows = read_table(PERFBENCH / "reference" / f"{preset}.csv")
+    assert columns == ref_columns
+    assert len(rows) == len(ref_rows)
+    for row, ref in zip(rows, ref_rows):
+        for column, cell, ref_cell in zip(columns, row, ref):
+            if "undefined" in (cell, ref_cell):
+                assert cell == ref_cell, column
+            else:
+                assert abs(float(cell) - float(ref_cell)) <= 1e-9, column
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves(spans):
+    for module_name, names in spans.TRACED.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+def test_tracer_installs_and_restores(spans):
+    from pnrchan import information
+
+    original = information.mi_wf
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        assert information.mi_wf is not original
+        information.mi_wf(ChannelParams(alpha=1.0, lo_amplitude=1.0))
+    assert information.mi_wf is original
+    assert "information.mi_wf" in {span.name for span in tracer.spans}

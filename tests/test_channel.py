@@ -104,6 +104,19 @@ class TestParamValidation:
         with pytest.raises(ValidationError):
             ChannelParams(**kwargs)
 
+    @pytest.mark.parametrize("priors", [
+        (float("nan"), float("nan")),
+        (float("nan"), 0.5),
+        (float("inf"), float("-inf")),
+        (0.2, 0.3, 0.5),
+        (1.0,),
+        0.5,
+        ("0.5", "0.5"),
+    ])
+    def test_malformed_priors_rejected(self, priors):
+        with pytest.raises(ValidationError):
+            ChannelParams(alpha=1.0, priors=priors)
+
     def test_zero_alpha_is_the_degenerate_channel(self):
         p = ChannelParams(alpha=0.0, lo_amplitude=1.0)
         assert p.signal_mean == 0.0

@@ -1,11 +1,12 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
 
-from pnrchan import cli
-from pnrchan.recordio import parse_config, read_shot_records
+from pnrchan import cli, recordio
+from pnrchan.recordio import parse_config, read_shot_records, write_text_atomic
 
 
 def run_cli(*args):
@@ -125,6 +126,16 @@ class TestSweep:
                        "--grid", "1:9:3", "--tail-tol", "0",
                        "-o", str(tmp_path / "x.csv"))
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["sweep", "security"])
+    @pytest.mark.parametrize("tail_tol", ["nan", "inf"])
+    def test_non_finite_tail_tolerance_is_a_validation_error(self, tmp_path, command,
+                                                             tail_tol):
+        preset = "fig4" if command == "sweep" else "fig5"
+        code = run_cli(command, "--preset", preset, "--tail-tol", tail_tol,
+                       "-o", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert not list(tmp_path.iterdir())
 
     def test_workers_do_not_change_bytes(self, tmp_path):
         a, b = tmp_path / "w1.csv", tmp_path / "w8.csv"
@@ -261,6 +272,34 @@ class TestRecordIo:
         with pytest.raises(Exception) as err:
             read_shot_records(path)
         assert "header" in str(err.value)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_written_files_honour_the_umask(self, tmp_path, umask):
+        path = tmp_path / "table.csv"
+        old = os.umask(umask)
+        try:
+            write_text_atomic(path, "a,b\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        assert path.read_text() == "a,b\n"
+
+    def test_written_file_is_synced_before_the_rename(self, tmp_path, monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(recordio.os, "fsync", fsync)
+        monkeypatch.setattr(recordio.os, "replace", replace)
+        write_text_atomic(tmp_path / "out.txt", "x\n")
+        assert events == ["fsync", "replace"]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

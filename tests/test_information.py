@@ -7,7 +7,6 @@ from pnrchan import (
     ChannelParams,
     ValidationError,
     binary_entropy,
-    bds_probs,
     mi_bds,
     mi_hl,
     mi_homodyne,
@@ -15,8 +14,11 @@ from pnrchan import (
     mi_wf,
     mutual_information,
     shannon_entropy,
-    wf_hl_equivalence_check,
 )
+from pnrchan.information import _sign_split
+from pnrchan.receivers import DEFAULT_TAIL_TOL
+
+from oracles import mi_wf_grid, wf_hl_equivalence_check
 
 
 def params_for(signal_mean, lo_mean, xi, priors=(0.5, 0.5)):
@@ -72,6 +74,7 @@ class TestEquivalenceAndHierarchy:
         for _ in range(30):
             p = random_params(rng)
             w, h = mi_wf(p), mi_hl(p)
+            assert abs(mi_wf_grid(p) - w) <= 1e-9
             assert abs(w - h) <= 1e-9
             assert -1e-12 <= w <= 1.0 + 1e-12
             assert -1e-12 <= h <= 1.0 + 1e-12
@@ -96,7 +99,7 @@ class TestEquivalenceAndHierarchy:
         rng = np.random.default_rng(33)
         for _ in range(25):
             p = random_params(rng)
-            p_err = bds_probs(p, 0).p1  # wrong-sign probability
+            p_err = 1.0 - _sign_split(p, DEFAULT_TAIL_TOL)[0]  # wrong sign
             closed = 1.0 - binary_entropy(p_err)
             assert mi_bds(p) == pytest.approx(closed, abs=1e-12)
 
@@ -105,6 +108,7 @@ class TestEquivalenceAndHierarchy:
         i = mi_hl(p)
         assert 0.0 < i < binary_entropy(0.3)
         assert abs(mi_wf(p) - i) <= 1e-9
+        assert abs(mi_wf_grid(p) - mi_wf(p)) <= 1e-9
 
 
 class TestMonotonicity:

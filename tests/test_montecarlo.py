@@ -18,10 +18,13 @@ from pnrchan import (
     plugin_mi,
     run_experiment,
     sample_shot,
-    skellam_pmf,
-    wf_pmf,
+    skellam_pmf_grid,
 )
+from pnrchan.information import _hl_conditionals, _sign_split
 from pnrchan.montecarlo import EmpiricalDistributions
+from pnrchan.receivers import DEFAULT_TAIL_TOL
+
+from oracles import wf_pmf
 
 
 def params_for(signal_mean, lo_mean, xi):
@@ -103,9 +106,10 @@ class TestEmpiricalDistributions:
     def test_close_to_analytic_at_experimental_size(self):
         run = run_experiment(REF, 100_000, seed=31)
         emp = empirical_distributions(run)
-        hl = skellam_pmf(REF, 1)
+        r = detection_rates(REF, 1)
+        deltas, probs, _ = skellam_pmf_grid(r.mu_t, r.mu_r)
         grid = np.zeros_like(emp.hl[1])
-        for d, prob in zip(hl.deltas, hl.probs):
+        for d, prob in zip(deltas, probs):
             pos = d - emp.deltas[0]
             if 0 <= pos < len(grid):
                 grid[pos] = prob
@@ -125,21 +129,17 @@ class TestEmpiricalDistributions:
 class TestPluginMi:
     def test_exact_on_analytic_distributions(self):
         p = params_for(1.5, 6.0, 0.9)
-        wf = [wf_pmf(p, k).probs for k in (0, 1)]
-        hl = [skellam_pmf(p, k) for k in (0, 1)]
-        lo = min(h.delta_min for h in hl)
-        hi = max(h.delta_max for h in hl)
-        hl_grid = np.zeros((2, hi - lo + 1))
-        for k in (0, 1):
-            hl_grid[k, hl[k].delta_min - lo:hl[k].delta_max - lo + 1] = hl[k].probs
-        from pnrchan import bds_probs
-        bds = np.array([[bds_probs(p, k).p0, bds_probs(p, k).p1] for k in (0, 1)])
+        wf = [wf_pmf(p, k) for k in (0, 1)]
+        deltas, p0, p1, _ = _hl_conditionals(p, DEFAULT_TAIL_TOL)
+        hl_grid = np.array([p0, p1])
+        b0, b1 = _sign_split(p, DEFAULT_TAIL_TOL)
+        bds = np.array([[b0, 1.0 - b0], [b1, 1.0 - b1]])
         shape = (max(g.shape[0] for g in wf), max(g.shape[1] for g in wf))
         wf_grid = np.zeros((2,) + shape)
         for k in (0, 1):
             wf_grid[k, : wf[k].shape[0], : wf[k].shape[1]] = wf[k]
         emp = EmpiricalDistributions(wf=wf_grid, hl=hl_grid,
-                                     deltas=np.arange(lo, hi + 1), bds=bds,
+                                     deltas=deltas, bds=bds,
                                      shots=(1, 1))
         rep = plugin_mi(emp, priors=(0.5, 0.5))
         assert rep.wf.value == pytest.approx(mi_wf(p), abs=1e-10)

@@ -9,15 +9,16 @@ from pnrchan import (
     ChannelParams,
     NumericsError,
     ValidationError,
-    bds_probs,
     detection_rates,
     homodyne_pdf,
     poisson_logpmf,
     poisson_pmf,
-    skellam_pmf,
     skellam_pmf_grid,
-    wf_pmf,
 )
+from pnrchan.information import _hl_conditionals, _sign_split
+from pnrchan.receivers import DEFAULT_TAIL_TOL
+
+from oracles import wf_pmf
 
 # computed once with mpmath at 200 decimal digits: exp(-500)*500^500/500!
 POIS_500_500 = 0.017838267869511779
@@ -34,6 +35,12 @@ def skellam_convolution_oracle(mu_t, mu_r, delta):
 def params_for(signal_mean, lo_mean, xi):
     return ChannelParams(alpha=math.sqrt(signal_mean), transmissivity=1.0,
                          lo_amplitude=math.sqrt(lo_mean), visibility=xi)
+
+
+def difference_law(params, symbol):
+    """The difference law of one symbol, computed from that symbol's own rates."""
+    r = detection_rates(params, symbol)
+    return skellam_pmf_grid(r.mu_t, r.mu_r)
 
 
 class TestPoissonPmf:
@@ -140,9 +147,12 @@ class TestSkellam:
                 visibility=rng.uniform(0.0, 1.0),
             )
             for k in (0, 1):
-                hl = skellam_pmf(p, k)
-                assert hl.probs.sum() + hl.tail_mass == pytest.approx(1.0, abs=1e-12)
-                assert hl.tail_mass <= 1e-10
+                _, probs, tail = difference_law(p, k)
+                missing = 1.0 - probs.sum()
+                assert -1e-12 <= missing <= 1e-10
+                # the certified tail covers the mass the window misses
+                assert missing <= tail + 1e-12
+                assert tail <= 1e-10
 
     def test_moments(self):
         rng = np.random.default_rng(22)
@@ -154,17 +164,32 @@ class TestSkellam:
                 visibility=rng.uniform(0.0, 1.0),
             )
             r = detection_rates(p, 1)
-            hl = skellam_pmf(p, 1)
-            assert hl.mean == pytest.approx(r.mu_t - r.mu_r,
-                                            rel=1e-8, abs=1e-8)
-            assert hl.variance == pytest.approx(r.mu_t + r.mu_r, rel=1e-8)
+            deltas, probs, _ = difference_law(p, 1)
+            mean = float((deltas * probs).sum())
+            variance = float((((deltas - mean) ** 2) * probs).sum())
+            assert mean == pytest.approx(r.mu_t - r.mu_r, rel=1e-8, abs=1e-8)
+            assert variance == pytest.approx(r.mu_t + r.mu_r, rel=1e-8)
 
     def test_symbol_swap_mirror_is_exact(self):
         p = params_for(2.3, 9.7, 0.87)
-        hl0, hl1 = skellam_pmf(p, 0), skellam_pmf(p, 1)
-        assert hl0.delta_min == -hl1.delta_max
-        assert hl0.delta_max == -hl1.delta_min
-        np.testing.assert_array_equal(hl0.probs, hl1.probs[::-1])
+        d0, probs0, _ = difference_law(p, 0)
+        d1, probs1, _ = difference_law(p, 1)
+        assert d0[0] == -d1[-1]
+        assert d0[-1] == -d1[0]
+        np.testing.assert_array_equal(probs0, probs1[::-1])
+
+    def test_law_builder_mirrors_symbol_one(self):
+        # the builder derives symbol 0 by reversal; it must agree with the
+        # law computed from the symbol-0 rates on a symmetric window
+        p = params_for(2.3, 9.7, 0.87)
+        deltas, p0, p1, tail = _hl_conditionals(p, DEFAULT_TAIL_TOL)
+        np.testing.assert_array_equal(deltas, -deltas[::-1])
+        np.testing.assert_array_equal(p0, p1[::-1])
+        for k, law in ((0, p0), (1, p1)):
+            dk, probs, tail_k = difference_law(p, k)
+            np.testing.assert_array_equal(law[dk[0] - deltas[0]:dk[-1] - deltas[0] + 1], probs)
+            assert law.sum() == probs.sum()
+            assert tail == tail_k
 
     def test_zero_tail_tolerance_fails_certification(self):
         with pytest.raises(NumericsError):
@@ -175,71 +200,67 @@ class TestWfPmf:
     def test_no_lo_makes_symbols_indistinguishable(self):
         p = ChannelParams(alpha=1.4, transmissivity=0.8, lo_amplitude=0.0,
                           visibility=0.7)
-        d0, d1 = wf_pmf(p, 0), wf_pmf(p, 1)
-        np.testing.assert_array_equal(d0.probs, d1.probs)
+        np.testing.assert_array_equal(wf_pmf(p, 0), wf_pmf(p, 1))
 
     def test_dark_reflected_arm(self):
         p = ChannelParams(alpha=2.0, transmissivity=1.0, lo_amplitude=2.0,
                           visibility=1.0)
-        d = wf_pmf(p, 1)  # rates (8, 0)
-        assert d.m_max == 0
-        np.testing.assert_allclose(d.probs[:, 0], sp_poisson.pmf(np.arange(d.n_max + 1), 8.0),
+        grid = wf_pmf(p, 1)  # rates (8, 0)
+        assert grid.shape[1] == 1
+        np.testing.assert_allclose(grid[:, 0], sp_poisson.pmf(np.arange(grid.shape[0]), 8.0),
                                    rtol=1e-12)
 
     def test_arm_mean_matches_rate(self):
         p = params_for(3.2, 12.15, 0.94)
         r = detection_rates(p, 1)
-        d = wf_pmf(p, 1)
-        mean_n = float((np.arange(d.n_max + 1) * d.arm_t).sum())
+        grid = wf_pmf(p, 1)
+        mean_n = float((np.arange(grid.shape[0]) * grid.sum(axis=1)).sum())
         assert mean_n == pytest.approx(r.mu_t, rel=1e-10)
 
     def test_grid_normalization_and_tail(self):
         p = params_for(1.0, 4.0, 0.5)
         for k in (0, 1):
-            d = wf_pmf(p, k)
-            assert d.probs.sum() + d.tail_mass == pytest.approx(1.0, abs=1e-12)
-            assert d.tail_mass <= 1e-10
+            missing = 1.0 - wf_pmf(p, k).sum()
+            assert -1e-12 <= missing <= 1e-10
 
     def test_symbol_swap_is_transpose(self):
         p = params_for(2.0, 6.0, 0.9)
-        d0, d1 = wf_pmf(p, 0), wf_pmf(p, 1)
-        np.testing.assert_array_equal(d0.probs, d1.probs.T)
+        np.testing.assert_array_equal(wf_pmf(p, 0), wf_pmf(p, 1).T)
 
     def test_antidiagonal_sums_reproduce_difference_law(self):
         p = params_for(1.7, 5.5, 0.8)
-        d = wf_pmf(p, 1)
-        hl = skellam_pmf(p, 1)
-        for delta in range(hl.delta_min, hl.delta_max + 1):
-            if abs(delta) > min(d.n_max, d.m_max):
+        grid = wf_pmf(p, 1)
+        deltas, probs, _ = difference_law(p, 1)
+        for delta, closed in zip(deltas, probs):
+            if abs(delta) > min(grid.shape) - 1:
                 continue
-            rebinned = float(np.diagonal(d.probs, offset=-delta).sum())
-            closed = float(hl.probs[delta - hl.delta_min])
+            rebinned = float(np.diagonal(grid, offset=-int(delta)).sum())
             assert abs(rebinned - closed) <= 1e-12
 
 
 class TestBds:
+    """The sign split: P(outcome 0 | symbol k) = P(Delta < 0) + P(Delta = 0) / 2."""
+
     def test_no_information_is_a_fair_coin(self):
         for p in (ChannelParams(alpha=0.0, lo_amplitude=2.0),
                   ChannelParams(alpha=1.0, lo_amplitude=2.0, visibility=0.0),
                   ChannelParams(alpha=1.0, lo_amplitude=0.0, visibility=1.0)):
-            for k in (0, 1):
-                b = bds_probs(p, k)
-                assert b.p0 == pytest.approx(0.5, abs=1e-12)
+            for b in _sign_split(p, DEFAULT_TAIL_TOL):
+                assert b == pytest.approx(0.5, abs=1e-12)
 
     def test_dark_arm_error_is_half_vacuum(self):
         p = ChannelParams(alpha=2.0, transmissivity=1.0, lo_amplitude=2.0,
                           visibility=1.0)  # rates (8, 0) for symbol 1
-        b = bds_probs(p, 1)
-        assert b.p0 == pytest.approx(math.exp(-8.0) / 2.0, rel=1e-12)
-        assert b.p0 + b.p1 == 1.0
+        _, b1 = _sign_split(p, DEFAULT_TAIL_TOL)
+        assert b1 == pytest.approx(math.exp(-8.0) / 2.0, rel=1e-12)
 
     def test_matches_sign_aggregation_of_difference_law(self):
         p = params_for(2.7, 7.3, 0.77)
+        split = _sign_split(p, DEFAULT_TAIL_TOL)
         for k in (0, 1):
-            hl = skellam_pmf(p, k)
-            d = hl.deltas
-            expected = float(hl.probs[d < 0].sum() + 0.5 * hl.probs[d == 0].sum())
-            assert abs(bds_probs(p, k).p0 - expected) <= 1e-14
+            d, probs, _ = difference_law(p, k)
+            expected = float(probs[d < 0].sum() + 0.5 * probs[d == 0].sum())
+            assert abs(split[k] - expected) <= 1e-14
 
     def test_symbol_symmetry(self):
         rng = np.random.default_rng(23)
@@ -250,8 +271,9 @@ class TestBds:
                 lo_amplitude=math.sqrt(rng.uniform(0.0, 20.0)),
                 visibility=rng.uniform(0.0, 1.0),
             )
-            b0, b1 = bds_probs(p, 0), bds_probs(p, 1)
-            assert abs(b1.p0 - b0.p1) <= 1e-14
+            b0, b1 = _sign_split(p, DEFAULT_TAIL_TOL)
+            assert 0.0 <= b0 <= 1.0 and 0.0 <= b1 <= 1.0
+            assert abs(b1 - (1.0 - b0)) <= 1e-14
 
 
 class TestHomodyneLimit:

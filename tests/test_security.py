@@ -10,22 +10,17 @@ from pnrchan import (
     ValidationError,
     WiretapScenario,
     coherent_overlap,
-    fock_entropy_oracle,
     holevo_chi_bds,
     holevo_chi_wf,
-    joint_abe_pmf,
-    kgr_ca,
-    kgr_ia_dr,
-    kgr_ia_rr,
     mi_bob_eve,
     mi_wf,
-    normalized_k,
     rank2_entropy,
     security_report,
     security_report_for,
     shannon_entropy,
-    wf_pmf,
 )
+
+from oracles import fock_entropy_oracle, joint_abe_pmf, wf_pmf
 
 
 def bob_params(source_mean, loss_db, lo_mean, xi):
@@ -82,7 +77,7 @@ class TestIndividualAttacks:
     def test_symmetric_point_yields_zero_exactly(self):
         sc = scenario_for(3.2, 10.0 * math.log10(2.0), 12.15, 1.0)
         assert sc.eve.transmissivity == pytest.approx(0.5, rel=1e-12)
-        assert kgr_ia_dr(sc) == pytest.approx(0.0, abs=1e-9)
+        assert security_report(sc).delta_ia_dr == pytest.approx(0.0, abs=1e-9)
 
     def test_sign_change_across_half_transmissivity(self):
         lo = 12.15
@@ -92,14 +87,14 @@ class TestIndividualAttacks:
         below = WiretapScenario.from_bob(ChannelParams(
             alpha=math.sqrt(3.2), transmissivity=0.45,
             lo_amplitude=math.sqrt(lo), visibility=1.0))
-        assert kgr_ia_dr(above) > 0.0
-        assert kgr_ia_dr(below) < 0.0
+        assert security_report(above).delta_ia_dr > 0.0
+        assert security_report(below).delta_ia_dr < 0.0
 
     def test_imperfect_bob_loses_at_symmetric_point(self):
         sc = WiretapScenario.from_bob(ChannelParams(
             alpha=math.sqrt(3.2), transmissivity=0.5,
             lo_amplitude=math.sqrt(12.15), visibility=0.94))
-        assert kgr_ia_dr(sc) < 0.0
+        assert security_report(sc).delta_ia_dr < 0.0
 
     def test_dr_antisymmetry_in_transmissivity(self):
         lo = 9.0
@@ -110,11 +105,12 @@ class TestIndividualAttacks:
             sc_mirror = WiretapScenario.from_bob(ChannelParams(
                 alpha=1.5, transmissivity=1.0 - t, lo_amplitude=math.sqrt(lo),
                 visibility=1.0))
-            assert kgr_ia_dr(sc_t) == pytest.approx(-kgr_ia_dr(sc_mirror), abs=1e-10)
+            assert security_report(sc_t).delta_ia_dr == pytest.approx(
+                -security_report(sc_mirror).delta_ia_dr, abs=1e-10)
 
     def test_rr_positive_where_dr_already_failed(self):
-        sc = scenario_for(3.2, 6.0, 12.15, 0.94)
-        assert kgr_ia_dr(sc) < 0.0 < kgr_ia_rr(sc)
+        rep = security_report(scenario_for(3.2, 6.0, 12.15, 0.94))
+        assert rep.delta_ia_dr < 0.0 < rep.delta_ia_rr
 
 
 class TestJointDistribution:
@@ -124,10 +120,9 @@ class TestJointDistribution:
 
     def test_marginalizing_eve_recovers_bob(self):
         sc = self.small_scenario()
-        joint = joint_abe_pmf(sc)
-        bob_marginal = joint.probs.sum(axis=(3, 4))
+        bob_marginal = joint_abe_pmf(sc).sum(axis=(3, 4))
         for k in (0, 1):
-            grid = wf_pmf(sc.bob, k).probs
+            grid = wf_pmf(sc.bob, k)
             nb, mb = grid.shape
             np.testing.assert_allclose(
                 bob_marginal[k, :nb, :mb], 0.5 * grid, atol=1e-12)
@@ -136,7 +131,7 @@ class TestJointDistribution:
         sc = self.small_scenario()
         joint = joint_abe_pmf(sc)
         for k in (0, 1):
-            block = joint.probs[k]
+            block = joint[k]
             flat = block.reshape(block.shape[0] * block.shape[1], -1)
             total = flat.sum()
             eve_given_k = flat.sum(axis=0) / total
@@ -148,15 +143,13 @@ class TestJointDistribution:
                     flat[row] / bob_mass[row], eve_given_k, atol=1e-12)
 
     def test_normalization(self):
-        joint = joint_abe_pmf(self.small_scenario())
-        assert joint.probs.sum() == pytest.approx(1.0, abs=1e-10)
-        assert joint.tail_mass <= 1e-10
+        missing = 1.0 - joint_abe_pmf(self.small_scenario()).sum()
+        assert -1e-12 <= missing <= 1e-10
 
     def test_difference_reduction_matches_full_joint(self):
         sc = self.small_scenario()
-        joint = joint_abe_pmf(sc)
         # I(B;E) from the raw four-index law
-        flat = joint.probs.sum(axis=0)
+        flat = joint_abe_pmf(sc).sum(axis=0)
         nb, mb, ne, me = flat.shape
         be = flat.reshape(nb * mb, ne * me)
         i_full = (shannon_entropy(be.sum(axis=1)) + shannon_entropy(be.sum(axis=0))
@@ -210,7 +203,7 @@ class TestHolevo:
         sc = WiretapScenario.from_bob(ChannelParams(
             alpha=0.9, transmissivity=0.55, lo_amplitude=1.3, visibility=0.85))
         overlap = coherent_overlap(sc.eve.signal_mean)
-        grids = [wf_pmf(sc.bob, k).probs for k in (0, 1)]
+        grids = [wf_pmf(sc.bob, k) for k in (0, 1)]
         shape = (max(g.shape[0] for g in grids), max(g.shape[1] for g in grids))
         g0 = np.zeros(shape)
         g0[: grids[0].shape[0], : grids[0].shape[1]] = grids[0]
@@ -230,11 +223,11 @@ class TestHolevo:
 
 class TestCollectiveRates:
     def test_no_signal_zero(self):
-        sc = WiretapScenario.from_bob(ChannelParams(
+        rep = security_report(WiretapScenario.from_bob(ChannelParams(
             alpha=0.0, transmissivity=0.5, lo_amplitude=2.0, visibility=0.9),
-            attack="CA", reconciliation="RR")
-        assert kgr_ca(sc, "wf") == pytest.approx(0.0, abs=1e-12)
-        assert kgr_ca(sc, "bds") == pytest.approx(0.0, abs=1e-12)
+            attack="CA", reconciliation="RR"))
+        assert rep.delta_ca_wf == pytest.approx(0.0, abs=1e-12)
+        assert rep.delta_ca_bds == pytest.approx(0.0, abs=1e-12)
 
     def test_near_lossless_approaches_honest_mi(self):
         # S(E) decays like eps*log(eps) in the lost fraction, so get very
@@ -242,20 +235,16 @@ class TestCollectiveRates:
         sc = WiretapScenario.from_bob(ChannelParams(
             alpha=math.sqrt(3.2), transmissivity=1.0 - 1e-6,
             lo_amplitude=math.sqrt(12.15), visibility=0.94))
-        assert kgr_ca(sc, "wf") == pytest.approx(mi_wf(sc.bob), abs=1e-3)
+        assert security_report(sc).delta_ca_wf == pytest.approx(mi_wf(sc.bob), abs=1e-3)
 
     def test_rate_stays_nonnegative_and_decreasing(self):
         # pure-loss wiretap model: chi(B;E) <= I(A;B), so the collective-
         # attack rate decreases towards zero but never crosses it
         losses = (0.5, 2.0, 5.0, 9.0, 13.44)
-        rates = [kgr_ca(scenario_for(3.2, l, 12.15, 0.94), "wf") for l in losses]
+        rates = [security_report(scenario_for(3.2, l, 12.15, 0.94)).delta_ca_wf
+                 for l in losses]
         assert all(r >= -1e-9 for r in rates)
         assert all(b <= a + 1e-9 for a, b in zip(rates, rates[1:]))
-
-    def test_unknown_strategy_rejected(self):
-        sc = scenario_for(3.2, 3.0, 12.15, 0.94)
-        with pytest.raises(ValidationError):
-            kgr_ca(sc, "hl2")
 
 
 class TestScenarioAndReport:
@@ -288,8 +277,8 @@ class TestScenarioAndReport:
         assert rep.k_dr is None and rep.k_ca_bds is None
 
     def test_normalized_k_signs(self):
-        sc = scenario_for(3.2, 6.0, 12.15, 0.94)
-        ks = normalized_k(sc)
-        rep = security_report(sc)
-        assert math.copysign(1.0, ks["k_dr"]) == math.copysign(1.0, rep.delta_ia_dr)
-        assert ks["k_rr"] == pytest.approx(rep.delta_ia_rr / rep.i_ab_wf, rel=1e-12)
+        rep = security_report(scenario_for(3.2, 6.0, 12.15, 0.94))
+        assert math.copysign(1.0, rep.k_dr) == math.copysign(1.0, rep.delta_ia_dr)
+        assert rep.k_rr == pytest.approx(rep.delta_ia_rr / rep.i_ab_wf, rel=1e-12)
+        assert rep.k_ca_wf == pytest.approx(rep.delta_ca_wf / rep.i_ab_wf, rel=1e-12)
+        assert rep.k_ca_bds == pytest.approx(rep.delta_ca_bds / rep.i_ab_bds, rel=1e-12)
