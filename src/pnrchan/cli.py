@@ -1,9 +1,9 @@
 """Command-line surface: sweep, simulate, analyze, security, presets.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numerical
-certification failure.  All parameters can come from flags or from a flat
-``key = value`` config file (flags win); the bundled presets reproduce the
-reference figure conditions.
+Exit codes: 0 success, 1 validation error or out of memory, 2 I/O error,
+3 numerical certification failure.  All parameters can come from flags or
+from a flat ``key = value`` config file (flags win); the bundled presets
+reproduce the reference figure conditions.
 """
 
 import argparse
@@ -452,6 +452,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"pnrchan: i/o error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("pnrchan: error: out of memory; use a smaller grid, fewer shots "
+              "or a looser --tail-tol", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

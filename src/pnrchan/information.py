@@ -19,12 +19,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import xlogy
 
 from .channel import ChannelParams, detection_rates
 from .errors import NumericsError, ValidationError
 from .receivers import (
+    _LN_SQRT_2PI,
     DEFAULT_TAIL_TOL,
     homodyne_pdf,
     poisson_window,
@@ -47,6 +47,8 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _HOMODYNE_QUAD_TOL = 1e-9
+_HOMODYNE_STEP = 1.0 / 16.0
+_HOMODYNE_HALF_WIDTH = 12.0
 
 
 def shannon_entropy(dist) -> float:
@@ -176,40 +178,53 @@ def mi_bds(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
 # Ideal homodyne reference
 # ---------------------------------------------------------------------------
 
+def _homodyne_mixture_entropy(a0, a1, q0, q1):
+    """Differential entropy (bits) of q0 N(a0, 1) + q1 N(a1, 1), with its error.
+
+    Composite trapezoid rule of step 1/16 over [min(a) - 12, max(a) + 12]; for
+    this analytic, Gaussian-decaying integrand the rule converges
+    exponentially in 1/h (Trefethen & Weideman, SIAM Review 2014), so the gap
+    to the rule of step 1/8, about that coarse rule's own error, bounds the
+    error of the fine one.  The returned error adds the mass outside the
+    interval and the rounding of the sums.
+    """
+    left = min(a0, a1) - _HOMODYNE_HALF_WIDTH
+    # an even number of steps, so that every other node gives the coarse rule
+    steps = 2 * math.ceil(0.5 * (max(a0, a1) + _HOMODYNE_HALF_WIDTH - left)
+                          / _HOMODYNE_STEP)
+    y = left + _HOMODYNE_STEP * np.arange(steps + 1)
+    p = (q0 * np.exp(-0.5 * (y - a0) ** 2)
+         + q1 * np.exp(-0.5 * (y - a1) ** 2)) * math.exp(-_LN_SQRT_2PI)
+    f = -xlogy(p, p)
+    ends = 0.5 * (f[0] + f[-1])
+    fine = _HOMODYNE_STEP * (f.sum() - ends)
+    coarse = 2.0 * _HOMODYNE_STEP * (f[::2].sum() - ends)
+    # outside the interval the density is at most phi(d), d >= t the distance
+    # to the nearer mean, and -x ln x increases on [0, 1/e]: each side adds
+    # at most the integral of phi(d) (d^2/2 + ln sqrt(2*pi)) over d > t
+    t = _HOMODYNE_HALF_WIDTH
+    tail = (t * math.exp(-0.5 * t * t - _LN_SQRT_2PI)
+            + (1.0 + 2.0 * _LN_SQRT_2PI) * 0.5 * math.erfc(t / math.sqrt(2.0)))
+    rounding = (steps + 4) * np.finfo(float).eps * fine
+    return fine / _LN2, (abs(fine - coarse) + tail + rounding) / _LN2
+
+
 def mi_homodyne(params: ChannelParams) -> float:
     """MI of the macroscopic-LO Gaussian reference channel, in bits.
 
-    Differential-entropy form evaluated by adaptive quadrature; since both
-    conditionals are unit-variance Gaussians, MI = h(Y) - (1/2)log2(2*pi*e).
+    Both conditionals are unit-variance Gaussians, so
+    MI = h(Y) - (1/2)log2(2*pi*e); h(Y) comes from
+    :func:`_homodyne_mixture_entropy`, whose error must stay within
+    ``_HOMODYNE_QUAD_TOL``.
     """
     q0, q1 = params.priors
-    a0 = homodyne_pdf(params, 0).mean
-    a1 = homodyne_pdf(params, 1).mean
-    norm = 1.0 / math.sqrt(2.0 * math.pi)
-
-    def neg_p_log_p(y):
-        p = norm * (
-            q0 * math.exp(-0.5 * (y - a0) ** 2) + q1 * math.exp(-0.5 * (y - a1) ** 2)
-        )
-        return 0.0 if p <= 0.0 else -p * math.log(p)
-
-    # integrate piecewise between the mixture peaks; beyond 12 sigma the
-    # integrand is below 1e-13 in absolute contribution
-    knots = sorted({min(a0, a1) - 12.0, a0, 0.5 * (a0 + a1), a1, max(a0, a1) + 12.0})
-    val = 0.0
-    err = 0.0
-    for left, right in zip(knots, knots[1:]):
-        if right <= left:
-            continue
-        piece, piece_err = quad(neg_p_log_p, left, right, limit=400,
-                                epsabs=1e-12, epsrel=1e-11)
-        val += piece
-        err += piece_err
-    if err / _LN2 > _HOMODYNE_QUAD_TOL:
+    h_mix_bits, err = _homodyne_mixture_entropy(
+        homodyne_pdf(params, 0).mean, homodyne_pdf(params, 1).mean, q0, q1
+    )
+    if err > _HOMODYNE_QUAD_TOL:
         raise NumericsError(
-            f"homodyne quadrature error {err / _LN2:.2e} bits exceeds tolerance"
+            f"homodyne quadrature error {err:.2e} bits exceeds tolerance"
         )
-    h_mix_bits = val / _LN2
     return h_mix_bits - 0.5 * math.log2(2.0 * math.pi * math.e)
 
 

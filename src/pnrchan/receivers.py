@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ive
-from scipy.stats import poisson as _poisson
+from scipy.special import gammaln, ive, pdtrc
 
 from .channel import ChannelParams
 from .errors import NumericsError, ValidationError
@@ -153,7 +152,7 @@ def poisson_window(mu, tail_tol=DEFAULT_TAIL_TOL):
         return 0, 0.0
     n_max = int(math.ceil(mu + 12.0 * math.sqrt(mu) + 30.0))
     for _ in range(_WINDOW_GROWTH_STEPS):
-        bound = float(_poisson.sf(n_max, mu))
+        bound = float(pdtrc(n_max, mu))
         if bound <= tail_tol:
             return n_max, bound
         n_max = int(math.ceil(n_max * 1.5)) + 10

@@ -9,7 +9,6 @@ order, which keeps the output byte-identical for any worker count.
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -245,8 +244,13 @@ def resolve_workers(flag_value=None):
 
 def _map_rows(row_func, spec, grid, workers):
     tasks = [(spec, value) for value in grid]
-    if workers <= 1 or len(tasks) <= 1:
+    # workers beyond the grid size or the core count only add interpreter starts
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [row_func(task) for task in tasks]
+    # imported here so that serial runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(row_func, tasks))
 

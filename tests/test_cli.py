@@ -1,6 +1,10 @@
+import concurrent.futures
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +188,41 @@ class TestSweep:
                        "--grid", "1:5:4", "--strategies", "hl",
                        "-o", str(out)) == 1
 
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 64])
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_absurd_worker_count_is_capped(self, tmp_path, monkeypatch, cpus, via_env):
+        pools = []
+
+        class InlinePool:
+            """Records the requested worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, func, tasks):
+                return map(func, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        args = ("sweep", "--mode", "lo", "--signal-mean", "2.0",
+                "--grid", "1:5:4", "--strategies", "hl")
+        absurd = ()
+        if via_env:
+            monkeypatch.setenv("PNRCHAN_WORKERS", "1000000000")
+        else:
+            absurd = ("--workers", "1000000000")
+        capped, serial = tmp_path / "capped.csv", tmp_path / "serial.csv"
+        assert run_cli(*args, *absurd, "-o", str(capped)) == 0
+        assert pools == ([] if (cpus or 1) == 1 else [min(cpus, 4)])
+        assert run_cli(*args, "--workers", "1", "-o", str(serial)) == 0
+        assert capped.read_bytes() == serial.read_bytes()
+
     def test_transmissivity_alternative_input(self, tmp_path):
         by_loss = tmp_path / "a.csv"
         by_t = tmp_path / "b.csv"
@@ -305,3 +344,32 @@ class TestRecordIo:
         with pytest.raises(SystemExit) as exc:
             run_cli("--version")
         assert exc.value.code == 0
+
+
+class TestProcess:
+    def test_out_of_memory_is_one_line_without_traceback(self, tmp_path, monkeypatch,
+                                                         capsys):
+        def exhaust(spec, workers=1):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_sweep", exhaust)
+        code = run_cli("sweep", "--preset", "fig3", "-o", str(tmp_path / "x.csv"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pnrchan: error: out of memory")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_cli_import_loads_only_numpy_and_scipy_special(self):
+        heavy = ("scipy.stats", "scipy.integrate", "concurrent.futures.process",
+                 "multiprocessing")
+        code = ("import sys, pnrchan.cli; "
+                f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []

@@ -15,10 +15,10 @@ from pnrchan import (
     mutual_information,
     shannon_entropy,
 )
-from pnrchan.information import _sign_split
-from pnrchan.receivers import DEFAULT_TAIL_TOL
+from pnrchan.information import _homodyne_mixture_entropy, _sign_split
+from pnrchan.receivers import DEFAULT_TAIL_TOL, homodyne_pdf
 
-from oracles import mi_wf_grid, wf_hl_equivalence_check
+from oracles import mi_homodyne_quad, mi_wf_grid, wf_hl_equivalence_check
 
 
 def params_for(signal_mean, lo_mean, xi, priors=(0.5, 0.5)):
@@ -134,6 +134,43 @@ class TestHomodyneReference:
     def test_difference_readout_approaches_reference(self):
         p_fine = params_for(3.0, 1e4, 0.9)
         assert abs(mi_hl(p_fine) - mi_homodyne(p_fine)) <= 1e-3
+
+    @pytest.mark.parametrize("priors", [(0.5, 0.5), (0.3, 0.7)])
+    def test_matches_adaptive_quadrature_oracle(self, priors):
+        for signal_mean in np.geomspace(0.01, 12.0, 10):
+            for xi in (0.5, 0.7, 0.86, 0.94, 1.0):
+                p = params_for(float(signal_mean), 12.15, xi, priors)
+                value, quad_err = mi_homodyne_quad(p)
+                assert quad_err <= 1e-9
+                assert abs(mi_homodyne(p) - value) <= 1e-12
+
+    @pytest.mark.parametrize("signal_mean, xi, priors", [
+        (0.01, 0.5, (0.5, 0.5)),
+        (3.07, 0.94, (0.5, 0.5)),
+        (3.07, 1.0, (0.3, 0.7)),
+        (12.0, 1.0, (0.5, 0.5)),
+        (12.0, 0.86, (0.3, 0.7)),
+    ])
+    def test_error_bound_encloses_high_precision_entropy(self, signal_mean, xi, priors):
+        mpmath = pytest.importorskip("mpmath")
+        p = params_for(signal_mean, 12.15, xi, priors)
+        a0, a1 = homodyne_pdf(p, 0).mean, homodyne_pdf(p, 1).mean
+        h_bits, err = _homodyne_mixture_entropy(a0, a1, *priors)
+        assert 0.0 < err <= 1e-9
+        with mpmath.workdps(50):
+            q0, q1 = (mpmath.mpf(q) for q in priors)
+            norm = 1 / mpmath.sqrt(2 * mpmath.pi)
+
+            def neg_p_log_p(y):
+                dens = norm * (q0 * mpmath.exp(-(y - a0) ** 2 / 2)
+                               + q1 * mpmath.exp(-(y - a1) ** 2 / 2))
+                return -dens * mpmath.log(dens)
+
+            knots = [-mpmath.inf, a0, 0.5 * (a0 + a1), a1, mpmath.inf]
+            exact = mpmath.quad(neg_p_log_p, knots) / mpmath.log(2)
+            exact_mi = exact - mpmath.log(2 * mpmath.pi * mpmath.e, 2) / 2
+        assert abs(h_bits - float(exact)) <= err
+        assert abs(mi_homodyne(p) - float(exact_mi)) <= err + 1e-15
 
 
 class TestFactorizationCheck:

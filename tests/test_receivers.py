@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ive
+from scipy.special import ive, pdtrc
 from scipy.stats import poisson as sp_poisson
 
 from pnrchan import (
@@ -16,7 +16,7 @@ from pnrchan import (
     skellam_pmf_grid,
 )
 from pnrchan.information import _hl_conditionals, _sign_split
-from pnrchan.receivers import DEFAULT_TAIL_TOL
+from pnrchan.receivers import DEFAULT_TAIL_TOL, poisson_window
 
 from oracles import wf_pmf
 
@@ -77,6 +77,21 @@ class TestPoissonPmf:
             poisson_pmf(2, -0.5)
         with pytest.raises(ValidationError):
             poisson_pmf(2.5, 1.0)
+
+
+class TestPoissonWindow:
+    def test_tail_is_the_poisson_survival_function_bit_for_bit(self):
+        for mu in np.geomspace(0.1, 1e6, 60):
+            mu = float(mu)
+            # the base window and its growth steps
+            n_max = math.ceil(mu + 12.0 * math.sqrt(mu) + 30.0)
+            for _ in range(4):
+                assert pdtrc(n_max, mu) == sp_poisson.sf(n_max, mu)
+                n_max = math.ceil(n_max * 1.5) + 10
+            for tail_tol in (1e-10, 1e-40, 1e-200):
+                n_max, tail = poisson_window(mu, tail_tol)
+                assert tail == float(sp_poisson.sf(n_max, mu))
+                assert tail <= tail_tol
 
 
 class TestSkellam:
