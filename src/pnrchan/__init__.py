@@ -48,14 +48,4 @@ from .receivers import (
     poisson_pmf,
     skellam_pmf_grid,
 )
-from .security import (
-    RankTwoState,
-    SecurityReport,
-    WiretapScenario,
-    holevo_chi_bds,
-    holevo_chi_wf,
-    mi_bob_eve,
-    rank2_entropy,
-    security_report,
-    security_report_for,
-)
+from .security import SecurityReport, security_report_for

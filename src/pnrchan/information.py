@@ -133,15 +133,49 @@ def _hl_conditionals(params: ChannelParams, tail_tol):
     return np.arange(lo, hi + 1), full0, full1, tail
 
 
-def _sign_split(params: ChannelParams, tail_tol):
-    """P(sign outcome 0 | symbol k) for k = 0, 1.
+def _sign_law(law):
+    """The two-outcome sign law of each symbol, from a difference law.
 
     Outcome 0 collects the negative differences and half of the Delta = 0
     mass (the fair tie split); outcome 1 has the complementary probability.
+    Returns one array ``[P(0 | k), P(1 | k)]`` per symbol k.
     """
-    deltas, p0, p1, _ = _hl_conditionals(params, tail_tol)
+    deltas, p0, p1, _ = law
     neg, zero = deltas < 0, deltas == 0
-    return tuple(float(p[neg].sum() + 0.5 * p[zero].sum()) for p in (p0, p1))
+    splits = (float(p[neg].sum() + 0.5 * p[zero].sum()) for p in (p0, p1))
+    return tuple(np.array([b, 1.0 - b]) for b in splits)
+
+
+def _law_error_bound(params: ChannelParams, law, tail_tol) -> float:
+    """Certified MI truncation bound (bits) for the windows of ``law``.
+
+    The larger of the difference-law bound and the bound for the per-arm
+    count windows, each arm certified to half the tolerance.
+    """
+    deltas, _, _, tail = law
+    r = detection_rates(params, 1)
+    wf_tail = (poisson_window(r.mu_t, 0.5 * tail_tol)[1]
+               + poisson_window(r.mu_r, 0.5 * tail_tol)[1])
+    return max(
+        _mi_error_bound((wf_tail, wf_tail), params.priors, (len(deltas) + 1) ** 2),
+        _mi_error_bound((tail, tail), params.priors, len(deltas)),
+    )
+
+
+def _receiver_figures(params: ChannelParams, tail_tol):
+    """Build one receiver's difference law and derive its figures from it.
+
+    Returns ``(law, i_diff, i_sign, error_bound)``: the
+    :func:`_hl_conditionals` tuple, the MI of the difference readout (which
+    is also I_WF), the MI of the sign readout and the certified bound.
+    """
+    law = _hl_conditionals(params, tail_tol)
+    return (
+        law,
+        mutual_information(law[1:3], params.priors),
+        mutual_information(_sign_law(law), params.priors),
+        _law_error_bound(params, law, tail_tol),
+    )
 
 
 def mi_wf(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
@@ -151,27 +185,23 @@ def mi_wf(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
     (n + m, n - m), and p(n + m | n - m) is the same for both symbols, so the
     difference is a sufficient statistic and I(K; n, m) = I(K; n - m).
     """
-    _, p0, p1, _ = _hl_conditionals(params, tail_tol)
-    return mutual_information((p0, p1), params.priors)
+    return mutual_information(_hl_conditionals(params, tail_tol)[1:3], params.priors)
 
 
 def mi_hl(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
     """MI of the symbol vs the count difference Delta = n - m, in bits."""
-    _, p0, p1, _ = _hl_conditionals(params, tail_tol)
-    return mutual_information((p0, p1), params.priors)
+    return mutual_information(_hl_conditionals(params, tail_tol)[1:3], params.priors)
 
 
 def mi_bds(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
     """MI of the symbol vs the sign readout, in bits.
 
-    Aggregated from the same certified difference grids as :func:`mi_hl`; for
+    Aggregated from the same certified difference law as :func:`mi_hl`; for
     equal priors this equals 1 - h2(p_err) of the induced binary symmetric
     channel.
     """
-    b0, b1 = _sign_split(params, tail_tol)
-    return mutual_information(
-        (np.array([b0, 1.0 - b0]), np.array([b1, 1.0 - b1])), params.priors
-    )
+    return mutual_information(_sign_law(_hl_conditionals(params, tail_tol)),
+                              params.priors)
 
 
 # ---------------------------------------------------------------------------
@@ -245,28 +275,17 @@ class MiReport:
 
 
 def certified_error_bound(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
-    """Certified bound (bits) on the MI truncation error for these windows.
-
-    The larger of the difference-law bound and the bound for the per-arm
-    count windows, each arm certified to half the tolerance.
-    """
-    deltas, _, _, tail = _hl_conditionals(params, tail_tol)
-    r = detection_rates(params, 1)
-    wf_tail = (poisson_window(r.mu_t, 0.5 * tail_tol)[1]
-               + poisson_window(r.mu_r, 0.5 * tail_tol)[1])
-    return max(
-        _mi_error_bound((wf_tail, wf_tail), params.priors, (len(deltas) + 1) ** 2),
-        _mi_error_bound((tail, tail), params.priors, len(deltas)),
-    )
+    """Certified bound (bits) on the MI truncation error for these windows."""
+    return _law_error_bound(params, _hl_conditionals(params, tail_tol), tail_tol)
 
 
 def mi_report(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> MiReport:
-    """Compute all four MI figures with a shared certified error bound."""
-    bound = certified_error_bound(params, tail_tol)
+    """All four MI figures and their certified bound, from one difference law."""
+    _, i_diff, i_sign, bound = _receiver_figures(params, tail_tol)
     return MiReport(
-        i_wf=mi_wf(params, tail_tol),
-        i_hl=mi_hl(params, tail_tol),
-        i_bds=mi_bds(params, tail_tol),
+        i_wf=i_diff,
+        i_hl=i_diff,
+        i_bds=i_sign,
         i_homodyne=mi_homodyne(params),
         truncation_tolerance=tail_tol,
         error_bound=bound,

@@ -131,18 +131,12 @@ class EmpiricalDistributions:
     shots: tuple
 
 
-def empirical_distributions(run: ExperimentRun, tie_break="half",
-                            rng=None) -> EmpiricalDistributions:
+def empirical_distributions(run: ExperimentRun) -> EmpiricalDistributions:
     """Histogram a run into the three conditional outcome laws.
 
-    The sign readout resolves difference zero either as an even half-count
-    split (``tie_break='half'``, matching the analytic convention) or by an
-    actual coin flip (``tie_break='coin'``, requires ``rng``).
+    The sign readout splits the difference-zero counts evenly between its
+    two outcomes, matching the analytic convention.
     """
-    if tie_break not in ("half", "coin"):
-        raise ValidationError(f"tie_break must be 'half' or 'coin', got {tie_break!r}")
-    if tie_break == "coin" and rng is None:
-        raise ValidationError("tie_break='coin' needs an rng")
     shots = []
     per_symbol = []
     for k in (0, 1):
@@ -163,12 +157,7 @@ def empirical_distributions(run: ExperimentRun, tie_break="half",
         wf[k] = flat.reshape(n_max + 1, m_max + 1) / total
         delta = n - m
         hl[k] = np.bincount(delta + m_max, minlength=n_max + m_max + 1) / total
-        negative = float((delta < 0).sum())
-        zeros = float((delta == 0).sum())
-        if tie_break == "half":
-            j0 = negative + 0.5 * zeros
-        else:
-            j0 = negative + float(rng.integers(0, 2, size=int(zeros)).sum())
+        j0 = float((delta < 0).sum()) + 0.5 * float((delta == 0).sum())
         bds[k] = (j0 / total, 1.0 - j0 / total)
     deltas = np.arange(-m_max, n_max + 1)
     return EmpiricalDistributions(wf=wf, hl=hl, deltas=deltas, bds=bds,

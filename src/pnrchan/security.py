@@ -6,8 +6,8 @@ receiver.  All key figures come from one :class:`SecurityReport`.
 Individual-attack key rates compare the honest MI with the eavesdropper's MI
 in direct (Alice-side) or reverse (Bob-side) reconciliation; collective
 attacks replace the eavesdropper's MI with the Holevo information of her
-quantum ensemble.  Every figure is derived from the certified count-difference
-laws of the two receivers.
+quantum ensemble.  Each channel point builds the certified count-difference
+law of each receiver once, and every figure is derived from those two laws.
 
 Eve's states span a two-dimensional subspace (two opposite coherent
 amplitudes), so every von Neumann entropy reduces to the binary entropy of a
@@ -23,26 +23,20 @@ import numpy as np
 from scipy.special import xlogy
 
 from .channel import ChannelParams, coherent_overlap, eve_params
-from .errors import ValidationError
 from .information import (
     _hl_conditionals,
-    _sign_split,
-    binary_entropy,
-    mi_bds,
-    mi_wf,
+    _receiver_figures,
+    _sign_law,
+    mutual_information,
     shannon_entropy,
 )
 from .receivers import DEFAULT_TAIL_TOL
 
 __all__ = [
-    "WiretapScenario",
     "SecurityReport",
-    "RankTwoState",
-    "rank2_entropy",
     "mi_bob_eve",
     "holevo_chi_wf",
     "holevo_chi_bds",
-    "security_report",
     "security_report_for",
 ]
 
@@ -50,91 +44,24 @@ _LN2 = math.log(2.0)
 _K_DEFINED_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class WiretapScenario:
-    """Honest receiver plus the induced wiretapper, with attack labels.
-
-    ``eve`` is always constructed from ``bob`` (transmissivity 1 - T, unit
-    visibility, same LO unless overridden); collective attacks are only
-    analyzed in reverse reconciliation.
-    """
-
-    bob: ChannelParams
-    eve: ChannelParams
-    attack: str = "IA"
-    reconciliation: str = "RR"
-
-    def __post_init__(self):
-        if self.attack not in ("IA", "CA"):
-            raise ValidationError(f"attack must be IA or CA, got {self.attack}")
-        if self.reconciliation not in ("DR", "RR"):
-            raise ValidationError(
-                f"reconciliation must be DR or RR, got {self.reconciliation}"
-            )
-        if self.attack == "CA" and self.reconciliation != "RR":
-            raise ValidationError("collective attacks are analyzed for RR only")
-        expected = eve_params(self.bob, lo_amplitude=self.eve.lo_amplitude)
-        if self.eve != expected:
-            raise ValidationError(
-                "eve parameters must be derived from bob's (lost fraction, "
-                "unit visibility)"
-            )
-
-    @classmethod
-    def from_bob(cls, bob: ChannelParams, attack="IA", reconciliation="RR",
-                 eve_lo_amplitude=None):
-        return cls(
-            bob=bob,
-            eve=eve_params(bob, lo_amplitude=eve_lo_amplitude),
-            attack=attack,
-            reconciliation=reconciliation,
-        )
-
-
-@dataclass(frozen=True)
-class RankTwoState:
-    """Statistical mixture of two pure states with known inner product."""
-
-    weights: tuple
-    overlap: float
-
-    def __post_init__(self):
-        w0, w1 = self.weights
-        if w0 < 0.0 or w1 < 0.0 or abs(w0 + w1 - 1.0) > 1e-12:
-            raise ValidationError("weights must be nonnegative and sum to 1")
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ValidationError(f"overlap must lie in [0, 1], got {self.overlap}")
-
-
-def rank2_entropy(state: RankTwoState) -> float:
-    """Von Neumann entropy in bits via the two-state Gram eigenvalues.
-
-    For rho = w0 |a><a| + w1 |b><b| with |<a|b>| = c the nonzero eigenvalues
-    are (1 +- sqrt(1 - 4 w0 w1 (1 - c^2))) / 2, so S(rho) = h2(lambda_plus).
-    """
-    w0, w1 = state.weights
-    c2 = state.overlap * state.overlap
-    disc = max(0.0, 1.0 - 4.0 * w0 * w1 * (1.0 - c2))
-    lam = 0.5 * (1.0 + math.sqrt(disc))
-    return binary_entropy(min(lam, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # Individual attacks
 # ---------------------------------------------------------------------------
 
-def mi_bob_eve(scenario: WiretapScenario, tail_tol=DEFAULT_TAIL_TOL) -> float:
+def mi_bob_eve(bob_law, eve_law, priors) -> float:
     """I(B;E) between the two receivers' outcomes, marginalized over symbols.
 
-    Computed on the difference x difference alphabet: the count pair factors
-    as (difference law) x (symbol-independent sum factor), so per-cell
-    likelihood ratios -- and hence the MI -- only depend on the differences.
-    The test suite checks this reduction against the full four-index joint
-    law of the symbol and both count pairs.
+    ``bob_law`` and ``eve_law`` are the receivers' difference laws from
+    :func:`~pnrchan.information._hl_conditionals`.  Computed on the
+    difference x difference alphabet: the count pair factors as (difference
+    law) x (symbol-independent sum factor), so per-cell likelihood ratios --
+    and hence the MI -- only depend on the differences.  The test suite
+    checks this reduction against the full four-index joint law of the
+    symbol and both count pairs.
     """
-    q0, q1 = scenario.bob.priors
-    _, b0, b1, _ = _hl_conditionals(scenario.bob, tail_tol)
-    _, e0, e1, _ = _hl_conditionals(scenario.eve, tail_tol)
+    q0, q1 = priors
+    _, b0, b1, _ = bob_law
+    _, e0, e1, _ = eve_law
     joint = q0 * np.outer(b0, e0) + q1 * np.outer(b1, e1)
     h_b = shannon_entropy(joint.sum(axis=1))
     h_e = shannon_entropy(joint.sum(axis=0))
@@ -146,18 +73,12 @@ def mi_bob_eve(scenario: WiretapScenario, tail_tol=DEFAULT_TAIL_TOL) -> float:
 # Collective attacks (Holevo information, reverse reconciliation)
 # ---------------------------------------------------------------------------
 
-def _eve_overlap(scenario: WiretapScenario) -> float:
-    beta_sq = scenario.eve.signal_mean
-    return coherent_overlap(beta_sq)
-
-
-def _eve_total_entropy(scenario: WiretapScenario) -> float:
-    q = scenario.bob.priors
-    return rank2_entropy(RankTwoState(weights=tuple(q), overlap=_eve_overlap(scenario)))
-
-
 def _posterior_entropy(weights1, overlap):
-    """Vectorized h2 of the top Gram eigenvalue for posterior weights w1."""
+    """Entropy (bits) of (1 - w1)|-beta><-beta| + w1|+beta><+beta|, vectorized.
+
+    For two pure states with |<a|b>| = c the nonzero eigenvalues are
+    (1 +- sqrt(1 - 4 w0 w1 (1 - c^2))) / 2, so the entropy is h2(lambda_plus).
+    """
     w1 = np.clip(weights1, 0.0, 1.0)
     disc = np.maximum(0.0, 1.0 - 4.0 * w1 * (1.0 - w1) * (1.0 - overlap * overlap))
     lam = 0.5 * (1.0 + np.sqrt(disc))
@@ -165,37 +86,36 @@ def _posterior_entropy(weights1, overlap):
     return (-xlogy(lam, lam) - xlogy(1.0 - lam, 1.0 - lam)) / _LN2
 
 
-def holevo_chi_wf(scenario: WiretapScenario, tail_tol=DEFAULT_TAIL_TOL) -> float:
-    """Holevo information of Eve's ensemble conditioned on Bob's counts.
+def _holevo_chi(conditionals, eve: ChannelParams) -> float:
+    """chi(B;E) = S(E) - S(E|B) for Bob's outcome law ``conditionals``.
 
-    chi(B;E) = S(E) - S(E|B).  Because Eve's conditional state given Bob's
-    count pair depends on it only through the count difference, S(E|B) is
-    averaged over the difference law; each conditional state is a rank-two
-    mixture with posterior weights q_k p(Delta|k)/p(Delta).
+    ``conditionals`` holds p(outcome | k) for k = 0, 1 on a common alphabet.
+    Eve's state given Bob's outcome j is a rank-two mixture with posterior
+    weight w1 = q1 p(j|1) / p(j); S(E) is the same entropy at w1 = q1.
     """
-    q0, q1 = scenario.bob.priors
-    overlap = _eve_overlap(scenario)
-    _, b0, b1, _ = _hl_conditionals(scenario.bob, tail_tol)
+    q0, q1 = eve.priors
+    overlap = coherent_overlap(eve.signal_mean)
+    b0, b1 = conditionals
     mix = q0 * b0 + q1 * b1
     mask = mix > 0.0
     w1 = q1 * b1[mask] / mix[mask]
     s_cond = float((mix[mask] * _posterior_entropy(w1, overlap)).sum())
-    return _eve_total_entropy(scenario) - s_cond
+    return float(_posterior_entropy(q1, overlap)) - s_cond
 
 
-def holevo_chi_bds(scenario: WiretapScenario, tail_tol=DEFAULT_TAIL_TOL) -> float:
-    """Holevo information conditioned on the binary sign readout."""
-    q0, q1 = scenario.bob.priors
-    overlap = _eve_overlap(scenario)
-    sign0_given = np.array(_sign_split(scenario.bob, tail_tol))
-    s_cond = 0.0
-    for cond in (sign0_given, 1.0 - sign0_given):
-        pj = q0 * cond[0] + q1 * cond[1]
-        if pj <= 0.0:
-            continue
-        w1 = q1 * cond[1] / pj
-        s_cond += pj * float(_posterior_entropy(np.array([w1]), overlap)[0])
-    return _eve_total_entropy(scenario) - s_cond
+def holevo_chi_wf(bob_law, eve: ChannelParams) -> float:
+    """Holevo information of Eve's ensemble conditioned on Bob's counts.
+
+    Eve's conditional state given Bob's count pair depends on it only
+    through the count difference, so S(E|B) is averaged over Bob's
+    difference law ``bob_law``.
+    """
+    return _holevo_chi(bob_law[1:3], eve)
+
+
+def holevo_chi_bds(bob_law, eve: ChannelParams) -> float:
+    """Holevo information conditioned on Bob's binary sign readout."""
+    return _holevo_chi(_sign_law(bob_law), eve)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +127,9 @@ class SecurityReport:
     """All security figures for one channel condition.
 
     Normalized informations are ``None`` when the honest MI is below the
-    division floor (no information, so no meaningful ratio).
+    division floor (no information, so no meaningful ratio).  The field
+    order is the column order of the security table; ``error_bound`` is the
+    certified truncation bound on the honest MI (its ``trunc_err`` column).
     """
 
     i_ab_wf: float
@@ -224,6 +146,7 @@ class SecurityReport:
     k_rr: Optional[float]
     k_ca_wf: Optional[float]
     k_ca_bds: Optional[float]
+    error_bound: float
 
 
 def _safe_ratio(delta, denom):
@@ -232,14 +155,25 @@ def _safe_ratio(delta, denom):
     return delta / denom
 
 
-def security_report(scenario: WiretapScenario, tail_tol=DEFAULT_TAIL_TOL) -> SecurityReport:
-    """Compute the full security figure set for a wiretap scenario."""
-    i_ab_wf = mi_wf(scenario.bob, tail_tol)
-    i_ab_bds = mi_bds(scenario.bob, tail_tol)
-    i_ae = mi_wf(scenario.eve, tail_tol)
-    i_be = mi_bob_eve(scenario, tail_tol)
-    chi_wf = holevo_chi_wf(scenario, tail_tol)
-    chi_bds = holevo_chi_bds(scenario, tail_tol)
+def security_report_for(bob: ChannelParams, eve_lo_amplitude=None,
+                        tail_tol=DEFAULT_TAIL_TOL) -> SecurityReport:
+    """All security figures of one channel point, from one law per receiver.
+
+    Eve collects the lost fraction with unit visibility and Bob's LO unless
+    ``eve_lo_amplitude`` is given.  At unit transmissivity she receives
+    vacuum: every Eve figure is zero and the normalized informations are 1
+    (or undefined when the honest channel itself carries nothing).
+    """
+    bob_law, i_ab_wf, i_ab_bds, bound = _receiver_figures(bob, tail_tol)
+    if bob.transmissivity >= 1.0:
+        i_ae = i_be = chi_wf = chi_bds = 0.0
+    else:
+        eve = eve_params(bob, lo_amplitude=eve_lo_amplitude)
+        eve_law = _hl_conditionals(eve, tail_tol)
+        i_ae = mutual_information(eve_law[1:3], eve.priors)
+        i_be = mi_bob_eve(bob_law, eve_law, bob.priors)
+        chi_wf = holevo_chi_wf(bob_law, eve)
+        chi_bds = holevo_chi_bds(bob_law, eve)
     d_dr = i_ab_wf - i_ae
     d_rr = i_ab_wf - i_be
     d_ca_wf = i_ab_wf - chi_wf
@@ -259,29 +193,5 @@ def security_report(scenario: WiretapScenario, tail_tol=DEFAULT_TAIL_TOL) -> Sec
         k_rr=_safe_ratio(d_rr, i_ab_wf),
         k_ca_wf=_safe_ratio(d_ca_wf, i_ab_wf),
         k_ca_bds=_safe_ratio(d_ca_bds, i_ab_bds),
+        error_bound=bound,
     )
-
-
-def security_report_for(bob: ChannelParams, eve_lo_amplitude=None,
-                        tail_tol=DEFAULT_TAIL_TOL) -> SecurityReport:
-    """Security report handling the lossless edge case.
-
-    At unit transmissivity the wiretapper receives vacuum: every Eve figure
-    is zero and the normalized informations are 1 (or undefined when the
-    honest channel itself carries nothing).
-    """
-    if bob.transmissivity >= 1.0:
-        i_ab_wf = mi_wf(bob, tail_tol)
-        i_ab_bds = mi_bds(bob, tail_tol)
-        one_wf = 1.0 if i_ab_wf > _K_DEFINED_FLOOR else None
-        one_bds = 1.0 if i_ab_bds > _K_DEFINED_FLOOR else None
-        return SecurityReport(
-            i_ab_wf=i_ab_wf, i_ab_bds=i_ab_bds,
-            i_ae_wf=0.0, i_be_wf=0.0, chi_be_wf=0.0, chi_be_bds=0.0,
-            delta_ia_dr=i_ab_wf, delta_ia_rr=i_ab_wf,
-            delta_ca_wf=i_ab_wf, delta_ca_bds=i_ab_bds,
-            k_dr=one_wf, k_rr=one_wf, k_ca_wf=one_wf, k_ca_bds=one_bds,
-        )
-    scenario = WiretapScenario.from_bob(bob, attack="CA", reconciliation="RR",
-                                        eve_lo_amplitude=eve_lo_amplitude)
-    return security_report(scenario, tail_tol)

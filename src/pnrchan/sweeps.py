@@ -9,20 +9,14 @@ order, which keeps the output byte-identical for any worker count.
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .channel import ChannelParams, loss_db_to_transmissivity
 from .errors import ValidationError
-from .information import (
-    certified_error_bound,
-    mi_bds,
-    mi_hl,
-    mi_homodyne,
-    mi_wf,
-)
+from .information import _receiver_figures, mi_homodyne
 from .receivers import DEFAULT_TAIL_TOL
-from .security import security_report_for
+from .security import SecurityReport, security_report_for
 
 __all__ = [
     "STRATEGIES",
@@ -37,7 +31,15 @@ __all__ = [
 ]
 
 STRATEGIES = ("wf", "hl", "bds", "hom")
-SECURITY_SCENARIOS = ("ia-dr", "ia-rr", "ca-rr")
+# the SecurityReport fields a sweep appends for each --security scenario, in
+# column order; the security table prints every field in declaration order
+SECURITY_SCENARIOS = {
+    "ia-dr": ("i_ae_wf", "delta_ia_dr", "k_dr"),
+    "ia-rr": ("i_be_wf", "delta_ia_rr", "k_rr"),
+    "ca-rr": ("chi_be_wf", "chi_be_bds", "delta_ca_wf", "delta_ca_bds",
+              "k_ca_wf", "k_ca_bds"),
+}
+_REPORT_COLUMNS = tuple(f.name for f in fields(SecurityReport) if f.name != "error_bound")
 
 WORKERS_ENV = "PNRCHAN_WORKERS"
 
@@ -47,6 +49,15 @@ def _check_tail_tol(tail_tol):
     # which reports them as numerical failures
     if not math.isfinite(tail_tol):
         raise ValidationError(f"tail_tol must be finite, got {tail_tol}")
+
+
+def _check_mean(name, value):
+    if value is not None and not (value >= 0.0 and math.isfinite(value)):
+        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _eve_lo_amplitude(eve_lo_mean):
+    return None if eve_lo_mean is None else eve_lo_mean ** 0.5
 
 
 def _check_grid(grid):
@@ -81,8 +92,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.mode not in ("lo", "loss"):
             raise ValidationError(f"mode must be 'lo' or 'loss', got {self.mode!r}")
-        if self.signal_mean < 0.0:
-            raise ValidationError("signal_mean must be >= 0")
+        _check_mean("signal_mean", self.signal_mean)
+        _check_mean("lo_mean", self.lo_mean)
+        _check_mean("eve_lo_mean", self.eve_lo_mean)
         if not self.strategies:
             raise ValidationError("strategies must not be empty")
         for s in self.strategies:
@@ -101,20 +113,17 @@ class SweepSpec:
         _check_tail_tol(self.tail_tol)
 
 
+def _security_columns(spec):
+    return [c for name, cols in SECURITY_SCENARIOS.items() if name in spec.security
+            for c in cols]
+
+
 def sweep_columns(spec: SweepSpec):
     cols = ["lo_mean"] if spec.mode == "lo" else ["loss_db", "transmissivity", "signal_mean"]
     for xi in spec.visibilities:
         tag = f"[xi={xi:g}]" if len(spec.visibilities) > 1 else ""
         cols.extend(f"i_{s}{tag}" for s in spec.strategies)
-    if "ia-dr" in spec.security:
-        cols += ["i_ae_wf", "delta_ia_dr", "k_dr"]
-    if "ia-rr" in spec.security:
-        cols += ["i_be_wf", "delta_ia_rr", "k_rr"]
-    if "ca-rr" in spec.security:
-        cols += ["chi_be_wf", "chi_be_bds", "delta_ca_wf", "delta_ca_bds",
-                 "k_ca_wf", "k_ca_bds"]
-    cols.append("trunc_err")
-    return cols
+    return cols + _security_columns(spec) + ["trunc_err"]
 
 
 def _bob_params(spec: SweepSpec, value, xi):
@@ -131,9 +140,6 @@ def _bob_params(spec: SweepSpec, value, xi):
     )
 
 
-_MI_FUNCS = {"wf": mi_wf, "hl": mi_hl, "bds": mi_bds}
-
-
 def _sweep_row(args):
     spec, value = args
     if spec.mode == "lo":
@@ -142,26 +148,20 @@ def _sweep_row(args):
         t = loss_db_to_transmissivity(value)
         cells = [value, t, spec.signal_mean * t]
     bound = 0.0
+    report = None
     for xi in spec.visibilities:
         bob = _bob_params(spec, value, xi)
-        for strat in spec.strategies:
-            if strat == "hom":
-                cells.append(mi_homodyne(bob))
-            else:
-                cells.append(_MI_FUNCS[strat](bob, spec.tail_tol))
-        bound = max(bound, certified_error_bound(bob, spec.tail_tol))
-    if spec.security:
-        bob = _bob_params(spec, value, spec.visibilities[0])
-        eve_lo = None if spec.eve_lo_mean is None else spec.eve_lo_mean ** 0.5
-        report = security_report_for(bob, eve_lo_amplitude=eve_lo,
-                                     tail_tol=spec.tail_tol)
-        if "ia-dr" in spec.security:
-            cells += [report.i_ae_wf, report.delta_ia_dr, report.k_dr]
-        if "ia-rr" in spec.security:
-            cells += [report.i_be_wf, report.delta_ia_rr, report.k_rr]
-        if "ca-rr" in spec.security:
-            cells += [report.chi_be_wf, report.chi_be_bds, report.delta_ca_wf,
-                      report.delta_ca_bds, report.k_ca_wf, report.k_ca_bds]
+        if spec.security:
+            # a single visibility: the report carries Bob's figures as well
+            report = security_report_for(bob, _eve_lo_amplitude(spec.eve_lo_mean),
+                                         spec.tail_tol)
+            i_diff, i_sign, err = report.i_ab_wf, report.i_ab_bds, report.error_bound
+        else:
+            _, i_diff, i_sign, err = _receiver_figures(bob, spec.tail_tol)
+        figures = {"wf": i_diff, "hl": i_diff, "bds": i_sign}
+        cells += [mi_homodyne(bob) if s == "hom" else figures[s] for s in spec.strategies]
+        bound = max(bound, err)
+    cells += [getattr(report, c) for c in _security_columns(spec)]
     cells.append(bound)
     return cells
 
@@ -183,24 +183,15 @@ class SecuritySpec:
     tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self):
-        if self.signal_mean < 0.0 or self.lo_mean < 0.0:
-            raise ValidationError("mean photon numbers must be >= 0")
+        _check_mean("signal_mean", self.signal_mean)
+        _check_mean("lo_mean", self.lo_mean)
+        _check_mean("eve_lo_mean", self.eve_lo_mean)
         _check_grid(self.grid)
         _check_tail_tol(self.tail_tol)
 
 
-SECURITY_TABLE_COLUMNS = (
-    "loss_db", "transmissivity", "signal_mean",
-    "i_ab_wf", "i_ab_bds", "i_ae_wf", "i_be_wf",
-    "chi_be_wf", "chi_be_bds",
-    "delta_ia_dr", "delta_ia_rr", "delta_ca_wf", "delta_ca_bds",
-    "k_dr", "k_rr", "k_ca_wf", "k_ca_bds",
-    "trunc_err",
-)
-
-
 def security_columns():
-    return list(SECURITY_TABLE_COLUMNS)
+    return ["loss_db", "transmissivity", "signal_mean", *_REPORT_COLUMNS, "trunc_err"]
 
 
 def _security_row(args):
@@ -212,17 +203,9 @@ def _security_row(args):
         lo_amplitude=spec.lo_mean ** 0.5,
         visibility=spec.visibility,
     )
-    eve_lo = None if spec.eve_lo_mean is None else spec.eve_lo_mean ** 0.5
-    rep = security_report_for(bob, eve_lo_amplitude=eve_lo, tail_tol=spec.tail_tol)
-    bound = certified_error_bound(bob, spec.tail_tol)
-    return [
-        loss_db, t, spec.signal_mean * t,
-        rep.i_ab_wf, rep.i_ab_bds, rep.i_ae_wf, rep.i_be_wf,
-        rep.chi_be_wf, rep.chi_be_bds,
-        rep.delta_ia_dr, rep.delta_ia_rr, rep.delta_ca_wf, rep.delta_ca_bds,
-        rep.k_dr, rep.k_rr, rep.k_ca_wf, rep.k_ca_bds,
-        bound,
-    ]
+    rep = security_report_for(bob, _eve_lo_amplitude(spec.eve_lo_mean), spec.tail_tol)
+    return [loss_db, t, spec.signal_mean * t,
+            *(getattr(rep, c) for c in _REPORT_COLUMNS), rep.error_bound]
 
 
 def resolve_workers(flag_value=None):

@@ -19,6 +19,7 @@ from pnrchan import (
     NumericsError,
     ValidationError,
     detection_rates,
+    eve_params,
     homodyne_pdf,
     mutual_information,
 )
@@ -118,14 +119,15 @@ def wf_hl_equivalence_check(params, mass_floor=1e-30):
 # Four-index joint law of the wiretap channel
 # ---------------------------------------------------------------------------
 
-def joint_abe_pmf(scenario, tail_tol=DEFAULT_TAIL_TOL):
+def joint_abe_pmf(bob, tail_tol=DEFAULT_TAIL_TOL):
     """Joint law q_k * p_B(n_b, m_b | k) * p_E(n_e, m_e | k).
 
-    Returns an array of shape (2, wb+1, wb+1, we+1, we+1) over the symbol,
-    Bob's count pair and Eve's count pair, on square windows.
+    Eve is the wiretapper of Bob's channel (``eve_params(bob)``).  Returns an
+    array of shape (2, wb+1, wb+1, we+1, we+1) over the symbol, Bob's count
+    pair and Eve's count pair, on square windows.
     """
-    rb = detection_rates(scenario.bob, 1)
-    re = detection_rates(scenario.eve, 1)
+    rb = detection_rates(bob, 1)
+    re = detection_rates(eve_params(bob), 1)
     nb, _ = poisson_window(rb.mu_t, 0.25 * tail_tol)
     mb, _ = poisson_window(rb.mu_r, 0.25 * tail_tol)
     ne, _ = poisson_window(re.mu_t, 0.25 * tail_tol)
@@ -141,7 +143,7 @@ def joint_abe_pmf(scenario, tail_tol=DEFAULT_TAIL_TOL):
     ce = np.arange(we + 1)
     grid_b1 = np.outer(poisson_pmf(cb, rb.mu_t), poisson_pmf(cb, rb.mu_r))
     grid_e1 = np.outer(poisson_pmf(ce, re.mu_t), poisson_pmf(ce, re.mu_r))
-    q0, q1 = scenario.bob.priors
+    q0, q1 = bob.priors
     probs = np.empty((2, wb + 1, wb + 1, we + 1, we + 1))
     probs[0] = q0 * np.einsum("ab,cd->abcd", grid_b1.T, grid_e1.T)
     probs[1] = q1 * np.einsum("ab,cd->abcd", grid_b1, grid_e1)

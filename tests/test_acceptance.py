@@ -22,8 +22,6 @@ from pnrchan import (
     mi_hl,
     mi_homodyne,
     mi_wf,
-    rank2_entropy,
-    RankTwoState,
     run_experiment,
     empirical_distributions,
     plugin_mi,
@@ -32,6 +30,7 @@ from pnrchan import (
     skellam_pmf_grid,
 )
 from pnrchan import cli
+from pnrchan.security import _posterior_entropy
 
 from oracles import fock_entropy_oracle, mi_wf_grid
 
@@ -166,8 +165,7 @@ def test_c07_rank_two_entropy_vs_fock_oracle():
         beta = math.sqrt(beta_sq)
         cutoff = int(math.ceil(beta_sq + 12.0 * math.sqrt(beta_sq) + 30.0))
         for w0 in (0.1, 0.3, 0.5):
-            closed = rank2_entropy(
-                RankTwoState((w0, 1.0 - w0), coherent_overlap(beta_sq)))
+            closed = float(_posterior_entropy(1.0 - w0, coherent_overlap(beta_sq)))
             oracle = fock_entropy_oracle([w0, 1.0 - w0], [beta, -beta], cutoff)
             worst = max(worst, abs(closed - oracle))
     ok = worst <= 1e-8

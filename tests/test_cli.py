@@ -141,6 +141,25 @@ class TestSweep:
         assert code == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args", [
+        ("sweep", "--mode", "loss", "--lo-mean", "-1"),
+        ("security", "--lo-mean", "12.15", "--eve-lo-mean", "-1"),
+        ("sweep", "--mode", "loss", "--lo-mean", "12.15", "--security", "ia-dr",
+         "--eve-lo-mean", "-4"),
+        ("sweep", "--mode", "loss", "--lo-mean", "inf"),
+        ("security", "--lo-mean", "12.15", "--eve-lo-mean", "nan"),
+    ])
+    def test_negative_or_non_finite_lo_mean_is_a_validation_error(self, tmp_path, capsys,
+                                                                  args):
+        out = tmp_path / "x.csv"
+        code = run_cli(*args, "--signal-mean", "3.2", "--xi", "0.94",
+                       "--grid", "0:13.44:3", "-o", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pnrchan: error: ") and "lo_mean" in err
+        assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
     def test_workers_do_not_change_bytes(self, tmp_path):
         a, b = tmp_path / "w1.csv", tmp_path / "w8.csv"
         args = ("sweep", "--mode", "loss", "--signal-mean", "3.2",

@@ -15,7 +15,7 @@ from pnrchan import (
     mutual_information,
     shannon_entropy,
 )
-from pnrchan.information import _homodyne_mixture_entropy, _sign_split
+from pnrchan.information import _hl_conditionals, _homodyne_mixture_entropy, _sign_law
 from pnrchan.receivers import DEFAULT_TAIL_TOL, homodyne_pdf
 
 from oracles import mi_homodyne_quad, mi_wf_grid, wf_hl_equivalence_check
@@ -99,7 +99,8 @@ class TestEquivalenceAndHierarchy:
         rng = np.random.default_rng(33)
         for _ in range(25):
             p = random_params(rng)
-            p_err = 1.0 - _sign_split(p, DEFAULT_TAIL_TOL)[0]  # wrong sign
+            s0, _ = _sign_law(_hl_conditionals(p, DEFAULT_TAIL_TOL))
+            p_err = s0[1]  # wrong sign
             closed = 1.0 - binary_entropy(p_err)
             assert mi_bds(p) == pytest.approx(closed, abs=1e-12)
 

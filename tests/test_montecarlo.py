@@ -20,7 +20,7 @@ from pnrchan import (
     sample_shot,
     skellam_pmf_grid,
 )
-from pnrchan.information import _hl_conditionals, _sign_split
+from pnrchan.information import _hl_conditionals, _sign_law
 from pnrchan.montecarlo import EmpiricalDistributions
 from pnrchan.receivers import DEFAULT_TAIL_TOL
 
@@ -116,24 +116,15 @@ class TestEmpiricalDistributions:
         tv = 0.5 * np.abs(emp.hl[1] - grid).sum()
         assert tv <= 0.02
 
-    def test_coin_tie_break_mode(self):
-        run = ExperimentRun(symbols=np.array([0, 0, 1, 1], dtype=np.uint8),
-                            n=np.array([1, 2, 2, 3]), m=np.array([1, 2, 2, 3]))
-        emp = empirical_distributions(run, tie_break="coin",
-                                      rng=np.random.default_rng(0))
-        assert emp.bds.sum() == pytest.approx(2.0, abs=1e-12)
-        with pytest.raises(ValidationError):
-            empirical_distributions(run, tie_break="coin")
-
 
 class TestPluginMi:
     def test_exact_on_analytic_distributions(self):
         p = params_for(1.5, 6.0, 0.9)
         wf = [wf_pmf(p, k) for k in (0, 1)]
-        deltas, p0, p1, _ = _hl_conditionals(p, DEFAULT_TAIL_TOL)
+        law = _hl_conditionals(p, DEFAULT_TAIL_TOL)
+        deltas, p0, p1, _ = law
         hl_grid = np.array([p0, p1])
-        b0, b1 = _sign_split(p, DEFAULT_TAIL_TOL)
-        bds = np.array([[b0, 1.0 - b0], [b1, 1.0 - b1]])
+        bds = np.array(_sign_law(law))
         shape = (max(g.shape[0] for g in wf), max(g.shape[1] for g in wf))
         wf_grid = np.zeros((2,) + shape)
         for k in (0, 1):

@@ -6,19 +6,17 @@ import pytest
 from pnrchan import (
     ChannelParams,
     NumericsError,
-    RankTwoState,
     ValidationError,
-    WiretapScenario,
     coherent_overlap,
-    holevo_chi_bds,
-    holevo_chi_wf,
-    mi_bob_eve,
+    eve_params,
+    mi_bds,
     mi_wf,
-    rank2_entropy,
-    security_report,
     security_report_for,
     shannon_entropy,
 )
+from pnrchan.information import _hl_conditionals, certified_error_bound
+from pnrchan.receivers import DEFAULT_TAIL_TOL
+from pnrchan.security import _posterior_entropy, holevo_chi_bds, holevo_chi_wf, mi_bob_eve
 
 from oracles import fock_entropy_oracle, joint_abe_pmf, wf_pmf
 
@@ -29,35 +27,42 @@ def bob_params(source_mean, loss_db, lo_mean, xi):
                          lo_amplitude=math.sqrt(lo_mean), visibility=xi)
 
 
-def scenario_for(source_mean, loss_db, lo_mean, xi):
-    return WiretapScenario.from_bob(bob_params(source_mean, loss_db, lo_mean, xi))
+def law(params):
+    return _hl_conditionals(params, DEFAULT_TAIL_TOL)
+
+
+def i_be(bob):
+    return mi_bob_eve(law(bob), law(eve_params(bob)), bob.priors)
+
+
+def chi_wf(bob):
+    return holevo_chi_wf(law(bob), eve_params(bob))
+
+
+def chi_bds(bob):
+    return holevo_chi_bds(law(bob), eve_params(bob))
 
 
 class TestRankTwoEntropy:
+    """The closed form behind S(E) and S(E | Bob's outcome)."""
+
     def test_identical_states_are_pure(self):
-        assert rank2_entropy(RankTwoState((0.5, 0.5), 1.0)) == 0.0
+        assert _posterior_entropy(0.5, 1.0) == 0.0
 
     def test_single_component_is_pure(self):
-        assert rank2_entropy(RankTwoState((1.0, 0.0), 0.3)) == 0.0
+        assert _posterior_entropy(0.0, 0.3) == 0.0
 
     def test_orthogonal_even_mixture_is_one_bit(self):
-        assert rank2_entropy(RankTwoState((0.5, 0.5), 0.0)) == 1.0
+        assert _posterior_entropy(0.5, 0.0) == 1.0
 
     def test_against_fock_oracle_grid(self):
         for beta_sq in (0.1, 1.0, 3.0, 10.0):
             beta = math.sqrt(beta_sq)
             cutoff = int(math.ceil(beta_sq + 12.0 * math.sqrt(beta_sq) + 30.0))
             for w0 in (0.1, 0.3, 0.5):
-                closed = rank2_entropy(
-                    RankTwoState((w0, 1.0 - w0), coherent_overlap(beta_sq)))
+                closed = _posterior_entropy(1.0 - w0, coherent_overlap(beta_sq))
                 oracle = fock_entropy_oracle([w0, 1.0 - w0], [beta, -beta], cutoff)
                 assert closed == pytest.approx(oracle, abs=1e-8)
-
-    def test_invalid_states_rejected(self):
-        with pytest.raises(ValidationError):
-            RankTwoState((0.6, 0.6), 0.5)
-        with pytest.raises(ValidationError):
-            RankTwoState((0.5, 0.5), 1.5)
 
 
 class TestFockOracle:
@@ -75,61 +80,55 @@ class TestFockOracle:
 
 class TestIndividualAttacks:
     def test_symmetric_point_yields_zero_exactly(self):
-        sc = scenario_for(3.2, 10.0 * math.log10(2.0), 12.15, 1.0)
-        assert sc.eve.transmissivity == pytest.approx(0.5, rel=1e-12)
-        assert security_report(sc).delta_ia_dr == pytest.approx(0.0, abs=1e-9)
+        bob = bob_params(3.2, 10.0 * math.log10(2.0), 12.15, 1.0)
+        assert eve_params(bob).transmissivity == pytest.approx(0.5, rel=1e-12)
+        assert security_report_for(bob).delta_ia_dr == pytest.approx(0.0, abs=1e-9)
 
     def test_sign_change_across_half_transmissivity(self):
         lo = 12.15
-        above = WiretapScenario.from_bob(ChannelParams(
-            alpha=math.sqrt(3.2), transmissivity=0.55,
-            lo_amplitude=math.sqrt(lo), visibility=1.0))
-        below = WiretapScenario.from_bob(ChannelParams(
-            alpha=math.sqrt(3.2), transmissivity=0.45,
-            lo_amplitude=math.sqrt(lo), visibility=1.0))
-        assert security_report(above).delta_ia_dr > 0.0
-        assert security_report(below).delta_ia_dr < 0.0
+        above = ChannelParams(alpha=math.sqrt(3.2), transmissivity=0.55,
+                              lo_amplitude=math.sqrt(lo), visibility=1.0)
+        below = ChannelParams(alpha=math.sqrt(3.2), transmissivity=0.45,
+                              lo_amplitude=math.sqrt(lo), visibility=1.0)
+        assert security_report_for(above).delta_ia_dr > 0.0
+        assert security_report_for(below).delta_ia_dr < 0.0
 
     def test_imperfect_bob_loses_at_symmetric_point(self):
-        sc = WiretapScenario.from_bob(ChannelParams(
-            alpha=math.sqrt(3.2), transmissivity=0.5,
-            lo_amplitude=math.sqrt(12.15), visibility=0.94))
-        assert security_report(sc).delta_ia_dr < 0.0
+        bob = ChannelParams(alpha=math.sqrt(3.2), transmissivity=0.5,
+                            lo_amplitude=math.sqrt(12.15), visibility=0.94)
+        assert security_report_for(bob).delta_ia_dr < 0.0
 
     def test_dr_antisymmetry_in_transmissivity(self):
         lo = 9.0
         for t in (0.3, 0.42):
-            sc_t = WiretapScenario.from_bob(ChannelParams(
-                alpha=1.5, transmissivity=t, lo_amplitude=math.sqrt(lo),
-                visibility=1.0))
-            sc_mirror = WiretapScenario.from_bob(ChannelParams(
-                alpha=1.5, transmissivity=1.0 - t, lo_amplitude=math.sqrt(lo),
-                visibility=1.0))
-            assert security_report(sc_t).delta_ia_dr == pytest.approx(
-                -security_report(sc_mirror).delta_ia_dr, abs=1e-10)
+            bob_t = ChannelParams(alpha=1.5, transmissivity=t,
+                                  lo_amplitude=math.sqrt(lo), visibility=1.0)
+            bob_mirror = ChannelParams(alpha=1.5, transmissivity=1.0 - t,
+                                       lo_amplitude=math.sqrt(lo), visibility=1.0)
+            assert security_report_for(bob_t).delta_ia_dr == pytest.approx(
+                -security_report_for(bob_mirror).delta_ia_dr, abs=1e-10)
 
     def test_rr_positive_where_dr_already_failed(self):
-        rep = security_report(scenario_for(3.2, 6.0, 12.15, 0.94))
+        rep = security_report_for(bob_params(3.2, 6.0, 12.15, 0.94))
         assert rep.delta_ia_dr < 0.0 < rep.delta_ia_rr
 
 
 class TestJointDistribution:
-    def small_scenario(self):
-        return WiretapScenario.from_bob(ChannelParams(
-            alpha=0.8, transmissivity=0.6, lo_amplitude=1.1, visibility=0.9))
+    def small_bob(self):
+        return ChannelParams(alpha=0.8, transmissivity=0.6, lo_amplitude=1.1,
+                             visibility=0.9)
 
     def test_marginalizing_eve_recovers_bob(self):
-        sc = self.small_scenario()
-        bob_marginal = joint_abe_pmf(sc).sum(axis=(3, 4))
+        bob = self.small_bob()
+        bob_marginal = joint_abe_pmf(bob).sum(axis=(3, 4))
         for k in (0, 1):
-            grid = wf_pmf(sc.bob, k)
+            grid = wf_pmf(bob, k)
             nb, mb = grid.shape
             np.testing.assert_allclose(
                 bob_marginal[k, :nb, :mb], 0.5 * grid, atol=1e-12)
 
     def test_conditional_independence_given_symbol(self):
-        sc = self.small_scenario()
-        joint = joint_abe_pmf(sc)
+        joint = joint_abe_pmf(self.small_bob())
         for k in (0, 1):
             block = joint[k]
             flat = block.reshape(block.shape[0] * block.shape[1], -1)
@@ -143,44 +142,44 @@ class TestJointDistribution:
                     flat[row] / bob_mass[row], eve_given_k, atol=1e-12)
 
     def test_normalization(self):
-        missing = 1.0 - joint_abe_pmf(self.small_scenario()).sum()
+        missing = 1.0 - joint_abe_pmf(self.small_bob()).sum()
         assert -1e-12 <= missing <= 1e-10
 
     def test_difference_reduction_matches_full_joint(self):
-        sc = self.small_scenario()
+        bob = self.small_bob()
         # I(B;E) from the raw four-index law
-        flat = joint_abe_pmf(sc).sum(axis=0)
+        flat = joint_abe_pmf(bob).sum(axis=0)
         nb, mb, ne, me = flat.shape
         be = flat.reshape(nb * mb, ne * me)
         i_full = (shannon_entropy(be.sum(axis=1)) + shannon_entropy(be.sum(axis=0))
                   - shannon_entropy(be.ravel()))
-        assert mi_bob_eve(sc) == pytest.approx(i_full, abs=1e-9)
+        assert i_be(bob) == pytest.approx(i_full, abs=1e-9)
 
     def test_data_processing_through_the_source(self):
         rng = np.random.default_rng(41)
         for _ in range(6):
-            sc = WiretapScenario.from_bob(ChannelParams(
+            bob = ChannelParams(
                 alpha=math.sqrt(rng.uniform(0.2, 3.0)),
                 transmissivity=rng.uniform(0.2, 0.9),
                 lo_amplitude=math.sqrt(rng.uniform(0.5, 12.0)),
-                visibility=rng.uniform(0.5, 1.0)))
-            i_be = mi_bob_eve(sc)
-            assert i_be <= mi_wf(sc.bob) + 1e-9
-            assert i_be <= mi_wf(sc.eve) + 1e-9
+                visibility=rng.uniform(0.5, 1.0))
+            info = i_be(bob)
+            assert info <= mi_wf(bob) + 1e-9
+            assert info <= mi_wf(eve_params(bob)) + 1e-9
 
     def test_window_explosion_guarded(self):
-        sc = WiretapScenario.from_bob(ChannelParams(
-            alpha=1.0, transmissivity=0.5, lo_amplitude=30.0, visibility=0.9))
+        bob = ChannelParams(alpha=1.0, transmissivity=0.5, lo_amplitude=30.0,
+                            visibility=0.9)
         with pytest.raises(ValidationError):
-            joint_abe_pmf(sc)
+            joint_abe_pmf(bob)
 
 
 class TestHolevo:
     def test_no_signal_carries_nothing(self):
-        sc = WiretapScenario.from_bob(ChannelParams(
-            alpha=0.0, transmissivity=0.5, lo_amplitude=2.0, visibility=0.9))
-        assert holevo_chi_wf(sc) == pytest.approx(0.0, abs=1e-12)
-        assert holevo_chi_bds(sc) == pytest.approx(0.0, abs=1e-12)
+        bob = ChannelParams(alpha=0.0, transmissivity=0.5, lo_amplitude=2.0,
+                            visibility=0.9)
+        assert chi_wf(bob) == pytest.approx(0.0, abs=1e-12)
+        assert chi_bds(bob) == pytest.approx(0.0, abs=1e-12)
 
     def test_lossless_channel_reported_as_zero(self):
         rep = security_report_for(bob_params(3.2, 0.0, 12.15, 0.94))
@@ -189,21 +188,21 @@ class TestHolevo:
 
     def test_dominates_accessible_information(self):
         for loss in (0.5, 2.0, 6.0, 12.0):
-            sc = scenario_for(3.2, loss, 12.15, 0.94)
-            assert holevo_chi_wf(sc) >= mi_bob_eve(sc) - 1e-9
+            bob = bob_params(3.2, loss, 12.15, 0.94)
+            assert chi_wf(bob) >= i_be(bob) - 1e-9
 
     def test_coarse_conditioning_cannot_beat_fine(self):
         for loss in (1.0, 4.0, 9.0):
-            sc = scenario_for(3.2, loss, 12.15, 0.94)
-            assert holevo_chi_bds(sc) <= holevo_chi_wf(sc) + 1e-9
+            bob = bob_params(3.2, loss, 12.15, 0.94)
+            assert chi_bds(bob) <= chi_wf(bob) + 1e-9
 
     def test_conditioning_on_full_count_pair_matches_difference(self):
         # S(E|B) from the raw (n, m) posterior must equal the difference-law
         # version: the posterior depends on the pair only through n - m
-        sc = WiretapScenario.from_bob(ChannelParams(
-            alpha=0.9, transmissivity=0.55, lo_amplitude=1.3, visibility=0.85))
-        overlap = coherent_overlap(sc.eve.signal_mean)
-        grids = [wf_pmf(sc.bob, k) for k in (0, 1)]
+        bob = ChannelParams(alpha=0.9, transmissivity=0.55, lo_amplitude=1.3,
+                            visibility=0.85)
+        overlap = coherent_overlap(eve_params(bob).signal_mean)
+        grids = [wf_pmf(bob, k) for k in (0, 1)]
         shape = (max(g.shape[0] for g in grids), max(g.shape[1] for g in grids))
         g0 = np.zeros(shape)
         g0[: grids[0].shape[0], : grids[0].shape[1]] = grids[0]
@@ -217,50 +216,38 @@ class TestHolevo:
         h2 = -(np.where(lam < 1, lam * np.log2(lam), 0.0)
                + np.where(lam < 1, (1 - lam) * np.log2(np.maximum(1e-300, 1 - lam)), 0.0))
         s_cond_pairs = float((mix[mask] * h2).sum())
-        s_total = rank2_entropy(RankTwoState((0.5, 0.5), overlap))
-        assert s_total - s_cond_pairs == pytest.approx(holevo_chi_wf(sc), abs=1e-10)
+        s_total = float(_posterior_entropy(0.5, overlap))
+        assert s_total - s_cond_pairs == pytest.approx(chi_wf(bob), abs=1e-10)
 
 
 class TestCollectiveRates:
     def test_no_signal_zero(self):
-        rep = security_report(WiretapScenario.from_bob(ChannelParams(
-            alpha=0.0, transmissivity=0.5, lo_amplitude=2.0, visibility=0.9),
-            attack="CA", reconciliation="RR"))
+        rep = security_report_for(ChannelParams(
+            alpha=0.0, transmissivity=0.5, lo_amplitude=2.0, visibility=0.9))
         assert rep.delta_ca_wf == pytest.approx(0.0, abs=1e-12)
         assert rep.delta_ca_bds == pytest.approx(0.0, abs=1e-12)
 
     def test_near_lossless_approaches_honest_mi(self):
         # S(E) decays like eps*log(eps) in the lost fraction, so get very
         # close to T = 1 before comparing
-        sc = WiretapScenario.from_bob(ChannelParams(
-            alpha=math.sqrt(3.2), transmissivity=1.0 - 1e-6,
-            lo_amplitude=math.sqrt(12.15), visibility=0.94))
-        assert security_report(sc).delta_ca_wf == pytest.approx(mi_wf(sc.bob), abs=1e-3)
+        bob = ChannelParams(alpha=math.sqrt(3.2), transmissivity=1.0 - 1e-6,
+                            lo_amplitude=math.sqrt(12.15), visibility=0.94)
+        assert security_report_for(bob).delta_ca_wf == pytest.approx(mi_wf(bob), abs=1e-3)
 
     def test_rate_stays_nonnegative_and_decreasing(self):
         # pure-loss wiretap model: chi(B;E) <= I(A;B), so the collective-
         # attack rate decreases towards zero but never crosses it
         losses = (0.5, 2.0, 5.0, 9.0, 13.44)
-        rates = [security_report(scenario_for(3.2, l, 12.15, 0.94)).delta_ca_wf
+        rates = [security_report_for(bob_params(3.2, l, 12.15, 0.94)).delta_ca_wf
                  for l in losses]
         assert all(r >= -1e-9 for r in rates)
         assert all(b <= a + 1e-9 for a, b in zip(rates, rates[1:]))
 
 
 class TestScenarioAndReport:
-    def test_ca_requires_rr(self):
-        bob = bob_params(3.2, 3.0, 12.15, 0.94)
-        with pytest.raises(ValidationError):
-            WiretapScenario.from_bob(bob, attack="CA", reconciliation="DR")
-
-    def test_freeform_eve_rejected(self):
-        bob = bob_params(3.2, 3.0, 12.15, 0.94)
-        with pytest.raises(ValidationError):
-            WiretapScenario(bob=bob, eve=bob)
-
     def test_report_is_internally_consistent(self):
-        sc = scenario_for(3.2, 4.0, 12.15, 0.94)
-        rep = security_report(sc)
+        bob = bob_params(3.2, 4.0, 12.15, 0.94)
+        rep = security_report_for(bob)
         assert rep.delta_ia_dr == rep.i_ab_wf - rep.i_ae_wf
         assert rep.delta_ia_rr == rep.i_ab_wf - rep.i_be_wf
         assert rep.delta_ca_wf == rep.i_ab_wf - rep.chi_be_wf
@@ -270,6 +257,26 @@ class TestScenarioAndReport:
         for field in ("i_ab_wf", "i_ab_bds", "i_ae_wf", "i_be_wf",
                       "chi_be_wf", "chi_be_bds"):
             assert getattr(rep, field) >= 0.0
+        assert rep.error_bound == certified_error_bound(bob)
+
+    def test_report_matches_the_public_kernels(self):
+        bob = bob_params(3.2, 4.0, 12.15, 0.94)
+        eve = eve_params(bob)
+        rep = security_report_for(bob)
+        assert rep.i_ab_wf == mi_wf(bob)
+        assert rep.i_ab_bds == mi_bds(bob)
+        assert rep.i_ae_wf == mi_wf(eve)
+        assert rep.i_be_wf == i_be(bob)
+        assert rep.chi_be_wf == chi_wf(bob)
+        assert rep.chi_be_bds == chi_bds(bob)
+
+    def test_eve_lo_override_reaches_every_eve_figure(self):
+        bob = bob_params(3.2, 4.0, 12.15, 0.94)
+        eve = eve_params(bob, lo_amplitude=math.sqrt(30.0))
+        rep = security_report_for(bob, eve_lo_amplitude=math.sqrt(30.0))
+        assert rep.i_ae_wf == mi_wf(eve)
+        assert rep.i_be_wf == mi_bob_eve(law(bob), law(eve), bob.priors)
+        assert rep.i_be_wf != i_be(bob)
 
     def test_k_undefined_when_channel_carries_nothing(self):
         rep = security_report_for(ChannelParams(
@@ -277,7 +284,7 @@ class TestScenarioAndReport:
         assert rep.k_dr is None and rep.k_ca_bds is None
 
     def test_normalized_k_signs(self):
-        rep = security_report(scenario_for(3.2, 6.0, 12.15, 0.94))
+        rep = security_report_for(bob_params(3.2, 6.0, 12.15, 0.94))
         assert math.copysign(1.0, rep.k_dr) == math.copysign(1.0, rep.delta_ia_dr)
         assert rep.k_rr == pytest.approx(rep.delta_ia_rr / rep.i_ab_wf, rel=1e-12)
         assert rep.k_ca_wf == pytest.approx(rep.delta_ca_wf / rep.i_ab_wf, rel=1e-12)
