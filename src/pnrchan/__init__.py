@@ -33,13 +33,11 @@ from .information import (
 from .montecarlo import (
     CalibrationResult,
     ExperimentRun,
-    ShotRecord,
     calibrate_from_means,
     calibrate_params,
     empirical_distributions,
     plugin_mi,
     run_experiment,
-    sample_shot,
 )
 from .receivers import (
     GaussianDensity,

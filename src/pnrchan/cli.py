@@ -247,12 +247,11 @@ def _cmd_security(ns):
 # simulate / analyze
 # ---------------------------------------------------------------------------
 
-def _print_run_summary(run, priors=None):
+def _print_run_summary(run):
     emp = empirical_distributions(run)
-    report = plugin_mi(emp, priors)
-    for k in (0, 1):
-        n, m = run.shots_for(k)
-        print(f"symbol {k}: shots={len(n)} mean_n={n.mean():.6g} mean_m={m.mean():.6g}")
+    report = plugin_mi(emp)
+    for k, (mean_n, mean_m) in enumerate(emp.arm_means):
+        print(f"symbol {k}: shots={emp.shots[k]} mean_n={mean_n:.6g} mean_m={mean_m:.6g}")
     for name in ("wf", "hl", "bds"):
         est = getattr(report, name)
         print(f"plugin_mi[{name}] = {est.value:.6f} bits "
@@ -275,31 +274,24 @@ def _cmd_simulate(ns):
         visibility=_opt(ns, cfg, "xi", default=1.0),
         loss_db=_resolve_loss_db(ns, cfg),
     )
-    run = run_experiment(params, shots, _opt(ns, cfg, "seed", cast=int, default=0))
+    seed = _opt(ns, cfg, "seed", cast=int, default=0)
+    run = run_experiment(params, shots, seed)
     write_shot_records(ns.output, run)
-    print(f"wrote {2 * shots} shots to {ns.output} (seed={run.seed})")
+    print(f"wrote {2 * shots} shots to {ns.output} (seed={seed})")
     _print_run_summary(run)
     return 0
 
 
 def _empirical_payload(emp):
-    """JSON-friendly view of the empirical laws (count-pair law kept sparse)."""
-    wf_cells = []
-    nonzero = np.nonzero(emp.wf[0] + emp.wf[1])
-    for n, m in zip(*nonzero):
-        wf_cells.append([int(n), int(m), float(emp.wf[0][n, m]), float(emp.wf[1][n, m])])
+    """JSON-friendly view of the empirical laws, on the observed outcomes only."""
+    wf0, wf1 = emp.wf.tolist()
+    hl0, hl1 = emp.hl.tolist()
+    bds0, bds1 = emp.bds.tolist()
     return {
-        "wf_cells": wf_cells,
+        "wf_cells": [[n, m, f0, f1] for (n, m), f0, f1 in zip(emp.cells.tolist(), wf0, wf1)],
         "wf_cell_format": ["n", "m", "freq_symbol0", "freq_symbol1"],
-        "hl": {
-            "deltas": [int(d) for d in emp.deltas],
-            "symbol0": [float(v) for v in emp.hl[0]],
-            "symbol1": [float(v) for v in emp.hl[1]],
-        },
-        "bds": {
-            "symbol0": [float(v) for v in emp.bds[0]],
-            "symbol1": [float(v) for v in emp.bds[1]],
-        },
+        "hl": {"deltas": emp.deltas.tolist(), "symbol0": hl0, "symbol1": hl1},
+        "bds": {"symbol0": bds0, "symbol1": bds1},
     }
 
 
@@ -309,7 +301,10 @@ def _cmd_analyze(ns):
     report = plugin_mi(emp)
     payload = {
         "shots": {"symbol0": emp.shots[0], "symbol1": emp.shots[1]},
-        "arm_means": {},
+        "arm_means": {
+            f"symbol{k}": {"n": mean_n, "m": mean_m}
+            for k, (mean_n, mean_m) in enumerate(emp.arm_means.tolist())
+        },
         "priors": list(report.priors),
         "plugin_mi": {
             name: {
@@ -321,12 +316,9 @@ def _cmd_analyze(ns):
         "empirical": _empirical_payload(emp),
         "calibration": None,
     }
-    for k in (0, 1):
-        n, m = run.shots_for(k)
-        payload["arm_means"][f"symbol{k}"] = {"n": float(n.mean()), "m": float(m.mean())}
     if ns.known_lo_mean is not None or ns.known_signal_mean is not None:
         cal = calibrate_params(
-            run,
+            emp,
             known_lo_mean=ns.known_lo_mean,
             known_signal_mean=ns.known_signal_mean,
         )

@@ -9,7 +9,7 @@ chunking or scheduling.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -18,13 +18,11 @@ from .errors import CalibrationError, ValidationError
 from .information import mutual_information
 
 __all__ = [
-    "ShotRecord",
     "ExperimentRun",
     "EmpiricalDistributions",
     "PluginEstimate",
     "PluginMiReport",
     "CalibrationResult",
-    "sample_shot",
     "run_experiment",
     "empirical_distributions",
     "plugin_mi",
@@ -34,49 +32,34 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _CHUNK = 1 << 16
-
-
-class ShotRecord(NamedTuple):
-    """One detected pulse: encoded symbol and the two arm counts."""
-
-    symbol: int
-    n: int
-    m: int
+# empirical_distributions keys each shot as (n << 32) | (m << 1) | symbol in
+# one int64; counts of at most 31 bits keep that key exact, with no wraparound.
+MAX_COUNT = (1 << 31) - 1
 
 
 @dataclass(frozen=True)
 class ExperimentRun:
-    """A column-wise batch of shot records, optionally with provenance."""
+    """A column-wise batch of shot records: one symbol and two arm counts per pulse."""
 
     symbols: np.ndarray
     n: np.ndarray
     m: np.ndarray
-    params: Optional[ChannelParams] = None
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if not (len(self.symbols) == len(self.n) == len(self.m)):
             raise ValidationError("symbol and count columns must have equal length")
         if len(self.symbols) == 0:
             raise ValidationError("a run must contain at least one shot")
+        if not all(np.issubdtype(np.asarray(column).dtype, np.integer)
+                   for column in (self.symbols, self.n, self.m)):
+            raise ValidationError("symbols and counts must be integer arrays")
         if np.any((self.symbols != 0) & (self.symbols != 1)):
             raise ValidationError("symbols must be 0 or 1")
-        if np.any(self.n < 0) or np.any(self.m < 0):
-            raise ValidationError("counts must be nonnegative")
+        if any(np.any(c < 0) or np.any(c > MAX_COUNT) for c in (self.n, self.m)):
+            raise ValidationError(f"counts must lie in [0, {MAX_COUNT}]")
 
     def __len__(self):
         return len(self.symbols)
-
-    def shots_for(self, symbol):
-        mask = self.symbols == symbol
-        return self.n[mask], self.m[mask]
-
-
-def sample_shot(params: ChannelParams, symbol: int, rng: np.random.Generator) -> ShotRecord:
-    """Draw one count pair: independent Poissons on the two arms."""
-    r = detection_rates(params, symbol)
-    return ShotRecord(symbol=symbol, n=int(rng.poisson(r.mu_t)),
-                      m=int(rng.poisson(r.mu_r)))
 
 
 def _symbol_counts(params, symbol, shots, seed):
@@ -110,58 +93,74 @@ def run_experiment(params: ChannelParams, shots_per_symbol: int, seed: int) -> E
         symbols=symbols,
         n=np.concatenate([n0, n1]).astype(np.int64),
         m=np.concatenate([m0, m1]).astype(np.int64),
-        params=params,
-        seed=int(seed),
     )
 
 
 @dataclass(frozen=True)
 class EmpiricalDistributions:
-    """Relative-frequency estimates of the three readout laws.
+    """The observed count-pair law of a run, and the readout laws it gives.
 
-    ``wf[k]`` is the count-pair law on a common (n_max+1, m_max+1) grid,
-    ``hl[k]`` the difference law on ``deltas``, ``bds[k]`` the binary sign
-    law.  ``shots`` holds the per-symbol shot counts.
+    ``cells`` holds the distinct observed (n, m) pairs in row-major order,
+    ``counts[k]`` how often symbol ``k`` gave each pair, and ``shots`` the
+    per-symbol totals.  Everything else aggregates these cells: ``wf[k]`` is
+    the count-pair law, ``hl[k]`` the difference law on the observed
+    ``deltas``, ``bds[k]`` the binary sign law, whose two outcomes share the
+    difference-zero counts evenly (the analytic convention), and
+    ``arm_means[k]`` the mean (n, m) of symbol ``k``.
     """
 
-    wf: np.ndarray
-    hl: np.ndarray
-    deltas: np.ndarray
-    bds: np.ndarray
+    cells: np.ndarray
+    counts: np.ndarray
     shots: tuple
+
+    def _per_shot(self, sums):
+        return sums / np.array(self.shots, dtype=float)[:, None]
+
+    @property
+    def wf(self):
+        return self._per_shot(self.counts)
+
+    def _differences(self):
+        return np.unique(self.cells[:, 0] - self.cells[:, 1], return_inverse=True)
+
+    @property
+    def deltas(self):
+        return self._differences()[0]
+
+    @property
+    def hl(self):
+        deltas, column = self._differences()
+        return self._per_shot(np.array(
+            [np.bincount(column, weights=c, minlength=len(deltas)) for c in self.counts]))
+
+    @property
+    def bds(self):
+        delta = self.cells[:, 0] - self.cells[:, 1]
+        below = self._per_shot(self.counts[:, delta < 0].sum(axis=1, keepdims=True)
+                               + 0.5 * self.counts[:, delta == 0].sum(axis=1, keepdims=True))
+        return np.hstack([below, 1.0 - below])
+
+    @property
+    def arm_means(self):
+        return self._per_shot(self.counts @ self.cells)
 
 
 def empirical_distributions(run: ExperimentRun) -> EmpiricalDistributions:
-    """Histogram a run into the three conditional outcome laws.
+    """Count each symbol's observed (n, m) pairs: one sort of one key per shot.
 
-    The sign readout splits the difference-zero counts evenly between its
-    two outcomes, matching the analytic convention.
+    Memory is O(shots) whatever the counts are.
     """
-    shots = []
-    per_symbol = []
+    keys, tally = np.unique((run.n.astype(np.int64) << 32) | (run.m.astype(np.int64) << 1)
+                            | run.symbols.astype(np.int64), return_counts=True)
+    pairs, column = np.unique(keys >> 1, return_inverse=True)
+    counts = np.zeros((2, len(pairs)), dtype=np.int64)
+    counts[keys & 1, column] = tally
+    shots = tuple(int(s) for s in counts.sum(axis=1))
     for k in (0, 1):
-        n, m = run.shots_for(k)
-        if len(n) == 0:
+        if shots[k] == 0:
             raise ValidationError(f"run contains no shots for symbol {k}")
-        shots.append(len(n))
-        per_symbol.append((n, m))
-    n_max = int(max(ns.max() for ns, _ in per_symbol))
-    m_max = int(max(ms.max() for _, ms in per_symbol))
-    wf = np.zeros((2, n_max + 1, m_max + 1))
-    hl = np.zeros((2, n_max + m_max + 1))
-    bds = np.zeros((2, 2))
-    for k in (0, 1):
-        n, m = per_symbol[k]
-        total = float(len(n))
-        flat = np.bincount(n * (m_max + 1) + m, minlength=(n_max + 1) * (m_max + 1))
-        wf[k] = flat.reshape(n_max + 1, m_max + 1) / total
-        delta = n - m
-        hl[k] = np.bincount(delta + m_max, minlength=n_max + m_max + 1) / total
-        j0 = float((delta < 0).sum()) + 0.5 * float((delta == 0).sum())
-        bds[k] = (j0 / total, 1.0 - j0 / total)
-    deltas = np.arange(-m_max, n_max + 1)
-    return EmpiricalDistributions(wf=wf, hl=hl, deltas=deltas, bds=bds,
-                                  shots=tuple(shots))
+    return EmpiricalDistributions(cells=np.column_stack([pairs >> 31, pairs & MAX_COUNT]),
+                                  counts=counts, shots=shots)
 
 
 @dataclass(frozen=True)
@@ -186,20 +185,17 @@ def _miller_madow(mixture, total_shots):
 
 
 def plugin_mi(emp: EmpiricalDistributions, priors=None) -> PluginMiReport:
-    """Plug-in MI of all three readouts from empirical conditionals.
+    """Plug-in MI of all three readouts from the empirical law.
 
     The Miller-Madow first-order bias (K - 1) / (2 N ln 2), with K the
     observed support of the outcome mixture, is attached as metadata for each
     strategy; the reported values stay uncorrected.
     """
-    if priors is None:
-        total = sum(emp.shots)
-        priors = (emp.shots[0] / total, emp.shots[1] / total)
     total = sum(emp.shots)
+    if priors is None:
+        priors = (emp.shots[0] / total, emp.shots[1] / total)
     out = {}
-    for name, conds in (("wf", (emp.wf[0].ravel(), emp.wf[1].ravel())),
-                        ("hl", (emp.hl[0], emp.hl[1])),
-                        ("bds", (emp.bds[0], emp.bds[1]))):
+    for name, conds in (("wf", emp.wf), ("hl", emp.hl), ("bds", emp.bds)):
         mixture = priors[0] * conds[0] + priors[1] * conds[1]
         out[name] = PluginEstimate(
             value=mutual_information(conds, priors),
@@ -244,6 +240,10 @@ def calibrate_from_means(means_symbol0, means_symbol1, known_lo_mean=None,
         raise ValidationError(
             "exactly one of known_lo_mean or known_signal_mean is required"
         )
+    for label, known in (("known_lo_mean", known_lo_mean),
+                         ("known_signal_mean", known_signal_mean)):
+        if known is not None and not (math.isfinite(known) and known >= 0.0):
+            raise ValidationError(f"{label} must be a finite mean >= 0, got {known!r}")
     t0, r0 = means_symbol0
     t1, r1 = means_symbol1
     if min(t0, r0, t1, r1) < 0.0:
@@ -297,20 +297,12 @@ def calibrate_from_means(means_symbol0, means_symbol1, known_lo_mean=None,
     )
 
 
-def calibrate_params(run: ExperimentRun, known_lo_mean=None,
+def calibrate_params(emp: EmpiricalDistributions, known_lo_mean=None,
                      known_signal_mean=None) -> CalibrationResult:
-    """Infer channel parameters from a run's per-symbol arm means."""
-    means = []
-    shots = None
-    for k in (0, 1):
-        n, m = run.shots_for(k)
-        if len(n) == 0:
-            raise ValidationError(f"run contains no shots for symbol {k}")
-        means.append((float(n.mean()), float(m.mean())))
-        shots = len(n) if shots is None else min(shots, len(n))
+    """Infer channel parameters from the per-symbol arm means of an empirical law."""
     return calibrate_from_means(
-        means[0], means[1],
+        *emp.arm_means.tolist(),
         known_lo_mean=known_lo_mean,
         known_signal_mean=known_signal_mean,
-        shots_per_symbol=shots,
+        shots_per_symbol=min(emp.shots),
     )

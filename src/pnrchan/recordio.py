@@ -13,7 +13,7 @@ import tempfile
 import numpy as np
 
 from .errors import ValidationError
-from .montecarlo import ExperimentRun
+from .montecarlo import MAX_COUNT, ExperimentRun
 
 __all__ = [
     "SHOT_HEADER",
@@ -96,8 +96,8 @@ def read_shot_records(path) -> ExperimentRun:
             raise ValidationError(f"{path}: line {line_no}: {exc}") from exc
         if symbol not in (0, 1):
             raise ValidationError(f"{path}: line {line_no}: symbol must be 0 or 1")
-        if n < 0 or m < 0:
-            raise ValidationError(f"{path}: line {line_no}: counts must be >= 0")
+        if not (0 <= n <= MAX_COUNT and 0 <= m <= MAX_COUNT):
+            raise ValidationError(f"{path}: line {line_no}: counts must lie in [0, {MAX_COUNT}]")
         symbols.append(symbol)
         ns.append(n)
         ms.append(m)

@@ -223,10 +223,11 @@ def test_c11_monte_carlo_consistency_and_calibration():
     worst_xi = 0.0
     for seed in range(10):
         run = run_experiment(p, 100_000, seed=seed)
-        rep = plugin_mi(empirical_distributions(run))
+        emp = empirical_distributions(run)
+        rep = plugin_mi(emp)
         for name in ("wf", "hl", "bds"):
             worst_mi = max(worst_mi, abs(getattr(rep, name).value - analytic[name]))
-        cal = calibrate_params(run, known_lo_mean=12.17)
+        cal = calibrate_params(emp, known_lo_mean=12.17)
         worst_xi = max(worst_xi, abs(cal.xi - 0.94))
     ok = worst_mi <= 0.01 and worst_xi <= 0.01
     assert report("C11 Monte Carlo consistency",

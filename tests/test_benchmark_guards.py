@@ -1,8 +1,9 @@
 """Guards that keep the checked-in benchmark runnable against the package.
 
 The preset tables must stay within 1e-9 of the reference tables the
-benchmark checks against, and every function the benchmark's tracer wraps
-must still exist where it looks for it.
+benchmark checks against, every function the benchmark's tracer wraps
+must still exist where it looks for it, and every result its span summaries
+read must still have the fields they read.
 """
 
 import importlib
@@ -64,3 +65,18 @@ def test_tracer_installs_and_restores(spans):
         information.mi_wf(ChannelParams(alpha=1.0, lo_amplitude=1.0))
     assert information.mi_wf is original
     assert "information.mi_wf" in {span.name for span in tracer.spans}
+
+
+def test_traced_shot_run_summarises_every_span(spans, tmp_path, capsys):
+    shots, report = tmp_path / "shots.csv", tmp_path / "report.json"
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        assert cli.main(["simulate", "--signal-mean", "3.07", "--lo-mean", "12.17",
+                         "--xi", "0.94", "--shots", "200", "-o", str(shots)]) == 0
+        assert cli.main(["analyze", str(shots), "--known-lo-mean", "12.17",
+                         "-o", str(report)]) == 0
+    summarised = [span for span in tracer.spans if span.name in spans.SUMMARIES]
+    assert {span.name for span in summarised} >= {
+        "montecarlo.run_experiment", "montecarlo.empirical_distributions",
+        "recordio.write_shot_records", "recordio.read_shot_records"}
+    assert all(span.info is not None for span in summarised)

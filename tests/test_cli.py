@@ -55,8 +55,8 @@ class TestSimulateAnalyze:
         assert code == 0
         payload = json.loads(report_path.read_text())
         run = read_shot_records(out)
-        n1, m1 = run.shots_for(1)
-        assert payload["arm_means"]["symbol1"]["n"] == pytest.approx(n1.mean())
+        assert payload["arm_means"]["symbol1"]["n"] == pytest.approx(
+            run.n[run.symbols == 1].mean())
         assert payload["calibration"]["xi"] == pytest.approx(0.94, abs=0.05)
         assert 0.9 < payload["plugin_mi"]["wf"]["value"] <= 1.0
 
@@ -85,6 +85,44 @@ class TestSimulateAnalyze:
         path.write_text("shot_id,symbol,n_t,n_r\n0,1,3,1\n1,1,oops,0\n")
         assert run_cli("analyze", str(path)) == 1
         assert "line 3" in capsys.readouterr().err
+
+    # the first overflows int64, the second only the law's 31-bit count bound
+    @pytest.mark.parametrize("count", ["99999999999999999999", "2147483648"])
+    def test_analyze_names_a_count_too_large(self, tmp_path, capsys, count):
+        path = tmp_path / "big.csv"
+        path.write_text(f"shot_id,symbol,n_t,n_r\n0,1,3,1\n1,0,{count},0\n")
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", str(path), "-o", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pnrchan: error: ") and "line 3" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_analyze_of_an_outlier_count_stays_sparse(self, tmp_path):
+        path = tmp_path / "outlier.csv"
+        path.write_text("shot_id,symbol,n_t,n_r\n0,0,1,4\n1,1,5,2\n2,1,3,0\n"
+                        "3,0,1000000000,0\n")
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", str(path), "-o", str(out)) == 0
+        payload = json.loads(out.read_text())
+        assert [1000000000, 0, 0.5, 0.0] in payload["empirical"]["wf_cells"]
+        assert len(payload["empirical"]["wf_cells"]) == 4
+        assert payload["empirical"]["hl"]["deltas"] == [-3, 3, 1000000000]
+
+    @pytest.mark.parametrize("flag", ["--known-lo-mean", "--known-signal-mean"])
+    @pytest.mark.parametrize("value", ["-5", "inf", "nan"])
+    def test_negative_or_non_finite_known_mean_is_named(self, tmp_path, capsys, flag,
+                                                         value):
+        shots = tmp_path / "shots.csv"
+        run_cli("simulate", "--signal-mean", "3.07", "--lo-mean", "12.17",
+                "--xi", "0.94", "--shots", "100", "-o", str(shots))
+        capsys.readouterr()
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", str(shots), f"{flag}={value}", "-o", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pnrchan: error: ") and flag[2:].replace("-", "_") in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSweep:

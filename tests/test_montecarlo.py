@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnrchan import (
     CalibrationError,
     ChannelParams,
     ExperimentRun,
     ValidationError,
+    binary_entropy,
     calibrate_from_means,
     calibrate_params,
     detection_rates,
@@ -17,12 +20,9 @@ from pnrchan import (
     mi_wf,
     plugin_mi,
     run_experiment,
-    sample_shot,
     skellam_pmf_grid,
 )
-from pnrchan.information import _hl_conditionals, _sign_law
-from pnrchan.montecarlo import EmpiricalDistributions
-from pnrchan.receivers import DEFAULT_TAIL_TOL
+from pnrchan.montecarlo import MAX_COUNT, EmpiricalDistributions
 
 from oracles import wf_pmf
 
@@ -37,24 +37,21 @@ REF = params_for(3.07, 12.17, 0.94)
 
 class TestSampling:
     def test_dark_channel_gives_zero_counts(self):
-        p = ChannelParams(alpha=0.0, lo_amplitude=0.0)
-        rng = np.random.default_rng(0)
-        for k in (0, 1):
-            shot = sample_shot(p, k, rng)
-            assert shot.n == 0 and shot.m == 0
+        run = run_experiment(ChannelParams(alpha=0.0, lo_amplitude=0.0), 100, seed=0)
+        assert not run.n.any() and not run.m.any()
 
     def test_dark_arm_stays_dark(self):
         p = ChannelParams(alpha=2.0, transmissivity=1.0, lo_amplitude=2.0,
                           visibility=1.0)  # rates (8, 0) for symbol 1
         run = run_experiment(p, 2000, seed=3)
-        n1, m1 = run.shots_for(1)
+        n1, m1 = run.n[run.symbols == 1], run.m[run.symbols == 1]
         assert int(m1.sum()) == 0
         assert n1.mean() == pytest.approx(8.0, abs=4 * math.sqrt(8.0 / 2000))
 
     def test_sample_mean_within_clt_bound(self):
         p = params_for(5.0, 0.0, 1.0)  # both arms at rate 2.5
         run = run_experiment(p, 100_000, seed=9)
-        n, _ = run.shots_for(1)
+        n = run.n[run.symbols == 1]
         assert n.mean() == pytest.approx(2.5, abs=4 * math.sqrt(2.5 / 100_000))
 
     def test_same_seed_is_bit_identical(self):
@@ -85,8 +82,10 @@ class TestEmpiricalDistributions:
         run = ExperimentRun(symbols=np.array([0, 1], dtype=np.uint8),
                             n=np.array([2, 5]), m=np.array([7, 2]))
         emp = empirical_distributions(run)
-        assert emp.wf[1][5, 2] == 1.0
-        assert emp.hl[1][np.nonzero(emp.deltas == 3)[0][0]] == 1.0
+        assert emp.cells.tolist() == [[2, 7], [5, 2]]
+        assert emp.wf[1].tolist() == [0.0, 1.0]
+        assert emp.deltas.tolist() == [-5, 3]
+        assert emp.hl[1].tolist() == [0.0, 1.0]
         assert emp.bds[1][1] == 1.0  # positive difference reads symbol 1
 
     def test_conditionals_sum_to_one(self):
@@ -108,29 +107,106 @@ class TestEmpiricalDistributions:
         emp = empirical_distributions(run)
         r = detection_rates(REF, 1)
         deltas, probs, _ = skellam_pmf_grid(r.mu_t, r.mu_r)
-        grid = np.zeros_like(emp.hl[1])
-        for d, prob in zip(deltas, probs):
-            pos = d - emp.deltas[0]
-            if 0 <= pos < len(grid):
-                grid[pos] = prob
-        tv = 0.5 * np.abs(emp.hl[1] - grid).sum()
+        analytic = dict(zip(deltas.tolist(), probs))
+        observed = dict(zip(emp.deltas.tolist(), emp.hl[1]))
+        tv = 0.5 * sum(abs(observed.get(d, 0.0) - analytic.get(d, 0.0))
+                       for d in set(analytic) | set(observed))
         assert tv <= 0.02
+
+    def test_outlier_count_keeps_the_law_linear_in_shots(self):
+        run = ExperimentRun(symbols=np.array([0, 0, 1, 1], dtype=np.uint8),
+                            n=np.array([0, 10**6, 3, 1]), m=np.array([1, 0, 0, 2]))
+        emp = empirical_distributions(run)
+        assert emp.wf.size <= 2 * len(run)
+        assert len(emp.deltas) <= len(run)
+        assert emp.cells.tolist() == [[0, 1], [1, 2], [3, 0], [10**6, 0]]
+
+    def test_counts_beyond_the_key_bound_rejected(self):
+        symbols = np.array([0, 1], dtype=np.uint8)
+        largest = ExperimentRun(symbols=symbols, n=np.array([MAX_COUNT, 0]),
+                                m=np.array([MAX_COUNT, MAX_COUNT]))
+        assert empirical_distributions(largest).cells.tolist() == [
+            [0, MAX_COUNT], [MAX_COUNT, MAX_COUNT]]
+        for n, m in (([MAX_COUNT + 1, 0], [0, 0]), ([0, 0], [0, 2**62])):
+            with pytest.raises(ValidationError):
+                ExperimentRun(symbols=symbols, n=np.array(n), m=np.array(m))
+
+    @pytest.mark.parametrize("n", [[2.5, 1.0], [np.nan, 1.0]])
+    def test_non_integer_counts_rejected(self, n):
+        with pytest.raises(ValidationError):
+            ExperimentRun(symbols=np.array([0, 1]), n=np.array(n), m=np.array([0, 0]))
+
+
+# ---------------------------------------------------------------------------
+# Properties of the empirical law over small random runs
+# ---------------------------------------------------------------------------
+
+PROPERTIES = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+small_runs = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 6), st.integers(0, 6)), min_size=2, max_size=40,
+).filter(lambda shots: {k for k, _, _ in shots} == {0, 1}).map(
+    lambda shots: ExperimentRun(*(np.array(column) for column in zip(*shots))))
+
+
+@PROPERTIES
+@given(small_runs, st.integers(0, 2**32 - 1))
+def test_shot_order_changes_nothing(run, seed):
+    order = np.random.default_rng(seed).permutation(len(run))
+    shuffled = ExperimentRun(symbols=run.symbols[order], n=run.n[order], m=run.m[order])
+    emp, emp_shuffled = empirical_distributions(run), empirical_distributions(shuffled)
+    assert emp.cells.tolist() == sorted(map(list, set(zip(run.n.tolist(), run.m.tolist()))))
+    np.testing.assert_array_equal(emp_shuffled.cells, emp.cells)
+    np.testing.assert_array_equal(emp_shuffled.counts, emp.counts)
+    assert plugin_mi(emp_shuffled) == plugin_mi(emp)
+
+
+@PROPERTIES
+@given(small_runs)
+def test_plugin_data_processing_hierarchy(run):
+    rep = plugin_mi(empirical_distributions(run))
+    # each step holds exactly for the empirical joint; 1e-12 absorbs rounding
+    assert -1e-12 <= rep.bds.value <= rep.hl.value + 1e-12
+    assert rep.hl.value <= rep.wf.value + 1e-12
+    assert rep.wf.value <= binary_entropy(rep.priors[0]) + 1e-12
+
+
+@PROPERTIES
+@given(small_runs)
+def test_arm_means_are_exact_count_sums(run):
+    emp = empirical_distributions(run)
+    for k in (0, 1):
+        mask = run.symbols == k
+        assert emp.arm_means[k].tolist() == [int(run.n[mask].sum()) / emp.shots[k],
+                                             int(run.m[mask].sum()) / emp.shots[k]]
+
+
+@PROPERTIES
+@given(small_runs)
+def test_difference_and_sign_laws_aggregate_the_cells(run):
+    emp = empirical_distributions(run)
+    delta = emp.cells[:, 0] - emp.cells[:, 1]
+    assert emp.deltas.tolist() == sorted(set(delta.tolist()))
+    for k in (0, 1):
+        for d, freq in zip(emp.deltas, emp.hl[k]):
+            assert freq == pytest.approx(emp.wf[k][delta == d].sum(), abs=1e-15)
+        below = emp.wf[k][delta < 0].sum() + 0.5 * emp.wf[k][delta == 0].sum()
+        assert emp.bds[k][0] == pytest.approx(below, abs=1e-15)
+        for law in (emp.wf, emp.hl, emp.bds):
+            assert law[k].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPluginMi:
     def test_exact_on_analytic_distributions(self):
+        # the law of the analytic count-pair grid: probabilities as counts of one shot
         p = params_for(1.5, 6.0, 0.9)
         wf = [wf_pmf(p, k) for k in (0, 1)]
-        law = _hl_conditionals(p, DEFAULT_TAIL_TOL)
-        deltas, p0, p1, _ = law
-        hl_grid = np.array([p0, p1])
-        bds = np.array(_sign_law(law))
         shape = (max(g.shape[0] for g in wf), max(g.shape[1] for g in wf))
         wf_grid = np.zeros((2,) + shape)
         for k in (0, 1):
             wf_grid[k, : wf[k].shape[0], : wf[k].shape[1]] = wf[k]
-        emp = EmpiricalDistributions(wf=wf_grid, hl=hl_grid,
-                                     deltas=deltas, bds=bds,
+        cells = np.argwhere(wf_grid.sum(axis=0) > 0)
+        emp = EmpiricalDistributions(cells=cells, counts=wf_grid[:, cells[:, 0], cells[:, 1]],
                                      shots=(1, 1))
         rep = plugin_mi(emp, priors=(0.5, 0.5))
         assert rep.wf.value == pytest.approx(mi_wf(p), abs=1e-10)
@@ -174,20 +250,20 @@ class TestCalibration:
     def test_closed_loop_at_experimental_size(self):
         p = params_for(3.07, 12.15, 0.94)
         run = run_experiment(p, 100_000, seed=4242)
-        cal = calibrate_params(run, known_lo_mean=12.15)
+        cal = calibrate_params(empirical_distributions(run), known_lo_mean=12.15)
         assert cal.xi == pytest.approx(0.94, abs=0.01)
 
     def test_known_signal_route(self):
         p = params_for(3.07, 12.15, 0.94)
         run = run_experiment(p, 50_000, seed=7)
-        cal = calibrate_params(run, known_signal_mean=3.07)
+        cal = calibrate_params(empirical_distributions(run), known_signal_mean=3.07)
         assert cal.lo_mean == pytest.approx(12.15, abs=0.15)
         assert cal.xi == pytest.approx(0.94, abs=0.02)
 
     def test_zero_visibility_recovered(self):
         p = params_for(2.0, 8.0, 0.0)
         run = run_experiment(p, 50_000, seed=11)
-        cal = calibrate_params(run, known_lo_mean=8.0)
+        cal = calibrate_params(empirical_distributions(run), known_lo_mean=8.0)
         assert cal.cross_mean == pytest.approx(0.0, abs=0.05)
         assert cal.xi == pytest.approx(0.0, abs=0.02)
 
@@ -208,7 +284,7 @@ class TestCalibration:
         hits = 0
         for seed in range(100):
             run = run_experiment(p, 2000, seed=seed)
-            cal = calibrate_params(run, known_lo_mean=12.15)
+            cal = calibrate_params(empirical_distributions(run), known_lo_mean=12.15)
             if abs(cal.xi_raw - 0.94) <= 3.0 * cal.xi_stderr:
                 hits += 1
         assert hits >= 95
