@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .channel import (
     ChannelParams,
-    DetectionRates,
     coherent_overlap,
     detection_rates,
     eve_params,
@@ -40,8 +39,7 @@ from .montecarlo import (
     run_experiment,
 )
 from .receivers import (
-    GaussianDensity,
-    homodyne_pdf,
+    homodyne_mean,
     poisson_logpmf,
     poisson_pmf,
     skellam_pmf_grid,

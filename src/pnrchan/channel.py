@@ -21,7 +21,6 @@ from .errors import ValidationError
 
 __all__ = [
     "ChannelParams",
-    "DetectionRates",
     "detection_rates",
     "eve_params",
     "coherent_overlap",
@@ -107,25 +106,8 @@ class ChannelParams:
         return self.lo_amplitude * self.lo_amplitude
 
 
-@dataclass(frozen=True)
-class DetectionRates:
-    """Poisson means of the two detector arms for one encoded symbol."""
-
-    mu_t: float
-    mu_r: float
-    symbol: int
-
-    @property
-    def total(self):
-        return self.mu_t + self.mu_r
-
-    @property
-    def difference_mean(self):
-        return self.mu_t - self.mu_r
-
-
-def detection_rates(params: ChannelParams, symbol: int) -> DetectionRates:
-    """Per-arm Poisson rates conditioned on the encoded symbol.
+def detection_rates(params: ChannelParams, symbol: int) -> tuple:
+    """Per-arm Poisson rates ``(mu_t, mu_r)`` conditioned on the encoded symbol.
 
     Symbol 1 carries amplitude +alpha and piles counts onto the transmitted
     arm; symbol 0 carries -alpha and mirrors the two arms.  The rates always
@@ -141,7 +123,7 @@ def detection_rates(params: ChannelParams, symbol: int) -> DetectionRates:
     mu_r = 0.5 * (s + z2 - cross)
     # xi <= 1 guarantees nonnegativity; clip float dust at the perfect-
     # interference point where mu is exactly 0 up to rounding.
-    return DetectionRates(mu_t=max(mu_t, 0.0), mu_r=max(mu_r, 0.0), symbol=symbol)
+    return max(mu_t, 0.0), max(mu_r, 0.0)
 
 
 def eve_params(params: ChannelParams, lo_amplitude=None) -> ChannelParams:

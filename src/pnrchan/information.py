@@ -26,7 +26,7 @@ from .errors import NumericsError, ValidationError
 from .receivers import (
     _LN_SQRT_2PI,
     DEFAULT_TAIL_TOL,
-    homodyne_pdf,
+    homodyne_mean,
     poisson_window,
     skellam_pmf_grid,
 )
@@ -36,7 +36,6 @@ __all__ = [
     "shannon_entropy",
     "binary_entropy",
     "mutual_information",
-    "truncation_error_bound",
     "mi_wf",
     "mi_hl",
     "mi_bds",
@@ -122,8 +121,7 @@ def _hl_conditionals(params: ChannelParams, tail_tol):
     Returns ``(deltas, p0, p1, tail)``.  The symbol-0 law is the exact mirror
     of the symbol-1 law, so it is obtained by reversal rather than recomputed.
     """
-    r = detection_rates(params, 1)
-    deltas1, p1, tail = skellam_pmf_grid(r.mu_t, r.mu_r, tail_tol)
+    deltas1, p1, tail = skellam_pmf_grid(*detection_rates(params, 1), tail_tol)
     lo1, hi1 = int(deltas1[0]), int(deltas1[-1])
     lo, hi = min(lo1, -hi1), max(hi1, -lo1)
     size = hi - lo + 1
@@ -153,9 +151,8 @@ def _law_error_bound(params: ChannelParams, law, tail_tol) -> float:
     count windows, each arm certified to half the tolerance.
     """
     deltas, _, _, tail = law
-    r = detection_rates(params, 1)
-    wf_tail = (poisson_window(r.mu_t, 0.5 * tail_tol)[1]
-               + poisson_window(r.mu_r, 0.5 * tail_tol)[1])
+    wf_tail = sum(poisson_window(mu, 0.5 * tail_tol)[1]
+                  for mu in detection_rates(params, 1))
     return max(
         _mi_error_bound((wf_tail, wf_tail), params.priors, (len(deltas) + 1) ** 2),
         _mi_error_bound((tail, tail), params.priors, len(deltas)),
@@ -249,7 +246,7 @@ def mi_homodyne(params: ChannelParams) -> float:
     """
     q0, q1 = params.priors
     h_mix_bits, err = _homodyne_mixture_entropy(
-        homodyne_pdf(params, 0).mean, homodyne_pdf(params, 1).mean, q0, q1
+        homodyne_mean(params, 0), homodyne_mean(params, 1), q0, q1
     )
     if err > _HOMODYNE_QUAD_TOL:
         raise NumericsError(
@@ -264,13 +261,14 @@ def mi_homodyne(params: ChannelParams) -> float:
 
 @dataclass(frozen=True)
 class MiReport:
-    """The four MI figures for one parameter set plus truncation metadata."""
+    """The MI figures for one parameter set and their certified bound.
+
+    ``i_wf`` is also I_HL: the difference is a sufficient statistic.
+    """
 
     i_wf: float
-    i_hl: float
     i_bds: float
     i_homodyne: float
-    truncation_tolerance: float
     error_bound: float
 
 
@@ -280,13 +278,11 @@ def certified_error_bound(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> f
 
 
 def mi_report(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> MiReport:
-    """All four MI figures and their certified bound, from one difference law."""
+    """Every MI figure and its certified bound, from one difference law."""
     _, i_diff, i_sign, bound = _receiver_figures(params, tail_tol)
     return MiReport(
         i_wf=i_diff,
-        i_hl=i_diff,
         i_bds=i_sign,
         i_homodyne=mi_homodyne(params),
-        truncation_tolerance=tail_tol,
         error_bound=bound,
     )

@@ -63,14 +63,14 @@ class ExperimentRun:
 
 
 def _symbol_counts(params, symbol, shots, seed):
-    r = detection_rates(params, symbol)
+    mu_t, mu_r = detection_rates(params, symbol)
     n_parts, m_parts = [], []
     for chunk_index in range(0, shots, _CHUNK):
         size = min(_CHUNK, shots - chunk_index)
         ss = np.random.SeedSequence((seed, symbol, chunk_index // _CHUNK))
         gen = np.random.Generator(np.random.Philox(ss))
-        n_parts.append(gen.poisson(r.mu_t, size))
-        m_parts.append(gen.poisson(r.mu_r, size))
+        n_parts.append(gen.poisson(mu_t, size))
+        m_parts.append(gen.poisson(mu_r, size))
     return np.concatenate(n_parts), np.concatenate(m_parts)
 
 
@@ -209,22 +209,17 @@ def plugin_mi(emp: EmpiricalDistributions, priors=None) -> PluginMiReport:
 class CalibrationResult:
     """Channel parameters inferred from per-symbol arm means.
 
-    ``params`` carries the receiver-equivalent parameterization (unit
-    transmissivity, amplitude set by the signal mean at the receiver).
     ``xi_raw`` is the unclamped visibility estimate; ``clamped`` flags a raw
     value above 1.  ``xi_stderr`` is a first-order propagation of Poisson
     counting noise (None when shot counts are unknown).
     """
 
-    params: ChannelParams
     signal_mean: float
     lo_mean: float
     xi: float
     xi_raw: float
     xi_stderr: Optional[float]
     clamped: bool
-    total_mean: float
-    cross_mean: float
 
 
 def calibrate_from_means(means_symbol0, means_symbol1, known_lo_mean=None,
@@ -284,16 +279,9 @@ def calibrate_from_means(means_symbol0, means_symbol1, known_lo_mean=None,
         if denom_sq > 0.0:
             var_xi = var_cross / denom_sq + (xi * xi / (4.0 * unknown * unknown)) * var_total
             stderr = math.sqrt(var_xi)
-    params = ChannelParams(
-        alpha=math.sqrt(max(signal_mean, 0.0)),
-        transmissivity=1.0,
-        lo_amplitude=math.sqrt(max(lo_mean, 0.0)),
-        visibility=xi,
-    )
     return CalibrationResult(
-        params=params, signal_mean=signal_mean, lo_mean=lo_mean, xi=xi,
+        signal_mean=signal_mean, lo_mean=lo_mean, xi=xi,
         xi_raw=xi_raw, xi_stderr=stderr, clamped=clamped,
-        total_mean=total, cross_mean=cross,
     )
 
 

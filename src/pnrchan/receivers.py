@@ -17,7 +17,6 @@ falls below the requested tolerance; failure to certify raises
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, ive, pdtrc
@@ -27,22 +26,18 @@ from .errors import NumericsError, ValidationError
 
 __all__ = [
     "DEFAULT_TAIL_TOL",
-    "GaussianDensity",
     "poisson_logpmf",
     "poisson_pmf",
     "poisson_window",
     "skellam_window",
     "skellam_pmf_grid",
-    "homodyne_pdf",
+    "homodyne_mean",
 ]
 
 DEFAULT_TAIL_TOL = 1e-10
 
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _WINDOW_GROWTH_STEPS = 60
-# Below this product of rates the Bessel closed form is abandoned for the
-# direct log-domain convolution series.
-_TINY_RATE_PRODUCT = 1e-280
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +161,19 @@ def poisson_window(mu, tail_tol=DEFAULT_TAIL_TOL):
 # ---------------------------------------------------------------------------
 
 def _skellam_chernoff_upper(mu_t, mu_r, d):
-    """Chernoff bound on P(Delta >= d), valid for d above the mean."""
-    u = (d + math.sqrt(d * d + 4.0 * mu_t * mu_r)) / (2.0 * mu_t)
-    if u <= 1.0:
+    """Chernoff bound on P(Delta >= d), valid for d above the mean.
+
+    The optimal tilt is u = root / (2*mu_t).  mu_t*(u - 1) is taken as
+    root/2 - mu_t, so a subnormal mu_t, for which u overflows, gives no
+    inf - inf: ln u = log1p(u - 1) is then +inf and the bound its correctly
+    rounded value, 0.  For moderate u, log1p is as accurate as log(u).
+    """
+    root = d + math.sqrt(d * d + 4.0 * mu_t * mu_r)
+    excess = 0.5 * root - mu_t
+    if excess <= 0.0:
         return 1.0
-    expo = mu_t * (u - 1.0) + mu_r * (1.0 / u - 1.0) - d * math.log(u)
+    log_u = math.log1p(excess / mu_t)
+    expo = excess + mu_r * (2.0 * mu_t / root - 1.0) - d * log_u
     return math.exp(expo)
 
 
@@ -209,29 +212,36 @@ def skellam_window(mu_t, mu_r, tail_tol=DEFAULT_TAIL_TOL):
     )
 
 
-def _log_ive_series(v, x):
+def _log_ive_series(v, x, log_half_x):
     """log(I_v(x) * exp(-x)) by the ascending series, for scalar integer v >= 0.
 
     Used where the scaled Bessel underflows, which only happens for order far
     above the argument; there the series peaks at small index and a short
     log-domain sum is accurate to a few ulp.  The result can be far below
     log(double tiny) and must stay finite: the pmf prefactor it combines with
-    can be just as far above zero at extreme rate ratios.
+    can be just as far above zero at extreme rate ratios.  ``log_half_x`` is
+    ln(x/2), passed in because x itself may have underflowed to 0.
     """
     mstar = 0.5 * (-(v + 1.0) + math.sqrt((v + 1.0) ** 2 + x * x))
     n_terms = 2 * int(math.ceil(mstar)) + 30
-    lx = math.log(0.5 * x)
     m = np.arange(n_terms + 1, dtype=float)
-    t = (2.0 * m + v) * lx - gammaln(m + 1.0) - gammaln(m + v + 1.0)
+    t = (2.0 * m + v) * log_half_x - gammaln(m + 1.0) - gammaln(m + v + 1.0)
     tm = t.max()
     return float(tm + math.log(np.exp(t - tm).sum()) - x)
 
 
 def _skellam_pmf_bessel(mu_t, mu_r, deltas):
-    """Closed-form Skellam pmf on an integer grid, both rates positive."""
+    """Closed-form Skellam pmf on an integer grid, both rates positive.
+
+    The Bessel argument x = 2*sqrt(mu_t*mu_r) underflows to 0 when the rate
+    product does; the series fallback then works from ln(x/2) taken as
+    (ln mu_t + ln mu_r) / 2, which stays finite for any positive rates.
+    """
     x = 2.0 * math.sqrt(mu_t * mu_r)
+    log_t, log_r = math.log(mu_t), math.log(mu_r)
+    log_half_x = 0.5 * (log_t + log_r)
     base = -((math.sqrt(mu_t) - math.sqrt(mu_r)) ** 2)
-    half_log_ratio = 0.5 * (math.log(mu_t) - math.log(mu_r))
+    half_log_ratio = 0.5 * (log_t - log_r)
     logp = base + deltas * half_log_ratio
     scaled = ive(np.abs(deltas).astype(float), x)
     probs = np.zeros(len(deltas))
@@ -239,28 +249,10 @@ def _skellam_pmf_bessel(mu_t, mu_r, deltas):
     probs[ok] = np.exp(logp[ok] + np.log(scaled[ok]))
     for i in np.nonzero(~ok)[0]:
         # base = -(mu_t + mu_r) + x, so the scaled series slots in directly
-        log_iv = _log_ive_series(abs(int(deltas[i])), x)
+        log_iv = _log_ive_series(abs(int(deltas[i])), x, log_half_x)
         lp = base + deltas[i] * half_log_ratio + log_iv
         if lp > -745.0:
             probs[i] = math.exp(lp)
-    return probs
-
-
-def _skellam_pmf_convolution(mu_t, mu_r, deltas):
-    """Direct convolution-series pmf; the stable route for tiny rate products."""
-    mu_min = min(mu_t, mu_r)
-    m_hi = poisson_window(mu_min, 1e-16)[0] if mu_min > 0 else 0
-    m = np.arange(0, m_hi + 1)
-    probs = np.empty(len(deltas))
-    for i, d in enumerate(deltas):
-        n = m + int(d)
-        valid = n >= 0
-        if not valid.any():
-            probs[i] = 0.0
-            continue
-        lt = poisson_logpmf(n[valid], mu_t) + poisson_logpmf(m[valid], mu_r)
-        tm = lt.max()
-        probs[i] = 0.0 if tm == -np.inf else math.exp(tm) * np.exp(lt - tm).sum()
     return probs
 
 
@@ -269,8 +261,7 @@ def skellam_pmf_grid(mu_t, mu_r, tail_tol=DEFAULT_TAIL_TOL):
 
     Returns ``(deltas, probs, tail_bound)``.  Degenerate rates collapse to the
     one-sided Poisson law; otherwise the exponentially scaled Bessel closed
-    form is used, with a log-domain series fallback where it underflows and a
-    direct convolution series when the rate product is below 1e-280.
+    form is used, with a log-domain series fallback where it underflows.
     """
     if mu_t < 0.0 or mu_r < 0.0:
         raise ValidationError("rates must be >= 0")
@@ -286,33 +277,15 @@ def skellam_pmf_grid(mu_t, mu_r, tail_tol=DEFAULT_TAIL_TOL):
         return deltas, poisson_pmf(-deltas, mu_r), bound
     lo, hi, bound = skellam_window(mu_t, mu_r, tail_tol)
     deltas = np.arange(lo, hi + 1)
-    if mu_t * mu_r < _TINY_RATE_PRODUCT:
-        probs = _skellam_pmf_convolution(mu_t, mu_r, deltas)
-    else:
-        probs = _skellam_pmf_bessel(mu_t, mu_r, deltas)
-    return deltas, probs, bound
+    return deltas, _skellam_pmf_bessel(mu_t, mu_r, deltas), bound
 
 
 # ---------------------------------------------------------------------------
 # Ideal-homodyne limit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaussianDensity:
-    """Gaussian descriptor of the macroscopic-LO limit of the difference law."""
-
-    mean: float
-    variance: float = 1.0
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-0.5 * (x - self.mean) ** 2 / self.variance) / math.sqrt(
-            2.0 * math.pi * self.variance
-        )
-
-
-def homodyne_pdf(params: ChannelParams, symbol: int) -> GaussianDensity:
-    """Macroscopic-LO limit of the standardized difference, x = Delta / z.
+def homodyne_mean(params: ChannelParams, symbol: int) -> float:
+    """Mean of the macroscopic-LO limit of the standardized difference Delta / z.
 
     In that limit the law is Gaussian with mean +-2*xi*sqrt(T)*alpha and unit
     variance; it serves as the ideal-homodyne reference curve.
@@ -320,5 +293,4 @@ def homodyne_pdf(params: ChannelParams, symbol: int) -> GaussianDensity:
     if symbol not in (0, 1):
         raise ValidationError(f"symbol must be 0 or 1, got {symbol}")
     sign = 1.0 if symbol == 1 else -1.0
-    mean = sign * 2.0 * params.visibility * math.sqrt(params.signal_mean)
-    return GaussianDensity(mean=mean, variance=1.0)
+    return sign * 2.0 * params.visibility * math.sqrt(params.signal_mean)

@@ -20,14 +20,12 @@ from pnrchan import (
     ValidationError,
     detection_rates,
     eve_params,
-    homodyne_pdf,
+    homodyne_mean,
     mutual_information,
 )
 from pnrchan.receivers import (
-    _TINY_RATE_PRODUCT,
     DEFAULT_TAIL_TOL,
     _skellam_pmf_bessel,
-    _skellam_pmf_convolution,
     poisson_pmf,
     poisson_window,
 )
@@ -45,13 +43,13 @@ def wf_pmf(params, symbol, tail_tol=DEFAULT_TAIL_TOL):
     Each arm window is certified to half of ``tail_tol``, so the grid misses
     at most ``tail_tol`` of the mass.
     """
-    r = detection_rates(params, symbol)
-    n_max, bound_t = poisson_window(r.mu_t, 0.5 * tail_tol)
-    m_max, bound_r = poisson_window(r.mu_r, 0.5 * tail_tol)
+    mu_t, mu_r = detection_rates(params, symbol)
+    n_max, bound_t = poisson_window(mu_t, 0.5 * tail_tol)
+    m_max, bound_r = poisson_window(mu_r, 0.5 * tail_tol)
     if bound_t + bound_r > tail_tol:
         raise NumericsError("count-grid tail certification failed")
-    return np.outer(poisson_pmf(np.arange(n_max + 1), r.mu_t),
-                    poisson_pmf(np.arange(m_max + 1), r.mu_r))
+    return np.outer(poisson_pmf(np.arange(n_max + 1), mu_t),
+                    poisson_pmf(np.arange(m_max + 1), mu_r))
 
 
 def mi_wf_grid(params, tail_tol=DEFAULT_TAIL_TOL):
@@ -78,23 +76,21 @@ def wf_hl_equivalence_check(params, mass_floor=1e-30):
     Returns the largest |f_0 - f_1| over all cells where both difference laws
     carry at least ``mass_floor``, and the largest |sum_sigma f - 1|.
     """
-    r = detection_rates(params, 1)
+    mu_t, mu_r = detection_rates(params, 1)
     # generous windows so every retained difference bin has full sum coverage
-    n_max, _ = poisson_window(r.mu_t, 1e-18)
-    m_max, _ = poisson_window(r.mu_r, 1e-18)
+    n_max, _ = poisson_window(mu_t, 1e-18)
+    m_max, _ = poisson_window(mu_r, 1e-18)
     w = max(n_max, m_max)
     counts = np.arange(w + 1)
-    grid1 = np.outer(poisson_pmf(counts, r.mu_t), poisson_pmf(counts, r.mu_r))
+    grid1 = np.outer(poisson_pmf(counts, mu_t), poisson_pmf(counts, mu_r))
 
     deltas = np.arange(-w, w + 1)
-    if r.mu_r == 0.0:
-        hl1 = np.where(deltas >= 0, poisson_pmf(np.abs(deltas), r.mu_t), 0.0)
-    elif r.mu_t == 0.0:
-        hl1 = np.where(deltas <= 0, poisson_pmf(np.abs(deltas), r.mu_r), 0.0)
-    elif r.mu_t * r.mu_r < _TINY_RATE_PRODUCT:
-        hl1 = _skellam_pmf_convolution(r.mu_t, r.mu_r, deltas)
+    if mu_r == 0.0:
+        hl1 = np.where(deltas >= 0, poisson_pmf(np.abs(deltas), mu_t), 0.0)
+    elif mu_t == 0.0:
+        hl1 = np.where(deltas <= 0, poisson_pmf(np.abs(deltas), mu_r), 0.0)
     else:
-        hl1 = _skellam_pmf_bessel(r.mu_t, r.mu_r, deltas)
+        hl1 = _skellam_pmf_bessel(mu_t, mu_r, deltas)
     hl0 = hl1[::-1]
 
     max_dep = 0.0
@@ -126,12 +122,12 @@ def joint_abe_pmf(bob, tail_tol=DEFAULT_TAIL_TOL):
     array of shape (2, wb+1, wb+1, we+1, we+1) over the symbol, Bob's count
     pair and Eve's count pair, on square windows.
     """
-    rb = detection_rates(bob, 1)
-    re = detection_rates(eve_params(bob), 1)
-    nb, _ = poisson_window(rb.mu_t, 0.25 * tail_tol)
-    mb, _ = poisson_window(rb.mu_r, 0.25 * tail_tol)
-    ne, _ = poisson_window(re.mu_t, 0.25 * tail_tol)
-    me, _ = poisson_window(re.mu_r, 0.25 * tail_tol)
+    bob_t, bob_r = detection_rates(bob, 1)
+    eve_t, eve_r = detection_rates(eve_params(bob), 1)
+    nb, _ = poisson_window(bob_t, 0.25 * tail_tol)
+    mb, _ = poisson_window(bob_r, 0.25 * tail_tol)
+    ne, _ = poisson_window(eve_t, 0.25 * tail_tol)
+    me, _ = poisson_window(eve_r, 0.25 * tail_tol)
     wb, we = max(nb, mb), max(ne, me)
     cells = 2 * (wb + 1) ** 2 * (we + 1) ** 2
     if cells > _JOINT_CELL_LIMIT:
@@ -141,8 +137,8 @@ def joint_abe_pmf(bob, tail_tol=DEFAULT_TAIL_TOL):
         )
     cb = np.arange(wb + 1)
     ce = np.arange(we + 1)
-    grid_b1 = np.outer(poisson_pmf(cb, rb.mu_t), poisson_pmf(cb, rb.mu_r))
-    grid_e1 = np.outer(poisson_pmf(ce, re.mu_t), poisson_pmf(ce, re.mu_r))
+    grid_b1 = np.outer(poisson_pmf(cb, bob_t), poisson_pmf(cb, bob_r))
+    grid_e1 = np.outer(poisson_pmf(ce, eve_t), poisson_pmf(ce, eve_r))
     q0, q1 = bob.priors
     probs = np.empty((2, wb + 1, wb + 1, we + 1, we + 1))
     probs[0] = q0 * np.einsum("ab,cd->abcd", grid_b1.T, grid_e1.T)
@@ -198,8 +194,8 @@ def mi_homodyne_quad(params):
     Returns ``(mi_bits, quadrature_error_bits)``.
     """
     q0, q1 = params.priors
-    a0 = homodyne_pdf(params, 0).mean
-    a1 = homodyne_pdf(params, 1).mean
+    a0 = homodyne_mean(params, 0)
+    a1 = homodyne_mean(params, 1)
     norm = 1.0 / math.sqrt(2.0 * math.pi)
 
     def neg_p_log_p(y):

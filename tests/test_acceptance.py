@@ -17,7 +17,7 @@ from pnrchan import (
     ChannelParams,
     coherent_overlap,
     detection_rates,
-    homodyne_pdf,
+    homodyne_mean,
     mi_bds,
     mi_hl,
     mi_homodyne,
@@ -144,10 +144,9 @@ def test_c05_skellam_closed_form_vs_convolution():
 def test_c06_difference_law_gaussian_limit():
     def tv_against_limit(lo_mean):
         p = params_for(3.0, lo_mean, 0.9)
-        r = detection_rates(p, 1)
-        deltas, probs, _ = skellam_pmf_grid(r.mu_t, r.mu_r)
+        deltas, probs, _ = skellam_pmf_grid(*detection_rates(p, 1))
         z = math.sqrt(lo_mean)
-        mean = homodyne_pdf(p, 1).mean
+        mean = homodyne_mean(p, 1)
         hi = (deltas + 0.5) / z - mean
         lo = (deltas - 0.5) / z - mean
         cells = 0.5 * (erf(hi / math.sqrt(2.0)) - erf(lo / math.sqrt(2.0)))

@@ -163,6 +163,34 @@ class TestSweep:
         assert not target.exists()
         assert not list(tmp_path.iterdir())
 
+    def test_rates_whose_product_underflows_give_a_dark_table(self, tmp_path):
+        # the cross term and the rate product underflow: both symbols see the
+        # same law, a point mass at 0 up to a 1e-300-scale tail
+        out = tmp_path / "x.csv"
+        code = run_cli("sweep", "--mode", "lo", "--signal-mean", "1e-300",
+                       "--lo-mean", "1e-300", "--xi", "0.5", "--grid", "1e-300",
+                       "-o", str(out))
+        assert code == 0
+        assert out.read_text() == (
+            "# pnrchan 0.1.0\n# command = sweep\n# mode = lo\n"
+            "# signal_mean = 1e-300\n# lo_mean = 1e-300\n# xi = 0.5\n"
+            "# strategies = wf,hl,bds\n# grid = 1e-300\n# tail_tol = 1e-10\n"
+            "lo_mean,i_wf,i_hl,i_bds,trunc_err\n1e-300,0,0,0,0\n"
+        )
+
+    def test_subnormal_rates_certify_their_tail(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code = run_cli("sweep", "--mode", "lo", "--signal-mean", "1e-310",
+                       "--lo-mean", "1e-310", "--xi", "0.5", "--grid", "1e-310",
+                       "-o", str(out))
+        assert code == 0
+        header, row = out.read_text().splitlines()[-2:]
+        assert header == "lo_mean,i_wf,i_hl,i_bds,trunc_err"
+        lo_mean, *figures = row.split(",")
+        assert lo_mean == "1e-310"
+        # the two laws are equal; only the rounding of subnormal bins shows
+        assert all(0.0 <= float(v) <= 1e-300 for v in figures)
+
     def test_zero_tail_tolerance_fails_certification(self, tmp_path):
         code = run_cli("sweep", "--mode", "lo", "--signal-mean", "2.0",
                        "--grid", "1:9:3", "--tail-tol", "0",

@@ -16,7 +16,7 @@ from pnrchan import (
     shannon_entropy,
 )
 from pnrchan.information import _hl_conditionals, _homodyne_mixture_entropy, _sign_law
-from pnrchan.receivers import DEFAULT_TAIL_TOL, homodyne_pdf
+from pnrchan.receivers import DEFAULT_TAIL_TOL, homodyne_mean
 
 from oracles import mi_homodyne_quad, mi_wf_grid, wf_hl_equivalence_check
 
@@ -155,7 +155,7 @@ class TestHomodyneReference:
     def test_error_bound_encloses_high_precision_entropy(self, signal_mean, xi, priors):
         mpmath = pytest.importorskip("mpmath")
         p = params_for(signal_mean, 12.15, xi, priors)
-        a0, a1 = homodyne_pdf(p, 0).mean, homodyne_pdf(p, 1).mean
+        a0, a1 = homodyne_mean(p, 0), homodyne_mean(p, 1)
         h_bits, err = _homodyne_mixture_entropy(a0, a1, *priors)
         assert 0.0 < err <= 1e-9
         with mpmath.workdps(50):
@@ -196,10 +196,12 @@ class TestFactorizationCheck:
 
 class TestMiReport:
     def test_fields_and_bound(self):
-        rep = mi_report(params_for(3.2, 12.15, 0.94))
-        assert abs(rep.i_wf - rep.i_hl) <= 1e-9
-        assert rep.i_bds <= rep.i_hl + 1e-12
-        assert rep.truncation_tolerance == 1e-10
+        p = params_for(3.2, 12.15, 0.94)
+        rep = mi_report(p)
+        assert rep.i_wf == mi_hl(p)
+        assert rep.i_bds <= rep.i_wf + 1e-12
+        # the report is taken at the default tolerance of 1e-10
+        assert rep == mi_report(p, tail_tol=1e-10)
         assert 0.0 <= rep.error_bound < 1e-6
 
     def test_mutual_information_utility(self):

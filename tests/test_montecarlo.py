@@ -105,8 +105,7 @@ class TestEmpiricalDistributions:
     def test_close_to_analytic_at_experimental_size(self):
         run = run_experiment(REF, 100_000, seed=31)
         emp = empirical_distributions(run)
-        r = detection_rates(REF, 1)
-        deltas, probs, _ = skellam_pmf_grid(r.mu_t, r.mu_r)
+        deltas, probs, _ = skellam_pmf_grid(*detection_rates(REF, 1))
         analytic = dict(zip(deltas.tolist(), probs))
         observed = dict(zip(emp.deltas.tolist(), emp.hl[1]))
         tv = 0.5 * sum(abs(observed.get(d, 0.0) - analytic.get(d, 0.0))
@@ -240,8 +239,7 @@ class TestPluginMi:
 class TestCalibration:
     def test_noiseless_means_recover_exactly(self):
         p = params_for(3.07, 12.15, 0.94)
-        r0, r1 = detection_rates(p, 0), detection_rates(p, 1)
-        cal = calibrate_from_means((r0.mu_t, r0.mu_r), (r1.mu_t, r1.mu_r),
+        cal = calibrate_from_means(detection_rates(p, 0), detection_rates(p, 1),
                                    known_lo_mean=12.15)
         assert cal.signal_mean == pytest.approx(3.07, rel=1e-12)
         assert cal.xi == pytest.approx(0.94, rel=1e-12)
@@ -264,7 +262,9 @@ class TestCalibration:
         p = params_for(2.0, 8.0, 0.0)
         run = run_experiment(p, 50_000, seed=11)
         cal = calibrate_params(empirical_distributions(run), known_lo_mean=8.0)
-        assert cal.cross_mean == pytest.approx(0.0, abs=0.05)
+        # the cross term xi * sqrt(signal_mean * lo_mean)
+        assert cal.xi_raw * math.sqrt(cal.signal_mean * cal.lo_mean) == pytest.approx(
+            0.0, abs=0.05)
         assert cal.xi == pytest.approx(0.0, abs=0.02)
 
     def test_inconsistent_system_raises(self):

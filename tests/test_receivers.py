@@ -10,7 +10,8 @@ from pnrchan import (
     NumericsError,
     ValidationError,
     detection_rates,
-    homodyne_pdf,
+    homodyne_mean,
+    mi_homodyne,
     poisson_logpmf,
     poisson_pmf,
     skellam_pmf_grid,
@@ -32,6 +33,15 @@ def skellam_convolution_oracle(mu_t, mu_r, delta):
     return float((sp_poisson.pmf(m + delta, mu_t) * sp_poisson.pmf(m, mu_r)).sum())
 
 
+def skellam_mpmath_oracle(mu_t, mu_r, delta):
+    """exp(-(mu_t + mu_r)) (mu_t/mu_r)^(delta/2) I_|delta|(2 sqrt(mu_t mu_r)), 60 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        t, r = mpmath.mpf(mu_t), mpmath.mpf(mu_r)
+        return float(mpmath.exp(-(t + r)) * (t / r) ** (mpmath.mpf(delta) / 2)
+                     * mpmath.besseli(abs(delta), 2 * mpmath.sqrt(t * r)))
+
+
 def params_for(signal_mean, lo_mean, xi):
     return ChannelParams(alpha=math.sqrt(signal_mean), transmissivity=1.0,
                          lo_amplitude=math.sqrt(lo_mean), visibility=xi)
@@ -39,8 +49,7 @@ def params_for(signal_mean, lo_mean, xi):
 
 def difference_law(params, symbol):
     """The difference law of one symbol, computed from that symbol's own rates."""
-    r = detection_rates(params, symbol)
-    return skellam_pmf_grid(r.mu_t, r.mu_r)
+    return skellam_pmf_grid(*detection_rates(params, symbol))
 
 
 class TestPoissonPmf:
@@ -145,12 +154,32 @@ class TestSkellam:
             assert probs[i] == pytest.approx(oracle, rel=1e-10)
 
     def test_tiny_rate_product_branch(self):
-        # product underflows double precision; convolution branch takes over
-        deltas, probs, _ = skellam_pmf_grid(5.0, 1e-290)
-        total = probs.sum()
-        assert total == pytest.approx(1.0, abs=1e-10)
-        idx = np.nonzero(deltas == 3)[0][0]
-        assert probs[idx] == pytest.approx(float(sp_poisson.pmf(3, 5.0)), rel=1e-10)
+        # a rate product far below double range, in both orientations: the
+        # law is Poisson on the bright arm's side
+        for mu_t, mu_r, sign in ((5.0, 1e-290, 1), (1e-290, 5.0, -1)):
+            deltas, probs, _ = skellam_pmf_grid(mu_t, mu_r)
+            total = probs.sum()
+            assert total == pytest.approx(1.0, abs=1e-10)
+            idx = np.nonzero(deltas == 3 * sign)[0][0]
+            assert probs[idx] == pytest.approx(float(sp_poisson.pmf(3, 5.0)), rel=1e-10)
+
+    def test_bright_arm_on_the_reflected_side_keeps_its_far_tail(self):
+        deltas, probs, _ = skellam_pmf_grid(1e-290, 5.0)
+        for delta in (-31, -32):
+            exact = skellam_mpmath_oracle(1e-290, 5.0, delta)
+            assert exact > 1e-16
+            assert probs[deltas == delta][0] == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("mu_t, mu_r", [
+        (5.0, 1e-290), (1e-290, 5.0), (1.0, 1e-290), (30.0, 1e-300), (1e-300, 30.0),
+        (1e-145, 1e-145), (1e-200, 1e-100), (1.5e-300, 5e-301), (1e-310, 1e-310),
+    ])
+    def test_tiny_rates_against_arbitrary_precision_oracle(self, mu_t, mu_r):
+        deltas, probs, tail = skellam_pmf_grid(mu_t, mu_r)
+        assert tail <= DEFAULT_TAIL_TOL
+        assert abs(probs.sum() - 1.0) <= 1e-11
+        for delta, p in zip(deltas, probs):
+            assert abs(p - skellam_mpmath_oracle(mu_t, mu_r, int(delta))) <= 1e-12
 
     def test_normalization_random_grid(self):
         rng = np.random.default_rng(21)
@@ -178,12 +207,12 @@ class TestSkellam:
                 lo_amplitude=math.sqrt(rng.uniform(0.1, 20.0)),
                 visibility=rng.uniform(0.0, 1.0),
             )
-            r = detection_rates(p, 1)
+            mu_t, mu_r = detection_rates(p, 1)
             deltas, probs, _ = difference_law(p, 1)
             mean = float((deltas * probs).sum())
             variance = float((((deltas - mean) ** 2) * probs).sum())
-            assert mean == pytest.approx(r.mu_t - r.mu_r, rel=1e-8, abs=1e-8)
-            assert variance == pytest.approx(r.mu_t + r.mu_r, rel=1e-8)
+            assert mean == pytest.approx(mu_t - mu_r, rel=1e-8, abs=1e-8)
+            assert variance == pytest.approx(mu_t + mu_r, rel=1e-8)
 
     def test_symbol_swap_mirror_is_exact(self):
         p = params_for(2.3, 9.7, 0.87)
@@ -227,10 +256,10 @@ class TestWfPmf:
 
     def test_arm_mean_matches_rate(self):
         p = params_for(3.2, 12.15, 0.94)
-        r = detection_rates(p, 1)
+        mu_t, _ = detection_rates(p, 1)
         grid = wf_pmf(p, 1)
         mean_n = float((np.arange(grid.shape[0]) * grid.sum(axis=1)).sum())
-        assert mean_n == pytest.approx(r.mu_t, rel=1e-10)
+        assert mean_n == pytest.approx(mu_t, rel=1e-10)
 
     def test_grid_normalization_and_tail(self):
         p = params_for(1.0, 4.0, 0.5)
@@ -300,26 +329,26 @@ class TestHomodyneLimit:
     def test_no_signal_is_standard_normal(self):
         p = ChannelParams(alpha=0.0, lo_amplitude=3.0)
         for k in (0, 1):
-            g = homodyne_pdf(p, k)
-            assert g.mean == 0.0 and g.variance == 1.0
+            assert homodyne_mean(p, k) == 0.0
+        # unit variance: the reference channel's mixture is then N(0, 1) itself
+        assert mi_homodyne(p) == pytest.approx(0.0, abs=1e-9)
 
     def test_means_are_scaled_amplitudes(self):
         p = params_for(3.07, 12.17, 1.0)
-        g1 = homodyne_pdf(p, 1)
-        assert g1.mean == pytest.approx(2.0 * math.sqrt(3.07), rel=1e-12)
-        assert homodyne_pdf(p, 0).mean == -g1.mean
+        mean1 = homodyne_mean(p, 1)
+        assert mean1 == pytest.approx(2.0 * math.sqrt(3.07), rel=1e-12)
+        assert homodyne_mean(p, 0) == -mean1
 
     def test_standardized_skellam_converges(self):
         # total variation against the cell-binned limit Gaussian
         from scipy.special import erf
 
         p = params_for(3.0, 1e4, 0.9)
-        r = detection_rates(p, 1)
-        deltas, probs, _ = skellam_pmf_grid(r.mu_t, r.mu_r)
+        deltas, probs, _ = skellam_pmf_grid(*detection_rates(p, 1))
         z = math.sqrt(1e4)
-        g = homodyne_pdf(p, 1)
-        hi = (deltas + 0.5) / z - g.mean
-        lo = (deltas - 0.5) / z - g.mean
+        mean = homodyne_mean(p, 1)
+        hi = (deltas + 0.5) / z - mean
+        lo = (deltas - 0.5) / z - mean
         cells = 0.5 * (erf(hi / math.sqrt(2)) - erf(lo / math.sqrt(2)))
         tv = 0.5 * np.abs(probs - cells).sum() + 0.5 * (1.0 - cells.sum())
         assert tv < 1e-2
