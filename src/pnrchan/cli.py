@@ -1,8 +1,11 @@
 """Command-line surface: sweep, simulate, analyze, security, presets.
 
 Exit codes: 0 success, 1 validation error or out of memory, 2 I/O error,
-3 numerical certification failure.  All parameters can come from flags or
-from a flat ``key = value`` config file (flags win); the bundled presets
+3 numerical certification failure.  Every option is a flag of its command,
+declared once.  A flat ``key = value`` config file (--config) or a bundled
+preset (--preset) is read as those same flags: each key is a flag name
+with - written as _, and a key that is not a flag of the command exits 1.
+Flags given on the command line win over the file.  The bundled presets
 reproduce the reference figure conditions.
 """
 
@@ -14,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .channel import ChannelParams, transmissivity_to_loss_db
+from .channel import ChannelParams
 from .errors import PnrchanError, ValidationError
 from .montecarlo import (
     calibrate_params,
@@ -45,7 +48,14 @@ __all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as validation errors (exit 1)."""
+    """argparse that reports usage problems as validation errors (exit 1).
+
+    Flags must be spelled out in full, so that a config key names exactly
+    one flag.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValidationError(message)
@@ -72,13 +82,13 @@ def _parse_grid(text):
 
 def _parse_float_list(text):
     try:
-        return tuple(float(v) for v in str(text).split(",") if v.strip())
+        return tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError as exc:
         raise ValidationError(f"bad number list {text!r}: {exc}") from exc
 
 
 def _parse_name_list(text):
-    return tuple(v.strip().lower() for v in str(text).split(",") if v.strip())
+    return tuple(v.strip().lower() for v in text.split(",") if v.strip())
 
 
 def _preset_files():
@@ -98,55 +108,51 @@ def _load_preset(name):
     raise ValidationError(f"unknown preset {name!r}; available: {known}")
 
 
-def _gather_config(ns):
-    if getattr(ns, "preset", None) and getattr(ns, "config", None):
-        raise ValidationError("--preset and --config are mutually exclusive")
-    if getattr(ns, "preset", None):
-        return _load_preset(ns.preset)
-    if getattr(ns, "config", None):
-        return parse_config(ns.config)
-    return {}
+# every bundled preset is a sweep or a security table
+_PRESET_COMMANDS = ("sweep", "security")
+_CONFIG_COMMANDS = (*_PRESET_COMMANDS, "simulate")
 
 
-def _opt(ns, cfg, key, cast=float, default=None):
-    value = getattr(ns, key, None)
-    if value is not None:
-        return value
-    if key in cfg:
-        return cast(cfg[key])
-    return default
+def _add_sources(parser, command):
+    """--preset and --config: files whose keys are this command's own flags."""
+    group = parser.add_mutually_exclusive_group()
+    if command in _PRESET_COMMANDS:
+        group.add_argument("--preset", help="bundled preset name (see 'pnrchan presets')")
+    group.add_argument("--config", help="flat key = value file; each key is one of "
+                                        "this command's flags with - written as _")
 
 
-def _expect_command(cfg, command):
-    wanted = cfg.get("command")
+def _splice_sources(argv):
+    """Replace --preset/--config by the flags their file stands for.
+
+    Each ``key = value`` becomes ``--key=value`` right after the command name,
+    so flags given on the command line come later and win.  The ``=`` form
+    keeps values such as ``-1:5:2`` from reading as flags.  Returns the new
+    argv and, for each spliced flag, where it came from.
+    """
+    if not argv or argv[0] not in _CONFIG_COMMANDS:
+        return argv, {}
+    command = argv[0]
+    pre = _Parser(add_help=False)
+    _add_sources(pre, command)
+    ns, rest = pre.parse_known_args(argv[1:])
+    preset = getattr(ns, "preset", None)
+    if preset:
+        source, cfg = f"preset {preset}", _load_preset(preset)
+    elif ns.config:
+        source, cfg = ns.config, parse_config(ns.config)
+    else:
+        return argv, {}
+    wanted = cfg.pop("command", None)
     if wanted and wanted != command:
-        raise ValidationError(
-            f"this configuration is for the {wanted!r} command, not {command!r}"
-        )
-
-
-def _resolve_signal_mean(ns, cfg, context):
-    """Accept either a mean photon number or an amplitude specification."""
-    signal_mean = _opt(ns, cfg, "signal_mean")
-    alpha = _opt(ns, cfg, "alpha")
-    if signal_mean is not None and alpha is not None:
-        raise ValidationError("give either --signal-mean or --alpha, not both")
-    if signal_mean is None and alpha is None:
-        raise ValidationError(f"{context} needs --signal-mean or --alpha")
-    if alpha is not None:
-        return float(alpha) ** 2
-    return float(signal_mean)
-
-
-def _resolve_loss_db(ns, cfg, default=0.0):
-    """Accept attenuation either as dB or as a transmissivity."""
-    loss_db = _opt(ns, cfg, "loss_db")
-    transmissivity = _opt(ns, cfg, "transmissivity")
-    if loss_db is not None and transmissivity is not None:
-        raise ValidationError("give either --loss-db or --transmissivity, not both")
-    if transmissivity is not None:
-        return transmissivity_to_loss_db(transmissivity)
-    return default if loss_db is None else float(loss_db)
+        raise ValidationError(f"{source} is for the {wanted!r} command, not {command!r}")
+    cfg.pop("description", None)
+    origins = {}
+    for key, value in cfg.items():
+        if key in ("preset", "config"):
+            raise ValidationError(f"{source}: key {key!r} cannot name another file")
+        origins[f"--{key.replace('_', '-')}={value}"] = f"key {key!r} in {source}"
+    return [command, *origins, *rest], origins
 
 
 # ---------------------------------------------------------------------------
@@ -154,38 +160,24 @@ def _resolve_loss_db(ns, cfg, default=0.0):
 # ---------------------------------------------------------------------------
 
 def _cmd_sweep(ns):
-    cfg = _gather_config(ns)
-    _expect_command(cfg, "sweep")
-    mode = _opt(ns, cfg, "mode", cast=str)
-    if mode is None:
-        raise ValidationError("sweep needs --mode lo|loss")
-    signal_mean = _resolve_signal_mean(ns, cfg, "sweep")
-    lo_mean = _opt(ns, cfg, "lo_mean")
-    grid_text = _opt(ns, cfg, "grid", cast=str)
-    if grid_text is None:
-        raise ValidationError("sweep needs --grid")
-    visibilities = _opt(ns, cfg, "xi", cast=_parse_float_list, default=(1.0,))
-    strategies = _opt(ns, cfg, "strategies", cast=_parse_name_list,
-                      default=("wf", "hl", "bds"))
-    security = _opt(ns, cfg, "security", cast=_parse_name_list, default=())
     spec = SweepSpec(
-        mode=mode,
-        signal_mean=signal_mean,
-        grid=_parse_grid(grid_text),
-        strategies=strategies,
-        visibilities=visibilities,
-        lo_mean=lo_mean,
-        fixed_loss_db=_resolve_loss_db(ns, cfg),
-        security=security,
-        eve_lo_mean=_opt(ns, cfg, "eve_lo_mean"),
-        tail_tol=_opt(ns, cfg, "tail_tol", default=DEFAULT_TAIL_TOL),
+        mode=ns.mode,
+        signal_mean=ns.signal_mean,
+        grid=_parse_grid(ns.grid),
+        strategies=ns.strategies,
+        visibilities=ns.xi,
+        lo_mean=ns.lo_mean,
+        fixed_loss_db=ns.loss_db,
+        security=ns.security,
+        eve_lo_mean=ns.eve_lo_mean,
+        tail_tol=ns.tail_tol,
     )
     columns, rows = run_sweep(spec, workers=resolve_workers(ns.workers))
     preamble = [("command", "sweep"), ("mode", spec.mode),
                 ("signal_mean", f"{spec.signal_mean:.12g}")]
     if spec.lo_mean is not None:
         preamble.append(("lo_mean", f"{spec.lo_mean:.12g}"))
-    if spec.mode == "lo" and spec.fixed_loss_db:
+    if spec.fixed_loss_db:
         preamble.append(("loss_db", f"{spec.fixed_loss_db:.12g}"))
     preamble.append(("xi", ",".join(f"{v:g}" for v in spec.visibilities)))
     preamble.append(("strategies", ",".join(spec.strategies)))
@@ -193,7 +185,7 @@ def _cmd_sweep(ns):
         preamble.append(("security", ",".join(spec.security)))
     if spec.eve_lo_mean is not None:
         preamble.append(("eve_lo_mean", f"{spec.eve_lo_mean:.12g}"))
-    preamble.append(("grid", grid_text))
+    preamble.append(("grid", ns.grid))
     preamble.append(("tail_tol", f"{spec.tail_tol:g}"))
     write_text_atomic(ns.output, render_table(__version__, preamble, columns, rows))
     _maybe_write_gnuplot(ns, columns, f"pnrchan sweep ({spec.mode})")
@@ -201,9 +193,9 @@ def _cmd_sweep(ns):
 
 
 def _maybe_write_gnuplot(ns, columns, title):
-    path = getattr(ns, "gnuplot_script", None)
-    if path:
-        write_text_atomic(path, render_gnuplot_script(ns.output, columns, title))
+    if ns.gnuplot_script:
+        write_text_atomic(ns.gnuplot_script,
+                          render_gnuplot_script(ns.output, columns, title))
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +203,13 @@ def _maybe_write_gnuplot(ns, columns, title):
 # ---------------------------------------------------------------------------
 
 def _cmd_security(ns):
-    cfg = _gather_config(ns)
-    _expect_command(cfg, "security")
-    grid_text = _opt(ns, cfg, "grid", cast=str)
-    if grid_text is None:
-        raise ValidationError("security needs --grid (loss values in dB)")
-    lo_mean = _opt(ns, cfg, "lo_mean")
-    if lo_mean is None:
-        raise ValidationError("security needs --lo-mean")
     spec = SecuritySpec(
-        signal_mean=_resolve_signal_mean(ns, cfg, "security"),
-        lo_mean=lo_mean,
-        visibility=_opt(ns, cfg, "xi", default=1.0),
-        grid=_parse_grid(grid_text),
-        eve_lo_mean=_opt(ns, cfg, "eve_lo_mean"),
-        tail_tol=_opt(ns, cfg, "tail_tol", default=DEFAULT_TAIL_TOL),
+        signal_mean=ns.signal_mean,
+        lo_mean=ns.lo_mean,
+        visibility=ns.xi,
+        grid=_parse_grid(ns.grid),
+        eve_lo_mean=ns.eve_lo_mean,
+        tail_tol=ns.tail_tol,
     )
     columns, rows = run_security(spec, workers=resolve_workers(ns.workers))
     preamble = [
@@ -235,7 +219,7 @@ def _cmd_security(ns):
         ("xi_bob", f"{spec.visibility:.12g}"),
         ("xi_eve", "1"),
         ("eve_lo_mean", "bob" if spec.eve_lo_mean is None else f"{spec.eve_lo_mean:.12g}"),
-        ("grid", grid_text),
+        ("grid", ns.grid),
         ("tail_tol", f"{spec.tail_tol:g}"),
     ]
     write_text_atomic(ns.output, render_table(__version__, preamble, columns, rows))
@@ -259,25 +243,10 @@ def _print_run_summary(run):
 
 
 def _cmd_simulate(ns):
-    cfg = _gather_config(ns)
-    _expect_command(cfg, "simulate")
-    signal_mean = _resolve_signal_mean(ns, cfg, "simulate")
-    lo_mean = _opt(ns, cfg, "lo_mean")
-    if lo_mean is None:
-        raise ValidationError("simulate needs --lo-mean")
-    shots = _opt(ns, cfg, "shots", cast=int)
-    if shots is None:
-        raise ValidationError("simulate needs --shots")
-    params = ChannelParams.from_means(
-        signal_mean,
-        lo_mean,
-        visibility=_opt(ns, cfg, "xi", default=1.0),
-        loss_db=_resolve_loss_db(ns, cfg),
-    )
-    seed = _opt(ns, cfg, "seed", cast=int, default=0)
-    run = run_experiment(params, shots, seed)
+    params = ChannelParams.from_means(ns.signal_mean, ns.lo_mean, visibility=ns.xi)
+    run = run_experiment(params, ns.shots, ns.seed)
     write_shot_records(ns.output, run)
-    print(f"wrote {2 * shots} shots to {ns.output} (seed={seed})")
+    print(f"wrote {2 * ns.shots} shots to {ns.output} (seed={ns.seed})")
     _print_run_summary(run)
     return 0
 
@@ -357,73 +326,72 @@ def _cmd_presets(_ns):
 # parser assembly
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--preset", help="bundled preset name (see 'pnrchan presets')")
-    sub.add_argument("--config", help="flat key = value configuration file")
-    sub.add_argument("--tail-tol", dest="tail_tol", type=float,
-                     help=f"truncation tail tolerance (default {DEFAULT_TAIL_TOL:g})")
-
-
-def _add_channel_args(sub):
-    sub.add_argument("--signal-mean", dest="signal_mean", type=float,
-                     help="signal mean photon number")
-    sub.add_argument("--alpha", type=float, help="source amplitude (alternative)")
-    sub.add_argument("--lo-mean", dest="lo_mean", type=float,
-                     help="LO mean photon number")
-    sub.add_argument("--loss-db", dest="loss_db", type=float,
-                     help="channel attenuation in dB")
-    sub.add_argument("--transmissivity", type=float,
-                     help="channel transmissivity (alternative to --loss-db)")
-
-
 def build_parser():
     parser = _Parser(prog="pnrchan", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pnrchan {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    tail_tol_help = f"truncation tail tolerance (default {DEFAULT_TAIL_TOL:g})"
 
     sweep = subs.add_parser("sweep", help="MI sweep over LO energy or signal loss")
-    _add_common(sweep)
-    _add_channel_args(sweep)
-    sweep.add_argument("--mode", choices=("lo", "loss"))
-    sweep.add_argument("--xi", type=_parse_float_list,
+    _add_sources(sweep, "sweep")
+    sweep.add_argument("--mode", choices=("lo", "loss"), required=True)
+    sweep.add_argument("--signal-mean", type=float, required=True,
+                       help="signal mean photon number at the receiver (lo mode) "
+                            "or at zero loss (loss mode)")
+    sweep.add_argument("--lo-mean", type=float,
+                       help="fixed LO mean photon number (loss mode)")
+    sweep.add_argument("--loss-db", type=float, default=0.0,
+                       help="channel attenuation in dB behind the fixed signal mean "
+                            "(lo mode; sets Eve's share under --security)")
+    sweep.add_argument("--xi", type=_parse_float_list, default=(1.0,),
                        help="visibility, or comma list for a band")
-    sweep.add_argument("--grid", help="start:stop:count or comma list")
-    sweep.add_argument("--strategies", type=_parse_name_list,
+    sweep.add_argument("--grid", required=True, help="start:stop:count or comma list")
+    sweep.add_argument("--strategies", type=_parse_name_list, default=("wf", "hl", "bds"),
                        help=f"comma subset of {','.join(STRATEGIES)}")
-    sweep.add_argument("--security", type=_parse_name_list,
+    sweep.add_argument("--security", type=_parse_name_list, default=(),
                        help=f"comma subset of {','.join(SECURITY_SCENARIOS)}")
-    sweep.add_argument("--eve-lo-mean", dest="eve_lo_mean", type=float)
+    sweep.add_argument("--eve-lo-mean", type=float)
+    sweep.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL, help=tail_tol_help)
     sweep.add_argument("--workers", type=int)
-    sweep.add_argument("--gnuplot-script", dest="gnuplot_script",
-                       help="also write a gnuplot script for the table")
+    sweep.add_argument("--gnuplot-script", help="also write a gnuplot script for the table")
     sweep.add_argument("-o", "--output", required=True)
     sweep.set_defaults(func=_cmd_sweep)
 
     security = subs.add_parser("security", help="wiretap security figures vs loss")
-    _add_common(security)
-    _add_channel_args(security)
-    security.add_argument("--xi", type=float, help="honest receiver visibility")
-    security.add_argument("--grid", help="loss grid in dB (start:stop:count or list)")
-    security.add_argument("--eve-lo-mean", dest="eve_lo_mean", type=float)
+    _add_sources(security, "security")
+    security.add_argument("--signal-mean", type=float, required=True,
+                          help="signal mean photon number at zero loss")
+    security.add_argument("--lo-mean", type=float, required=True,
+                          help="LO mean photon number")
+    security.add_argument("--xi", type=float, default=1.0,
+                          help="honest receiver visibility")
+    security.add_argument("--grid", required=True,
+                          help="loss grid in dB (start:stop:count or list)")
+    security.add_argument("--eve-lo-mean", type=float)
+    security.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL,
+                          help=tail_tol_help)
     security.add_argument("--workers", type=int)
-    security.add_argument("--gnuplot-script", dest="gnuplot_script",
+    security.add_argument("--gnuplot-script",
                           help="also write a gnuplot script for the table")
     security.add_argument("-o", "--output", required=True)
     security.set_defaults(func=_cmd_security)
 
     simulate = subs.add_parser("simulate", help="generate a Monte Carlo shot file")
-    _add_common(simulate)
-    _add_channel_args(simulate)
-    simulate.add_argument("--xi", type=float, help="interference visibility")
-    simulate.add_argument("--shots", type=int, help="shots per symbol")
-    simulate.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    _add_sources(simulate, "simulate")
+    simulate.add_argument("--signal-mean", type=float, required=True,
+                          help="signal mean photon number at the receiver")
+    simulate.add_argument("--lo-mean", type=float, required=True,
+                          help="LO mean photon number")
+    simulate.add_argument("--xi", type=float, default=1.0, help="interference visibility")
+    simulate.add_argument("--shots", type=int, required=True, help="shots per symbol")
+    simulate.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     simulate.add_argument("-o", "--output", required=True)
     simulate.set_defaults(func=_cmd_simulate)
 
     analyze = subs.add_parser("analyze", help="estimate MI and parameters from shots")
     analyze.add_argument("input", help="shot-record CSV file")
-    analyze.add_argument("--known-lo-mean", dest="known_lo_mean", type=float)
-    analyze.add_argument("--known-signal-mean", dest="known_signal_mean", type=float)
+    analyze.add_argument("--known-lo-mean", type=float)
+    analyze.add_argument("--known-signal-mean", type=float)
     analyze.add_argument("-o", "--output", help="write the JSON report here")
     analyze.set_defaults(func=_cmd_analyze)
 
@@ -436,7 +404,11 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        argv, origins = _splice_sources(sys.argv[1:] if argv is None else list(argv))
+        ns, unknown = parser.parse_known_args(argv)
+        if unknown:
+            parser.error("unrecognized arguments: "
+                         + " ".join(origins.get(arg, arg) for arg in unknown))
         return ns.func(ns)
     except PnrchanError as exc:
         print(f"pnrchan: error: {exc}", file=sys.stderr)

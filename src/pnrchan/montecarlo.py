@@ -184,16 +184,16 @@ def _miller_madow(mixture, total_shots):
     return max(support - 1, 0) / (2.0 * total_shots * _LN2)
 
 
-def plugin_mi(emp: EmpiricalDistributions, priors=None) -> PluginMiReport:
+def plugin_mi(emp: EmpiricalDistributions) -> PluginMiReport:
     """Plug-in MI of all three readouts from the empirical law.
 
-    The Miller-Madow first-order bias (K - 1) / (2 N ln 2), with K the
-    observed support of the outcome mixture, is attached as metadata for each
-    strategy; the reported values stay uncorrected.
+    The priors are the observed symbol frequencies.  The Miller-Madow
+    first-order bias (K - 1) / (2 N ln 2), with K the observed support of
+    the outcome mixture, is attached as metadata for each strategy; the
+    reported values stay uncorrected.
     """
     total = sum(emp.shots)
-    if priors is None:
-        priors = (emp.shots[0] / total, emp.shots[1] / total)
+    priors = (emp.shots[0] / total, emp.shots[1] / total)
     out = {}
     for name, conds in (("wf", emp.wf), ("hl", emp.hl), ("bds", emp.bds)):
         mixture = priors[0] * conds[0] + priors[1] * conds[1]
@@ -201,8 +201,7 @@ def plugin_mi(emp: EmpiricalDistributions, priors=None) -> PluginMiReport:
             value=mutual_information(conds, priors),
             miller_madow_bias=_miller_madow(mixture, total),
         )
-    return PluginMiReport(wf=out["wf"], hl=out["hl"], bds=out["bds"],
-                          priors=tuple(priors))
+    return PluginMiReport(wf=out["wf"], hl=out["hl"], bds=out["bds"], priors=priors)
 
 
 @dataclass(frozen=True)

@@ -212,45 +212,46 @@ def skellam_window(mu_t, mu_r, tail_tol=DEFAULT_TAIL_TOL):
     )
 
 
-def _log_ive_series(v, x, log_half_x):
-    """log(I_v(x) * exp(-x)) by the ascending series, for scalar integer v >= 0.
+def _log_skellam_series(d, log_t, log_r, rate_sum, x):
+    """ln P(Delta = d) as the Poisson convolution, summed in log domain.
 
-    Used where the scaled Bessel underflows, which only happens for order far
-    above the argument; there the series peaks at small index and a short
-    log-domain sum is accurate to a few ulp.  The result can be far below
-    log(double tiny) and must stay finite: the pmf prefactor it combines with
-    can be just as far above zero at extreme rate ratios.  ``log_half_x`` is
-    ln(x/2), passed in because x itself may have underflowed to 0.
+    For d >= 0 this is sum_k P(n = k + d) P(m = k), whose log terms are
+    (k + d) ln mu_t + k ln mu_r - lnG(k + d + 1) - lnG(k + 1) - (mu_t + mu_r);
+    d < 0 mirrors the arms.  Each rate enters with its own nonnegative
+    multiplier, so no two large terms cancel, however far apart the rates.
+    Used where the scaled Bessel underflows, which only happens for order
+    far above the argument x = 2*sqrt(mu_t*mu_r); there the sum peaks at
+    small k and a short sum is accurate to a few ulp.  The result can be far
+    below log(double tiny).  The rates enter as logs because their product,
+    and so x, may underflow to 0.
     """
-    mstar = 0.5 * (-(v + 1.0) + math.sqrt((v + 1.0) ** 2 + x * x))
-    n_terms = 2 * int(math.ceil(mstar)) + 30
-    m = np.arange(n_terms + 1, dtype=float)
-    t = (2.0 * m + v) * log_half_x - gammaln(m + 1.0) - gammaln(m + v + 1.0)
+    if d < 0:
+        d, log_t, log_r = -d, log_r, log_t
+    kstar = 0.5 * (-(d + 1.0) + math.sqrt((d + 1.0) ** 2 + x * x))
+    k = np.arange(2 * int(math.ceil(kstar)) + 31, dtype=float)
+    t = (k + d) * log_t + k * log_r - gammaln(k + d + 1.0) - gammaln(k + 1.0)
     tm = t.max()
-    return float(tm + math.log(np.exp(t - tm).sum()) - x)
+    return float(tm + math.log(np.exp(t - tm).sum()) - rate_sum)
 
 
 def _skellam_pmf_bessel(mu_t, mu_r, deltas):
     """Closed-form Skellam pmf on an integer grid, both rates positive.
 
-    The Bessel argument x = 2*sqrt(mu_t*mu_r) underflows to 0 when the rate
-    product does; the series fallback then works from ln(x/2) taken as
-    (ln mu_t + ln mu_r) / 2, which stays finite for any positive rates.
+    Bins where the scaled Bessel function underflows fall back to the
+    log-domain Poisson convolution, which works from ln mu_t and ln mu_r and
+    so stays finite for any positive rates, even when x = 2*sqrt(mu_t*mu_r)
+    underflows to 0.
     """
     x = 2.0 * math.sqrt(mu_t * mu_r)
     log_t, log_r = math.log(mu_t), math.log(mu_r)
-    log_half_x = 0.5 * (log_t + log_r)
     base = -((math.sqrt(mu_t) - math.sqrt(mu_r)) ** 2)
-    half_log_ratio = 0.5 * (log_t - log_r)
-    logp = base + deltas * half_log_ratio
+    logp = base + deltas * (0.5 * (log_t - log_r))
     scaled = ive(np.abs(deltas).astype(float), x)
     probs = np.zeros(len(deltas))
     ok = scaled > 0.0
     probs[ok] = np.exp(logp[ok] + np.log(scaled[ok]))
     for i in np.nonzero(~ok)[0]:
-        # base = -(mu_t + mu_r) + x, so the scaled series slots in directly
-        log_iv = _log_ive_series(abs(int(deltas[i])), x, log_half_x)
-        lp = base + deltas[i] * half_log_ratio + log_iv
+        lp = _log_skellam_series(int(deltas[i]), log_t, log_r, mu_t + mu_r, x)
         if lp > -745.0:
             probs[i] = math.exp(lp)
     return probs

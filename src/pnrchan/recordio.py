@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 SHOT_HEADER = "shot_id,symbol,n_t,n_r"
+_WRITE_BLOCK_ROWS = 65536
 
 
 def _umask():
@@ -60,11 +61,17 @@ def write_text_atomic(path, text):
 
 
 def write_shot_records(path, run: ExperimentRun):
-    """Serialize a run as shot-record CSV (one line per pulse)."""
-    lines = [SHOT_HEADER]
-    for i, (k, n, m) in enumerate(zip(run.symbols, run.n, run.m)):
-        lines.append(f"{i},{int(k)},{int(n)},{int(m)}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    """Serialize a run as shot-record CSV (one line per pulse).
+
+    Rows are formatted a block at a time with one %-format each, which is
+    several times faster than a format per row and bounds the temporaries.
+    """
+    rows = np.column_stack([np.arange(len(run)), run.symbols, run.n, run.m])
+    parts = [SHOT_HEADER + "\n"]
+    for start in range(0, len(rows), _WRITE_BLOCK_ROWS):
+        block = rows[start:start + _WRITE_BLOCK_ROWS]
+        parts.append(("%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist()))
+    write_text_atomic(path, "".join(parts))
 
 
 def read_shot_records(path) -> ExperimentRun:

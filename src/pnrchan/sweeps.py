@@ -109,6 +109,8 @@ class SweepSpec:
             raise ValidationError("security columns need a single visibility")
         if self.mode == "loss" and self.lo_mean is None:
             raise ValidationError("loss mode needs a fixed lo_mean")
+        if self.mode == "loss" and self.fixed_loss_db:
+            raise ValidationError("loss mode sweeps the loss; fixed_loss_db is for lo mode")
         _check_grid(self.grid)
         _check_tail_tol(self.tail_tol)
 

@@ -1,9 +1,11 @@
+import argparse
 import concurrent.futures
 import json
 import os
 import stat
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -308,15 +310,14 @@ class TestSweep:
         assert run_cli(*args, "--workers", "1", "-o", str(serial)) == 0
         assert capped.read_bytes() == serial.read_bytes()
 
-    def test_transmissivity_alternative_input(self, tmp_path):
-        by_loss = tmp_path / "a.csv"
-        by_t = tmp_path / "b.csv"
-        common = ("simulate", "--signal-mean", "2.0", "--lo-mean", "6.0",
-                  "--xi", "0.9", "--shots", "100", "--seed", "3")
-        assert run_cli(*common, "--loss-db", "3.0103", "-o", str(by_loss)) == 0
-        assert run_cli(*common, "--transmissivity", str(10 ** -0.30103),
-                       "-o", str(by_t)) == 0
-        assert by_loss.read_bytes() == by_t.read_bytes()
+    def test_fixed_loss_in_loss_mode_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run_cli("sweep", "--mode", "loss", "--signal-mean", "3.2",
+                       "--lo-mean", "12.15", "--grid", "0:13.44:3", "--loss-db", "3",
+                       "-o", str(out))
+        assert code == 1
+        assert "fixed_loss_db" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gnuplot_script_emission(self, tmp_path):
         out = tmp_path / "table.csv"
@@ -377,10 +378,144 @@ class TestPresets:
         assert run_cli("security", "--preset", "fig3",
                        "-o", str(tmp_path / "x.csv")) == 1
 
+    @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig6"])
+    def test_preset_keys_as_flags_write_the_preset_bytes(self, tmp_path, name):
+        with resources.as_file(resources.files("pnrchan") / "presets" / f"{name}.cfg") as path:
+            cfg = parse_config(path)
+        command = cfg.pop("command")
+        del cfg["description"]
+        flags = [arg for key, value in cfg.items()
+                 for arg in (f"--{key.replace('_', '-')}", value)]
+        by_preset, by_flags = tmp_path / "preset.csv", tmp_path / "flags.csv"
+        assert run_cli(command, "--preset", name, "-o", str(by_preset)) == 0
+        assert run_cli(command, *flags, "-o", str(by_flags)) == 0
+        assert by_preset.read_bytes() == by_flags.read_bytes()
+
     def test_config_parser(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# comment\nkey = some value\n\nother=2\n")
         assert parse_config(cfg) == {"key": "some value", "other": "2"}
+
+
+SWEEP_CFG = "mode = lo\nsignal_mean = 2.0\ngrid = 1:9:3\n"
+
+
+class TestConfigFiles:
+    """A config file is a list of the command's own flags, checked like flags."""
+
+    def run_config(self, tmp_path, capsys, text, command="sweep"):
+        cfg = tmp_path / "my.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        code = run_cli(command, "--config", str(cfg), "-o", str(out))
+        if code != 0:
+            assert not out.exists()
+        return code, capsys.readouterr().err
+
+    def test_unknown_key_is_named(self, tmp_path, capsys):
+        code, err = self.run_config(tmp_path, capsys, SWEEP_CFG + "lo_means = 7\n")
+        assert code == 1
+        assert err.startswith("pnrchan: error: ") and "'lo_means'" in err
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["my.cfg"]
+
+    def test_unparsable_value_is_one_line(self, tmp_path, capsys):
+        code, err = self.run_config(tmp_path, capsys,
+                                    "mode = lo\nsignal_mean = abc\ngrid = 1:9:3\n")
+        assert code == 1
+        assert err.startswith("pnrchan: error: ") and "'abc'" in err
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["my.cfg"]
+
+    @pytest.mark.parametrize("extra, message", [
+        ("preset = fig3\n", "'preset'"),
+        ("config = other.cfg\n", "'config'"),
+        ("command = security\n", "'security'"),
+        ("sig = 2.0\n", "'sig'"),
+    ])
+    def test_keys_that_are_not_this_commands_flags_rejected(self, tmp_path, capsys,
+                                                            extra, message):
+        code, err = self.run_config(tmp_path, capsys, SWEEP_CFG + extra)
+        assert code == 1
+        assert message in err and err.count("\n") == 1
+
+    def test_every_key_is_a_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "my.cfg"
+        cfg.write_text("command = simulate\ndescription = a small run\n"
+                       "signal_mean = 2.0\nlo_mean = 8.0\nxi = 0.9\nshots = 50\n"
+                       f"seed = 4\noutput = {tmp_path / 'a.csv'}\n")
+        assert run_cli("simulate", "--config", str(cfg)) == 0
+        assert run_cli("simulate", "--signal-mean", "2.0", "--lo-mean", "8.0",
+                       "--xi", "0.9", "--shots", "50", "--seed", "4",
+                       "-o", str(tmp_path / "b.csv")) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_value_that_looks_like_a_flag_reaches_the_command(self, tmp_path, capsys):
+        # spliced as --grid=-3:-1:3; as two words argparse would read the
+        # value as a flag and report a missing argument instead
+        code, err = self.run_config(tmp_path, capsys,
+                                    "mode = lo\nsignal_mean = 2.0\ngrid = -3:-1:3\n")
+        assert code == 1
+        assert "mean photon numbers must be >= 0" in err
+
+    def test_preset_and_config_are_exclusive(self, tmp_path):
+        cfg = tmp_path / "my.cfg"
+        cfg.write_text(SWEEP_CFG)
+        assert run_cli("sweep", "--preset", "fig3", "--config", str(cfg),
+                       "-o", str(tmp_path / "x.csv")) == 1
+
+
+class TestOptionSets:
+    """Every option each command takes, pinned: a new knob shows up here."""
+
+    OPTIONS = {
+        "sweep": ["--config", "--eve-lo-mean", "--gnuplot-script", "--grid", "--help",
+                  "--lo-mean", "--loss-db", "--mode", "--output", "--preset",
+                  "--security", "--signal-mean", "--strategies", "--tail-tol",
+                  "--workers", "--xi", "-h", "-o"],
+        "security": ["--config", "--eve-lo-mean", "--gnuplot-script", "--grid", "--help",
+                     "--lo-mean", "--output", "--preset", "--signal-mean", "--tail-tol",
+                     "--workers", "--xi", "-h", "-o"],
+        "simulate": ["--config", "--help", "--lo-mean", "--output", "--seed", "--shots",
+                     "--signal-mean", "--xi", "-h", "-o"],
+        "analyze": ["--help", "--known-lo-mean", "--known-signal-mean", "--output",
+                    "-h", "-o"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_option_strings_are_pinned(self, command):
+        subparsers = next(action for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        actions = subparsers.choices[command]._actions
+        assert sorted(s for a in actions for s in a.option_strings) == self.OPTIONS[command]
+
+    # each was a second spelling of another flag, or was accepted and ignored
+    @pytest.mark.parametrize("command, flag, value", [
+        ("sweep", "--alpha", "1.5"),
+        ("sweep", "--transmissivity", "0.5"),
+        ("security", "--alpha", "1.5"),
+        ("security", "--transmissivity", "0.5"),
+        ("security", "--loss-db", "7"),
+        ("simulate", "--alpha", "1.5"),
+        ("simulate", "--transmissivity", "0.5"),
+        ("simulate", "--loss-db", "9"),
+        ("simulate", "--preset", "fig3"),
+        ("simulate", "--tail-tol", "5"),
+    ])
+    def test_removed_option_is_rejected(self, tmp_path, capsys, command, flag, value):
+        base = {
+            "sweep": ("--mode", "loss", "--signal-mean", "3.2", "--lo-mean", "12.15",
+                      "--grid", "0:6:3"),
+            "security": ("--signal-mean", "3.2", "--lo-mean", "12.15", "--grid", "0:6:3"),
+            "simulate": ("--signal-mean", "2.0", "--lo-mean", "8.0", "--shots", "10"),
+        }[command]
+        out = tmp_path / "x.csv"
+        assert run_cli(command, *base, "-o", str(out)) == 0
+        out.unlink()
+        assert run_cli(command, *base, flag, value, "-o", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert not out.exists()
 
 
 class TestRecordIo:

@@ -207,7 +207,8 @@ class TestPluginMi:
         cells = np.argwhere(wf_grid.sum(axis=0) > 0)
         emp = EmpiricalDistributions(cells=cells, counts=wf_grid[:, cells[:, 0], cells[:, 1]],
                                      shots=(1, 1))
-        rep = plugin_mi(emp, priors=(0.5, 0.5))
+        rep = plugin_mi(emp)
+        assert rep.priors == (0.5, 0.5)
         assert rep.wf.value == pytest.approx(mi_wf(p), abs=1e-10)
         assert rep.hl.value == pytest.approx(mi_hl(p), abs=1e-10)
         assert rep.bds.value == pytest.approx(mi_bds(p), abs=1e-10)

@@ -177,9 +177,9 @@ class TestSkellam:
     def test_tiny_rates_against_arbitrary_precision_oracle(self, mu_t, mu_r):
         deltas, probs, tail = skellam_pmf_grid(mu_t, mu_r)
         assert tail <= DEFAULT_TAIL_TOL
-        assert abs(probs.sum() - 1.0) <= 1e-11
+        assert abs(probs.sum() - 1.0) <= 2e-14
         for delta, p in zip(deltas, probs):
-            assert abs(p - skellam_mpmath_oracle(mu_t, mu_r, int(delta))) <= 1e-12
+            assert abs(p - skellam_mpmath_oracle(mu_t, mu_r, int(delta))) <= 2e-14
 
     def test_normalization_random_grid(self):
         rng = np.random.default_rng(21)
