@@ -56,6 +56,13 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self.required_actions = []
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.required:
+            self.required_actions.append(action)
+        return action
 
     def error(self, message):
         raise ValidationError(message)
@@ -330,6 +337,7 @@ def build_parser():
     parser = _Parser(prog="pnrchan", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pnrchan {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices
     tail_tol_help = f"truncation tail tolerance (default {DEFAULT_TAIL_TOL:g})"
 
     sweep = subs.add_parser("sweep", help="MI sweep over LO energy or signal loss")
@@ -401,14 +409,36 @@ def build_parser():
     return parser
 
 
+def _unknown_args(argv):
+    """The arguments no flag of the command takes, or [] if argv does not parse.
+
+    argparse stops at a missing required argument before it reports unknown
+    ones, so this parses again with a parser whose commands require none.
+    """
+    parser = build_parser()
+    for command in parser.commands.values():
+        for action in command.required_actions:
+            action.required = False
+    try:
+        return parser.parse_known_args(argv)[1]
+    except ValidationError:
+        return []
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         argv, origins = _splice_sources(sys.argv[1:] if argv is None else list(argv))
-        ns, unknown = parser.parse_known_args(argv)
+        try:
+            ns, unknown = parser.parse_known_args(argv)
+            problem = ""
+        except ValidationError as exc:
+            unknown, problem = _unknown_args(argv), f"; {exc}"
+            if not unknown:
+                raise
         if unknown:
             parser.error("unrecognized arguments: "
-                         + " ".join(origins.get(arg, arg) for arg in unknown))
+                         + " ".join(origins.get(arg, arg) for arg in unknown) + problem)
         return ns.func(ns)
     except PnrchanError as exc:
         print(f"pnrchan: error: {exc}", file=sys.stderr)

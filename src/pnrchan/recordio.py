@@ -7,6 +7,7 @@ from the file alone.  All writes go through a write-then-rename so a failed
 run never leaves a partial file behind.
 """
 
+import contextlib
 import os
 import tempfile
 
@@ -36,19 +37,20 @@ def _umask():
     return mask
 
 
-def write_text_atomic(path, text):
-    """Write ``text`` to ``path`` via a same-directory temp file and rename.
+@contextlib.contextmanager
+def _atomic_output(path):
+    """A text handle on a same-directory temp file that is renamed to ``path``.
 
     The file is flushed to disk before the rename, and it gets the mode an
     ordinary ``open`` would give it (0o666 less the umask) rather than the
-    owner-only mode of the temp file.
+    owner-only mode of the temp file.  On any failure the temp file goes.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".pnrchan-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             os.chmod(tmp_path, 0o666 & ~_umask())
-            handle.write(text)
+            yield handle
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
@@ -60,24 +62,83 @@ def write_text_atomic(path, text):
         raise
 
 
+def write_text_atomic(path, text):
+    """Write ``text`` to ``path`` atomically (see ``_atomic_output``)."""
+    with _atomic_output(path) as handle:
+        handle.write(text)
+
+
 def write_shot_records(path, run: ExperimentRun):
     """Serialize a run as shot-record CSV (one line per pulse).
 
     Rows are formatted a block at a time with one %-format each, which is
-    several times faster than a format per row and bounds the temporaries.
+    several times faster than a format per row, and each block goes straight
+    to the file, so memory stays bounded by the block.
     """
-    rows = np.column_stack([np.arange(len(run)), run.symbols, run.n, run.m])
-    parts = [SHOT_HEADER + "\n"]
-    for start in range(0, len(rows), _WRITE_BLOCK_ROWS):
-        block = rows[start:start + _WRITE_BLOCK_ROWS]
-        parts.append(("%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist()))
-    write_text_atomic(path, "".join(parts))
+    with _atomic_output(path) as handle:
+        handle.write(SHOT_HEADER + "\n")
+        for start in range(0, len(run), _WRITE_BLOCK_ROWS):
+            stop = min(start + _WRITE_BLOCK_ROWS, len(run))
+            block = np.column_stack([np.arange(start, stop), run.symbols[start:stop],
+                                     run.n[start:stop], run.m[start:stop]])
+            handle.write(("%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist()))
+
+
+# The form write_shot_records writes: the header on line 1, then LF-ended
+# rows of digits and commas.  Every other file is left to the line parser.
+_PLAIN_HEADER = (SHOT_HEADER + "\n").encode()
+_PLAIN_BODY = b"0123456789,\n"
+_SCAN_BYTES = 1 << 20
+
+
+def _is_plain(path):
+    """Whether the file is in the written form, with at least one row."""
+    with open(path, "rb") as handle:
+        if handle.read(len(_PLAIN_HEADER)) != _PLAIN_HEADER:
+            return False
+        has_rows = False
+        for chunk in iter(lambda: handle.read(_SCAN_BYTES), b""):
+            if chunk.translate(None, _PLAIN_BODY):
+                return False
+            has_rows = has_rows or bool(chunk.strip(b"\n"))
+    return has_rows
 
 
 def read_shot_records(path) -> ExperimentRun:
-    """Parse a shot-record file; malformed content names the offending line."""
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = handle.read().splitlines()
+    """Parse a shot-record file; malformed content names the offending line.
+
+    Files in the written form are parsed in one vectorised pass and checked
+    a column at a time.  Any other file, or one whose columns fail the
+    checks, goes through the line parser, which returns the same run or
+    raises the error that names the line.
+    """
+    if _is_plain(path):
+        try:
+            table = np.loadtxt(path, delimiter=",", dtype=np.int64, comments=None,
+                               ndmin=2, skiprows=1)
+            if table.shape[1] == 4:
+                n, m = table[:, 2].copy(), table[:, 3].copy()
+                # check on int64, then cast: a symbol of 257 would wrap to 1 in uint8
+                ExperimentRun(symbols=table[:, 1], n=n, m=m)
+                return ExperimentRun(symbols=table[:, 1].astype(np.uint8), n=n, m=m)
+        except ValueError:  # a field loadtxt cannot parse, or a ValidationError
+            pass
+    return _read_shot_lines(path)
+
+
+def _read_shot_lines(path) -> ExperimentRun:
+    """The line-by-line parser: every field through ``int()``, errors by line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ValidationError(
+            f"{path}: line {line_no}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from exc
+    del data
+    raw = text.splitlines()
     lines = [(idx + 1, line) for idx, line in enumerate(raw)
              if line.strip() and not line.lstrip().startswith("#")]
     if not lines:

@@ -88,6 +88,32 @@ class TestSimulateAnalyze:
         assert run_cli("analyze", str(path)) == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_analyze_of_an_undecodable_file_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"shot_id,symbol,n_t,n_r\n0,0,1,2\n1,1,\xff3,0\n")
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", str(path), "-o", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == (f"pnrchan: error: {path}: line 3: byte 0xff is not UTF-8 "
+                       "(invalid start byte)\n")
+        assert not out.exists()
+
+    def test_analyze_ignores_line_ends_comments_and_blank_lines(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        assert run_cli("simulate", "--signal-mean", "3.07", "--lo-mean", "12.17",
+                       "--xi", "0.94", "--shots", "300", "--seed", "3",
+                       "-o", str(plain)) == 0
+        header, *rows = plain.read_text().splitlines()
+        rows[100:100] = ["# a note in the body", "", "   "]
+        dressed = tmp_path / "dressed.csv"
+        dressed.write_bytes("\r\n".join(["# provenance", "", header, *rows, ""]).encode())
+        reports = []
+        for path in (plain, dressed):
+            reports.append(tmp_path / f"{path.stem}.json")
+            assert run_cli("analyze", str(path), "--known-lo-mean", "12.17",
+                           "-o", str(reports[-1])) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
     # the first overflows int64, the second only the law's 31-bit count bound
     @pytest.mark.parametrize("count", ["99999999999999999999", "2147483648"])
     def test_analyze_names_a_count_too_large(self, tmp_path, capsys, count):
@@ -515,6 +541,13 @@ class TestOptionSets:
         assert run_cli(command, *base, flag, value, "-o", str(out)) == 1
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {flag} {value}" in err
+        assert not out.exists()
+        # named also when the command's required flags are missing
+        assert run_cli(command, flag, value, "-o", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"pnrchan: error: unrecognized arguments: {flag} {value}; "
+                              "the following arguments are required: ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
 

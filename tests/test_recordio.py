@@ -1,0 +1,173 @@
+"""The shot-file reader: the vectorised pass against the line parser.
+
+``read_shot_records`` parses files in the form ``write_shot_records`` writes
+with ``np.loadtxt`` and leaves every other file to ``_read_shot_lines``.  The
+two must agree on every input: the same arrays and dtypes, or the same error
+naming the same line.
+"""
+
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pnrchan import ExperimentRun, ValidationError, recordio
+from pnrchan.montecarlo import MAX_COUNT
+from pnrchan.recordio import SHOT_HEADER, read_shot_records, write_shot_records
+
+PROPERTIES = settings(derandomize=True, database=None, max_examples=400, deadline=None)
+
+# fields int() accepts and np.loadtxt does not, and fields both reject
+ODD_FIELDS = ["+3", " 3 ", "3_000", "\uff13", "3.0", "0x3", "", "-1", "2", "257",
+              str(MAX_COUNT), str(MAX_COUNT + 1), "-0", "0" * 25 + "1", str(2**63),
+              "1\x0c0", "1\x1c0", "1\u20280", "3\x0c", "\x1c3", "3\x0b"]
+# whole lines, before or after the header: blank, comments, wrong field counts
+ODD_LINES = ["", "   ", "\t", "# a comment", "  #0,1,2,3", "# \u00b5 note", "# a\x0cb",
+             "#\x1c", "0,1,2,3,", "0,1,2", "0,1,2,3,4", ",,,", str(2**64) + ",1,0,0"]
+ODD_HEADERS = [f"  {SHOT_HEADER} ", "shot_id,symbol,n_t", f"\ufeff{SHOT_HEADER}"]
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0c", "\x1c", "\x0b", "\u2028", " ", ""]
+
+
+def plain_row(shot):
+    return st.tuples(st.integers(0, 1), st.integers(0, 30), st.integers(0, 30)).map(
+        lambda row: f"{shot},{row[0]},{row[1]},{row[2]}")
+
+
+@st.composite
+def shot_files(draw):
+    """A shot file as simulate writes it (CRLF-ended one time in four), with
+    up to three odd edits.
+
+    Few edits keep most of the file plain, so each odd form meets the
+    vectorised pass on its own where it can.
+    """
+    rows = [draw(plain_row(shot)) for shot in range(draw(st.integers(1, 6)))]
+    lines = [SHOT_HEADER, *rows]
+    ends = [draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))] * len(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["field"] * 4 + ["line"] * 2 + ["width", "header", "end"]))
+        if edit == "field":
+            row = draw(st.integers(len(lines) - len(rows), len(lines) - 1))
+            fields = lines[row].split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(ODD_FIELDS))
+            lines[row] = ",".join(fields)
+        elif edit == "line":
+            at = draw(st.integers(0, len(lines)))
+            lines.insert(at, draw(st.sampled_from(ODD_LINES)))
+            ends.insert(at, ends[0])
+        elif edit == "width":  # every row loses a field, or every row gains one
+            grow = draw(st.booleans())
+            rows = [row + ",7" if grow else row.rsplit(",", 1)[0] for row in rows]
+            lines[len(lines) - len(rows):] = rows
+        elif edit == "header" and SHOT_HEADER in lines:
+            lines[lines.index(SHOT_HEADER)] = draw(st.sampled_from(ODD_HEADERS))
+        elif edit == "end":
+            ends[draw(st.integers(0, len(ends) - 1))] = draw(st.sampled_from(LINE_ENDS))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def outcome(reader, path):
+    try:
+        run = reader(path)
+    except ValidationError as exc:
+        return str(exc)
+    return [(column.dtype.str, column.tolist()) for column in (run.symbols, run.n, run.m)]
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("shots") / "shots.csv"
+
+
+@pytest.mark.filterwarnings("error::UserWarning")  # loadtxt warns on an empty body
+@PROPERTIES
+@given(text=shot_files())
+def test_fast_reader_agrees_with_the_line_parser(scratch, text):
+    scratch.write_bytes(text.encode("utf-8"))
+    assert outcome(read_shot_records, scratch) == outcome(recordio._read_shot_lines, scratch)
+
+
+def test_written_files_take_the_vectorised_pass(tmp_path, monkeypatch):
+    path = tmp_path / "shots.csv"
+    write_shot_records(path, ExperimentRun(symbols=np.array([0, 1], dtype=np.uint8),
+                                           n=np.array([1, 3]), m=np.array([2, 0])))
+    expected = outcome(recordio._read_shot_lines, path)
+
+    def refuse(_path):
+        raise AssertionError("the line parser ran on a written file")
+
+    monkeypatch.setattr(recordio, "_read_shot_lines", refuse)
+    assert outcome(read_shot_records, path) == expected
+
+
+# np.loadtxt reads each of these as plain rows; str.splitlines breaks them
+@pytest.mark.parametrize("text", [
+    "shot_id,symbol,n_t,n_r\n0,0,3\x0c,2\n1,1,1,1\n",
+    "shot_id,symbol,n_t,n_r\n0,0\x1c,1,2\n1,1,1,1\n",
+    "shot_id,symbol,n_t,n_r\n0,0,1,\x0b2\n1,1,1,1\n",
+    "# a\x0cb\nshot_id,symbol,n_t,n_r\n0,0,1,2\n1,1,1,1\n",
+])
+def test_other_line_breaks_are_left_to_the_line_parser(tmp_path, text):
+    path = tmp_path / "shots.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValidationError, match="line 2: "):
+        read_shot_records(path)
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+@pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n"])
+def test_header_only_file_is_named_without_a_warning(tmp_path, body):
+    path = tmp_path / "shots.csv"
+    path.write_bytes(f"{SHOT_HEADER}\n{body}".encode())
+    with pytest.raises(ValidationError, match="no shot records after the header"):
+        read_shot_records(path)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("1,257,3,0", "line 3: symbol must be 0 or 1"),
+    ("1,1,3", "line 3: expected 4 comma-separated fields, got 3"),
+])
+def test_columns_that_fail_their_checks_name_the_line(tmp_path, line, message):
+    path = tmp_path / "shots.csv"
+    path.write_text(f"shot_id,symbol,n_t,n_r\n0,0,1,2\n{line}\n")
+    with pytest.raises(ValidationError, match=message):
+        read_shot_records(path)
+
+
+def test_reader_peak_memory_is_a_few_times_the_file(tmp_path):
+    rng = np.random.default_rng(3)
+    shots = 100_000
+    run = ExperimentRun(symbols=rng.integers(0, 2, shots, dtype=np.uint8),
+                        n=rng.poisson(12.0, shots), m=rng.poisson(9.0, shots))
+    path = tmp_path / "shots.csv"
+    write_shot_records(path, run)
+    tracemalloc.start()
+    try:
+        back = read_shot_records(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back.n, run.n)
+    assert peak < 8 * os.path.getsize(path)
+
+
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    run = ExperimentRun(symbols=np.zeros(10, dtype=np.uint8), n=np.arange(10),
+                        m=np.arange(10))
+    calls = []
+    real_column_stack = np.column_stack
+
+    def failing_column_stack(columns):
+        calls.append(1)
+        if len(calls) == 2:
+            raise MemoryError
+        return real_column_stack(columns)
+
+    monkeypatch.setattr(recordio, "_WRITE_BLOCK_ROWS", 4)
+    monkeypatch.setattr(recordio.np, "column_stack", failing_column_stack)
+    with pytest.raises(MemoryError):
+        write_shot_records(tmp_path / "shots.csv", run)
+    assert not list(tmp_path.iterdir())
