@@ -39,7 +39,6 @@ from .sweeps import (
     STRATEGIES,
     SecuritySpec,
     SweepSpec,
-    resolve_workers,
     run_security,
     run_sweep,
 )
@@ -179,7 +178,7 @@ def _cmd_sweep(ns):
         eve_lo_mean=ns.eve_lo_mean,
         tail_tol=ns.tail_tol,
     )
-    columns, rows = run_sweep(spec, workers=resolve_workers(ns.workers))
+    columns, rows = run_sweep(spec)
     preamble = [("command", "sweep"), ("mode", spec.mode),
                 ("signal_mean", f"{spec.signal_mean:.12g}")]
     if spec.lo_mean is not None:
@@ -218,7 +217,7 @@ def _cmd_security(ns):
         eve_lo_mean=ns.eve_lo_mean,
         tail_tol=ns.tail_tol,
     )
-    columns, rows = run_security(spec, workers=resolve_workers(ns.workers))
+    columns, rows = run_security(spec)
     preamble = [
         ("command", "security"),
         ("signal_mean", f"{spec.signal_mean:.12g}"),
@@ -360,7 +359,6 @@ def build_parser():
                        help=f"comma subset of {','.join(SECURITY_SCENARIOS)}")
     sweep.add_argument("--eve-lo-mean", type=float)
     sweep.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL, help=tail_tol_help)
-    sweep.add_argument("--workers", type=int)
     sweep.add_argument("--gnuplot-script", help="also write a gnuplot script for the table")
     sweep.add_argument("-o", "--output", required=True)
     sweep.set_defaults(func=_cmd_sweep)
@@ -378,7 +376,6 @@ def build_parser():
     security.add_argument("--eve-lo-mean", type=float)
     security.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL,
                           help=tail_tol_help)
-    security.add_argument("--workers", type=int)
     security.add_argument("--gnuplot-script",
                           help="also write a gnuplot script for the table")
     security.add_argument("-o", "--output", required=True)

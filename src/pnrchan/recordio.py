@@ -8,6 +8,7 @@ run never leaves a partial file behind.
 """
 
 import contextlib
+import io
 import os
 import tempfile
 
@@ -126,19 +127,24 @@ def read_shot_records(path) -> ExperimentRun:
     return _read_shot_lines(path)
 
 
-def _read_shot_lines(path) -> ExperimentRun:
-    """The line-by-line parser: every field through ``int()``, errors by line."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+def _decode_utf8(path, data, splitlines=str.splitlines):
+    """``data`` as text; a byte that is not UTF-8 is named with its line.
+
+    Lines are counted the way the caller splits the text, by ``splitlines``.
+    """
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        line_no = len(splitlines(data[:exc.start].decode("utf-8") + "x"))
         raise ValidationError(
             f"{path}: line {line_no}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
         ) from exc
-    del data
-    raw = text.splitlines()
+
+
+def _read_shot_lines(path) -> ExperimentRun:
+    """The line-by-line parser: every field through ``int()``, errors by line."""
+    with open(path, "rb") as handle:
+        raw = _decode_utf8(path, handle.read()).splitlines()
     lines = [(idx + 1, line) for idx, line in enumerate(raw)
              if line.strip() and not line.lstrip().startswith("#")]
     if not lines:
@@ -233,18 +239,24 @@ def render_gnuplot_script(csv_path, columns, title) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _config_lines(text):
+    """The lines of ``text`` as a file opened in text mode reads them: LF, CRLF or CR."""
+    return io.StringIO(text, newline=None).readlines()
+
+
 def parse_config(path) -> dict:
     """Read a flat ``key = value`` config file; later keys win."""
     out = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ValidationError(
-                    f"{path}: line {line_no}: expected 'key = value'"
-                )
-            key, _, value = stripped.partition("=")
-            out[key.strip()] = value.strip()
+    with open(path, "rb") as handle:
+        text = _decode_utf8(path, handle.read(), _config_lines)
+    for line_no, line in enumerate(_config_lines(text), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ValidationError(
+                f"{path}: line {line_no}: expected 'key = value'"
+            )
+        key, _, value = stripped.partition("=")
+        out[key.strip()] = value.strip()
     return out

@@ -2,13 +2,9 @@
 
 A sweep walks a strictly monotone grid (LO energy or signal loss), computes
 the requested information figures per point, and returns rows in grid order.
-Grid points are independent pure computations, so they may be farmed out to
-a process pool; rows are assembled in grid order regardless of completion
-order, which keeps the output byte-identical for any worker count.
 """
 
 import math
-import os
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -27,7 +23,6 @@ __all__ = [
     "security_columns",
     "run_sweep",
     "run_security",
-    "resolve_workers",
 ]
 
 STRATEGIES = ("wf", "hl", "bds", "hom")
@@ -40,8 +35,6 @@ SECURITY_SCENARIOS = {
               "k_ca_wf", "k_ca_bds"),
 }
 _REPORT_COLUMNS = tuple(f.name for f in fields(SecurityReport) if f.name != "error_bound")
-
-WORKERS_ENV = "PNRCHAN_WORKERS"
 
 
 def _check_tail_tol(tail_tol):
@@ -142,8 +135,7 @@ def _bob_params(spec: SweepSpec, value, xi):
     )
 
 
-def _sweep_row(args):
-    spec, value = args
+def _sweep_row(spec, value):
     if spec.mode == "lo":
         cells = [value]
     else:
@@ -196,8 +188,7 @@ def security_columns():
     return ["loss_db", "transmissivity", "signal_mean", *_REPORT_COLUMNS, "trunc_err"]
 
 
-def _security_row(args):
-    spec, loss_db = args
+def _security_row(spec, loss_db):
     t = loss_db_to_transmissivity(loss_db)
     bob = ChannelParams(
         alpha=spec.signal_mean ** 0.5,
@@ -210,41 +201,11 @@ def _security_row(args):
             *(getattr(rep, c) for c in _REPORT_COLUMNS), rep.error_bound]
 
 
-def resolve_workers(flag_value=None):
-    """Worker count: explicit flag, else the environment, else 1."""
-    if flag_value is not None:
-        value = flag_value
-    else:
-        env = os.environ.get(WORKERS_ENV)
-        if env is None:
-            return 1
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"{WORKERS_ENV} must be an integer") from exc
-    if value < 1:
-        raise ValidationError("worker count must be >= 1")
-    return value
-
-
-def _map_rows(row_func, spec, grid, workers):
-    tasks = [(spec, value) for value in grid]
-    # workers beyond the grid size or the core count only add interpreter starts
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return [row_func(task) for task in tasks]
-    # imported here so that serial runs never load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(row_func, tasks))
-
-
-def run_sweep(spec: SweepSpec, workers=1):
+def run_sweep(spec: SweepSpec):
     """Evaluate a MI sweep; returns (columns, rows) in grid order."""
-    return sweep_columns(spec), _map_rows(_sweep_row, spec, spec.grid, workers)
+    return sweep_columns(spec), [_sweep_row(spec, value) for value in spec.grid]
 
 
-def run_security(spec: SecuritySpec, workers=1):
+def run_security(spec: SecuritySpec):
     """Evaluate a security sweep; returns (columns, rows) in grid order."""
-    return security_columns(), _map_rows(_security_row, spec, spec.grid, workers)
+    return security_columns(), [_security_row(spec, loss_db) for loss_db in spec.grid]

@@ -1,5 +1,5 @@
 import argparse
-import concurrent.futures
+import ast
 import json
 import os
 import stat
@@ -254,21 +254,28 @@ class TestSweep:
         assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
-    def test_workers_do_not_change_bytes(self, tmp_path):
-        a, b = tmp_path / "w1.csv", tmp_path / "w8.csv"
-        args = ("sweep", "--mode", "loss", "--signal-mean", "3.2",
-                "--lo-mean", "12.15", "--xi", "0.94", "--grid", "0:13.44:7",
-                "--strategies", "wf,bds", "--security", "ia-dr,ia-rr")
-        assert run_cli(*args, "--workers", "1", "-o", str(a)) == 0
-        assert run_cli(*args, "--workers", "4", "-o", str(b)) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_rerun_is_idempotent(self, tmp_path):
         a, b = tmp_path / "r1.csv", tmp_path / "r2.csv"
-        args = ("sweep", "--preset", "fig3")
-        assert run_cli(*args, "-o", str(a)) == 0
-        assert run_cli(*args, "-o", str(b)) == 0
-        assert a.read_bytes() == b.read_bytes()
+        for args in [
+            ("sweep", "--preset", "fig3"),
+            ("sweep", "--mode", "loss", "--signal-mean", "3.2", "--lo-mean", "12.15",
+             "--xi", "0.94", "--grid", "0:13.44:7", "--strategies", "wf,bds",
+             "--security", "ia-dr,ia-rr"),
+            ("security", "--preset", "fig5"),
+        ]:
+            assert run_cli(*args, "-o", str(a)) == 0
+            assert run_cli(*args, "-o", str(b)) == 0
+            assert a.read_bytes() == b.read_bytes(), args
+
+    def test_workers_environment_variable_is_ignored(self, tmp_path, monkeypatch):
+        args = ("sweep", "--mode", "lo", "--signal-mean", "2.0",
+                "--grid", "1:5:4", "--strategies", "hl")
+        plain, with_env = tmp_path / "plain.csv", tmp_path / "env.csv"
+        monkeypatch.delenv("PNRCHAN_WORKERS", raising=False)
+        assert run_cli(*args, "-o", str(plain)) == 0
+        monkeypatch.setenv("PNRCHAN_WORKERS", "zero")
+        assert run_cli(*args, "-o", str(with_env)) == 0
+        assert plain.read_bytes() == with_env.read_bytes()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "my.cfg"
@@ -289,52 +296,6 @@ class TestSweep:
         header = [l for l in out.read_text().splitlines()
                   if not l.startswith("#")][0]
         assert header == "lo_mean,i_wf[xi=0.86],i_wf[xi=0.91],trunc_err"
-
-    def test_workers_env_variable(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PNRCHAN_WORKERS", "2")
-        out = tmp_path / "env.csv"
-        assert run_cli("sweep", "--mode", "lo", "--signal-mean", "2.0",
-                       "--grid", "1:5:4", "--strategies", "hl",
-                       "-o", str(out)) == 0
-        monkeypatch.setenv("PNRCHAN_WORKERS", "zero")
-        assert run_cli("sweep", "--mode", "lo", "--signal-mean", "2.0",
-                       "--grid", "1:5:4", "--strategies", "hl",
-                       "-o", str(out)) == 1
-
-    @pytest.mark.parametrize("cpus", [None, 1, 2, 64])
-    @pytest.mark.parametrize("via_env", [False, True])
-    def test_absurd_worker_count_is_capped(self, tmp_path, monkeypatch, cpus, via_env):
-        pools = []
-
-        class InlinePool:
-            """Records the requested worker count and maps in this process."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, func, tasks):
-                return map(func, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        args = ("sweep", "--mode", "lo", "--signal-mean", "2.0",
-                "--grid", "1:5:4", "--strategies", "hl")
-        absurd = ()
-        if via_env:
-            monkeypatch.setenv("PNRCHAN_WORKERS", "1000000000")
-        else:
-            absurd = ("--workers", "1000000000")
-        capped, serial = tmp_path / "capped.csv", tmp_path / "serial.csv"
-        assert run_cli(*args, *absurd, "-o", str(capped)) == 0
-        assert pools == ([] if (cpus or 1) == 1 else [min(cpus, 4)])
-        assert run_cli(*args, "--workers", "1", "-o", str(serial)) == 0
-        assert capped.read_bytes() == serial.read_bytes()
 
     def test_fixed_loss_in_loss_mode_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -458,6 +419,7 @@ class TestConfigFiles:
         ("config = other.cfg\n", "'config'"),
         ("command = security\n", "'security'"),
         ("sig = 2.0\n", "'sig'"),
+        ("workers = 2\n", "'workers'"),
     ])
     def test_keys_that_are_not_this_commands_flags_rejected(self, tmp_path, capsys,
                                                             extra, message):
@@ -484,6 +446,20 @@ class TestConfigFiles:
         assert code == 1
         assert "mean photon numbers must be >= 0" in err
 
+    @pytest.mark.parametrize("data, line_no", [
+        (b"mode = lo\nsignal_mean = 2.0\xff\ngrid = 1:9:3\n", 2),
+        # lines end as in text mode, at LF, CRLF or CR; a form feed ends none
+        (b"mode = lo\r\nxi = 0.9\x0c\rsignal_mean = \xff2\ngrid = 1:9:3\n", 3),
+    ])
+    def test_undecodable_file_is_one_line(self, tmp_path, capsys, data, line_no):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(data)
+        out = tmp_path / "x.csv"
+        assert run_cli("sweep", "--config", str(cfg), "-o", str(out)) == 1
+        assert capsys.readouterr().err == (f"pnrchan: error: {cfg}: line {line_no}: "
+                                           "byte 0xff is not UTF-8 (invalid start byte)\n")
+        assert not out.exists()
+
     def test_preset_and_config_are_exclusive(self, tmp_path):
         cfg = tmp_path / "my.cfg"
         cfg.write_text(SWEEP_CFG)
@@ -498,10 +474,10 @@ class TestOptionSets:
         "sweep": ["--config", "--eve-lo-mean", "--gnuplot-script", "--grid", "--help",
                   "--lo-mean", "--loss-db", "--mode", "--output", "--preset",
                   "--security", "--signal-mean", "--strategies", "--tail-tol",
-                  "--workers", "--xi", "-h", "-o"],
+                  "--xi", "-h", "-o"],
         "security": ["--config", "--eve-lo-mean", "--gnuplot-script", "--grid", "--help",
                      "--lo-mean", "--output", "--preset", "--signal-mean", "--tail-tol",
-                     "--workers", "--xi", "-h", "-o"],
+                     "--xi", "-h", "-o"],
         "simulate": ["--config", "--help", "--lo-mean", "--output", "--seed", "--shots",
                      "--signal-mean", "--xi", "-h", "-o"],
         "analyze": ["--help", "--known-lo-mean", "--known-signal-mean", "--output",
@@ -515,13 +491,16 @@ class TestOptionSets:
         actions = subparsers.choices[command]._actions
         assert sorted(s for a in actions for s in a.option_strings) == self.OPTIONS[command]
 
-    # each was a second spelling of another flag, or was accepted and ignored
+    # each was a second spelling of another flag, was accepted and ignored, or
+    # chose the process pool that rows are no longer built in
     @pytest.mark.parametrize("command, flag, value", [
         ("sweep", "--alpha", "1.5"),
         ("sweep", "--transmissivity", "0.5"),
+        ("sweep", "--workers", "2"),
         ("security", "--alpha", "1.5"),
         ("security", "--transmissivity", "0.5"),
         ("security", "--loss-db", "7"),
+        ("security", "--workers", "1000000000"),
         ("simulate", "--alpha", "1.5"),
         ("simulate", "--transmissivity", "0.5"),
         ("simulate", "--loss-db", "9"),
@@ -540,7 +519,7 @@ class TestOptionSets:
         out.unlink()
         assert run_cli(command, *base, flag, value, "-o", str(out)) == 1
         err = capsys.readouterr().err
-        assert f"unrecognized arguments: {flag} {value}" in err
+        assert err == f"pnrchan: error: unrecognized arguments: {flag} {value}\n"
         assert not out.exists()
         # named also when the command's required flags are missing
         assert run_cli(command, flag, value, "-o", str(out)) == 1
@@ -549,6 +528,25 @@ class TestOptionSets:
                               "the following arguments are required: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+class TestEnvironment:
+    """Every environment read in the package, pinned: a new knob shows up here."""
+
+    NAMES = ("environ", "environb", "getenv", "getenvb")
+    READS = []
+
+    def test_environment_reads_are_pinned(self):
+        reads = []
+        for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+                if isinstance(node, ast.Attribute) and node.attr in self.NAMES:
+                    reads.append(f"{path.name}: {ast.unparse(node)}")
+                elif isinstance(node, ast.Name) and node.id in self.NAMES:
+                    reads.append(f"{path.name}: {node.id}")
+                elif isinstance(node, ast.alias) and node.name in self.NAMES:
+                    reads.append(f"{path.name}: import {node.name}")
+        assert reads == self.READS
 
 
 class TestRecordIo:
@@ -602,7 +600,7 @@ class TestRecordIo:
 class TestProcess:
     def test_out_of_memory_is_one_line_without_traceback(self, tmp_path, monkeypatch,
                                                          capsys):
-        def exhaust(spec, workers=1):
+        def exhaust(spec):
             raise MemoryError
 
         monkeypatch.setattr(cli, "run_sweep", exhaust)
