@@ -254,15 +254,24 @@ class TestSweep:
         assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+    def test_workers_do_not_change_bytes(self, tmp_path):
+        # Each row depends on its grid point alone: cutting the grid into
+        # one-point runs, as any split of the work would, gives the same bytes.
+        args = ("sweep", "--mode", "loss", "--signal-mean", "3.2",
+                "--lo-mean", "12.15", "--xi", "0.94", "--strategies", "wf,bds",
+                "--security", "ia-dr,ia-rr")
+        whole, part = tmp_path / "whole.csv", tmp_path / "part.csv"
+        assert run_cli(*args, "--grid", "0:13.44:7", "-o", str(whole)) == 0
+        header, *rows = [l for l in whole.read_text().splitlines()
+                         if not l.startswith("#")]
+        assert header.startswith("loss_db,") and len(rows) == 7
+        for value, row in zip(np.linspace(0, 13.44, 7), rows):
+            assert run_cli(*args, "--grid", repr(float(value)), "-o", str(part)) == 0
+            assert part.read_text().splitlines()[-2:] == [header, row]
+
     def test_rerun_is_idempotent(self, tmp_path):
         a, b = tmp_path / "r1.csv", tmp_path / "r2.csv"
-        for args in [
-            ("sweep", "--preset", "fig3"),
-            ("sweep", "--mode", "loss", "--signal-mean", "3.2", "--lo-mean", "12.15",
-             "--xi", "0.94", "--grid", "0:13.44:7", "--strategies", "wf,bds",
-             "--security", "ia-dr,ia-rr"),
-            ("security", "--preset", "fig5"),
-        ]:
+        for args in [("sweep", "--preset", "fig3"), ("security", "--preset", "fig5")]:
             assert run_cli(*args, "-o", str(a)) == 0
             assert run_cli(*args, "-o", str(b)) == 0
             assert a.read_bytes() == b.read_bytes(), args
