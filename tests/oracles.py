@@ -2,18 +2,21 @@
 
 The package computes every readout from the certified count-difference law.
 The routes here take the long way round on purpose -- the full count-pair
-grid, the four-index joint law of the symbol and both receivers, a
-number-basis diagonalization, adaptive quadrature of the homodyne entropy --
+grid, the four-index joint law of the symbol and both receivers, the dense
+Bob x Eve joint of the two difference laws, a number-basis diagonalization,
+adaptive quadrature of the homodyne entropy --
 so the tests can compare production against something that shares none of
-its shortcuts.  They only run at small windows.
+its shortcuts.  They only run at small windows, except the exactly summed
+I(B;E) reference, which works through the dense joint in row blocks.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from pnrchan import (
     NumericsError,
@@ -22,6 +25,7 @@ from pnrchan import (
     eve_params,
     homodyne_mean,
     mutual_information,
+    shannon_entropy,
 )
 from pnrchan.receivers import (
     DEFAULT_TAIL_TOL,
@@ -144,6 +148,44 @@ def joint_abe_pmf(bob, tail_tol=DEFAULT_TAIL_TOL):
     probs[0] = q0 * np.einsum("ab,cd->abcd", grid_b1.T, grid_e1.T)
     probs[1] = q1 * np.einsum("ab,cd->abcd", grid_b1, grid_e1)
     return probs
+
+
+# ---------------------------------------------------------------------------
+# Dense Bob x Eve joint of the two difference laws
+# ---------------------------------------------------------------------------
+
+def mi_bob_eve_dense(bob_law, eve_law, priors):
+    """I(B;E) in bits from the dense w_B x w_E joint q0 b0 e0 + q1 b1 e1."""
+    q0, q1 = priors
+    _, b0, b1, _ = bob_law
+    _, e0, e1, _ = eve_law
+    joint = q0 * np.outer(b0, e0) + q1 * np.outer(b1, e1)
+    return (shannon_entropy(joint.sum(axis=1)) + shannon_entropy(joint.sum(axis=0))
+            - shannon_entropy(joint.ravel()))
+
+
+def mi_bob_eve_fsum(bob_law, eve_law, priors, block_cells=1 << 20):
+    """:func:`mi_bob_eve_dense` with every entropy summed exactly by ``math.fsum``.
+
+    The marginals are the joint's own, q0 b0 sum(e0) + q1 b1 sum(e1) and its
+    transpose, with the masses summed exactly; the joint is formed one block
+    of Bob's rows at a time, so memory stays at ``block_cells`` cells.
+    """
+    q0, q1 = priors
+    _, b0, b1, _ = bob_law
+    _, e0, e1, _ = eve_law
+
+    def terms(p):
+        return (-xlogy(p, p)).ravel().tolist()
+
+    mass = [math.fsum(p.tolist()) for p in (b0, b1, e0, e1)]
+    h_b = math.fsum(terms(q0 * mass[2] * b0 + q1 * mass[3] * b1))
+    h_e = math.fsum(terms(q0 * mass[0] * e0 + q1 * mass[1] * e1))
+    rows = max(1, block_cells // len(e0))
+    h_be = math.fsum(itertools.chain.from_iterable(
+        terms(q0 * np.outer(b0[i:i + rows], e0) + q1 * np.outer(b1[i:i + rows], e1))
+        for i in range(0, len(b0), rows)))
+    return (h_b + h_e - h_be) / math.log(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Guards that keep the checked-in benchmark runnable against the package.
 
 The preset tables must stay within 1e-9 of the reference tables the
-benchmark checks against, every function the benchmark's tracer wraps
+benchmark checks against, the bright security table must pass the
+benchmark's own output check, every function the benchmark's tracer wraps
 must still exist where it looks for it, and every result its span summaries
 read must still have the fields they read.
 """
@@ -40,12 +41,25 @@ def test_preset_matches_reference_table(tmp_path, preset):
                 assert abs(float(cell) - float(ref_cell)) <= 1e-9, column
 
 
-@pytest.fixture(scope="module")
-def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return load_perfbench("spans")
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_bright_security_table_passes_the_benchmark_check(tmp_path, seed):
+    bright = load_perfbench("workloads").Bright(seed, tmp_path)
+    command = next(c for c in bright.commands if c.name == "security")
+    assert cli.main(command.argv) == 0
+    assert bright.check(command) == []
 
 
 def test_every_traced_name_resolves(spans):

@@ -348,6 +348,20 @@ class TestSecurityCommand:
         assert row["k_dr"] == "undefined"
         assert row["i_ab_wf"] == "0"
 
+    @pytest.mark.parametrize("channel", [
+        ("--signal-mean", "3", "--lo-mean", "3000", "--xi", "0", "--grid", "3"),
+        ("--signal-mean", "3", "--lo-mean", "0", "--xi", "0.9", "--grid", "3"),
+    ])
+    def test_symbol_blind_bob_prints_exact_zeros(self, tmp_path, channel):
+        # with xi = 0 or no LO, Bob's two laws coincide: his outcome says
+        # nothing about the symbol, so neither can it say anything to Eve
+        out = tmp_path / "sec.csv"
+        assert run_cli("security", *channel, "-o", str(out)) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        for column in ("i_ab_wf", "i_be_wf", "chi_be_wf", "chi_be_bds"):
+            assert row[column] == "0", column
+
     def test_every_cell_is_finite_or_sentinel(self, tmp_path):
         out = tmp_path / "sec.csv"
         assert run_cli("security", "--preset", "fig6", "-o", str(out)) == 0

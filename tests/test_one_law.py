@@ -10,12 +10,16 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pnrchan import (ChannelParams, binary_entropy, information, mi_hl, mi_report,
-                     security_report_for)
+from pnrchan import (ChannelParams, binary_entropy, eve_params, information, mi_hl,
+                     mi_report, security_report_for)
+from pnrchan.receivers import DEFAULT_TAIL_TOL
+from pnrchan.security import mi_bob_eve
 from pnrchan.sweeps import SecuritySpec, SweepSpec, run_security, run_sweep
+
+from oracles import mi_bob_eve_dense
 
 
 @pytest.fixture
@@ -95,7 +99,22 @@ def test_readout_hierarchy_within_prior_entropy(bob):
 @given(channels)
 def test_bob_eve_information_below_both_channels(bob):
     rep = security_report_for(bob)
-    assert rep.i_be_wf <= min(rep.i_ab_wf, rep.i_ae_wf) + 1e-9
+    assert -1e-12 <= rep.i_be_wf <= min(rep.i_ab_wf, rep.i_ae_wf) + 1e-12
+
+
+@PROPERTIES
+@given(channels)
+@example(ChannelParams(alpha=1.8, transmissivity=0.5, lo_amplitude=3.5, visibility=0.0))
+@example(ChannelParams(alpha=1.8, transmissivity=0.5, lo_amplitude=0.0, visibility=0.9))
+@example(ChannelParams(alpha=1.8, transmissivity=0.5, lo_amplitude=3.5, visibility=0.9,
+                       priors=(0.2, 0.8)))
+def test_bob_eve_kernel_matches_the_dense_joint(bob):
+    assume(bob.transmissivity < 1.0)
+    eve = eve_params(bob)
+    bob_law = information._hl_conditionals(bob, DEFAULT_TAIL_TOL)
+    eve_law = information._hl_conditionals(eve, DEFAULT_TAIL_TOL)
+    assert mi_bob_eve(bob, bob_law, eve, eve_law) == pytest.approx(
+        mi_bob_eve_dense(bob_law, eve_law, bob.priors), abs=1e-12)
 
 
 @PROPERTIES

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from pnrchan.information import _hl_conditionals, certified_error_bound
 from pnrchan.receivers import DEFAULT_TAIL_TOL
 from pnrchan.security import _posterior_entropy, holevo_chi_bds, holevo_chi_wf, mi_bob_eve
 
-from oracles import fock_entropy_oracle, joint_abe_pmf, wf_pmf
+from oracles import (fock_entropy_oracle, joint_abe_pmf, mi_bob_eve_dense, mi_bob_eve_fsum,
+                     wf_pmf)
 
 
 def bob_params(source_mean, loss_db, lo_mean, xi):
@@ -32,7 +35,8 @@ def law(params):
 
 
 def i_be(bob):
-    return mi_bob_eve(law(bob), law(eve_params(bob)), bob.priors)
+    eve = eve_params(bob)
+    return mi_bob_eve(bob, law(bob), eve, law(eve))
 
 
 def chi_wf(bob):
@@ -174,6 +178,52 @@ class TestJointDistribution:
             joint_abe_pmf(bob)
 
 
+class TestBobEveKernel:
+    """The O(w) I(B;E) kernel against the dense Bob x Eve joint it replaced."""
+
+    @pytest.mark.parametrize("lo_mean", [12.15, 1e3, 3e3, 1e4])
+    @pytest.mark.parametrize("loss_db", [0.5, 3.0, 13.44])
+    def test_matches_the_exactly_summed_dense_joint(self, lo_mean, loss_db):
+        bob = bob_params(3.2, loss_db, lo_mean, 0.94)
+        eve = eve_params(bob)
+        assert abs(i_be(bob) - mi_bob_eve_fsum(law(bob), law(eve), bob.priors)) <= 1e-12
+
+    def test_unequal_priors_on_the_interpolated_path(self):
+        # both symbols' arguments share one interpolant of Eve's function
+        bob = ChannelParams(alpha=math.sqrt(3.2), transmissivity=0.5,
+                            lo_amplitude=math.sqrt(3e3), visibility=0.94, priors=(0.3, 0.7))
+        eve = eve_params(bob)
+        assert abs(i_be(bob) - mi_bob_eve_fsum(law(bob), law(eve), bob.priors)) <= 1e-12
+
+    @pytest.mark.parametrize("bob", [
+        # symbol 1 leaves Bob's reflected arm dark: L_B = inf
+        ChannelParams(alpha=2.0, transmissivity=0.25, lo_amplitude=1.0, visibility=1.0),
+        # the same for Eve: L_E = inf
+        ChannelParams(alpha=2.0, transmissivity=0.75, lo_amplitude=1.0, visibility=1.0),
+        # Bob one-sided and so bright that even Delta = 0 underflows
+        ChannelParams(alpha=40.0, transmissivity=0.25, lo_amplitude=20.0, visibility=1.0),
+    ])
+    def test_one_sided_laws(self, bob):
+        eve = eve_params(bob)
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise",
+                                                    invalid="raise"):
+            warnings.simplefilter("error")
+            value = i_be(bob)
+        assert value == pytest.approx(mi_bob_eve_dense(law(bob), law(eve), bob.priors),
+                                      abs=1e-12)
+
+    def test_memory_stays_linear_in_the_windows(self):
+        # at LO 1e5 the dense joint is 9735 x 9863 float64, ~770 MB an array
+        bob = bob_params(3.2, 3.0, 1e5, 0.94)
+        tracemalloc.start()
+        try:
+            security_report_for(bob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+
 class TestHolevo:
     def test_no_signal_carries_nothing(self):
         bob = ChannelParams(alpha=0.0, transmissivity=0.5, lo_amplitude=2.0,
@@ -275,7 +325,7 @@ class TestScenarioAndReport:
         eve = eve_params(bob, lo_amplitude=math.sqrt(30.0))
         rep = security_report_for(bob, eve_lo_amplitude=math.sqrt(30.0))
         assert rep.i_ae_wf == mi_wf(eve)
-        assert rep.i_be_wf == mi_bob_eve(law(bob), law(eve), bob.priors)
+        assert rep.i_be_wf == mi_bob_eve(bob, law(bob), eve, law(eve))
         assert rep.i_be_wf != i_be(bob)
 
     def test_k_undefined_when_channel_carries_nothing(self):
