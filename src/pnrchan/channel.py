@@ -118,7 +118,8 @@ def detection_rates(params: ChannelParams, symbol: int) -> tuple:
     s = params.signal_mean
     z2 = params.lo_mean
     sign = 1.0 if symbol == 1 else -1.0
-    cross = sign * 2.0 * params.visibility * math.sqrt(s * z2)
+    # sqrt(s) * sqrt(z2): the product s * z2 underflows below about 1e-308
+    cross = sign * 2.0 * params.visibility * (math.sqrt(s) * math.sqrt(z2))
     mu_t = 0.5 * (s + z2 + cross)
     mu_r = 0.5 * (s + z2 - cross)
     # xi <= 1 guarantees nonnegativity; clip float dust at the perfect-

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .channel import ChannelParams, detection_rates
 from .errors import NumericsError, ValidationError
@@ -50,6 +49,11 @@ _HOMODYNE_STEP = 1.0 / 16.0
 _HOMODYNE_HALF_WIDTH = 12.0
 
 
+def _xlogx(p):
+    """p ln p elementwise for an array p >= 0, with 0 ln 0 = 0."""
+    return p * np.log(p, out=np.zeros_like(p), where=p > 0.0)
+
+
 def shannon_entropy(dist) -> float:
     """Shannon entropy -sum p log2 p in bits, with 0*log(0) = 0.
 
@@ -65,14 +69,14 @@ def shannon_entropy(dist) -> float:
         raise ValidationError("distribution entries must be >= 0")
     if p.sum() > 1.0 + 1e-9:
         raise ValidationError(f"distribution mass {p.sum()} exceeds 1")
-    return float(-xlogy(p, p).sum() / _LN2)
+    return float(-_xlogx(p).sum() / _LN2)
 
 
 def binary_entropy(p: float) -> float:
     """Entropy of a coin with bias p, in bits."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"probability must lie in [0, 1], got {p}")
-    return float((-xlogy(p, p) - xlogy(1.0 - p, 1.0 - p)) / _LN2)
+    return -sum(x * math.log(x) for x in (p, 1.0 - p) if x > 0.0) / _LN2
 
 
 def mutual_information(conditionals, priors=(0.5, 0.5)) -> float:
@@ -222,7 +226,7 @@ def _homodyne_mixture_entropy(a0, a1, q0, q1):
     y = left + _HOMODYNE_STEP * np.arange(steps + 1)
     p = (q0 * np.exp(-0.5 * (y - a0) ** 2)
          + q1 * np.exp(-0.5 * (y - a1) ** 2)) * math.exp(-_LN_SQRT_2PI)
-    f = -xlogy(p, p)
+    f = -_xlogx(p)
     ends = 0.5 * (f[0] + f[-1])
     fine = _HOMODYNE_STEP * (f.sum() - ends)
     coarse = 2.0 * _HOMODYNE_STEP * (f[::2].sum() - ends)

@@ -1,9 +1,16 @@
 """Certified count laws of the hybrid receiver.
 
 Both detector arms count Poisson photons.  Every readout strategy is computed
-from the law of the count difference Delta = n - m, which is Skellam and is
-evaluated here through the exponentially scaled modified Bessel function of
-the first kind in log domain.  The raw count pair carries no more
+from the law of the count difference Delta = n - m, which is Skellam.  Its
+pmf P(d) solves the three-term recurrence
+
+    mu_t P(d - 1) - mu_r P(d + 1) = d P(d),
+
+and is its minimal solution, so it is evaluated by Miller's backward scheme
+(Gautschi, "Computational aspects of three-term recurrence relations", SIAM
+Review 1967): the ratios P(d) / P(d - 1) run backward from beyond the window,
+every term positive, and the bins are cumulative products outward from the
+mode, normalized to unit mass.  The raw count pair carries no more
 information than its difference (see :mod:`pnrchan.information`), and the
 sign readout is an aggregation of the difference law, so no count-pair grid
 is ever built.  The macroscopic-LO Gaussian limit of the standardized
@@ -11,15 +18,15 @@ difference serves as the ideal-homodyne reference.
 
 Every law carries an explicit truncation window and a certified tail mass.
 Windows default to mean + 12*sigma + 30 and grow until the certificate
-(Poisson survival function per arm, Chernoff bound for the difference)
-falls below the requested tolerance; failure to certify raises
-:class:`~pnrchan.errors.NumericsError`.
+(Poisson upper tail per arm, Chernoff bound for the difference) falls below
+the requested tolerance; failure to certify raises
+:class:`~pnrchan.errors.NumericsError`.  The module needs numpy alone.
 """
 
 import math
+from decimal import Context, Decimal
 
 import numpy as np
-from scipy.special import gammaln, ive, pdtrc
 
 from .channel import ChannelParams
 from .errors import NumericsError, ValidationError
@@ -38,6 +45,18 @@ DEFAULT_TAIL_TOL = 1e-10
 
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _WINDOW_GROWTH_STEPS = 60
+_UNIT_ROUNDOFF = 2.0 ** -53
+_DECIMAL = Context(prec=34)
+# stirlerr(n) = ln(n!) - (n ln n - n + ln sqrt(2 pi n)) for n = 1..15, each
+# the double nearest the 50-digit value; formed in double, the difference
+# would lose about 40 ulp to cancellation (Loader 2000 tabulates it likewise)
+_STIRLERR_SMALL = np.array([
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
 
 
 # ---------------------------------------------------------------------------
@@ -45,15 +64,12 @@ _WINDOW_GROWTH_STEPS = 60
 # ---------------------------------------------------------------------------
 
 def _stirlerr(n):
-    """log(n!) - Stirling approximation, for float array n >= 1."""
+    """log(n!) - Stirling approximation, for a float array of integers n >= 1."""
     n = np.asarray(n, dtype=float)
     out = np.empty_like(n)
     small = n < 16.0
     if small.any():
-        ns = n[small]
-        out[small] = gammaln(ns + 1.0) - (
-            ns * np.log(ns) - ns + 0.5 * np.log(2.0 * np.pi * ns)
-        )
+        out[small] = _STIRLERR_SMALL[n[small].astype(int) - 1]
     big = ~small
     if big.any():
         nb = n[big]
@@ -132,12 +148,45 @@ def poisson_pmf(n, mu):
     return np.exp(poisson_logpmf(n, mu))
 
 
+def _poisson_upper_tail(n, mu):
+    """Upper bound on P(N > n) for N ~ Poisson(mu) and x = n + 1 > mu.
+
+    The tail is P(x) S with S = 1 + sum_j prod_{i <= j} mu / (x + i).  S is
+    summed forward over a block of growing length L until the geometric
+    remainder, the last term times rho / (1 - rho) with rho = mu / (x + L + 1)
+    above every later ratio, is below 2^-53 of the sum; the remainder is
+    kept, so no mass is dropped.  ln P(x) = -(x ln(x/mu) + mu - x)
+    - stirlerr(x) - ln sqrt(2 pi x) is formed in 34-digit decimal arithmetic:
+    in double, a few ulp of the deviance's terms, which are of order x,
+    would turn into a relative error of up to 1e-12 after the exponential.
+    What rounding is left, at most 2^-53 (64 + 4 / (1 - mu / (x + 1))) of the
+    result, is added to it.  A tail below the double range reads 0.
+    """
+    x = n + 1
+    length = 32
+    while True:
+        terms = np.cumprod(mu / np.arange(x + 1.0, x + 1.0 + length))
+        rho = mu / (x + 1.0 + length)
+        rest = float(terms[-1]) * rho / (1.0 - rho)
+        total = 1.0 + float(terms.sum())
+        if rest <= _UNIT_ROUNDOFF * total:
+            break
+        length *= 4
+    small = float(_stirlerr(np.array([x]))[0]) + _LN_SQRT_2PI + 0.5 * math.log(x)
+    ctx, xd, md = _DECIMAL, Decimal(x), Decimal(mu)
+    deviance = ctx.add(ctx.multiply(xd, ctx.ln(ctx.divide(xd, md))), ctx.subtract(md, xd))
+    log_tail = ctx.subtract(Decimal(math.log(total + rest) - small), deviance)
+    slack = _UNIT_ROUNDOFF * (64.0 + 4.0 / (1.0 - mu / (x + 1.0)))
+    return float(ctx.exp(log_tail)) * (1.0 + slack)
+
+
 def poisson_window(mu, tail_tol=DEFAULT_TAIL_TOL):
     """Smallest rule-based count window [0, n_max] with certified tail.
 
-    Returns ``(n_max, tail_bound)`` where ``tail_bound = P(N > n_max)`` from
-    the Poisson survival function.  The base rule mu + 12*sqrt(mu) + 30 is
-    grown geometrically if the certificate misses ``tail_tol``.
+    Returns ``(n_max, tail_bound)`` where ``tail_bound`` bounds P(N > n_max)
+    from above (see :func:`_poisson_upper_tail`).  The base rule
+    mu + 12*sqrt(mu) + 30 is grown geometrically if the certificate misses
+    ``tail_tol``.
     """
     if tail_tol <= 0.0:
         raise NumericsError(
@@ -147,7 +196,7 @@ def poisson_window(mu, tail_tol=DEFAULT_TAIL_TOL):
         return 0, 0.0
     n_max = int(math.ceil(mu + 12.0 * math.sqrt(mu) + 30.0))
     for _ in range(_WINDOW_GROWTH_STEPS):
-        bound = float(pdtrc(n_max, mu))
+        bound = _poisson_upper_tail(n_max, mu)
         if bound <= tail_tol:
             return n_max, bound
         n_max = int(math.ceil(n_max * 1.5)) + 10
@@ -212,73 +261,96 @@ def skellam_window(mu_t, mu_r, tail_tol=DEFAULT_TAIL_TOL):
     )
 
 
-def _log_skellam_series(d, log_t, log_r, rate_sum, x):
-    """ln P(Delta = d) as the Poisson convolution, summed in log domain.
+def _recurrence_start(mu_t, mu_r, edge):
+    """Where the backward recurrence starts, beyond the window edge ``edge``.
 
-    For d >= 0 this is sum_k P(n = k + d) P(m = k), whose log terms are
-    (k + d) ln mu_t + k ln mu_r - lnG(k + d + 1) - lnG(k + 1) - (mu_t + mu_r);
-    d < 0 mirrors the arms.  Each rate enters with its own nonnegative
-    multiplier, so no two large terms cancel, however far apart the rates.
-    Used where the scaled Bessel underflows, which only happens for order
-    far above the argument x = 2*sqrt(mu_t*mu_r); there the sum peaks at
-    small k and a short sum is accurate to a few ulp.  The result can be far
-    below log(double tiny).  The rates enter as logs because their product,
-    and so x, may underflow to 0.
+    The first index, in steps of about one standard deviation, past which
+    the Chernoff tail is below 2^-53 of the tail past the edge, so less than
+    2^-53 of the mass lies beyond the padded range.  On the side of the
+    larger rate mu_t, a start value R = 0 is wrong by 100 %, and that error
+    reaches R_d shrunk by (mu_r / mu_t)^(s - d + 1) P(s) P(s + 1) /
+    (P(d - 1) P(d)), where s is the start: about the square of the mass
+    ratio between the start and the window, so every ratio in the window is
+    exact to rounding.  The other side starts from the mirror identity
+    instead (see :func:`_skellam_pmf_recurrence`).
     """
-    if d < 0:
-        d, log_t, log_r = -d, log_r, log_t
-    kstar = 0.5 * (-(d + 1.0) + math.sqrt((d + 1.0) ** 2 + x * x))
-    k = np.arange(2 * int(math.ceil(kstar)) + 31, dtype=float)
-    t = (k + d) * log_t + k * log_r - gammaln(k + d + 1.0) - gammaln(k + 1.0)
-    tm = t.max()
-    return float(tm + math.log(np.exp(t - tm).sum()) - rate_sum)
+    target = _UNIT_ROUNDOFF * _skellam_chernoff_upper(mu_t, mu_r, edge + 1)
+    step = int(math.ceil(math.sqrt(mu_t + mu_r))) + 8
+    start = edge + step
+    while _skellam_chernoff_upper(mu_t, mu_r, start + 1) > target:
+        start += step
+    return start
 
 
-def _skellam_pmf_bessel(mu_t, mu_r, deltas):
-    """Closed-form Skellam pmf on an integer grid, both rates positive.
+def _backward_ratios(mu_t, mu_r, first, last, start=0.0):
+    """Ratios P(d) / P(d - 1) for d = first..last (first >= 1), in order.
 
-    Bins where the scaled Bessel function underflows fall back to the
-    log-domain Poisson convolution, which works from ln mu_t and ln mu_r and
-    so stays finite for any positive rates, even when x = 2*sqrt(mu_t*mu_r)
-    underflows to 0.
+    R_d = mu_t / (d + mu_r R_{d+1}), run backward from R_{last+1} = ``start``.
+    The terms are positive and each step shrinks the inherited error by
+    mu_r R_{d+1} / (d + mu_r R_{d+1}) < 1, so nothing cancels or overflows.
+    With the arms swapped the same ratios give P(-d) / P(-d + 1).
     """
-    x = 2.0 * math.sqrt(mu_t * mu_r)
-    log_t, log_r = math.log(mu_t), math.log(mu_r)
-    base = -((math.sqrt(mu_t) - math.sqrt(mu_r)) ** 2)
-    logp = base + deltas * (0.5 * (log_t - log_r))
-    scaled = ive(np.abs(deltas).astype(float), x)
-    probs = np.zeros(len(deltas))
-    ok = scaled > 0.0
-    probs[ok] = np.exp(logp[ok] + np.log(scaled[ok]))
-    for i in np.nonzero(~ok)[0]:
-        lp = _log_skellam_series(int(deltas[i]), log_t, log_r, mu_t + mu_r, x)
-        if lp > -745.0:
-            probs[i] = math.exp(lp)
-    return probs
+    ratios = []
+    r = start
+    for d in range(last, first - 1, -1):
+        r = mu_t / (d + mu_r * r)
+        ratios.append(r)
+    return np.array(ratios[::-1])
+
+
+def _skellam_pmf_recurrence(mu_t, mu_r, lo, hi):
+    """Skellam pmf on the integers [lo, hi], for mu_t >= mu_r > 0.
+
+    The ratios come from :func:`_backward_ratios`: for d > 0 on the rates as
+    given, for d < 0 on the rates swapped.  The negative side does not start
+    from 0: with the mode far above 0 its recurrence shrinks errors too slowly
+    there (by 1 - d / (mu_t R) a step).  It starts from
+    P(-s-1) / P(-s) = (mu_r / mu_t) R_{s+1}, which the positive side gives to
+    rounding, because P(-d) = (mu_r / mu_t)^d P(d).  The bins are cumulative
+    products of the ratios outward from the mode (where the ratio falls
+    below 1), so every factor is at most 1 and the work and the error grow
+    with the window, not with its distance from 0.  The law over the padded
+    range of :func:`_recurrence_start` is scaled to unit ``math.fsum`` mass,
+    and the window is cut from it.  Both sides run the same arithmetic, so
+    equal rates give an exactly symmetric law.
+    """
+    top = _recurrence_start(mu_t, mu_r, hi)
+    bottom = -_recurrence_start(mu_r, mu_t, -lo)
+    up = _backward_ratios(mu_t, mu_r, max(bottom, 0) + 1, max(top, 1 - bottom))
+    above = int(np.count_nonzero(up >= 1.0))  # ratios up to the mode
+    down = 1.0 / up[:above][::-1]
+    if bottom < 0:
+        start = mu_r / mu_t * float(up[-bottom])
+        down = np.concatenate((down, _backward_ratios(mu_r, mu_t, 1, -bottom, start)))
+    law = np.concatenate(
+        (np.cumprod(down)[::-1], [1.0], np.cumprod(up[above:]))
+    )
+    law /= math.fsum(law)
+    return law[lo - bottom:hi - bottom + 1]
 
 
 def skellam_pmf_grid(mu_t, mu_r, tail_tol=DEFAULT_TAIL_TOL):
     """Skellam pmf of the count difference over a certified window.
 
-    Returns ``(deltas, probs, tail_bound)``.  Degenerate rates collapse to the
-    one-sided Poisson law; otherwise the exponentially scaled Bessel closed
-    form is used, with a log-domain series fallback where it underflows.
+    Returns ``(deltas, probs, tail_bound)``.  The law is computed with the
+    larger rate on the n arm and reversed otherwise, so the law for
+    ``(mu_r, mu_t)`` is the exact mirror of the law for ``(mu_t, mu_r)``.
+    A dark arm collapses it to the one-sided Poisson law; otherwise it comes
+    from the three-term recurrence (:func:`_skellam_pmf_recurrence`).
     """
     if mu_t < 0.0 or mu_r < 0.0:
         raise ValidationError("rates must be >= 0")
-    if mu_t == 0.0 and mu_r == 0.0:
+    if mu_t < mu_r:
+        deltas, probs, bound = skellam_pmf_grid(mu_r, mu_t, tail_tol)
+        return -deltas[::-1], probs[::-1].copy(), bound
+    if mu_t == 0.0:
         return np.array([0]), np.array([1.0]), 0.0
     if mu_r == 0.0:
         n_max, bound = poisson_window(mu_t, tail_tol)
         deltas = np.arange(0, n_max + 1)
         return deltas, poisson_pmf(deltas, mu_t), bound
-    if mu_t == 0.0:
-        m_max, bound = poisson_window(mu_r, tail_tol)
-        deltas = np.arange(-m_max, 1)
-        return deltas, poisson_pmf(-deltas, mu_r), bound
     lo, hi, bound = skellam_window(mu_t, mu_r, tail_tol)
-    deltas = np.arange(lo, hi + 1)
-    return deltas, _skellam_pmf_bessel(mu_t, mu_r, deltas), bound
+    return np.arange(lo, hi + 1), _skellam_pmf_recurrence(mu_t, mu_r, lo, hi), bound
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import xlogy
 
 from .channel import ChannelParams, coherent_overlap, detection_rates, eve_params
 from .information import (
     _hl_conditionals,
     _receiver_figures,
     _sign_law,
+    _xlogx,
     mutual_information,
 )
 from .receivers import DEFAULT_TAIL_TOL
@@ -214,7 +214,7 @@ def _posterior_entropy(weights1, overlap):
     disc = np.maximum(0.0, 1.0 - 4.0 * w1 * (1.0 - w1) * (1.0 - overlap * overlap))
     lam = 0.5 * (1.0 + np.sqrt(disc))
     lam = np.clip(lam, 0.5, 1.0)
-    return (-xlogy(lam, lam) - xlogy(1.0 - lam, 1.0 - lam)) / _LN2
+    return (-_xlogx(lam) - _xlogx(1.0 - lam)) / _LN2
 
 
 def _holevo_chi(conditionals, eve: ChannelParams) -> float:

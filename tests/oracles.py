@@ -1,10 +1,11 @@
 """Independent oracles for the production laws.
 
 The package computes every readout from the certified count-difference law.
-The routes here take the long way round on purpose -- the full count-pair
-grid, the four-index joint law of the symbol and both receivers, the dense
-Bob x Eve joint of the two difference laws, a number-basis diagonalization,
-adaptive quadrature of the homodyne entropy --
+The routes here take the long way round on purpose -- the Skellam law from
+scipy's scaled Bessel function and as an mpmath Poisson convolution, the
+full count-pair grid, the four-index joint law of the symbol and both
+receivers, the dense Bob x Eve joint of the two difference laws, a
+number-basis diagonalization, adaptive quadrature of the homodyne entropy --
 so the tests can compare production against something that shares none of
 its shortcuts.  They only run at small windows, except the exactly summed
 I(B;E) reference, which works through the dense joint in row blocks.
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, xlogy
+from scipy.special import gammaln, ive, xlogy
 
 from pnrchan import (
     NumericsError,
@@ -27,14 +28,95 @@ from pnrchan import (
     mutual_information,
     shannon_entropy,
 )
-from pnrchan.receivers import (
-    DEFAULT_TAIL_TOL,
-    _skellam_pmf_bessel,
-    poisson_pmf,
-    poisson_window,
-)
+from pnrchan.receivers import DEFAULT_TAIL_TOL, poisson_pmf, poisson_window
 
 _JOINT_CELL_LIMIT = 20_000_000
+
+
+# ---------------------------------------------------------------------------
+# Skellam law by other routes than the recurrence
+# ---------------------------------------------------------------------------
+
+def _log_skellam_series(d, log_t, log_r, rate_sum, x):
+    """ln P(Delta = d) as the Poisson convolution, summed in log domain.
+
+    For d >= 0 this is sum_k P(n = k + d) P(m = k), whose log terms are
+    (k + d) ln mu_t + k ln mu_r - lnG(k + d + 1) - lnG(k + 1) - (mu_t + mu_r);
+    d < 0 mirrors the arms.  Each rate enters with its own nonnegative
+    multiplier, so no two large terms cancel, however far apart the rates.
+    Used where the scaled Bessel underflows, which only happens for order
+    far above the argument x = 2*sqrt(mu_t*mu_r); there the sum peaks at
+    small k and a short sum is accurate to a few ulp.  The rates enter as
+    logs because their product, and so x, may underflow to 0.
+    """
+    if d < 0:
+        d, log_t, log_r = -d, log_r, log_t
+    kstar = 0.5 * (-(d + 1.0) + math.sqrt((d + 1.0) ** 2 + x * x))
+    k = np.arange(2 * int(math.ceil(kstar)) + 31, dtype=float)
+    t = (k + d) * log_t + k * log_r - gammaln(k + d + 1.0) - gammaln(k + 1.0)
+    tm = t.max()
+    return float(tm + math.log(np.exp(t - tm).sum()) - rate_sum)
+
+
+def skellam_pmf_bessel(mu_t, mu_r, deltas):
+    """Closed-form Skellam pmf on an integer grid, both rates positive.
+
+    exp(-(mu_t + mu_r)) (mu_t/mu_r)^(d/2) I_|d|(2 sqrt(mu_t mu_r)) through
+    scipy's exponentially scaled Bessel function in log domain; bins where
+    it underflows fall back to the log-domain Poisson convolution.
+    """
+    x = 2.0 * math.sqrt(mu_t * mu_r)
+    log_t, log_r = math.log(mu_t), math.log(mu_r)
+    base = -((math.sqrt(mu_t) - math.sqrt(mu_r)) ** 2)
+    logp = base + deltas * (0.5 * (log_t - log_r))
+    scaled = ive(np.abs(deltas).astype(float), x)
+    probs = np.zeros(len(deltas))
+    ok = scaled > 0.0
+    probs[ok] = np.exp(logp[ok] + np.log(scaled[ok]))
+    for i in np.nonzero(~ok)[0]:
+        lp = _log_skellam_series(int(deltas[i]), log_t, log_r, mu_t + mu_r, x)
+        if lp > -745.0:
+            probs[i] = math.exp(lp)
+    return probs
+
+
+def skellam_pmf_mpmath(mu_t, mu_r, delta, dps=40):
+    """P(Delta = delta) as an mpmath number, by the Poisson convolution.
+
+    sum_k P(n = k + d) P(m = k) at ``dps`` digits, summed outward from its
+    largest term, (mu_t mu_r)^k / (k! (k + d)!) peaking near
+    k* = (sqrt(d^2 + 4 mu_t mu_r) - d) / 2, until a term is below 1e-30 of
+    the sum; d < 0 mirrors the arms.  It shares neither the Bessel function
+    nor the recurrence, and stays fast where mpmath's Bessel series does not
+    (orders of 1e4 at arguments of 1e5).
+    """
+    import mpmath
+
+    if delta < 0:
+        mu_t, mu_r, delta = mu_r, mu_t, -delta
+    with mpmath.workdps(dps):
+        t, r = mpmath.mpf(mu_t), mpmath.mpf(mu_r)
+        prod = t * r
+        k = int(0.5 * (math.sqrt(delta * delta + 4.0 * mu_t * mu_r) - delta))
+        peak = mpmath.exp((k + delta) * mpmath.log(t) + k * mpmath.log(r)
+                          - mpmath.loggamma(k + delta + 1) - mpmath.loggamma(k + 1)
+                          - (t + r))
+        total = peak
+        term, j = peak, k
+        while True:
+            term = term * prod / ((j + 1) * (j + delta + 1))
+            j += 1
+            total += term
+            if term < 1e-30 * total:
+                break
+        term, j = peak, k
+        while j > 0:
+            term = term * j * (j + delta) / prod
+            j -= 1
+            total += term
+            if term < 1e-30 * total:
+                break
+        return +total
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +176,7 @@ def wf_hl_equivalence_check(params, mass_floor=1e-30):
     elif mu_t == 0.0:
         hl1 = np.where(deltas <= 0, poisson_pmf(np.abs(deltas), mu_r), 0.0)
     else:
-        hl1 = _skellam_pmf_bessel(mu_t, mu_r, deltas)
+        hl1 = skellam_pmf_bessel(mu_t, mu_r, deltas)
     hl0 = hl1[::-1]
 
     max_dep = 0.0

@@ -136,7 +136,7 @@ def test_c05_skellam_closed_form_vs_convolution():
         for i in range(0, len(deltas), step):
             worst = max(worst, abs(probs[i] - oracle(mu_t, mu_r, int(deltas[i]))))
     ok = worst <= 1e-12
-    assert report("C05 Skellam closed form vs convolution oracle",
+    assert report("C05 Skellam law vs convolution oracle",
                   ok, f"max abs err = {worst:.2e} over 50 rate pairs, "
                       f"ratios 1e-6..1e6")
 

@@ -49,6 +49,19 @@ class TestDetectionRates:
             assert mu_t == pytest.approx(total / 2, rel=1e-15)
             assert mu_r == pytest.approx(total / 2, rel=1e-15)
 
+    @pytest.mark.parametrize("xi", [0.5, 1.0])
+    def test_cross_term_survives_an_underflowing_product(self, xi):
+        # signal and LO means of 1e-300: their product underflows to 0, but
+        # the cross term 2 xi sqrt(s) sqrt(z2) = 2 xi 1e-300 does not
+        p = ChannelParams(alpha=1e-150, transmissivity=1.0, lo_amplitude=1e-150,
+                          visibility=xi)
+        assert p.signal_mean * p.lo_mean == 0.0
+        mu_t, mu_r = detection_rates(p, 1)
+        assert mu_t == pytest.approx((1.0 + xi) * 1e-300, rel=1e-14)
+        assert mu_r == pytest.approx((1.0 - xi) * 1e-300, rel=1e-14, abs=0.0)
+        assert detection_rates(p, 0) == (mu_r, mu_t)
+        assert mu_t != mu_r
+
     def test_symbol_one_favors_transmitted_arm(self):
         p = ChannelParams(alpha=1.0, transmissivity=0.8, lo_amplitude=1.5,
                           visibility=0.9)

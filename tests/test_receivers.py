@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ive, pdtrc
+from scipy.special import ive
 from scipy.stats import poisson as sp_poisson
 
 from pnrchan import (
@@ -16,10 +16,13 @@ from pnrchan import (
     poisson_pmf,
     skellam_pmf_grid,
 )
+from pnrchan import receivers
 from pnrchan.information import _hl_conditionals, _sign_law
 from pnrchan.receivers import DEFAULT_TAIL_TOL, poisson_window
 
-from oracles import wf_pmf
+from oracles import skellam_pmf_mpmath, wf_pmf
+
+UNIT_ROUNDOFF = 2.0 ** -53
 
 # computed once with mpmath at 200 decimal digits: exp(-500)*500^500/500!
 POIS_500_500 = 0.017838267869511779
@@ -72,6 +75,19 @@ class TestPoissonPmf:
             assert poisson_pmf(n, mu) == pytest.approx(exact, rel=1e-12)
         assert poisson_pmf(500, 500.0) == pytest.approx(POIS_500_500, rel=1e-12)
 
+    @pytest.mark.parametrize("mu", [1e-3, 0.37, 3.7, 15.5, 822.7, 1e4, 999_000.0])
+    def test_log_pmf_against_arbitrary_precision_oracle(self, mu):
+        # counts 1-15 read stirlerr from its table, 16 and up the Stirling
+        # series; the error is a few ulp of the larger of 1 and |ln p|
+        mpmath = pytest.importorskip("mpmath")
+        counts = list(range(18)) + [30, 100, 1197, 10_000, 120_000, 999_000, 1_000_000]
+        got = poisson_logpmf(np.array(counts), mu)
+        for n, lp in zip(counts, got):
+            with mpmath.workdps(50):
+                exact = n * mpmath.log(mu) - mu - mpmath.loggamma(n + 1)
+            scale = max(1.0, abs(float(exact)))
+            assert abs(float(mpmath.mpf(lp) - exact)) <= 16 * UNIT_ROUNDOFF * scale
+
     def test_no_overflow_at_million_counts(self):
         lp = poisson_logpmf(1_000_000, 999_000.0)
         assert math.isfinite(lp)
@@ -89,18 +105,21 @@ class TestPoissonPmf:
 
 
 class TestPoissonWindow:
-    def test_tail_is_the_poisson_survival_function_bit_for_bit(self):
+    def test_tail_bound_is_the_exact_tail_rounded_up(self):
+        # the bound covers the exact tail and exceeds it by less than 1e-12;
+        # a tail below the double range reads 0, its rounded value
+        mpmath = pytest.importorskip("mpmath")
         for mu in np.geomspace(0.1, 1e6, 60):
             mu = float(mu)
-            # the base window and its growth steps
-            n_max = math.ceil(mu + 12.0 * math.sqrt(mu) + 30.0)
-            for _ in range(4):
-                assert pdtrc(n_max, mu) == sp_poisson.sf(n_max, mu)
-                n_max = math.ceil(n_max * 1.5) + 10
             for tail_tol in (1e-10, 1e-40, 1e-200):
                 n_max, tail = poisson_window(mu, tail_tol)
-                assert tail == float(sp_poisson.sf(n_max, mu))
                 assert tail <= tail_tol
+                with mpmath.workdps(40):
+                    exact = mpmath.gammainc(n_max + 1, 0, mu, regularized=True)
+                    if exact < mpmath.mpf(2) ** -1075:
+                        assert tail == 0.0
+                    else:
+                        assert exact <= tail <= exact * (1 + mpmath.mpf(1e-12))
 
 
 class TestSkellam:
@@ -238,6 +257,57 @@ class TestSkellam:
     def test_zero_tail_tolerance_fails_certification(self):
         with pytest.raises(NumericsError):
             skellam_pmf_grid(3.0, 1.0, tail_tol=0.0)
+
+
+class TestSkellamRecurrence:
+    """The recurrence kernel against an mpmath Poisson convolution."""
+
+    PAIRS = [
+        (55000.0, 45000.0), (1e5, 1e5), (1e5, 1e3), (1e5, 1.0), (1e4, 1e4),
+        (5500.0, 4500.0), (5081.0, 4922.0), (1e3, 30.0), (150.0, 50.0),
+        (30.0, 30.0), (30.0, 1e-300), (3.7, 1.0),
+        (3.7, 1e-8), (1.0, 1e-100), (0.3, 1e-3), (0.3, 0.3), (1e-3, 1e-8),
+        (1e-100, 1e-300), (1e-300, 1e-300),
+    ]
+
+    @pytest.mark.parametrize("mu_t, mu_r", PAIRS + [(r, t) for t, r in PAIRS if t != r])
+    def test_every_bin_against_arbitrary_precision_oracle(self, mu_t, mu_r):
+        mpmath = pytest.importorskip("mpmath")
+        deltas, probs, _ = skellam_pmf_grid(mu_t, mu_r)
+        if (mu_t, mu_r) == (55000.0, 45000.0):
+            assert deltas[0] > 0  # a window that excludes 0
+        # the window's edges, its mode, and 25 bins between
+        picks = set(np.linspace(0, len(deltas) - 1, 27).astype(int))
+        picks.add(int(np.argmax(probs)))
+        for i in sorted(picks):
+            exact = skellam_pmf_mpmath(mu_t, mu_r, int(deltas[i]))
+            if exact < 1e-290:  # products that end below the normal range
+                assert probs[i] <= 1e-290
+                continue
+            assert abs(mpmath.mpf(probs[i]) / exact - 1) <= 2e-14
+
+    @pytest.mark.parametrize("mu_t, mu_r", PAIRS + [(r, t) for t, r in PAIRS if t != r])
+    def test_mass_is_one_to_a_few_ulp(self, mu_t, mu_r):
+        _, probs, tail = skellam_pmf_grid(mu_t, mu_r)
+        assert abs(math.fsum(probs) - 1.0) <= 4 * UNIT_ROUNDOFF + tail
+
+    @pytest.mark.parametrize("mu_t, mu_r", [(55000.0, 45000.0), (5500.0, 4500.0),
+                                            (5081.0, 4922.0), (30.0, 30.0),
+                                            (30.0, 1e-300), (0.3, 1e-3)])
+    def test_a_longer_start_pad_moves_no_bin(self, monkeypatch, mu_t, mu_r):
+        # the start value 0 is 100 % off; by the window that error must have
+        # shrunk below rounding, so starting twice as far out changes no bin
+        # beyond the rounding the longer run adds
+        deltas, probs, _ = skellam_pmf_grid(mu_t, mu_r)
+        start = receivers._recurrence_start
+
+        def farther(t, r, edge):
+            return edge + 2 * (start(t, r, edge) - edge)
+
+        monkeypatch.setattr(receivers, "_recurrence_start", farther)
+        far_deltas, far_probs, _ = skellam_pmf_grid(mu_t, mu_r)
+        np.testing.assert_array_equal(far_deltas, deltas)
+        np.testing.assert_allclose(far_probs, probs, rtol=2e-14, atol=0)
 
 
 class TestWfPmf:
