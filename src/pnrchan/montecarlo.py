@@ -91,8 +91,8 @@ def run_experiment(params: ChannelParams, shots_per_symbol: int, seed: int) -> E
     )
     return ExperimentRun(
         symbols=symbols,
-        n=np.concatenate([n0, n1]).astype(np.int64),
-        m=np.concatenate([m0, m1]).astype(np.int64),
+        n=np.concatenate([n0, n1]).astype(np.int64, copy=False),
+        m=np.concatenate([m0, m1]).astype(np.int64, copy=False),
     )
 
 
@@ -150,7 +150,8 @@ def empirical_distributions(run: ExperimentRun) -> EmpiricalDistributions:
 
     Memory is O(shots) whatever the counts are.
     """
-    keys, tally = np.unique((run.n.astype(np.int64) << 32) | (run.m.astype(np.int64) << 1)
+    keys, tally = np.unique((run.n.astype(np.int64, copy=False) << 32)
+                            | (run.m.astype(np.int64, copy=False) << 1)
                             | run.symbols.astype(np.int64), return_counts=True)
     pairs, column = np.unique(keys >> 1, return_inverse=True)
     counts = np.zeros((2, len(pairs)), dtype=np.int64)

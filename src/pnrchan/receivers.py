@@ -108,7 +108,11 @@ def _bd0(x, mu):
     far = ~near
     if far.any():
         xf = x[far]
-        out[far] = xf * np.log(xf / mu) + mu - xf
+        with np.errstate(over="ignore"):
+            ratio = xf / mu
+        # a subnormal mu can overflow the quotient; its log is then a difference
+        log_ratio = np.where(np.isfinite(ratio), np.log(ratio), np.log(xf) - math.log(mu))
+        out[far] = xf * log_ratio + mu - xf
     return out
 
 

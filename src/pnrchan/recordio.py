@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 SHOT_HEADER = "shot_id,symbol,n_t,n_r"
+_PLAIN_HEADER = (SHOT_HEADER + "\n").encode()  # the header line, as written
 _WRITE_BLOCK_ROWS = 65536
 
 
@@ -40,7 +41,7 @@ def _umask():
 
 @contextlib.contextmanager
 def _atomic_output(path):
-    """A text handle on a same-directory temp file that is renamed to ``path``.
+    """A binary handle on a same-directory temp file that is renamed to ``path``.
 
     The file is flushed to disk before the rename, and it gets the mode an
     ordinary ``open`` would give it (0o666 less the umask) rather than the
@@ -49,7 +50,7 @@ def _atomic_output(path):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".pnrchan-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+        with os.fdopen(fd, "wb") as handle:
             os.chmod(tmp_path, 0o666 & ~_umask())
             yield handle
             handle.flush()
@@ -64,30 +65,60 @@ def _atomic_output(path):
 
 
 def write_text_atomic(path, text):
-    """Write ``text`` to ``path`` atomically (see ``_atomic_output``)."""
+    """Write ``text`` to ``path`` as UTF-8, atomically (see ``_atomic_output``)."""
     with _atomic_output(path) as handle:
-        handle.write(text)
+        handle.write(text.encode("utf-8"))
+
+
+def _format_block(columns):
+    """The shot-file rows of one block: equal-length nonnegative integer columns
+    in, their decimal text as ASCII bytes out.
+
+    Each column gets one uint8 slot per digit of its widest value in the
+    block, then one separator slot (a comma, or the row's newline).  The
+    digits come from repeated division by the scalar 10, right to left, on
+    the narrowest unsigned type that holds the column, where numpy divides
+    fastest.  A mask keeps the units digit and every digit below a value's
+    leading one, so one compress of the matrix, row by row, is the text.
+    """
+    tops = [int(column.max()) for column in columns]
+    widths = [len(str(top)) for top in tops]
+    digits = np.empty((len(columns[0]), sum(widths) + len(columns)), dtype=np.uint8)
+    keep = np.ones(digits.shape, dtype=bool)
+    at = 0
+    for column, top, width in zip(columns, tops, widths):
+        q = column.astype(np.min_scalar_type(top))
+        for power in range(1, width):
+            keep[:, at + width - 1 - power] = q >= 10 ** power
+        for slot in range(at + width - 1, at - 1, -1):
+            rest = q // 10
+            digits[:, slot] = q - 10 * rest + ord("0")
+            q = rest
+        at += width
+        digits[:, at] = ord(",")
+        at += 1
+    digits[:, -1] = ord("\n")
+    return digits[keep].tobytes()
 
 
 def write_shot_records(path, run: ExperimentRun):
     """Serialize a run as shot-record CSV (one line per pulse).
 
-    Rows are formatted a block at a time with one %-format each, which is
-    several times faster than a format per row, and each block goes straight
-    to the file, so memory stays bounded by the block.
+    Rows go to the file in blocks of ``_WRITE_BLOCK_ROWS``, so memory stays
+    bounded by the block.  Each block's text is built as one digit matrix in
+    numpy (``_format_block``); no Python string or int is made per value.
+    The bytes are those of ``"%d,%d,%d,%d\\n"`` applied to every row.
     """
     with _atomic_output(path) as handle:
-        handle.write(SHOT_HEADER + "\n")
+        handle.write(_PLAIN_HEADER)
         for start in range(0, len(run), _WRITE_BLOCK_ROWS):
             stop = min(start + _WRITE_BLOCK_ROWS, len(run))
-            block = np.column_stack([np.arange(start, stop), run.symbols[start:stop],
-                                     run.n[start:stop], run.m[start:stop]])
-            handle.write(("%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist()))
+            handle.write(_format_block([np.arange(start, stop), run.symbols[start:stop],
+                                        run.n[start:stop], run.m[start:stop]]))
 
 
 # The form write_shot_records writes: the header on line 1, then LF-ended
 # rows of digits and commas.  Every other file is left to the line parser.
-_PLAIN_HEADER = (SHOT_HEADER + "\n").encode()
 _PLAIN_BODY = b"0123456789,\n"
 _SCAN_BYTES = 1 << 20
 

@@ -5,10 +5,11 @@ The routes here take the long way round on purpose -- the Skellam law from
 scipy's scaled Bessel function and as an mpmath Poisson convolution, the
 full count-pair grid, the four-index joint law of the symbol and both
 receivers, the dense Bob x Eve joint of the two difference laws, a
-number-basis diagonalization, adaptive quadrature of the homodyne entropy --
-so the tests can compare production against something that shares none of
-its shortcuts.  They only run at small windows, except the exactly summed
-I(B;E) reference, which works through the dense joint in row blocks.
+number-basis diagonalization, adaptive quadrature of the homodyne entropy,
+shot-file text by one %-format per value -- so the tests can compare
+production against something that shares none of its shortcuts.  They only
+run at small windows, except the exactly summed I(B;E) reference, which
+works through the dense joint in row blocks.
 """
 
 import itertools
@@ -29,6 +30,7 @@ from pnrchan import (
     shannon_entropy,
 )
 from pnrchan.receivers import DEFAULT_TAIL_TOL, poisson_pmf, poisson_window
+from pnrchan.recordio import SHOT_HEADER
 
 _JOINT_CELL_LIMIT = 20_000_000
 
@@ -338,3 +340,15 @@ def mi_homodyne_quad(params):
         err += piece_err
     ln2 = math.log(2.0)
     return val / ln2 - 0.5 * math.log2(2.0 * math.pi * math.e), err / ln2
+
+
+# ---------------------------------------------------------------------------
+# Shot-file text by one %-format per value
+# ---------------------------------------------------------------------------
+
+def shot_file_percent(run):
+    """The bytes of the shot file for ``run``, formatted the way the writer
+    did before its digit matrix: every value through ``%d``."""
+    block = np.column_stack([np.arange(len(run)), run.symbols, run.n, run.m])
+    rows = ("%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
+    return (SHOT_HEADER + "\n" + rows).encode()

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import json
 import os
 import stat
@@ -40,6 +41,16 @@ class TestSimulateAnalyze:
         assert run_cli(*args, "-o", str(a)) == 0
         assert run_cli(*args, "-o", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_seeded_file_is_pinned(self, tmp_path):
+        """The Philox streams and the writer together: these bytes are those of
+        every earlier release for this seed."""
+        out = tmp_path / "shots.csv"
+        assert run_cli("simulate", "--signal-mean", "3.07", "--lo-mean", "12.17",
+                       "--xi", "0.94", "--shots", "20000", "--seed", "7",
+                       "-o", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "fd3abc67b7e50aa3dd4da3fded9b1436d59956218c43ab7ca7a693213fabedc0")
 
     def test_zero_shots_is_a_validation_error(self, tmp_path):
         code = run_cli("simulate", "--signal-mean", "2.0", "--lo-mean", "8.0",
@@ -221,6 +232,15 @@ class TestSweep:
         assert lo_mean == "1e-310"
         # the two laws are equal; only the rounding of subnormal bins shows
         assert all(0.0 <= float(v) <= 1e-300 for v in figures)
+
+    def test_subnormal_one_sided_laws_keep_their_information(self, tmp_path):
+        # at xi 1 each symbol darkens one arm; a count of 1 on the lit arm,
+        # of probability 2e-310, names the symbol, so I_WF = I_HL = 2e-310 bits
+        out = tmp_path / "x.csv"
+        assert run_cli("sweep", "--mode", "lo", "--signal-mean", "1e-310",
+                       "--lo-mean", "1e-310", "--xi", "1", "--grid", "1e-310",
+                       "-o", str(out)) == 0
+        assert out.read_text().splitlines()[-1] == "1e-310,2e-310,2e-310,0,0"
 
     def test_zero_tail_tolerance_fails_certification(self, tmp_path):
         code = run_cli("sweep", "--mode", "lo", "--signal-mean", "2.0",

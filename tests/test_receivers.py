@@ -75,7 +75,8 @@ class TestPoissonPmf:
             assert poisson_pmf(n, mu) == pytest.approx(exact, rel=1e-12)
         assert poisson_pmf(500, 500.0) == pytest.approx(POIS_500_500, rel=1e-12)
 
-    @pytest.mark.parametrize("mu", [1e-3, 0.37, 3.7, 15.5, 822.7, 1e4, 999_000.0])
+    @pytest.mark.parametrize("mu", [5e-324, 1e-310, 1e-3, 0.37, 3.7, 15.5, 822.7, 1e4,
+                                    999_000.0])
     def test_log_pmf_against_arbitrary_precision_oracle(self, mu):
         # counts 1-15 read stirlerr from its table, 16 and up the Stirling
         # series; the error is a few ulp of the larger of 1 and |ln p|
@@ -87,6 +88,15 @@ class TestPoissonPmf:
                 exact = n * mpmath.log(mu) - mu - mpmath.loggamma(n + 1)
             scale = max(1.0, abs(float(exact)))
             assert abs(float(mpmath.mpf(lp) - exact)) <= 16 * UNIT_ROUNDOFF * scale
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_rate_gives_no_warning(self):
+        # n / mu overflows for a subnormal mu; ln p is finite all the same
+        mu = 1e-310
+        assert poisson_logpmf(31, mu) == pytest.approx(31 * math.log(mu) - math.lgamma(32),
+                                                       rel=1e-15)
+        assert poisson_pmf(31, mu) == 0.0
+        assert poisson_pmf(1, mu) == pytest.approx(mu, rel=1e-12)
 
     def test_no_overflow_at_million_counts(self):
         lp = poisson_logpmf(1_000_000, 999_000.0)

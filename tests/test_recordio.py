@@ -1,5 +1,8 @@
-"""The shot-file reader: the vectorised pass against the line parser.
+"""Shot-file I/O: the writer against %-formatting, the reader against the
+line parser.
 
+``write_shot_records`` builds each block's text as a digit matrix; its bytes
+must be those of one ``%d`` per value (``oracles.shot_file_percent``).
 ``read_shot_records`` parses files in the form ``write_shot_records`` writes
 with ``np.loadtxt`` and leaves every other file to ``_read_shot_lines``.  The
 two must agree on every input: the same arrays and dtypes, or the same error
@@ -17,6 +20,8 @@ from hypothesis import strategies as st
 from pnrchan import ExperimentRun, ValidationError, recordio
 from pnrchan.montecarlo import MAX_COUNT
 from pnrchan.recordio import SHOT_HEADER, read_shot_records, write_shot_records
+
+from oracles import shot_file_percent
 
 PROPERTIES = settings(derandomize=True, database=None, max_examples=400, deadline=None)
 
@@ -158,16 +163,52 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
     run = ExperimentRun(symbols=np.zeros(10, dtype=np.uint8), n=np.arange(10),
                         m=np.arange(10))
     calls = []
-    real_column_stack = np.column_stack
+    real_format_block = recordio._format_block
 
-    def failing_column_stack(columns):
+    def failing_format_block(columns):
         calls.append(1)
         if len(calls) == 2:
             raise MemoryError
-        return real_column_stack(columns)
+        return real_format_block(columns)
 
     monkeypatch.setattr(recordio, "_WRITE_BLOCK_ROWS", 4)
-    monkeypatch.setattr(recordio.np, "column_stack", failing_column_stack)
+    monkeypatch.setattr(recordio, "_format_block", failing_format_block)
     with pytest.raises(MemoryError):
         write_shot_records(tmp_path / "shots.csv", run)
+    assert len(calls) == 2
     assert not list(tmp_path.iterdir())
+
+
+# counts at the edges of a digit: 0, each power of ten and its neighbours, MAX_COUNT
+EDGE_COUNTS = sorted({0, 1, MAX_COUNT - 1, MAX_COUNT}
+                     | {10 ** k + d for k in range(1, 10) for d in (-1, 0, 1)})
+COUNTS = st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(0, 30), st.integers(0, MAX_COUNT))
+
+
+@st.composite
+def shot_runs(draw):
+    """A run of 1 to 150 shots, so that ids cross 10 and 100, with edge counts."""
+    shots = draw(st.integers(1, 150))
+    column = st.lists(COUNTS, min_size=shots, max_size=shots)
+    return ExperimentRun(
+        symbols=np.array(draw(st.lists(st.integers(0, 1), min_size=shots, max_size=shots)),
+                         dtype=np.uint8),
+        n=np.array(draw(column), dtype=np.int64), m=np.array(draw(column), dtype=np.int64))
+
+
+@PROPERTIES
+@given(run=shot_runs(), block_rows=st.integers(1, 70))
+def test_writer_bytes_equal_a_percent_format_per_value(scratch, run, block_rows):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recordio, "_WRITE_BLOCK_ROWS", block_rows)
+        write_shot_records(scratch, run)
+    assert scratch.read_bytes() == shot_file_percent(run)
+
+
+def test_block_format_holds_any_int64():
+    """Values past uint32 take the uint64 path: ids of a run of 2**32 shots."""
+    values = np.array([0, 9, 2**32 - 1, 2**32, 10**15 - 1, 10**15, 2**63 - 1])
+    columns = [values, values[::-1], np.zeros(len(values), dtype=np.uint8), values % 7]
+    block = np.column_stack(columns)
+    expected = ("%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
+    assert recordio._format_block(columns) == expected.encode()
