@@ -69,7 +69,7 @@ def shannon_entropy(dist) -> float:
         raise ValidationError("distribution entries must be >= 0")
     if p.sum() > 1.0 + 1e-9:
         raise ValidationError(f"distribution mass {p.sum()} exceeds 1")
-    return float(-_xlogx(p).sum() / _LN2)
+    return float(-_xlogx(p).sum() / _LN2) + 0.0  # a point mass sums to -0.0
 
 
 def binary_entropy(p: float) -> float:
@@ -84,12 +84,16 @@ def mutual_information(conditionals, priors=(0.5, 0.5)) -> float:
 
     ``conditionals`` is a sequence of same-shape arrays p(outcome | symbol);
     the mixture is formed with ``priors`` on the identical outcome grid.
+    Conditionals that all equal the first give exactly 0: their mixture is
+    that law, though ``q * p`` rounds where ``p`` is subnormal.
     """
     ps = [np.asarray(p, dtype=float) for p in conditionals]
     if len(ps) != len(priors):
         raise ValidationError("need one conditional per prior")
-    mix = sum(q * p for q, p in zip(priors, ps))
     h_cond = sum(q * shannon_entropy(p) for q, p in zip(priors, ps))
+    if all(np.array_equal(p, ps[0]) for p in ps[1:]):
+        return 0.0
+    mix = sum(q * p for q, p in zip(priors, ps))
     return shannon_entropy(mix) - h_cond
 
 

@@ -117,45 +117,116 @@ def write_shot_records(path, run: ExperimentRun):
                                         run.n[start:stop], run.m[start:stop]]))
 
 
-# The form write_shot_records writes: the header on line 1, then LF-ended
-# rows of digits and commas.  Every other file is left to the line parser.
-_PLAIN_BODY = b"0123456789,\n"
-_SCAN_BYTES = 1 << 20
+# The form write_shot_records writes: the header on line 1, then rows of
+# four digit fields, each row ended by LF (the last one may lack it).
+# Every other file is left to the line parser.
+_ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)
+_COUNT_DIGITS = len(str(MAX_COUNT))  # a wider count field is left to the line parser
+_READ_BLOCK_BYTES = 1 << 17  # a block's work arrays take a few times its size
 
 
-def _is_plain(path):
-    """Whether the file is in the written form, with at least one row."""
-    with open(path, "rb") as handle:
-        if handle.read(len(_PLAIN_HEADER)) != _PLAIN_HEADER:
-            return False
-        has_rows = False
-        for chunk in iter(lambda: handle.read(_SCAN_BYTES), b""):
-            if chunk.translate(None, _PLAIN_BODY):
-                return False
-            has_rows = has_rows or bool(chunk.strip(b"\n"))
-    return has_rows
+def _count_into(out, body, ends, widths):
+    """Write the counts whose fields end before ``ends`` into ``out``.
+
+    Digit ``j`` of each field, counted from the right, is ``body[ends - j]``,
+    masked where the field is narrower than ``j``.  False if a field is
+    wider than ``_COUNT_DIGITS``.
+    """
+    top = int(widths.max())
+    if top > _COUNT_DIGITS:
+        return False
+    np.subtract(body[ends - 1], ord("0"), out=out, casting="unsafe")
+    for j in range(2, top + 1):
+        digits = body[ends - j] - ord("0")
+        digits *= widths >= j
+        out += digits * np.int64(10 ** (j - 1))
+    return True
+
+
+def _parse_rows(body, symbols, n, m):
+    """Fill the columns from ``body``, whole LF-ended rows of digits and commas.
+
+    Returns the number of rows, or None if a byte is not a digit, a comma or
+    LF, if a row is not four nonempty fields with a one-digit symbol and
+    counts of at most ``_COUNT_DIGITS`` digits, or if the rows overflow the
+    columns.  The ``shot_id`` field is never converted: any run of digits is
+    an integer.
+    """
+    separator = body < ord("0")
+    if body.max() > ord("9") or separator[0] or (separator[1:] & separator[:-1]).any():
+        return None
+    seps = np.flatnonzero(separator)
+    rows = len(seps) // 4
+    if len(seps) % 4 or rows > len(symbols):
+        return None
+    if not np.array_equal(body[seps].reshape(rows, 4),
+                          np.broadcast_to(_ROW_SEPARATORS, (rows, 4))):
+        return None
+    seps = seps.reshape(rows, 4)
+    if (seps[:, 1] - seps[:, 0] != 2).any():
+        return None
+    np.subtract(body[seps[:, 1] - 1], ord("0"), out=symbols[:rows])
+    for column, k in ((n, 2), (m, 3)):
+        if not _count_into(column[:rows], body, seps[:, k], seps[:, k] - seps[:, k - 1] - 1):
+            return None
+    return rows
+
+
+def _plain_bodies(handle):
+    """The rest of the file in blocks of whole rows, as uint8 arrays ending in LF.
+
+    Each read of ``_READ_BLOCK_BYTES`` is cut after its last LF and the rest
+    is carried to the next.  A missing final LF is supplied.
+    """
+    carry = b""
+    for block in iter(lambda: handle.read(_READ_BLOCK_BYTES), b""):
+        block = carry + block
+        cut = block.rfind(b"\n") + 1
+        carry = block[cut:]
+        if cut:
+            yield np.frombuffer(block, dtype=np.uint8, count=cut)
+    if carry:
+        yield np.frombuffer(carry + b"\n", dtype=np.uint8)
+
+
+def _read_plain(handle):
+    """The run in a file in the written form, or None for any other file.
+
+    The columns are allocated for the most rows the file can hold (eight
+    bytes a row, seven for a last row without its LF), and each block of
+    rows is parsed straight into them; the pages never written cost no
+    memory.
+    """
+    if handle.read(len(_PLAIN_HEADER)) != _PLAIN_HEADER:
+        return None
+    cap = (os.fstat(handle.fileno()).st_size - len(_PLAIN_HEADER) + 1) // 8
+    symbols = np.empty(cap, dtype=np.uint8)
+    n = np.empty(cap, dtype=np.int64)
+    m = np.empty(cap, dtype=np.int64)
+    filled = 0
+    for body in _plain_bodies(handle):
+        rows = _parse_rows(body, symbols[filled:], n[filled:], m[filled:])
+        if rows is None:
+            return None
+        filled += rows
+    symbols, n, m = symbols[:filled], n[:filled], m[:filled]
+    if not filled or symbols.max() > 1 or n.max() > MAX_COUNT or m.max() > MAX_COUNT:
+        return None
+    return ExperimentRun(symbols=symbols, n=n, m=m)
 
 
 def read_shot_records(path) -> ExperimentRun:
     """Parse a shot-record file; malformed content names the offending line.
 
-    Files in the written form are parsed in one vectorised pass and checked
-    a column at a time.  Any other file, or one whose columns fail the
-    checks, goes through the line parser, which returns the same run or
-    raises the error that names the line.
+    Files in the written form are parsed a block of bytes at a time, straight
+    into the columns, and checked once at the end (``_read_plain``).  Any
+    other file, or one whose values fail the checks, goes through the line
+    parser, which returns the same run or raises the error that names the
+    line.
     """
-    if _is_plain(path):
-        try:
-            table = np.loadtxt(path, delimiter=",", dtype=np.int64, comments=None,
-                               ndmin=2, skiprows=1)
-            if table.shape[1] == 4:
-                n, m = table[:, 2].copy(), table[:, 3].copy()
-                # check on int64, then cast: a symbol of 257 would wrap to 1 in uint8
-                ExperimentRun(symbols=table[:, 1], n=n, m=m)
-                return ExperimentRun(symbols=table[:, 1].astype(np.uint8), n=n, m=m)
-        except ValueError:  # a field loadtxt cannot parse, or a ValidationError
-            pass
-    return _read_shot_lines(path)
+    with open(path, "rb") as handle:
+        run = _read_plain(handle)
+    return _read_shot_lines(path) if run is None else run
 
 
 def _decode_utf8(path, data, splitlines=str.splitlines):

@@ -242,6 +242,22 @@ class TestSweep:
                        "-o", str(out)) == 0
         assert out.read_text().splitlines()[-1] == "1e-310,2e-310,2e-310,0,0"
 
+    def test_point_mass_laws_print_a_plain_zero(self, tmp_path):
+        # no light: both symbols give the count pair (0, 0), entropy +0, not -0
+        out = tmp_path / "x.csv"
+        assert run_cli("sweep", "--mode", "lo", "--signal-mean", "0", "--lo-mean", "0",
+                       "--xi", "0.5", "--grid", "0", "-o", str(out)) == 0
+        assert out.read_text().splitlines()[-1] == "0,0,0,0,0"
+
+    def test_equal_subnormal_laws_carry_no_information(self, tmp_path):
+        # at xi 0 the symbols give one law; halving its subnormal bins rounds,
+        # yet the mixture is that law, so the information is exactly 0
+        out = tmp_path / "x.csv"
+        assert run_cli("sweep", "--mode", "lo", "--signal-mean", "1e-310",
+                       "--lo-mean", "1e-310", "--xi", "0", "--grid", "1e-310",
+                       "-o", str(out)) == 0
+        assert out.read_text().splitlines()[-1] == "1e-310,0,0,0,0"
+
     def test_zero_tail_tolerance_fails_certification(self, tmp_path):
         code = run_cli("sweep", "--mode", "lo", "--signal-mean", "2.0",
                        "--grid", "1:9:3", "--tail-tol", "0",

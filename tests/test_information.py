@@ -38,6 +38,8 @@ class TestShannonEntropy:
 
     def test_point_mass(self):
         assert shannon_entropy([1.0, 0.0, 0.0]) == 0.0
+        # +0, which a table prints as 0, not the -0 of the sum of -x ln x
+        assert math.copysign(1.0, shannon_entropy([1.0, 0.0, 0.0])) == 1.0
 
     def test_quarter_three_quarter(self):
         assert shannon_entropy([0.25, 0.75]) == pytest.approx(
@@ -208,3 +210,11 @@ class TestMiReport:
         # perfectly distinguishable conditionals carry one bit
         assert mutual_information(([1.0, 0.0], [0.0, 1.0])) == 1.0
         assert mutual_information(([0.5, 0.5], [0.5, 0.5])) == 0.0
+
+    @pytest.mark.parametrize("priors", [(0.5, 0.5), (0.3, 0.7)])
+    def test_equal_laws_carry_exactly_nothing(self, priors):
+        # halving a subnormal bin rounds, so the mixture would differ from the law
+        law = [1.0 - 3e-310, 1e-310, 2e-310]
+        assert mutual_information((law, law), priors) == 0.0
+        with pytest.raises(ValidationError):
+            mutual_information(([0.5, -0.1], [0.5, -0.1]))

@@ -4,9 +4,13 @@ line parser.
 ``write_shot_records`` builds each block's text as a digit matrix; its bytes
 must be those of one ``%d`` per value (``oracles.shot_file_percent``).
 ``read_shot_records`` parses files in the form ``write_shot_records`` writes
-with ``np.loadtxt`` and leaves every other file to ``_read_shot_lines``.  The
-two must agree on every input: the same arrays and dtypes, or the same error
-naming the same line.
+in one pass over blocks of bytes, straight into the columns: the header,
+exactly, then rows of four digit fields ended by LF, the last one maybe not.
+It leaves every other file to ``_read_shot_lines``: blank lines, CR and other
+line breaks, signs, spaces, a symbol wider than one digit, a count wider than
+ten, and values out of range.  The two must agree on every input, whatever
+the block size: the same arrays and dtypes, or the same error naming the
+same line.
 """
 
 import os
@@ -25,8 +29,8 @@ from oracles import shot_file_percent
 
 PROPERTIES = settings(derandomize=True, database=None, max_examples=400, deadline=None)
 
-# fields int() accepts and np.loadtxt does not, and fields both reject
-ODD_FIELDS = ["+3", " 3 ", "3_000", "\uff13", "3.0", "0x3", "", "-1", "2", "257",
+# fields int() accepts and the byte pass does not, and fields both reject
+ODD_FIELDS = ["+3", " 3 ", "3_000", "\uff13", "3.0", "0x3", "", "-1", "2", "10", "01", "257",
               str(MAX_COUNT), str(MAX_COUNT + 1), "-0", "0" * 25 + "1", str(2**63),
               "1\x0c0", "1\x1c0", "1\u20280", "3\x0c", "\x1c3", "3\x0b"]
 # whole lines, before or after the header: blank, comments, wrong field counts
@@ -87,28 +91,41 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("shots") / "shots.csv"
 
 
-@pytest.mark.filterwarnings("error::UserWarning")  # loadtxt warns on an empty body
+# the default block, or blocks of 1 to 64 bytes: rows straddle blocks, and
+# some blocks hold no LF at all
+BLOCK_BYTES = st.just(recordio._READ_BLOCK_BYTES) | st.integers(1, 64)
+
+
 @PROPERTIES
-@given(text=shot_files())
-def test_fast_reader_agrees_with_the_line_parser(scratch, text):
+@given(text=shot_files(), block_bytes=BLOCK_BYTES)
+def test_fast_reader_agrees_with_the_line_parser(scratch, text, block_bytes):
     scratch.write_bytes(text.encode("utf-8"))
-    assert outcome(read_shot_records, scratch) == outcome(recordio._read_shot_lines, scratch)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recordio, "_READ_BLOCK_BYTES", block_bytes)
+        fast = outcome(read_shot_records, scratch)
+    assert fast == outcome(recordio._read_shot_lines, scratch)
+
+
+def refuse(_path):
+    raise AssertionError("the line parser ran on a written file")
 
 
 def test_written_files_take_the_vectorised_pass(tmp_path, monkeypatch):
     path = tmp_path / "shots.csv"
-    write_shot_records(path, ExperimentRun(symbols=np.array([0, 1], dtype=np.uint8),
-                                           n=np.array([1, 3]), m=np.array([2, 0])))
+    write_shot_records(path, ExperimentRun(symbols=np.array([0, 1, 1], dtype=np.uint8),
+                                           n=np.array([1, 3, MAX_COUNT]),
+                                           m=np.array([2, 0, 10])))
     expected = outcome(recordio._read_shot_lines, path)
 
-    def refuse(_path):
-        raise AssertionError("the line parser ran on a written file")
+    def no_loadtxt(*_args, **_kwargs):
+        raise AssertionError("np.loadtxt ran")
 
     monkeypatch.setattr(recordio, "_read_shot_lines", refuse)
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
     assert outcome(read_shot_records, path) == expected
 
 
-# np.loadtxt reads each of these as plain rows; str.splitlines breaks them
+# str.splitlines breaks a line at each of these; the byte pass leaves them to it
 @pytest.mark.parametrize("text", [
     "shot_id,symbol,n_t,n_r\n0,0,3\x0c,2\n1,1,1,1\n",
     "shot_id,symbol,n_t,n_r\n0,0\x1c,1,2\n1,1,1,1\n",
@@ -122,7 +139,6 @@ def test_other_line_breaks_are_left_to_the_line_parser(tmp_path, text):
         read_shot_records(path)
 
 
-@pytest.mark.filterwarnings("error::UserWarning")
 @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n"])
 def test_header_only_file_is_named_without_a_warning(tmp_path, body):
     path = tmp_path / "shots.csv"
@@ -131,15 +147,43 @@ def test_header_only_file_is_named_without_a_warning(tmp_path, body):
         read_shot_records(path)
 
 
+def test_a_file_that_grows_while_read_is_read_whole(tmp_path, monkeypatch):
+    # the columns are sized from the file's size when opened; more rows than
+    # that fit go to the line parser, which reads them all
+    path = tmp_path / "shots.csv"
+    path.write_text("shot_id,symbol,n_t,n_r\n" + "0,1,2,3\n" * 5)
+    expected = outcome(recordio._read_shot_lines, path)
+    real_fstat = os.fstat
+
+    def fstat_of_two_rows(fd):
+        fields = list(real_fstat(fd)[:10])
+        fields[6] = len(SHOT_HEADER) + 1 + 16  # st_size
+        return os.stat_result(fields)
+
+    monkeypatch.setattr(os, "fstat", fstat_of_two_rows)
+    assert outcome(read_shot_records, path) == expected
+
+
 @pytest.mark.parametrize("line, message", [
     ("1,257,3,0", "line 3: symbol must be 0 or 1"),
+    ("1,10,3,0", "line 3: symbol must be 0 or 1"),
     ("1,1,3", "line 3: expected 4 comma-separated fields, got 3"),
+    ("1,1,3,0,", "line 3: expected 4 comma-separated fields, got 5"),
+    (",1,3,0", "line 3: invalid literal for int"),
+    ("1,1,,0", "line 3: invalid literal for int"),
+    ("1,1,3,", "line 3: invalid literal for int"),
+    ("1,1,9999999999,0", "line 3: counts must lie in"),
+    ("1,1,3,2147483648", "line 3: counts must lie in"),
+    ("1,1,3,21474836470", "line 3: counts must lie in"),
 ])
-def test_columns_that_fail_their_checks_name_the_line(tmp_path, line, message):
+def test_columns_that_fail_their_checks_name_the_line(tmp_path, monkeypatch, line, message):
     path = tmp_path / "shots.csv"
     path.write_text(f"shot_id,symbol,n_t,n_r\n0,0,1,2\n{line}\n")
-    with pytest.raises(ValidationError, match=message):
-        read_shot_records(path)
+    # a block of 8 bytes ends with the row before the bad one
+    for block_bytes in (1, 8, recordio._READ_BLOCK_BYTES):
+        monkeypatch.setattr(recordio, "_READ_BLOCK_BYTES", block_bytes)
+        with pytest.raises(ValidationError, match=message):
+            read_shot_records(path)
 
 
 def test_reader_peak_memory_is_a_few_times_the_file(tmp_path):
@@ -156,7 +200,7 @@ def test_reader_peak_memory_is_a_few_times_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     np.testing.assert_array_equal(back.n, run.n)
-    assert peak < 8 * os.path.getsize(path)
+    assert peak < 4 * os.path.getsize(path)
 
 
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
@@ -203,6 +247,38 @@ def test_writer_bytes_equal_a_percent_format_per_value(scratch, run, block_rows)
         patch.setattr(recordio, "_WRITE_BLOCK_ROWS", block_rows)
         write_shot_records(scratch, run)
     assert scratch.read_bytes() == shot_file_percent(run)
+
+
+@st.composite
+def long_shot_runs(draw):
+    """A run of 1 to 400 shots drawn by numpy from a seed, with edge counts
+    among small ones, so that field widths change from row to row."""
+    shots = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def counts():
+        return np.where(rng.random(shots) < 0.3, rng.choice(EDGE_COUNTS, shots),
+                        rng.integers(0, 30, shots))
+
+    return ExperimentRun(symbols=rng.integers(0, 2, shots, dtype=np.uint8),
+                         n=counts(), m=counts())
+
+
+@settings(PROPERTIES, max_examples=100)
+@given(run=long_shot_runs(), block_bytes=BLOCK_BYTES, final_lf=st.booleans())
+def test_written_files_read_back_across_block_boundaries(scratch, run, block_bytes,
+                                                         final_lf):
+    """A written file, its final LF kept or cut, reads back on the byte pass."""
+    write_shot_records(scratch, run)
+    if not final_lf:
+        scratch.write_bytes(scratch.read_bytes()[:-1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recordio, "_READ_BLOCK_BYTES", block_bytes)
+        patch.setattr(recordio, "_read_shot_lines", refuse)
+        back = read_shot_records(scratch)
+    for got, want in zip((back.symbols, back.n, back.m), (run.symbols, run.n, run.m)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def test_block_format_holds_any_int64():
