@@ -2,13 +2,18 @@
 
 Shot generation mirrors the experimental acquisitions: equal numbers of
 pulses per symbol, one integer count pair per pulse.  Reproducibility rests
-on numpy's counter-based Philox generator with substreams keyed by
-(seed, symbol, chunk index), so regeneration is deterministic regardless of
-chunking or scheduling.
+on numpy's counter-based Philox generator with one substream per chunk of
+``_CHUNK`` shots, keyed by (seed, symbol, chunk index).  The chunk size is
+part of the stream: the counts depend only on (params, shots, seed), not on
+how many threads draw the chunks or in which order they finish, but a
+different ``_CHUNK`` would give different counts.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -32,7 +37,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _CHUNK = 1 << 16
-# empirical_distributions keys each shot as (n << 32) | (m << 1) | symbol in
+# empirical_distributions keys each shot as ((n << 31) | m) << 1 | symbol in
 # one int64; counts of at most 31 bits keep that key exact, with no wraparound.
 MAX_COUNT = (1 << 31) - 1
 
@@ -62,38 +67,82 @@ class ExperimentRun:
         return len(self.symbols)
 
 
-def _symbol_counts(params, symbol, shots, seed):
-    mu_t, mu_r = detection_rates(params, symbol)
-    n_parts, m_parts = [], []
-    for chunk_index in range(0, shots, _CHUNK):
-        size = min(_CHUNK, shots - chunk_index)
-        ss = np.random.SeedSequence((seed, symbol, chunk_index // _CHUNK))
-        gen = np.random.Generator(np.random.Philox(ss))
-        n_parts.append(gen.poisson(mu_t, size))
-        m_parts.append(gen.poisson(mu_r, size))
-    return np.concatenate(n_parts), np.concatenate(m_parts)
+def _worker_count():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_jobs(jobs, workers):
+    """Call every job, on this thread and ``workers - 1`` more.
+
+    The first exception stops the claiming of further jobs and is raised here
+    once every thread has finished the job in hand.
+    """
+    pending = iter(jobs)
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        while True:
+            with lock:
+                job = None if errors else next(pending, None)
+            if job is None:
+                return
+            try:
+                job()
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def run_experiment(params: ChannelParams, shots_per_symbol: int, seed: int) -> ExperimentRun:
     """Generate a balanced run: ``shots_per_symbol`` pulses for each symbol.
 
     Deterministic for fixed (params, shots_per_symbol, seed); the record
-    order is all symbol-0 shots followed by all symbol-1 shots.
+    order is all symbol-0 shots followed by all symbol-1 shots.  Each chunk
+    of ``_CHUNK`` shots draws its n counts and then its m counts from its own
+    Philox substream straight into its slices of the two columns, so the
+    chunks run concurrently on a thread per usable CPU (numpy's Poisson fill
+    releases the GIL) and the result does not depend on the thread count.
     """
     if shots_per_symbol < 1:
         raise ValidationError("shots_per_symbol must be >= 1")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
-    n0, m0 = _symbol_counts(params, 0, shots_per_symbol, int(seed))
-    n1, m1 = _symbol_counts(params, 1, shots_per_symbol, int(seed))
-    symbols = np.concatenate(
-        [np.zeros(shots_per_symbol, dtype=np.uint8), np.ones(shots_per_symbol, dtype=np.uint8)]
-    )
-    return ExperimentRun(
-        symbols=symbols,
-        n=np.concatenate([n0, n1]).astype(np.int64, copy=False),
-        m=np.concatenate([m0, m1]).astype(np.int64, copy=False),
-    )
+    seed = int(seed)
+    n = np.empty(2 * shots_per_symbol, dtype=np.int64)
+    m = np.empty(2 * shots_per_symbol, dtype=np.int64)
+    rates = [detection_rates(params, symbol) for symbol in (0, 1)]
+
+    def draw(symbol, index):
+        mu_t, mu_r = rates[symbol]
+        size = min(_CHUNK, shots_per_symbol - index * _CHUNK)
+        start = symbol * shots_per_symbol + index * _CHUNK
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, symbol, index))))
+        n[start:start + size] = gen.poisson(mu_t, size)
+        m[start:start + size] = gen.poisson(mu_r, size)
+
+    chunks = -(-shots_per_symbol // _CHUNK)
+    jobs = [partial(draw, symbol, index) for symbol in (0, 1) for index in range(chunks)]
+    _run_jobs(jobs, min(_worker_count(), len(jobs)))
+    symbols = np.zeros(2 * shots_per_symbol, dtype=np.uint8)
+    symbols[shots_per_symbol:] = 1
+    return ExperimentRun(symbols=symbols, n=n, m=m)
 
 
 @dataclass(frozen=True)
@@ -148,11 +197,22 @@ class EmpiricalDistributions:
 def empirical_distributions(run: ExperimentRun) -> EmpiricalDistributions:
     """Count each symbol's observed (n, m) pairs: one sort of one key per shot.
 
-    Memory is O(shots) whatever the counts are.
+    The key ((n << 31) | m) << 1 | symbol is built, widened to int64, in one
+    fresh array and sorted in place; its runs give the distinct keys and
+    their tallies.  Memory is O(shots) whatever the counts are.
     """
-    keys, tally = np.unique((run.n.astype(np.int64, copy=False) << 32)
-                            | (run.m.astype(np.int64, copy=False) << 1)
-                            | run.symbols.astype(np.int64), return_counts=True)
+    key = run.n.astype(np.int64)
+    key <<= 31
+    np.bitwise_or(key, run.m, out=key, dtype=np.int64, casting="unsafe")
+    key <<= 1
+    np.bitwise_or(key, run.symbols, out=key, dtype=np.int64, casting="unsafe")
+    key.sort()
+    first = np.empty(len(key), dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    keys = key[starts]
+    tally = np.diff(starts, append=len(key))
     pairs, column = np.unique(keys >> 1, return_inverse=True)
     counts = np.zeros((2, len(pairs)), dtype=np.int64)
     counts[keys & 1, column] = tally

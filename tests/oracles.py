@@ -6,7 +6,8 @@ scipy's scaled Bessel function and as an mpmath Poisson convolution, the
 full count-pair grid, the four-index joint law of the symbol and both
 receivers, the dense Bob x Eve joint of the two difference laws, a
 number-basis diagonalization, adaptive quadrature of the homodyne entropy,
-shot-file text by one %-format per value -- so the tests can compare
+shot-file text by one %-format per value, Monte Carlo chunks drawn one
+after another and counted by np.unique -- so the tests can compare
 production against something that shares none of its shortcuts.  They only
 run at small windows, except the exactly summed I(B;E) reference, which
 works through the dense joint in row blocks.
@@ -352,3 +353,40 @@ def shot_file_percent(run):
     block = np.column_stack([np.arange(len(run)), run.symbols, run.n, run.m])
     rows = ("%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
     return (SHOT_HEADER + "\n" + rows).encode()
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo shots, drawn and counted serially
+# ---------------------------------------------------------------------------
+
+def run_experiment_serial(params, shots_per_symbol, seed):
+    """The n and m columns of ``run_experiment``, drawn on one thread.
+
+    Each symbol's shots come in chunks of 65536, one Philox substream per
+    chunk keyed by (seed, symbol, chunk index); the chunks are drawn in
+    order and joined by concatenation.
+    """
+    chunk = 1 << 16
+    n_parts, m_parts = [], []
+    for symbol in (0, 1):
+        mu_t, mu_r = detection_rates(params, symbol)
+        for index, start in enumerate(range(0, shots_per_symbol, chunk)):
+            size = min(chunk, shots_per_symbol - start)
+            ss = np.random.SeedSequence((seed, symbol, index))
+            gen = np.random.Generator(np.random.Philox(ss))
+            n_parts.append(gen.poisson(mu_t, size))
+            m_parts.append(gen.poisson(mu_r, size))
+    return np.concatenate(n_parts), np.concatenate(m_parts)
+
+
+def empirical_counts_unique(run):
+    """``cells``, ``counts`` and ``shots`` of ``empirical_distributions``, by
+    np.unique on the key (n << 32) | (m << 1) | symbol and then on its pairs."""
+    keys, tally = np.unique((run.n.astype(np.int64) << 32)
+                            | (run.m.astype(np.int64) << 1)
+                            | run.symbols.astype(np.int64), return_counts=True)
+    pairs, column = np.unique(keys >> 1, return_inverse=True)
+    counts = np.zeros((2, len(pairs)), dtype=np.int64)
+    counts[keys & 1, column] = tally
+    cells = np.column_stack([pairs >> 31, pairs & ((1 << 31) - 1)])
+    return cells, counts, tuple(int(s) for s in counts.sum(axis=1))

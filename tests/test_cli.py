@@ -2,6 +2,7 @@ import argparse
 import ast
 import hashlib
 import json
+import math
 import os
 import stat
 import subprocess
@@ -51,6 +52,16 @@ class TestSimulateAnalyze:
                        "-o", str(out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "fd3abc67b7e50aa3dd4da3fded9b1436d59956218c43ab7ca7a693213fabedc0")
+
+    def test_multi_chunk_seeded_file_is_pinned(self, tmp_path):
+        """Three Philox chunks per symbol, the last one partial: the bytes do
+        not depend on how many threads draw them or in which order."""
+        out = tmp_path / "shots.csv"
+        assert run_cli("simulate", "--signal-mean", "3.07", "--lo-mean", "12.17",
+                       "--xi", "0.94", "--shots", "140000", "--seed", "7",
+                       "-o", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "7415e390aec1b507e7dbc632c4b03449f1bea81824b42c678aa8277fca38f17f")
 
     def test_zero_shots_is_a_validation_error(self, tmp_path):
         code = run_cli("simulate", "--signal-mean", "2.0", "--lo-mean", "8.0",
@@ -228,10 +239,17 @@ class TestSweep:
         assert code == 0
         header, row = out.read_text().splitlines()[-2:]
         assert header == "lo_mean,i_wf,i_hl,i_bds,trunc_err"
-        lo_mean, *figures = row.split(",")
+        lo_mean, i_wf, i_hl, *rest = row.split(",")
         assert lo_mean == "1e-310"
-        # the two laws are equal; only the rounding of subnormal bins shows
-        assert all(0.0 <= float(v) <= 1e-300 for v in figures)
+        # the laws differ by the cross term: each symbol lights one arm at
+        # 1.5e-310 and the other at 0.5e-310, so one count names the symbol
+        # with, to first order, 1e-310 * (1.5 log2 1.5 - 0.5) bits
+        exact = 1e-310 * (1.5 * math.log2(1.5) - 0.5)
+        assert float(i_wf) == pytest.approx(exact, rel=1e-10, abs=0.0)
+        assert float(i_hl) == pytest.approx(exact, rel=1e-10, abs=0.0)
+        # the sign law moves its outcomes by only -+5e-311 from 1/2, so
+        # i_bds is of second order (about 7e-621 bits) and underflows
+        assert all(0.0 <= float(v) <= 1e-300 for v in rest)
 
     def test_subnormal_one_sided_laws_keep_their_information(self, tmp_path):
         # at xi 1 each symbol darkens one arm; a count of 1 on the lit arm,
@@ -674,7 +692,10 @@ class TestProcess:
         assert not list(tmp_path.iterdir())
 
     def test_cli_import_loads_no_scipy_module(self):
-        heavy = ("concurrent.futures.process", "multiprocessing")
+        # run_experiment runs its own threads: a pool module, with the logging
+        # it imports, would cost every CLI process its import
+        heavy = ("concurrent.futures", "concurrent.futures.process", "logging",
+                 "multiprocessing")
         code = ("import sys, pnrchan.cli; "
                 "print(' '.join(sorted(m for m in sys.modules if m == 'scipy' "
                 "or m.startswith('scipy.') "

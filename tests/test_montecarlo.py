@@ -1,4 +1,6 @@
+import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -18,13 +20,14 @@ from pnrchan import (
     mi_bds,
     mi_hl,
     mi_wf,
+    montecarlo,
     plugin_mi,
     run_experiment,
     skellam_pmf_grid,
 )
 from pnrchan.montecarlo import MAX_COUNT, EmpiricalDistributions
 
-from oracles import wf_pmf
+from oracles import empirical_counts_unique, run_experiment_serial, wf_pmf
 
 
 def params_for(signal_mean, lo_mean, xi):
@@ -76,6 +79,41 @@ class TestSampling:
         with pytest.raises(ValidationError):
             run_experiment(REF, 10, seed=-4)
 
+
+DIM = params_for(0.3, 0.6, 0.5)  # small counts keep the draws cheap
+
+
+class TestConcurrentDraws:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_bit_identical_to_serial_chunks(self, monkeypatch, workers):
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        for shots in (1, 65535, 65536, 65537, 2 * 65536 + 17):
+            run = run_experiment(DIM, shots, seed=19)
+            n, m = run_experiment_serial(DIM, shots, 19)
+            np.testing.assert_array_equal(run.n, n)
+            np.testing.assert_array_equal(run.m, m)
+            assert run.n.dtype == run.m.dtype == np.int64
+            assert run.symbols.tolist() == [0] * shots + [1] * shots
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failed_chunk_raises_its_error(self, monkeypatch, workers):
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        philox, built = np.random.Philox, itertools.count()
+
+        def third_fails(seed_sequence):
+            if next(built) == 2:
+                raise MemoryError
+            return philox(seed_sequence)
+
+        monkeypatch.setattr(montecarlo.np.random, "Philox", third_fails)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError):
+            run_experiment(DIM, 8 * 65536, seed=3)
+        assert threading.active_count() == threads
+        # the failure stops the claiming of chunks: of the 16, the other
+        # threads finish at most the ones in hand
+        started = next(built)
+        assert started == 3 if workers == 1 else started < 16
 
 class TestEmpiricalDistributions:
     def test_point_mass_run(self):
@@ -158,6 +196,36 @@ def test_shot_order_changes_nothing(run, seed):
     np.testing.assert_array_equal(emp_shuffled.cells, emp.cells)
     np.testing.assert_array_equal(emp_shuffled.counts, emp.counts)
     assert plugin_mi(emp_shuffled) == plugin_mi(emp)
+
+
+KEY_DTYPES = (np.uint8, np.int32, np.uint32, np.int64)
+
+
+def _counts(dtype):
+    top = min(int(np.iinfo(dtype).max), MAX_COUNT)
+    edges = [c for c in (0, 2**31 - 2, MAX_COUNT) if c <= top]
+    return st.one_of(st.sampled_from(edges), st.integers(0, top))
+
+
+wide_runs = st.sampled_from(KEY_DTYPES).flatmap(lambda dtype: st.tuples(
+    st.just(dtype),
+    st.lists(st.tuples(st.integers(0, 1), _counts(dtype), _counts(dtype)),
+             min_size=2, max_size=40).filter(lambda shots: {k for k, _, _ in shots} == {0, 1}),
+    st.integers(0, 2**32 - 1)))
+
+
+@PROPERTIES
+@given(wide_runs)
+def test_sorted_key_runs_count_like_np_unique(case):
+    dtype, shots, seed = case
+    columns = [np.array(c, dtype=dtype) for c in zip(*shots)]
+    order = np.random.default_rng(seed).permutation(len(shots))
+    for run in (ExperimentRun(*columns), ExperimentRun(*(c[order] for c in columns))):
+        emp = empirical_distributions(run)
+        cells, counts, per_symbol = empirical_counts_unique(run)
+        np.testing.assert_array_equal(emp.cells, cells)
+        np.testing.assert_array_equal(emp.counts, counts)
+        assert emp.shots == per_symbol
 
 
 @PROPERTIES
