@@ -37,7 +37,6 @@ from .recordio import (
 from .sweeps import (
     SECURITY_SCENARIOS,
     STRATEGIES,
-    SecuritySpec,
     SweepSpec,
     run_security,
     run_sweep,
@@ -209,11 +208,14 @@ def _maybe_write_gnuplot(ns, columns, title):
 # ---------------------------------------------------------------------------
 
 def _cmd_security(ns):
-    spec = SecuritySpec(
+    spec = SweepSpec(
+        mode="loss",
         signal_mean=ns.signal_mean,
-        lo_mean=ns.lo_mean,
-        visibility=ns.xi,
         grid=_parse_grid(ns.grid),
+        strategies=("wf", "bds"),
+        visibilities=(ns.xi,),
+        lo_mean=ns.lo_mean,
+        security=tuple(SECURITY_SCENARIOS),
         eve_lo_mean=ns.eve_lo_mean,
         tail_tol=ns.tail_tol,
     )
@@ -222,7 +224,7 @@ def _cmd_security(ns):
         ("command", "security"),
         ("signal_mean", f"{spec.signal_mean:.12g}"),
         ("lo_mean", f"{spec.lo_mean:.12g}"),
-        ("xi_bob", f"{spec.visibility:.12g}"),
+        ("xi_bob", f"{spec.visibilities[0]:.12g}"),
         ("xi_eve", "1"),
         ("eve_lo_mean", "bob" if spec.eve_lo_mean is None else f"{spec.eve_lo_mean:.12g}"),
         ("grid", ns.grid),

@@ -184,6 +184,15 @@ def _poisson_upper_tail(n, mu):
     return float(ctx.exp(log_tail)) * (1.0 + slack)
 
 
+def _check_tail_tol(tail_tol):
+    """No window of an infinite alphabet has a tail of zero or less."""
+    if tail_tol <= 0.0:
+        raise NumericsError(
+            f"tail tolerance {tail_tol:g} cannot be certified on an infinite "
+            "alphabet; it must be > 0"
+        )
+
+
 def poisson_window(mu, tail_tol=DEFAULT_TAIL_TOL):
     """Smallest rule-based count window [0, n_max] with certified tail.
 
@@ -192,10 +201,7 @@ def poisson_window(mu, tail_tol=DEFAULT_TAIL_TOL):
     mu + 12*sqrt(mu) + 30 is grown geometrically if the certificate misses
     ``tail_tol``.
     """
-    if tail_tol <= 0.0:
-        raise NumericsError(
-            "a zero tail tolerance cannot be certified on an infinite alphabet"
-        )
+    _check_tail_tol(tail_tol)
     if mu == 0.0:
         return 0, 0.0
     n_max = int(math.ceil(mu + 12.0 * math.sqrt(mu) + 30.0))
@@ -243,10 +249,7 @@ def skellam_window(mu_t, mu_r, tail_tol=DEFAULT_TAIL_TOL):
     Returns ``(lo, hi, tail_bound)``.  Both rates must be positive; the
     one-sided degenerate cases are handled by the callers.
     """
-    if tail_tol <= 0.0:
-        raise NumericsError(
-            "a zero tail tolerance cannot be certified on an infinite alphabet"
-        )
+    _check_tail_tol(tail_tol)
     mean = mu_t - mu_r
     sig = math.sqrt(mu_t + mu_r)
     half = int(math.ceil(12.0 * sig + 30.0))

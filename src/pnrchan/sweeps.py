@@ -2,6 +2,7 @@
 
 A sweep walks a strictly monotone grid (LO energy or signal loss), computes
 the requested information figures per point, and returns rows in grid order.
+The security table is a column layout of a loss sweep.
 """
 
 import math
@@ -18,47 +19,31 @@ __all__ = [
     "STRATEGIES",
     "SECURITY_SCENARIOS",
     "SweepSpec",
-    "SecuritySpec",
     "sweep_columns",
-    "security_columns",
     "run_sweep",
     "run_security",
 ]
 
 STRATEGIES = ("wf", "hl", "bds", "hom")
 # the SecurityReport fields a sweep appends for each --security scenario, in
-# column order; the security table prints every field in declaration order
+# column order; run_security lays every field out in declaration order
 SECURITY_SCENARIOS = {
     "ia-dr": ("i_ae_wf", "delta_ia_dr", "k_dr"),
     "ia-rr": ("i_be_wf", "delta_ia_rr", "k_rr"),
     "ca-rr": ("chi_be_wf", "chi_be_bds", "delta_ca_wf", "delta_ca_bds",
               "k_ca_wf", "k_ca_bds"),
 }
-_REPORT_COLUMNS = tuple(f.name for f in fields(SecurityReport) if f.name != "error_bound")
-
-
-def _check_tail_tol(tail_tol):
-    # zero and negative tolerances are left to the window certification,
-    # which reports them as numerical failures
-    if not math.isfinite(tail_tol):
-        raise ValidationError(f"tail_tol must be finite, got {tail_tol}")
+# the security table: the loss sweep of wf and bds with every scenario, Bob's
+# two figures named as SecurityReport names them
+_SECURITY_NAMES = {"i_wf": "i_ab_wf", "i_bds": "i_ab_bds"}
+_SECURITY_COLUMNS = ("loss_db", "transmissivity", "signal_mean",
+                     *(f.name for f in fields(SecurityReport) if f.name != "error_bound"),
+                     "trunc_err")
 
 
 def _check_mean(name, value):
     if value is not None and not (value >= 0.0 and math.isfinite(value)):
         raise ValidationError(f"{name} must be finite and >= 0, got {value}")
-
-
-def _eve_lo_amplitude(eve_lo_mean):
-    return None if eve_lo_mean is None else eve_lo_mean ** 0.5
-
-
-def _check_grid(grid):
-    if len(grid) == 0:
-        raise ValidationError("grid must not be empty")
-    diffs = [b - a for a, b in zip(grid, grid[1:])]
-    if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-        raise ValidationError("grid must be strictly monotone")
 
 
 @dataclass(frozen=True)
@@ -68,7 +53,10 @@ class SweepSpec:
     In ``lo`` mode the grid is the LO mean photon number and ``signal_mean``
     is the signal mean at the receiver.  In ``loss`` mode the grid is the
     attenuation in dB, ``signal_mean`` is the zero-loss reference, and
-    ``lo_mean`` stays fixed.
+    ``lo_mean`` stays fixed.  Under ``security`` the eavesdropper collects
+    the fraction of the signal the channel loses (the grid's attenuation in
+    ``loss`` mode, ``fixed_loss_db`` in ``lo`` mode) and reads it with Bob's
+    LO unless ``eve_lo_mean`` is given.
     """
 
     mode: str
@@ -104,8 +92,15 @@ class SweepSpec:
             raise ValidationError("loss mode needs a fixed lo_mean")
         if self.mode == "loss" and self.fixed_loss_db:
             raise ValidationError("loss mode sweeps the loss; fixed_loss_db is for lo mode")
-        _check_grid(self.grid)
-        _check_tail_tol(self.tail_tol)
+        if len(self.grid) == 0:
+            raise ValidationError("grid must not be empty")
+        diffs = [b - a for a, b in zip(self.grid, self.grid[1:])]
+        if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
+            raise ValidationError("grid must be strictly monotone")
+        # zero and negative tolerances are left to the window certification,
+        # which reports them as numerical failures
+        if not math.isfinite(self.tail_tol):
+            raise ValidationError(f"tail_tol must be finite, got {self.tail_tol}")
 
 
 def _security_columns(spec):
@@ -147,8 +142,8 @@ def _sweep_row(spec, value):
         bob = _bob_params(spec, value, xi)
         if spec.security:
             # a single visibility: the report carries Bob's figures as well
-            report = security_report_for(bob, _eve_lo_amplitude(spec.eve_lo_mean),
-                                         spec.tail_tol)
+            eve_lo = None if spec.eve_lo_mean is None else spec.eve_lo_mean ** 0.5
+            report = security_report_for(bob, eve_lo, spec.tail_tol)
             i_diff, i_sign, err = report.i_ab_wf, report.i_ab_bds, report.error_bound
         else:
             _, i_diff, i_sign, err = _receiver_figures(bob, spec.tail_tol)
@@ -160,52 +155,23 @@ def _sweep_row(spec, value):
     return cells
 
 
-@dataclass(frozen=True)
-class SecuritySpec:
-    """A wiretap security sweep over signal loss.
-
-    ``signal_mean`` is the source mean photon number (received mean at zero
-    loss); the grid is the attenuation in dB of the honest arm, with the
-    eavesdropper collecting the complementary fraction.
-    """
-
-    signal_mean: float
-    lo_mean: float
-    visibility: float
-    grid: tuple
-    eve_lo_mean: Optional[float] = None
-    tail_tol: float = DEFAULT_TAIL_TOL
-
-    def __post_init__(self):
-        _check_mean("signal_mean", self.signal_mean)
-        _check_mean("lo_mean", self.lo_mean)
-        _check_mean("eve_lo_mean", self.eve_lo_mean)
-        _check_grid(self.grid)
-        _check_tail_tol(self.tail_tol)
-
-
-def security_columns():
-    return ["loss_db", "transmissivity", "signal_mean", *_REPORT_COLUMNS, "trunc_err"]
-
-
-def _security_row(spec, loss_db):
-    t = loss_db_to_transmissivity(loss_db)
-    bob = ChannelParams(
-        alpha=spec.signal_mean ** 0.5,
-        transmissivity=t,
-        lo_amplitude=spec.lo_mean ** 0.5,
-        visibility=spec.visibility,
-    )
-    rep = security_report_for(bob, _eve_lo_amplitude(spec.eve_lo_mean), spec.tail_tol)
-    return [loss_db, t, spec.signal_mean * t,
-            *(getattr(rep, c) for c in _REPORT_COLUMNS), rep.error_bound]
-
-
 def run_sweep(spec: SweepSpec):
     """Evaluate a MI sweep; returns (columns, rows) in grid order."""
     return sweep_columns(spec), [_sweep_row(spec, value) for value in spec.grid]
 
 
-def run_security(spec: SecuritySpec):
-    """Evaluate a security sweep; returns (columns, rows) in grid order."""
-    return security_columns(), [_security_row(spec, loss_db) for loss_db in spec.grid]
+def run_security(spec: SweepSpec):
+    """Evaluate a loss sweep as the security table; returns (columns, rows).
+
+    ``spec`` must be a loss sweep of strategies wf and bds with every
+    security scenario.  The columns are loss_db, transmissivity and
+    signal_mean, then the SecurityReport fields in declaration order (Bob's
+    figures as i_ab_wf and i_ab_bds), then trunc_err.
+    """
+    names = [_SECURITY_NAMES.get(c, c) for c in sweep_columns(spec)]
+    if sorted(names) != sorted(_SECURITY_COLUMNS):
+        raise ValidationError("the security table is a loss sweep of wf,bds "
+                              f"with security {','.join(SECURITY_SCENARIOS)}")
+    order = [names.index(c) for c in _SECURITY_COLUMNS]
+    rows = [_sweep_row(spec, value) for value in spec.grid]
+    return list(_SECURITY_COLUMNS), [[row[i] for i in order] for row in rows]

@@ -69,6 +69,16 @@ def test_every_traced_name_resolves(spans):
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
 
 
+@pytest.mark.parametrize("preset, points", [("fig3", 25), ("fig5", 22)])
+def test_traced_preset_counts_each_point_once(spans, tmp_path, preset, points):
+    # a driver that nests the other would count each point twice
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        assert cli.main([PRESETS[preset], "--preset", preset,
+                         "-o", str(tmp_path / "x.csv")]) == 0
+    assert spans.pass_metrics(tracer.spans)["sweeps.points"] == points
+
+
 def test_tracer_installs_and_restores(spans):
     from pnrchan import information
 

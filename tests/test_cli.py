@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnrchan import cli, recordio
+from pnrchan import cli, recordio, sweeps
+from pnrchan.errors import ValidationError
 from pnrchan.recordio import parse_config, read_shot_records, write_text_atomic
 
 
@@ -282,6 +284,15 @@ class TestSweep:
                        "-o", str(tmp_path / "x.csv"))
         assert code == 3
 
+    def test_negative_tail_tolerance_names_its_value(self, tmp_path, capsys):
+        code = run_cli("security", "--preset", "fig5", "--tail-tol", "-1",
+                       "-o", str(tmp_path / "x.csv"))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "pnrchan: error: tail tolerance -1 cannot be certified on an infinite "
+            "alphabet; it must be > 0\n")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command", ["sweep", "security"])
     @pytest.mark.parametrize("tail_tol", ["nan", "inf"])
     def test_non_finite_tail_tolerance_is_a_validation_error(self, tmp_path, command,
@@ -419,6 +430,40 @@ class TestSecurityCommand:
         for column in ("i_ab_wf", "i_be_wf", "chi_be_wf", "chi_be_bds"):
             assert row[column] == "0", column
 
+    def test_table_is_the_loss_sweep_with_every_scenario(self, tmp_path):
+        security, sweep = tmp_path / "security.csv", tmp_path / "sweep.csv"
+        assert run_cli("security", "--preset", "fig5", "-o", str(security)) == 0
+        assert run_cli("sweep", "--mode", "loss", "--signal-mean", "3.2",
+                       "--lo-mean", "12.15", "--xi", "0.94", "--grid", "0:13.44:22",
+                       "--strategies", "wf,bds", "--security", "ia-dr,ia-rr,ca-rr",
+                       "-o", str(sweep)) == 0
+        tables = []
+        for path in (security, sweep):
+            header, *rows = [l.split(",") for l in path.read_text().splitlines()
+                             if not l.startswith("#")]
+            tables.append([dict(zip(header, row)) for row in rows])
+        renamed = {"i_ab_wf": "i_wf", "i_ab_bds": "i_bds"}
+        assert len(tables[0]) == len(tables[1]) == 22
+        for by_security, by_sweep in zip(*tables):
+            assert len(by_security) == len(by_sweep) == 18
+            for column, cell in by_security.items():
+                assert by_sweep[renamed.get(column, column)] == cell, column
+
+    @pytest.mark.parametrize("change", [
+        {"mode": "lo", "lo_mean": None},
+        {"strategies": ("wf", "hl", "bds")},
+        {"strategies": ("wf",)},
+        {"security": ("ia-dr", "ca-rr")},
+    ])
+    def test_run_security_takes_only_its_own_layout(self, change):
+        spec = sweeps.SweepSpec(mode="loss", signal_mean=3.2, grid=(0.0,),
+                                strategies=("bds", "wf"), lo_mean=12.15,
+                                security=tuple(sweeps.SECURITY_SCENARIOS))
+        columns, rows = sweeps.run_security(spec)
+        assert columns[3:5] == ["i_ab_wf", "i_ab_bds"] and len(rows[0]) == 18
+        with pytest.raises(ValidationError, match="loss sweep of wf,bds"):
+            sweeps.run_security(dataclasses.replace(spec, **change))
+
     def test_every_cell_is_finite_or_sentinel(self, tmp_path):
         out = tmp_path / "sec.csv"
         assert run_cli("security", "--preset", "fig6", "-o", str(out)) == 0
@@ -457,6 +502,24 @@ class TestPresets:
         assert run_cli(command, "--preset", name, "-o", str(by_preset)) == 0
         assert run_cli(command, *flags, "-o", str(by_flags)) == 0
         assert by_preset.read_bytes() == by_flags.read_bytes()
+
+    # the first line of each table names the package version, so a release
+    # that bumps it re-pins these
+    PINNED = {
+        "fig3": "efc448c0b299101c1b07d69228bc92d2b4d361a8c87317fae4306616dc2ff68e",
+        "fig4": "c6e527fd625038bc68ea3bc8536f71e5427c267310ab2fa30952c0ef42a5dde3",
+        "fig5": "20f91bc05930d46d1a0764684172289646a8ff0161c6f11733405a47d4c4c2eb",
+        "fig6": "c0044cabb2b539be48cbb6b00f4d95dde6bd9c943c5af56adfe11eea13f88011",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_preset_table_is_pinned(self, tmp_path, name):
+        """Every cell and the preamble: these bytes are those of earlier
+        releases, where the reference tables allow 1e-9 a cell."""
+        command = "sweep" if name in ("fig3", "fig4") else "security"
+        out = tmp_path / f"{name}.csv"
+        assert run_cli(command, "--preset", name, "-o", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED[name]
 
     def test_config_parser(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -17,7 +17,7 @@ from pnrchan import (ChannelParams, binary_entropy, eve_params, information, mi_
                      mi_report, security_report_for)
 from pnrchan.receivers import DEFAULT_TAIL_TOL
 from pnrchan.security import mi_bob_eve
-from pnrchan.sweeps import SecuritySpec, SweepSpec, run_security, run_sweep
+from pnrchan.sweeps import SECURITY_SCENARIOS, SweepSpec, run_security, run_sweep
 
 from oracles import mi_bob_eve_dense
 
@@ -39,8 +39,9 @@ def law_builds(monkeypatch):
 class TestOneLawPerReceiver:
     @pytest.mark.parametrize("loss_db, builds", [(3.0, 2), (0.0, 1)])
     def test_security_row(self, law_builds, loss_db, builds):
-        spec = SecuritySpec(signal_mean=3.2, lo_mean=12.15, visibility=0.94,
-                            grid=(loss_db,))
+        spec = SweepSpec(mode="loss", signal_mean=3.2, grid=(loss_db,),
+                         strategies=("wf", "bds"), visibilities=(0.94,), lo_mean=12.15,
+                         security=tuple(SECURITY_SCENARIOS))
         run_security(spec)
         assert len(law_builds) == builds
 
