@@ -125,9 +125,14 @@ def run_experiment(params: ChannelParams, shots_per_symbol: int, seed: int) -> E
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
     seed = int(seed)
+    rates = [detection_rates(params, symbol) for symbol in (0, 1)]
+    for mu in (mu for pair in rates for mu in pair):
+        # refused before any draw: a count 40 standard deviations out is never drawn
+        if not mu + 40.0 * math.sqrt(mu) <= MAX_COUNT:
+            raise ValidationError(f"arm mean {mu:.6g} is too large to record: mean + "
+                                  f"40 sqrt(mean) must be at most the count limit {MAX_COUNT}")
     n = np.empty(2 * shots_per_symbol, dtype=np.int64)
     m = np.empty(2 * shots_per_symbol, dtype=np.int64)
-    rates = [detection_rates(params, symbol) for symbol in (0, 1)]
 
     def draw(symbol, index):
         mu_t, mu_r = rates[symbol]

@@ -1,7 +1,7 @@
 """File formats: shot-record CSV, result tables, and flat config files.
 
-Shot records are plain comma-separated text with the fixed header
-``shot_id,symbol,n_t,n_r``.  Result tables carry a ``#``-prefixed metadata
+Shot records are comma-separated text with the header ``shot_id,symbol,n_t,n_r``,
+in the grammar the README states.  Result tables carry a ``#``-prefixed metadata
 preamble followed by a CSV header and rows, so a figure can be regenerated
 from the file alone.  All writes go through a write-then-rename so a failed
 run never leaves a partial file behind.
@@ -117,11 +117,8 @@ def write_shot_records(path, run: ExperimentRun):
                                         run.n[start:stop], run.m[start:stop]]))
 
 
-# The form write_shot_records writes: the header on line 1, then rows of
-# four digit fields, each row ended by LF (the last one may lack it).
-# Every other file is left to the line parser.
-_ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)
-_COUNT_DIGITS = len(str(MAX_COUNT))  # a wider count field is left to the line parser
+_ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)  # a row's separators, in order
+_COUNT_DIGITS = len(str(MAX_COUNT))  # the widest count field the grammar allows
 _READ_BLOCK_BYTES = 1 << 17  # a block's work arrays take a few times its size
 
 
@@ -144,146 +141,148 @@ def _count_into(out, body, ends, widths):
 
 
 def _parse_rows(body, symbols, n, m):
-    """Fill the columns from ``body``, whole LF-ended rows of digits and commas.
-
-    Returns the number of rows, or None if a byte is not a digit, a comma or
-    LF, if a row is not four nonempty fields with a one-digit symbol and
-    counts of at most ``_COUNT_DIGITS`` digits, or if the rows overflow the
-    columns.  The ``shot_id`` field is never converted: any run of digits is
-    an integer.
-    """
+    """Fill the columns (room for ``len(body) // 8`` rows) from ``body``, rows
+    each ended by LF: the row count, or None if a row breaks the grammar."""
     separator = body < ord("0")
     if body.max() > ord("9") or separator[0] or (separator[1:] & separator[:-1]).any():
         return None
     seps = np.flatnonzero(separator)
     rows = len(seps) // 4
-    if len(seps) % 4 or rows > len(symbols):
-        return None
-    if not np.array_equal(body[seps].reshape(rows, 4),
-                          np.broadcast_to(_ROW_SEPARATORS, (rows, 4))):
+    if len(seps) % 4 or not np.array_equal(body[seps].reshape(rows, 4),
+                                           np.broadcast_to(_ROW_SEPARATORS, (rows, 4))):
         return None
     seps = seps.reshape(rows, 4)
     if (seps[:, 1] - seps[:, 0] != 2).any():
         return None
-    np.subtract(body[seps[:, 1] - 1], ord("0"), out=symbols[:rows])
+    symbols, n, m = symbols[:rows], n[:rows], m[:rows]
+    np.subtract(body[seps[:, 1] - 1], ord("0"), out=symbols)
     for column, k in ((n, 2), (m, 3)):
-        if not _count_into(column[:rows], body, seps[:, k], seps[:, k] - seps[:, k - 1] - 1):
+        if not _count_into(column, body, seps[:, k], seps[:, k] - seps[:, k - 1] - 1):
             return None
+    if symbols.max() > 1 or n.max() > MAX_COUNT or m.max() > MAX_COUNT:
+        return None
     return rows
 
 
-def _plain_bodies(handle):
-    """The rest of the file in blocks of whole rows, as uint8 arrays ending in LF.
+def _not_utf8(path, line_no, data, exc):
+    return ValidationError(
+        f"{path}: line {line_no}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})")
 
-    Each read of ``_READ_BLOCK_BYTES`` is cut after its last LF and the rest
-    is carried to the next.  A missing final LF is supplied.
+
+def _line_error(path, line_no, line, header):
+    """The error that names line ``line_no``, whose bytes ``line`` (without
+    its line end) are not UTF-8, or not the header, or not a row."""
+    try:  # with an LF, as in the block: a sequence cut by the line end is then invalid
+        text = (line + b"\n").decode("utf-8")[:-1]
+    except UnicodeDecodeError as exc:
+        return _not_utf8(path, line_no, line, exc)
+    fields = line.split(b",")
+    odd = [name for name, field in zip(("shot_id", "symbol", "n_t", "n_r"), fields)
+           if not field.isdigit()]  # bytes.isdigit: ASCII digits only, and not empty
+    if header:
+        why = f"expected header {SHOT_HEADER!r}, got {text!r}"
+    elif len(fields) != 4:
+        why = f"expected 4 comma-separated fields, got {len(fields)}"
+    elif fields[1] not in (b"0", b"1"):
+        why = "symbol must be 0 or 1"
+    else:  # or else a count is too wide or too large
+        why = f"{odd[0]} must be ASCII digits" if odd else f"counts must lie in [0, {MAX_COUNT}]"
+    return ValidationError(f"{path}: line {line_no}: {why}")
+
+
+def _parse_lines(path, body, line_no, header, into):
+    """Parse a block that ``_parse_rows`` refused, once a mask drops each CR
+    before an LF and every blank or comment line.  Returns the rows parsed,
+    whether the header has been read, and the block's line count; or raises
+    the error for its first line that is not UTF-8, not the header, or not a row.
     """
-    carry = b""
+    ends = np.flatnonzero(body == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    cr = body[ends - 1] == ord("\r")
+    stops = ends - cr  # where each line's end begins
+    lead, first = starts, body[starts]  # each line's first byte that is not a blank
+    indented = (first == ord(" ")) | (first == ord("\t"))
+    if indented.any():
+        solid = np.flatnonzero((body != ord(" ")) & (body != ord("\t")))
+        lead = np.where(indented, solid[np.searchsorted(solid, starts)], starts)
+        first = body[lead]
+    skip = (lead >= stops) | (first == ord("#"))
+    keep = np.repeat(~skip, ends + 1 - starts) if skip.any() else np.ones(len(body), bool)
+    keep[stops[cr]] = False
+    kept, at = body[keep], np.flatnonzero(~skip)
+    fault, rows = len(ends), 0
+    try:
+        body.tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        fault = np.searchsorted(ends, exc.start)
+    if not header and len(at):
+        header = kept[:len(_PLAIN_HEADER)].tobytes() == _PLAIN_HEADER
+        fault = fault if header else min(fault, at[0])
+        kept, at = kept[len(_PLAIN_HEADER):], at[1:]
+    if header and len(at):
+        rows = _parse_rows(kept, *into)
+        if rows is None:  # halve: a run of rows parses if and only if each row does
+            bounds = np.concatenate(([0], np.flatnonzero(kept == ord("\n")) + 1))
+            lo, hi = 0, len(at)  # the rows before lo parse; a bad one is before hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                bad = _parse_rows(kept[bounds[lo]:bounds[mid]], *into) is None
+                lo, hi = (lo, mid) if bad else (mid, hi)
+            fault = min(fault, at[lo])
+    if fault < len(ends):
+        line = body[starts[fault]:stops[fault]].tobytes()
+        raise _line_error(path, line_no + fault + 1, line, not header)
+    return rows, header, len(ends)
+
+
+def _line_blocks(handle, carry):
+    """``carry`` and the rest of the file as uint8 blocks of whole lines; the
+    reads since the last LF are joined once, so a long line is copied once."""
+    parts = [carry]
     for block in iter(lambda: handle.read(_READ_BLOCK_BYTES), b""):
-        block = carry + block
         cut = block.rfind(b"\n") + 1
-        carry = block[cut:]
         if cut:
-            yield np.frombuffer(block, dtype=np.uint8, count=cut)
-    if carry:
-        yield np.frombuffer(carry + b"\n", dtype=np.uint8)
-
-
-def _read_plain(handle):
-    """The run in a file in the written form, or None for any other file.
-
-    The columns are allocated for the most rows the file can hold (eight
-    bytes a row, seven for a last row without its LF), and each block of
-    rows is parsed straight into them; the pages never written cost no
-    memory.
-    """
-    if handle.read(len(_PLAIN_HEADER)) != _PLAIN_HEADER:
-        return None
-    cap = (os.fstat(handle.fileno()).st_size - len(_PLAIN_HEADER) + 1) // 8
-    symbols = np.empty(cap, dtype=np.uint8)
-    n = np.empty(cap, dtype=np.int64)
-    m = np.empty(cap, dtype=np.int64)
-    filled = 0
-    for body in _plain_bodies(handle):
-        rows = _parse_rows(body, symbols[filled:], n[filled:], m[filled:])
-        if rows is None:
-            return None
-        filled += rows
-    symbols, n, m = symbols[:filled], n[:filled], m[:filled]
-    if not filled or symbols.max() > 1 or n.max() > MAX_COUNT or m.max() > MAX_COUNT:
-        return None
-    return ExperimentRun(symbols=symbols, n=n, m=m)
+            yield np.frombuffer(b"".join([*parts, memoryview(block)[:cut]]), dtype=np.uint8)
+            parts = []
+        parts.append(block[cut:])
+    if any(parts):  # a missing final LF is supplied
+        yield np.frombuffer(b"".join([*parts, b"\n"]), dtype=np.uint8)
 
 
 def read_shot_records(path) -> ExperimentRun:
-    """Parse a shot-record file; malformed content names the offending line.
+    """Parse a shot-record file, or name the first line that breaks the grammar.
 
-    Files in the written form are parsed a block of bytes at a time, straight
-    into the columns, and checked once at the end (``_read_plain``).  Any
-    other file, or one whose values fail the checks, goes through the line
-    parser, which returns the same run or raises the error that names the
-    line.
+    Each block of lines goes straight into columns sized for the most rows the
+    file can hold (eight bytes a row; pages never written cost no memory).
     """
     with open(path, "rb") as handle:
-        run = _read_plain(handle)
-    return _read_shot_lines(path) if run is None else run
+        head = handle.read(len(_PLAIN_HEADER))
+        header = head == _PLAIN_HEADER
+        cap = max(0, os.fstat(handle.fileno()).st_size - len(_PLAIN_HEADER) + 1) // 8
+        columns = [np.empty(cap, dtype) for dtype in (np.uint8, np.int64, np.int64)]
+        filled, line_no = 0, int(header)
+        for body in _line_blocks(handle, b"" if header else head.removeprefix(b"\xef\xbb\xbf")):
+            if filled + len(body) // 8 > len(columns[0]):
+                columns = [np.resize(c, 2 * len(c) + len(body)) for c in columns]
+            into = [c[filled:] for c in columns]
+            rows = lines = _parse_rows(body, *into) if header else None
+            if rows is None:
+                rows, header, lines = _parse_lines(path, body, line_no, header, into)
+            filled, line_no = filled + rows, line_no + lines
+    if not header:
+        raise ValidationError(f"{path}: empty file")
+    if not filled:
+        raise ValidationError(f"{path}: no shot records after the header")
+    return ExperimentRun(*(column[:filled] for column in columns))
 
 
-def _decode_utf8(path, data, splitlines=str.splitlines):
-    """``data`` as text; a byte that is not UTF-8 is named with its line.
-
-    Lines are counted the way the caller splits the text, by ``splitlines``.
-    """
+def _decode_utf8(path, data):
+    """``data`` as text; a byte that is not UTF-8 is named with its line."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = len(splitlines(data[:exc.start].decode("utf-8") + "x"))
-        raise ValidationError(
-            f"{path}: line {line_no}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
-        ) from exc
-
-
-def _read_shot_lines(path) -> ExperimentRun:
-    """The line-by-line parser: every field through ``int()``, errors by line."""
-    with open(path, "rb") as handle:
-        raw = _decode_utf8(path, handle.read()).splitlines()
-    lines = [(idx + 1, line) for idx, line in enumerate(raw)
-             if line.strip() and not line.lstrip().startswith("#")]
-    if not lines:
-        raise ValidationError(f"{path}: empty file")
-    header_no, header = lines[0]
-    if header.strip() != SHOT_HEADER:
-        raise ValidationError(
-            f"{path}: line {header_no}: expected header {SHOT_HEADER!r}, got {header.strip()!r}"
-        )
-    symbols, ns, ms = [], [], []
-    for line_no, line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise ValidationError(
-                f"{path}: line {line_no}: expected 4 comma-separated fields, got {len(fields)}"
-            )
-        try:
-            int(fields[0])
-            symbol = int(fields[1])
-            n = int(fields[2])
-            m = int(fields[3])
-        except ValueError as exc:
-            raise ValidationError(f"{path}: line {line_no}: {exc}") from exc
-        if symbol not in (0, 1):
-            raise ValidationError(f"{path}: line {line_no}: symbol must be 0 or 1")
-        if not (0 <= n <= MAX_COUNT and 0 <= m <= MAX_COUNT):
-            raise ValidationError(f"{path}: line {line_no}: counts must lie in [0, {MAX_COUNT}]")
-        symbols.append(symbol)
-        ns.append(n)
-        ms.append(m)
-    if not symbols:
-        raise ValidationError(f"{path}: no shot records after the header")
-    return ExperimentRun(
-        symbols=np.array(symbols, dtype=np.uint8),
-        n=np.array(ns, dtype=np.int64),
-        m=np.array(ms, dtype=np.int64),
-    )
+        line_no = len(_config_lines(data[:exc.start].decode("utf-8") + "x"))
+        raise _not_utf8(path, line_no, data, exc) from exc
 
 
 def format_cell(value) -> str:
@@ -350,7 +349,7 @@ def parse_config(path) -> dict:
     """Read a flat ``key = value`` config file; later keys win."""
     out = {}
     with open(path, "rb") as handle:
-        text = _decode_utf8(path, handle.read(), _config_lines)
+        text = _decode_utf8(path, handle.read())
     for line_no, line in enumerate(_config_lines(text), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

@@ -6,15 +6,17 @@ scipy's scaled Bessel function and as an mpmath Poisson convolution, the
 full count-pair grid, the four-index joint law of the symbol and both
 receivers, the dense Bob x Eve joint of the two difference laws, a
 number-basis diagonalization, adaptive quadrature of the homodyne entropy,
-shot-file text by one %-format per value, Monte Carlo chunks drawn one
-after another and counted by np.unique -- so the tests can compare
-production against something that shares none of its shortcuts.  They only
+shot-file text by one %-format per value, shot files read line by line
+with a regular expression per field, Monte Carlo chunks drawn one after
+another and counted by np.unique -- so the tests can compare production
+against something that shares none of its shortcuts.  They only
 run at small windows, except the exactly summed I(B;E) reference, which
 works through the dense joint in row blocks.
 """
 
 import itertools
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +24,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln, ive, xlogy
 
 from pnrchan import (
+    ExperimentRun,
     NumericsError,
     ValidationError,
     detection_rates,
@@ -30,6 +33,7 @@ from pnrchan import (
     mutual_information,
     shannon_entropy,
 )
+from pnrchan.montecarlo import MAX_COUNT
 from pnrchan.receivers import DEFAULT_TAIL_TOL, poisson_pmf, poisson_window
 from pnrchan.recordio import SHOT_HEADER
 
@@ -353,6 +357,66 @@ def shot_file_percent(run):
     block = np.column_stack([np.arange(len(run)), run.symbols, run.n, run.m])
     rows = ("%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
     return (SHOT_HEADER + "\n" + rows).encode()
+
+
+def _shot_line(line, header):
+    """What one line of a shot file is, its LF and one CR before it dropped:
+    None if blank or a comment, True if the header (``header`` says whether
+    one was read), or else the row's symbol and counts.  A ValueError says
+    why it is none of them."""
+    try:  # with its LF, which a cut-off sequence cannot continue into
+        text = (line + b"\n").decode("utf-8")[:-1]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"byte 0x{line[exc.start]:02x} is not UTF-8 ({exc.reason})") from exc
+    if re.fullmatch(rb"[ \t]*(#.*)?", line, re.DOTALL):
+        return None
+    if not header:
+        if text != SHOT_HEADER:
+            raise ValueError(f"expected header {SHOT_HEADER!r}, got {text!r}")
+        return True
+    fields = line.split(b",")
+    if len(fields) != 4:
+        raise ValueError(f"expected 4 comma-separated fields, got {len(fields)}")
+    if not re.fullmatch(rb"[01]", fields[1]):
+        raise ValueError("symbol must be 0 or 1")
+    for name, field in zip(("shot_id", "symbol", "n_t", "n_r"), fields):
+        if not re.fullmatch(rb"[0-9]+", field):
+            raise ValueError(f"{name} must be ASCII digits")
+    for field in fields[2:]:
+        if not re.fullmatch(rb"[0-9]{1,10}", field) or int(field) > MAX_COUNT:
+            raise ValueError(f"counts must lie in [0, {MAX_COUNT}]")
+    return [int(field) for field in fields[1:]]
+
+
+def read_shot_lines(path):
+    """The shot-file grammar read line by line: the reference reader.
+
+    The file, less a leading UTF-8 BOM, is split at LF, and each line loses
+    one CR from its end before ``_shot_line`` decodes it, classes it and
+    matches each field with a regular expression.  Returns the run, or
+    raises the error that names the first line at fault.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if data.startswith(b"\xef\xbb\xbf"):
+        data = data[3:]
+    header, rows = False, []
+    for line_no, line in enumerate(data.split(b"\n"), start=1):
+        try:
+            got = _shot_line(line[:-1] if line.endswith(b"\r") else line, header)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {line_no}: {exc}") from None
+        if got is True:
+            header = True
+        elif got:
+            rows.append(got)
+    if not header:
+        raise ValidationError(f"{path}: empty file")
+    if not rows:
+        raise ValidationError(f"{path}: no shot records after the header")
+    symbols, n, m = zip(*rows)
+    return ExperimentRun(symbols=np.array(symbols, dtype=np.uint8),
+                         n=np.array(n, dtype=np.int64), m=np.array(m, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,21 @@ class TestSimulateAnalyze:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "7415e390aec1b507e7dbc632c4b03449f1bea81824b42c678aa8277fca38f17f")
 
+    @pytest.mark.parametrize("lo_mean", ["1e18", "2e19", "1e300"])
+    def test_a_mean_too_large_to_record_is_refused_before_drawing(self, tmp_path, capsys,
+                                                                  monkeypatch, lo_mean):
+        def no_stream(*_args):
+            raise AssertionError("a Philox stream was built")
+
+        monkeypatch.setattr(np.random, "Philox", no_stream)
+        out = tmp_path / "shots.csv"
+        assert run_cli("simulate", "--signal-mean", "3", "--lo-mean", lo_mean, "--xi", "0.9",
+                       "--shots", "10", "-o", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pnrchan: error: arm mean ") and err.count("\n") == 1
+        assert "count limit 2147483647" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_zero_shots_is_a_validation_error(self, tmp_path):
         code = run_cli("simulate", "--signal-mean", "2.0", "--lo-mean", "8.0",
                        "--shots", "0", "-o", str(tmp_path / "x.csv"))
@@ -695,16 +710,22 @@ class TestEnvironment:
 class TestRecordIo:
     def test_comment_lines_are_skipped_on_read(self, tmp_path):
         path = tmp_path / "shots.csv"
-        path.write_text("# provenance note\nshot_id,symbol,n_t,n_r\n0,0,1,2\n1,1,3,0\n")
-        run = read_shot_records(path)
-        assert len(run) == 2
+        text = "# provenance note\nshot_id,symbol,n_t,n_r\n0,0,1,2\n1,1,3,0\n"
+        # as written, with CRLF line ends, and after a UTF-8 BOM
+        for data in (text.encode(), text.replace("\n", "\r\n").encode(),
+                     text.encode("utf-8-sig")):
+            path.write_bytes(data)
+            run = read_shot_records(path)
+            assert (run.symbols.tolist(), run.n.tolist(), run.m.tolist()) == (
+                [0, 1], [1, 3], [2, 0])
 
     def test_wrong_header_is_named(self, tmp_path):
         path = tmp_path / "shots.csv"
         path.write_text("id,symbol,a,b\n0,0,1,2\n")
-        with pytest.raises(Exception) as err:
+        with pytest.raises(ValidationError) as err:
             read_shot_records(path)
-        assert "header" in str(err.value)
+        assert str(err.value) == (f"{path}: line 1: expected header "
+                                  "'shot_id,symbol,n_t,n_r', got 'id,symbol,a,b'")
 
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
     def test_written_files_honour_the_umask(self, tmp_path, umask):
