@@ -26,7 +26,6 @@ from .receivers import (
     _LN_SQRT_2PI,
     DEFAULT_TAIL_TOL,
     homodyne_mean,
-    poisson_window,
     skellam_pmf_grid,
 )
 
@@ -152,19 +151,14 @@ def _sign_law(law):
     return tuple(np.array([b, 1.0 - b]) for b in splits)
 
 
-def _law_error_bound(params: ChannelParams, law, tail_tol) -> float:
-    """Certified MI truncation bound (bits) for the windows of ``law``.
+def _law_error_bound(priors, law) -> float:
+    """Certified MI truncation bound (bits) for the window of ``law``.
 
-    The larger of the difference-law bound and the bound for the per-arm
-    count windows, each arm certified to half the tolerance.
+    Both conditionals miss the certified tail of the one difference law
+    they share, on the alphabet of its window.
     """
     deltas, _, _, tail = law
-    wf_tail = sum(poisson_window(mu, 0.5 * tail_tol)[1]
-                  for mu in detection_rates(params, 1))
-    return max(
-        _mi_error_bound((wf_tail, wf_tail), params.priors, (len(deltas) + 1) ** 2),
-        _mi_error_bound((tail, tail), params.priors, len(deltas)),
-    )
+    return _mi_error_bound((tail, tail), priors, len(deltas))
 
 
 def _receiver_figures(params: ChannelParams, tail_tol):
@@ -179,7 +173,7 @@ def _receiver_figures(params: ChannelParams, tail_tol):
         law,
         mutual_information(law[1:3], params.priors),
         mutual_information(_sign_law(law), params.priors),
-        _law_error_bound(params, law, tail_tol),
+        _law_error_bound(params.priors, law),
     )
 
 
@@ -282,7 +276,7 @@ class MiReport:
 
 def certified_error_bound(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
     """Certified bound (bits) on the MI truncation error for these windows."""
-    return _law_error_bound(params, _hl_conditionals(params, tail_tol), tail_tol)
+    return _law_error_bound(params.priors, _hl_conditionals(params, tail_tol))
 
 
 def mi_report(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> MiReport:

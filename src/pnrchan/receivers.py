@@ -16,15 +16,21 @@ sign readout is an aggregation of the difference law, so no count-pair grid
 is ever built.  The macroscopic-LO Gaussian limit of the standardized
 difference serves as the ideal-homodyne reference.
 
+A dark arm is no special case: its difference is the other arm's count,
+whose recurrence ratios mu / d are exact, so the same code gives the
+Poisson law.
+
 Every law carries an explicit truncation window and a certified tail mass.
-Windows default to mean + 12*sigma + 30 and grow until the certificate
-(Poisson upper tail per arm, Chernoff bound for the difference) falls below
-the requested tolerance; failure to certify raises
-:class:`~pnrchan.errors.NumericsError`.  The module needs numpy alone.
+Windows default to mean -+ (12*sigma + 30) and grow until the certificate,
+the Chernoff bounds of the difference law's two tails, falls below the
+requested tolerance; failure to certify raises
+:class:`~pnrchan.errors.NumericsError`.  The Poisson evaluators
+(:func:`poisson_logpmf`, :func:`poisson_pmf`, :func:`poisson_window`) are
+references for the count-pair oracle of the test suite and on no runtime
+path.  The module needs numpy alone.
 """
 
 import math
-from decimal import Context, Decimal
 
 import numpy as np
 
@@ -46,7 +52,6 @@ DEFAULT_TAIL_TOL = 1e-10
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _WINDOW_GROWTH_STEPS = 60
 _UNIT_ROUNDOFF = 2.0 ** -53
-_DECIMAL = Context(prec=34)
 # stirlerr(n) = ln(n!) - (n ln n - n + ln sqrt(2 pi n)) for n = 1..15, each
 # the double nearest the 50-digit value; formed in double, the difference
 # would lose about 40 ulp to cancellation (Loader 2000 tabulates it likewise)
@@ -60,7 +65,8 @@ _STIRLERR_SMALL = np.array([
 
 
 # ---------------------------------------------------------------------------
-# Poisson pmf, log domain, saddle-point style (no factorial is ever formed)
+# Reference Poisson pmf, log domain, saddle-point style (no factorial is
+# ever formed); no runtime path calls it
 # ---------------------------------------------------------------------------
 
 def _stirlerr(n):
@@ -119,7 +125,8 @@ def _bd0(x, mu):
 def poisson_logpmf(n, mu):
     """log of the Poisson pmf, vectorized over counts ``n``.
 
-    Evaluated through the Stirling-error/deviance decomposition so that no
+    A reference evaluator, not on the runtime path, which builds every law
+    by :func:`skellam_pmf_grid`.  Evaluated through the Stirling-error/deviance decomposition so that no
     factorial or power ever overflows and the result stays accurate to a few
     ulp even for counts of order 1e6.
     """
@@ -148,120 +155,112 @@ def poisson_logpmf(n, mu):
 
 
 def poisson_pmf(n, mu):
-    """Poisson pmf exp(-mu) mu^n / n!, exponentiated from the log form."""
+    """Poisson pmf exp(-mu) mu^n / n!, exponentiated from the log form.
+
+    A reference evaluator like :func:`poisson_logpmf`.
+    """
     return np.exp(poisson_logpmf(n, mu))
 
 
-def _poisson_upper_tail(n, mu):
-    """Upper bound on P(N > n) for N ~ Poisson(mu) and x = n + 1 > mu.
-
-    The tail is P(x) S with S = 1 + sum_j prod_{i <= j} mu / (x + i).  S is
-    summed forward over a block of growing length L until the geometric
-    remainder, the last term times rho / (1 - rho) with rho = mu / (x + L + 1)
-    above every later ratio, is below 2^-53 of the sum; the remainder is
-    kept, so no mass is dropped.  ln P(x) = -(x ln(x/mu) + mu - x)
-    - stirlerr(x) - ln sqrt(2 pi x) is formed in 34-digit decimal arithmetic:
-    in double, a few ulp of the deviance's terms, which are of order x,
-    would turn into a relative error of up to 1e-12 after the exponential.
-    What rounding is left, at most 2^-53 (64 + 4 / (1 - mu / (x + 1))) of the
-    result, is added to it.  A tail below the double range reads 0.
-    """
-    x = n + 1
-    length = 32
-    while True:
-        terms = np.cumprod(mu / np.arange(x + 1.0, x + 1.0 + length))
-        rho = mu / (x + 1.0 + length)
-        rest = float(terms[-1]) * rho / (1.0 - rho)
-        total = 1.0 + float(terms.sum())
-        if rest <= _UNIT_ROUNDOFF * total:
-            break
-        length *= 4
-    small = float(_stirlerr(np.array([x]))[0]) + _LN_SQRT_2PI + 0.5 * math.log(x)
-    ctx, xd, md = _DECIMAL, Decimal(x), Decimal(mu)
-    deviance = ctx.add(ctx.multiply(xd, ctx.ln(ctx.divide(xd, md))), ctx.subtract(md, xd))
-    log_tail = ctx.subtract(Decimal(math.log(total + rest) - small), deviance)
-    slack = _UNIT_ROUNDOFF * (64.0 + 4.0 / (1.0 - mu / (x + 1.0)))
-    return float(ctx.exp(log_tail)) * (1.0 + slack)
-
-
-def _check_tail_tol(tail_tol):
-    """No window of an infinite alphabet has a tail of zero or less."""
-    if tail_tol <= 0.0:
-        raise NumericsError(
-            f"tail tolerance {tail_tol:g} cannot be certified on an infinite "
-            "alphabet; it must be > 0"
-        )
-
-
 def poisson_window(mu, tail_tol=DEFAULT_TAIL_TOL):
-    """Smallest rule-based count window [0, n_max] with certified tail.
+    """Count window [0, n_max] of a Poisson(mu) arm with certified tail.
 
-    Returns ``(n_max, tail_bound)`` where ``tail_bound`` bounds P(N > n_max)
-    from above (see :func:`_poisson_upper_tail`).  The base rule
-    mu + 12*sqrt(mu) + 30 is grown geometrically if the certificate misses
-    ``tail_tol``.
+    Returns ``(n_max, tail_bound)``: the window of :func:`skellam_window`
+    for the rates ``(mu, 0)``, whose difference is the count itself.  A
+    reference for the count-pair oracle of the test suite; no runtime path
+    builds a per-arm window.
     """
-    _check_tail_tol(tail_tol)
-    if mu == 0.0:
-        return 0, 0.0
-    n_max = int(math.ceil(mu + 12.0 * math.sqrt(mu) + 30.0))
-    for _ in range(_WINDOW_GROWTH_STEPS):
-        bound = _poisson_upper_tail(n_max, mu)
-        if bound <= tail_tol:
-            return n_max, bound
-        n_max = int(math.ceil(n_max * 1.5)) + 10
-    raise NumericsError(
-        f"cannot certify Poisson tail below {tail_tol:g} for rate {mu:g}"
-    )
+    _, n_max, bound = skellam_window(mu, 0.0, tail_tol)
+    return n_max, bound
 
 
 # ---------------------------------------------------------------------------
 # Skellam law of the count difference
 # ---------------------------------------------------------------------------
 
-def _skellam_chernoff_upper(mu_t, mu_r, d):
-    """Chernoff bound on P(Delta >= d), valid for d above the mean.
+def _deviances(v):
+    """phi(1 + v) and v - log1p(v) = (1 + v) phi(1 / (1 + v)), for 0 < v < 1/2.
 
-    The optimal tilt is u = root / (2*mu_t).  mu_t*(u - 1) is taken as
-    root/2 - mu_t, so a subnormal mu_t, for which u overflows, gives no
-    inf - inf: ln u = log1p(u - 1) is then +inf and the bound its correctly
-    rounded value, 0.  For moderate u, log1p is as accurate as log(u).
+    phi(x) = x ln x - x + 1.  Both are summed from their alternating series,
+    the sums over k >= 2 of (-v)^k / (k (k - 1)) and of (-v)^k / k, to a few
+    ulp; formed from logarithms they would lose the digits that cancel.
     """
-    root = d + math.sqrt(d * d + 4.0 * mu_t * mu_r)
-    excess = 0.5 * root - mu_t
+    phi_u = phi_r = 0.0
+    power, k = v * v, 2
+    while abs(power) > _UNIT_ROUNDOFF * phi_r:
+        phi_u += power / (k * (k - 1))
+        phi_r += power / k
+        power *= -v
+        k += 1
+    return phi_u, phi_r
+
+
+def _skellam_chernoff_upper(mu_t, mu_r, d):
+    """Chernoff bound on P(Delta >= d) for an integer d, rounded up.
+
+    For a tilt u = 1 + v > 1, P(Delta >= d) <= exp(E) with
+    E = mu_t (u - 1) + mu_r (1/u - 1) - d ln u, least where
+    2 mu_t u = d + sqrt(d^2 + 4 mu_t mu_r); any u gives a bound, so E is
+    taken at the u actually formed.  Near u = 1 the terms of that form are
+    of the size of the rates and cancel (at a mean of 1e18 the bound lost
+    every digit), so there it is taken in the deviance form
+
+        E = -mu_t phi(u) - mu_r phi(1/u) + (mu_t u - mu_r/u - d) ln u,
+
+    with phi from :func:`_deviances` and mu_t - mu_r - d summed exactly; the
+    last factor is zero at the optimum.  For v >= 1/2 no term of the first
+    form exceeds a small multiple of |E|.  The exponent is raised by
+    2^-53 (64 S + 4), S the sum of the terms' magnitudes, which covers
+    their rounding and that of exp.  A bound below the double range reads 0.
+    """
+    if mu_t == 0.0:  # Delta = -m <= 0
+        return 0.0 if d > 0 else 1.0
+    disc = math.sqrt(d * d + 4.0 * mu_t * mu_r)
+    # 2 mu_t u, in the form that does not cancel for d < 0
+    root = d + disc if d >= 0 else 4.0 * mu_t * mu_r / (disc - d)
+    excess = 0.5 * root - mu_t  # mu_t v
     if excess <= 0.0:
         return 1.0
-    log_u = math.log1p(excess / mu_t)
-    expo = excess + mu_r * (2.0 * mu_t / root - 1.0) - d * log_u
-    return math.exp(expo)
-
-
-def _skellam_tail_bound(mu_t, mu_r, lo, hi):
-    """Certified bound on the Skellam mass outside [lo, hi]."""
-    upper = _skellam_chernoff_upper(mu_t, mu_r, hi + 1)
-    lower = _skellam_chernoff_upper(mu_r, mu_t, -(lo - 1))
-    return upper + lower
+    v = excess / mu_t
+    if v < 0.5:
+        phi_u, phi_r = _deviances(v)
+        log_u = math.log1p(v)
+        d_hi = float(d)
+        gap = math.fsum((mu_t, -mu_r, -d_hi, float(int(d_hi) - d)))
+        terms = (-mu_t * phi_u, -mu_r * phi_r / (1.0 + v), gap * log_u,
+                 v * (mu_t + mu_r / (1.0 + v)) * log_u)
+    else:
+        # a subnormal mu_t can overflow v; ln(excess / mu_t) < ln u
+        log_u = math.log1p(v) if v < math.inf else math.log(excess) - math.log(mu_t)
+        terms = (excess, -mu_r / (1.0 + 1.0 / v), -d * log_u)
+    size = sum(abs(t) for t in terms)
+    return math.exp(math.fsum(terms) + _UNIT_ROUNDOFF * (64.0 * size + 4.0))
 
 
 def skellam_window(mu_t, mu_r, tail_tol=DEFAULT_TAIL_TOL):
     """Integer window [lo, hi] around the difference mean with certified tail.
 
-    Returns ``(lo, hi, tail_bound)``.  Both rates must be positive; the
-    one-sided degenerate cases are handled by the callers.
+    Returns ``(lo, hi, tail_bound)``.  The base rule mean -+ (12*sigma + 30)
+    is grown geometrically until the Chernoff bounds of the two tails
+    (:func:`_skellam_chernoff_upper`) sum to at most ``tail_tol``.  A dark
+    arm bounds the difference by 0 on its side: the window ends there, and
+    that side has no tail.
     """
-    _check_tail_tol(tail_tol)
+    if tail_tol <= 0.0:  # an infinite alphabet leaves every window a tail
+        raise NumericsError(
+            f"tail tolerance {tail_tol:g} cannot be certified on an infinite "
+            "alphabet; it must be > 0"
+        )
     mean = mu_t - mu_r
-    sig = math.sqrt(mu_t + mu_r)
-    half = int(math.ceil(12.0 * sig + 30.0))
-    lo = int(math.floor(mean)) - half
-    hi = int(math.ceil(mean)) + half
+    half = int(math.ceil(12.0 * math.sqrt(mu_t + mu_r) + 30.0))
     for _ in range(_WINDOW_GROWTH_STEPS):
-        bound = _skellam_tail_bound(mu_t, mu_r, lo, hi)
+        lo = int(math.floor(mean)) - half if mu_r > 0.0 else 0
+        hi = int(math.ceil(mean)) + half if mu_t > 0.0 else 0
+        bound = (_skellam_chernoff_upper(mu_t, mu_r, hi + 1)
+                 + _skellam_chernoff_upper(mu_r, mu_t, 1 - lo))
         if bound <= tail_tol:
             return lo, hi, bound
         half = int(math.ceil(half * 1.5)) + 10
-        lo = int(math.floor(mean)) - half
-        hi = int(math.ceil(mean)) + half
     raise NumericsError(
         f"cannot certify Skellam tail below {tail_tol:g} for rates "
         f"({mu_t:g}, {mu_r:g})"
@@ -306,7 +305,7 @@ def _backward_ratios(mu_t, mu_r, first, last, start=0.0):
 
 
 def _skellam_pmf_recurrence(mu_t, mu_r, lo, hi):
-    """Skellam pmf on the integers [lo, hi], for mu_t >= mu_r > 0.
+    """Skellam pmf on the integers [lo, hi], for mu_t >= mu_r >= 0.
 
     The ratios come from :func:`_backward_ratios`: for d > 0 on the rates as
     given, for d < 0 on the rates swapped.  The negative side does not start
@@ -319,10 +318,12 @@ def _skellam_pmf_recurrence(mu_t, mu_r, lo, hi):
     with the window, not with its distance from 0.  The law over the padded
     range of :func:`_recurrence_start` is scaled to unit ``math.fsum`` mass,
     and the window is cut from it.  Both sides run the same arithmetic, so
-    equal rates give an exactly symmetric law.
+    equal rates give an exactly symmetric law.  A dark reflected arm
+    (mu_r = 0) ends the law at 0, and its ratios mu_t / d are exact: the
+    same products give the Poisson law.
     """
     top = _recurrence_start(mu_t, mu_r, hi)
-    bottom = -_recurrence_start(mu_r, mu_t, -lo)
+    bottom = -_recurrence_start(mu_r, mu_t, -lo) if mu_r > 0.0 else 0
     up = _backward_ratios(mu_t, mu_r, max(bottom, 0) + 1, max(top, 1 - bottom))
     above = int(np.count_nonzero(up >= 1.0))  # ratios up to the mode
     down = 1.0 / up[:above][::-1]
@@ -342,20 +343,15 @@ def skellam_pmf_grid(mu_t, mu_r, tail_tol=DEFAULT_TAIL_TOL):
     Returns ``(deltas, probs, tail_bound)``.  The law is computed with the
     larger rate on the n arm and reversed otherwise, so the law for
     ``(mu_r, mu_t)`` is the exact mirror of the law for ``(mu_t, mu_r)``.
-    A dark arm collapses it to the one-sided Poisson law; otherwise it comes
-    from the three-term recurrence (:func:`_skellam_pmf_recurrence`).
+    Every rate pair, a dark arm included, goes through one window
+    (:func:`skellam_window`) and the three-term recurrence
+    (:func:`_skellam_pmf_recurrence`).
     """
     if mu_t < 0.0 or mu_r < 0.0:
         raise ValidationError("rates must be >= 0")
     if mu_t < mu_r:
         deltas, probs, bound = skellam_pmf_grid(mu_r, mu_t, tail_tol)
         return -deltas[::-1], probs[::-1].copy(), bound
-    if mu_t == 0.0:
-        return np.array([0]), np.array([1.0]), 0.0
-    if mu_r == 0.0:
-        n_max, bound = poisson_window(mu_t, tail_tol)
-        deltas = np.arange(0, n_max + 1)
-        return deltas, poisson_pmf(deltas, mu_t), bound
     lo, hi, bound = skellam_window(mu_t, mu_r, tail_tol)
     return np.arange(lo, hi + 1), _skellam_pmf_recurrence(mu_t, mu_r, lo, hi), bound
 

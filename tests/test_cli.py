@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnrchan import cli, recordio, sweeps
+from pnrchan import cli, receivers, recordio, sweeps
 from pnrchan.errors import ValidationError
 from pnrchan.recordio import parse_config, read_shot_records, write_text_atomic
 
@@ -519,12 +519,13 @@ class TestPresets:
         assert by_preset.read_bytes() == by_flags.read_bytes()
 
     # the first line of each table names the package version, so a release
-    # that bumps it re-pins these
+    # that bumps it re-pins these; so does a change of the tail certificate,
+    # which moves the trunc_err column alone
     PINNED = {
-        "fig3": "efc448c0b299101c1b07d69228bc92d2b4d361a8c87317fae4306616dc2ff68e",
-        "fig4": "c6e527fd625038bc68ea3bc8536f71e5427c267310ab2fa30952c0ef42a5dde3",
-        "fig5": "20f91bc05930d46d1a0764684172289646a8ff0161c6f11733405a47d4c4c2eb",
-        "fig6": "c0044cabb2b539be48cbb6b00f4d95dde6bd9c943c5af56adfe11eea13f88011",
+        "fig3": "86b134baea0dcfbe51826289d0bc3477da137d3eb8d3fae8353ff88e9733544d",
+        "fig4": "d536c634a28a1879627e1b6f155d9b46fca00ab87fce684896bb74b1e5a10f21",
+        "fig5": "7d95a15c67289a1c62a8a395542611dac90ee4f2dffed7c7f69a8441b7c3ab4e",
+        "fig6": "610005c83c5d9eec51dcb7d1b1f4bea881610413030f318ab4f894b377fb7c3b",
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -543,6 +544,52 @@ class TestPresets:
 
 
 SWEEP_CFG = "mode = lo\nsignal_mean = 2.0\ngrid = 1:9:3\n"
+
+
+class TestRuntimePath:
+    """Every law comes from the Skellam recurrence: no command calls the
+    Poisson evaluators, which serve the count-pair oracle alone."""
+
+    COMMANDS = {
+        "fig3": ("sweep", "--preset", "fig3"),
+        "fig4": ("sweep", "--preset", "fig4"),
+        "fig5": ("security", "--preset", "fig5"),
+        "fig6": ("security", "--preset", "fig6"),
+        # Bob's reflected arm is dark (signal and LO means 5, xi 1)
+        "dark_sweep": ("sweep", "--mode", "lo", "--signal-mean", "5", "--grid", "5",
+                       "--xi", "1", "--loss-db", "3", "--strategies", "wf,hl,bds,hom",
+                       "--security", "ia-dr,ia-rr,ca-rr"),
+        "dark_zero_mean": ("sweep", "--mode", "lo", "--signal-mean", "0", "--lo-mean", "0",
+                           "--xi", "0.5", "--grid", "0"),
+        "dark_security": ("security", "--signal-mean", "10", "--lo-mean", "5", "--xi", "1",
+                          "--grid", "3.0103"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_no_command_calls_a_poisson_evaluator(self, tmp_path, monkeypatch, name):
+        args = self.COMMANDS[name]
+        plain, patched = tmp_path / "plain.csv", tmp_path / "patched.csv"
+        assert run_cli(*args, "-o", str(plain)) == 0
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a reference Poisson evaluator ran")
+
+        # in every module, so that no import by name escapes the patch
+        modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "pnrchan"]
+        for module in modules:
+            for attr in ("poisson_pmf", "poisson_logpmf", "poisson_window"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+        dark, window = [], receivers.skellam_window
+
+        def recording(mu_t, mu_r, *rest):
+            dark.append(0.0 in (mu_t, mu_r))
+            return window(mu_t, mu_r, *rest)
+
+        monkeypatch.setattr(receivers, "skellam_window", recording)
+        assert run_cli(*args, "-o", str(patched)) == 0
+        assert patched.read_bytes() == plain.read_bytes()
+        assert any(dark) == name.startswith("dark")
 
 
 class TestConfigFiles:
@@ -777,9 +824,10 @@ class TestProcess:
 
     def test_cli_import_loads_no_scipy_module(self):
         # run_experiment runs its own threads: a pool module, with the logging
-        # it imports, would cost every CLI process its import
-        heavy = ("concurrent.futures", "concurrent.futures.process", "logging",
-                 "multiprocessing")
+        # it imports, would cost every CLI process its import; no law needs
+        # decimal arithmetic
+        heavy = ("concurrent.futures", "concurrent.futures.process", "decimal",
+                 "logging", "multiprocessing")
         code = ("import sys, pnrchan.cli; "
                 "print(' '.join(sorted(m for m in sys.modules if m == 'scipy' "
                 "or m.startswith('scipy.') "

@@ -18,7 +18,7 @@ from pnrchan import (
 )
 from pnrchan import receivers
 from pnrchan.information import _hl_conditionals, _sign_law
-from pnrchan.receivers import DEFAULT_TAIL_TOL, poisson_window
+from pnrchan.receivers import DEFAULT_TAIL_TOL, poisson_window, skellam_window
 
 from oracles import skellam_pmf_mpmath, wf_pmf
 
@@ -115,9 +115,11 @@ class TestPoissonPmf:
 
 
 class TestPoissonWindow:
-    def test_tail_bound_is_the_exact_tail_rounded_up(self):
-        # the bound covers the exact tail and exceeds it by less than 1e-12;
-        # a tail below the double range reads 0, its rounded value
+    def test_tail_bound_brackets_the_exact_tail(self):
+        # the Chernoff bound covers the exact tail P(N >= d), d = n_max + 1,
+        # and exceeds it by at most e sqrt(d): it is e^(d - mu) (mu / d)^d,
+        # at most e sqrt(d) P(N = d) since d! <= e d^(d + 1/2) e^-d (Stirling);
+        # a bound below the double range reads 0
         mpmath = pytest.importorskip("mpmath")
         for mu in np.geomspace(0.1, 1e6, 60):
             mu = float(mu)
@@ -126,10 +128,110 @@ class TestPoissonWindow:
                 assert tail <= tail_tol
                 with mpmath.workdps(40):
                     exact = mpmath.gammainc(n_max + 1, 0, mu, regularized=True)
-                    if exact < mpmath.mpf(2) ** -1075:
+                    limit = mpmath.e * mpmath.sqrt(n_max + 1) * exact
+                    if limit < mpmath.mpf(2) ** -1075:
                         assert tail == 0.0
                     else:
-                        assert exact <= tail <= exact * (1 + mpmath.mpf(1e-12))
+                        assert exact <= tail <= limit
+
+    def test_dark_rate_has_the_point_window(self):
+        assert poisson_window(0.0) == (0, 0.0)
+        with pytest.raises(NumericsError):
+            poisson_window(0.0, tail_tol=0.0)
+
+
+class TestChernoffBound:
+    """The one tail certificate against the same formula at 60 digits."""
+
+    @staticmethod
+    def exact(mu_t, mu_r, d):
+        """min over u > 1 of exp(mu_t (u - 1) + mu_r (1/u - 1) - d ln u)."""
+        import mpmath
+
+        if mu_t == 0.0:
+            return mpmath.mpf(0 if d > 0 else 1)
+        with mpmath.workdps(60):
+            t, r = mpmath.mpf(mu_t), mpmath.mpf(mu_r)
+            u = (d + mpmath.sqrt(mpmath.mpf(d) ** 2 + 4 * t * r)) / (2 * t)
+            if u <= 1:
+                return mpmath.mpf(1)
+            return mpmath.exp(t * (u - 1) + r * (1 / u - 1) - d * mpmath.log(u))
+
+    @pytest.mark.parametrize("mu", [float(m) for m in np.geomspace(1e-300, 1e18, 40)])
+    def test_rounded_up_and_tight_at_every_edge(self, mu):
+        # both orientations of a balanced pair, an unbalanced pair and a dark
+        # arm, at the base window edges and 1, 3 and 6 sigma beyond them; the
+        # bound is never below the exact value, and within 1e-10 of it up to
+        # a mean of 1e6 and 1e-5 up to 1e18
+        mpmath = pytest.importorskip("mpmath")
+        rel = mpmath.mpf(1e-10 if mu <= 1e6 else 1e-5)
+        for mu_t, mu_r in ((0.6 * mu, 0.4 * mu), (mu, 1e-3 * mu), (mu, 0.0)):
+            sigma = math.sqrt(mu_t + mu_r)
+            half = math.ceil(12.0 * sigma + 30.0)
+            lo = math.floor(mu_t - mu_r) - half if mu_r > 0.0 else 0
+            hi = math.ceil(mu_t - mu_r) + half
+            for k in (0, 1, 3, 6):
+                beyond = math.ceil(k * sigma)
+                for args in ((mu_t, mu_r, hi + 1 + beyond), (mu_r, mu_t, 1 - lo + beyond)):
+                    got = receivers._skellam_chernoff_upper(*args)
+                    exact = self.exact(*args)
+                    # a bound below half the least subnormal reads 0
+                    assert got >= exact or (got == 0.0 and exact < mpmath.mpf(2) ** -1075)
+                    if exact >= mpmath.mpf(2) ** -1022:
+                        assert got <= exact * (1 + rel), args
+
+    def test_extreme_rate_ratio_keeps_the_base_window(self):
+        # d + sqrt(d^2 + 4 mu_t mu_r) cancels for d < 0: formed that way, the
+        # lower tail read 1 and the window grew to [-47813, 247813]
+        assert skellam_window(1e5, 1e-20) == (96175, 103825, pytest.approx(4.7e-32, rel=0.01))
+
+
+class TestOneSidedLaw:
+    """A dark arm: the difference law is the lit arm's Poisson law."""
+
+    RATES = [1e-300, 1e-100, 1e-8, 1e-3, 0.3, 3.7, 12.17, 30.0, 150.0, 1e3, 1e4, 1e5]
+
+    @staticmethod
+    def poisson_mpmath(mu, n):
+        import mpmath
+
+        with mpmath.workdps(40):
+            m = mpmath.mpf(mu)
+            return mpmath.exp(n * mpmath.log(m) - m - mpmath.loggamma(n + 1))
+
+    @pytest.mark.parametrize("mu", RATES)
+    def test_every_bin_against_arbitrary_precision_oracle(self, mu):
+        mpmath = pytest.importorskip("mpmath")
+        deltas, probs, _ = skellam_pmf_grid(mu, 0.0)
+        assert deltas[0] == 0
+        for n, p in zip(deltas, probs):
+            # products that end below the normal range; the far ones are
+            # screened in double, which is off by far less than the margin
+            far = int(n) * math.log(mu) - mu - math.lgamma(int(n) + 1) < -700.0
+            exact = 0.0 if far else self.poisson_mpmath(mu, int(n))
+            if exact < 1e-290:
+                assert p <= 1e-290
+                continue
+            assert abs(mpmath.mpf(p) / exact - 1) <= 2e-14
+
+    @pytest.mark.parametrize("mu", RATES)
+    def test_mass_is_one_to_a_few_ulp(self, mu):
+        _, probs, tail = skellam_pmf_grid(mu, 0.0)
+        assert abs(math.fsum(probs) - 1.0) <= 4 * UNIT_ROUNDOFF + tail
+
+    @pytest.mark.parametrize("mu", RATES)
+    def test_dark_transmitted_arm_is_the_exact_mirror(self, mu):
+        deltas, probs, tail = skellam_pmf_grid(mu, 0.0)
+        m_deltas, m_probs, m_tail = skellam_pmf_grid(0.0, mu)
+        np.testing.assert_array_equal(m_deltas, -deltas[::-1])
+        np.testing.assert_array_equal(m_probs, probs[::-1])
+        assert m_tail == tail
+
+    @pytest.mark.parametrize("mu", RATES)
+    def test_window_is_the_one_sided_base_rule(self, mu):
+        lo, hi, tail = skellam_window(mu, 0.0)
+        assert (lo, hi) == (0, math.ceil(mu) + math.ceil(12.0 * math.sqrt(mu) + 30.0))
+        assert tail <= DEFAULT_TAIL_TOL
 
 
 class TestSkellam:
