@@ -40,8 +40,6 @@ from .montecarlo import (
 )
 from .receivers import (
     homodyne_mean,
-    poisson_logpmf,
-    poisson_pmf,
     skellam_pmf_grid,
 )
 from .security import SecurityReport, security_report_for

@@ -1,18 +1,16 @@
 """Shannon entropies and the mutual information of the three readouts.
 
-All informations are in bits per channel use.  The symbol <-> outcome mutual
-information is H(mixture) - sum_k q_k H(conditional_k), evaluated over
-certified truncation windows; the certified window tails are propagated into
-an explicit error bound instead of being silently dropped.
-
-Every readout is computed from one certified law: the mirrored
-count-difference conditionals of :func:`_hl_conditionals`.  For phase-shift
-keying the raw-count readout carries exactly the information of the
-difference readout: the count pair is equivalent to the (sum, difference)
-pair and the sum factor of the joint law does not depend on the encoded
-symbol, so the difference is a sufficient statistic.  The count-pair grid is
-kept out of the package; the test suite holds it as an independent oracle,
-together with a numerical check of that factorization.
+All informations are in bits per channel use, over certified truncation
+windows whose tails go into an explicit error bound.  Every analytic figure
+is an expectation over one posterior per readout (:func:`_posterior`), built
+from symbol 1's count-difference law and the slope of :func:`_llr_slope`;
+symbol 0's law is its mirror and is never formed.  For phase-shift keying
+the count pair carries exactly the information of its difference: the pair
+is equivalent to (sum, difference), and the law of the sum given the
+difference does not depend on the symbol.  The count-pair grid and the
+padded mirror laws are oracles of the test suite, with a numerical check of
+that factorization; :func:`mutual_information` and :func:`shannon_entropy`
+serve the plug-in estimates of sampled laws.
 """
 
 import math
@@ -109,72 +107,97 @@ def truncation_error_bound(tail_mass: float, alphabet_size: int) -> float:
     return eps * math.log2(k) + binary_entropy(eps)
 
 
-def _mi_error_bound(tails, priors, alphabet_size) -> float:
-    """Bound on the MI truncation error from per-conditional window tails."""
-    mix_tail = sum(q * t for q, t in zip(priors, tails))
-    bound = truncation_error_bound(mix_tail, alphabet_size)
-    for q, t in zip(priors, tails):
-        bound += q * truncation_error_bound(t, alphabet_size)
-    return bound
-
-
 # ---------------------------------------------------------------------------
-# Count-difference law and the readouts derived from it
+# One posterior per readout, from the symbol-1 difference law
 # ---------------------------------------------------------------------------
 
-def _hl_conditionals(params: ChannelParams, tail_tol):
-    """Difference-law conditionals for both symbols on a common window.
+def _llr_slope(params: ChannelParams) -> float:
+    """L = ln(mu_t / mu_r), the symbol log-likelihood ratio per unit of Delta.
 
-    Returns ``(deltas, p0, p1, tail)``.  The symbol-0 law is the exact mirror
-    of the symbol-1 law, so it is obtained by reversal rather than recomputed.
+    The symbol laws are mirrors, so p(Delta | 1) / p(Delta | 0) is exactly
+    exp(L * Delta).  L is 0 when the two laws coincide and +inf when symbol 1
+    leaves the reflected arm dark (one-sided laws).
     """
-    deltas1, p1, tail = skellam_pmf_grid(*detection_rates(params, 1), tail_tol)
-    lo1, hi1 = int(deltas1[0]), int(deltas1[-1])
-    lo, hi = min(lo1, -hi1), max(hi1, -lo1)
-    size = hi - lo + 1
-    full1 = np.zeros(size)
-    full1[lo1 - lo:hi1 - lo + 1] = p1
-    full0 = full1[::-1].copy()
-    return np.arange(lo, hi + 1), full0, full1, tail
+    mu_t, mu_r = detection_rates(params, 1)
+    if mu_t == mu_r:
+        return 0.0
+    if mu_r == 0.0:
+        return math.inf
+    gap = (mu_t - mu_r) / mu_r  # the difference is exact where the rates are close
+    return math.log1p(gap) if gap < math.inf else math.log(mu_t) - math.log(mu_r)
 
 
-def _sign_law(law):
-    """The two-outcome sign law of each symbol, from a difference law.
+def _sign_split(deltas, p1) -> float:
+    """P(sign outcome -1 | symbol 1): the negative differences and half of
+    the Delta = 0 mass (the fair tie split)."""
+    return float(p1[deltas < 0].sum() + 0.5 * p1[deltas == 0].sum())
 
-    Outcome 0 collects the negative differences and half of the Delta = 0
-    mass (the fair tie split); outcome 1 has the complementary probability.
-    Returns one array ``[P(0 | k), P(1 | k)]`` per symbol k.
+
+def _posterior(outcomes, p1, slope):
+    """``(weights, llr)`` of one readout: p(o | 1) and ``slope * o`` (0 at
+    o = 0) over the outcomes o with mass.
+
+    Symbol 0's law is the mirror p(o | 0) = p(-o | 1), so outcome o stands
+    for the joint entries (1, o) and (0, -o) of weights q1 p(o | 1) and
+    q0 p(o | 1), both of log-likelihood ratio ``slope * o`` toward the sent
+    symbol.
     """
-    deltas, p0, p1, _ = law
-    neg, zero = deltas < 0, deltas == 0
-    splits = (float(p[neg].sum() + 0.5 * p[zero].sum()) for p in (p0, p1))
-    return tuple(np.array([b, 1.0 - b]) for b in splits)
+    keep = p1 > 0.0
+    outcomes, weights = outcomes[keep], p1[keep]
+    llr = np.zeros(len(weights))
+    nonzero = outcomes != 0
+    llr[nonzero] = slope * outcomes[nonzero]
+    return weights, llr
 
 
-def _law_error_bound(priors, law) -> float:
-    """Certified MI truncation bound (bits) for the window of ``law``.
+def _information(priors, posterior) -> float:
+    """I(K; outcome) in bits: the mean over the joint law of ln(post_k / q_k).
 
-    Both conditionals miss the certified tail of the one difference law
-    they share, on the alphabet of its window.
+    An entry of ratio x toward its sent symbol k has
+    ln(post_k / q_k) = -log1p(q_(1-k) expm1(-x)), good to a few ulp
+    relative; where expm1 overflows, softplus(-c_k) - softplus(-c_k - x),
+    with c_k = ln(q_k / q_(1-k)), takes over.  An entry of infinite ratio
+    names its symbol: ln(1 / q_k).  Exactly 0 when a prior or every ratio is.
     """
-    deltas, _, _, tail = law
-    return _mi_error_bound((tail, tail), priors, len(deltas))
+    weights, llr = posterior
+    q0, q1 = priors
+    if q0 == 0.0 or q1 == 0.0 or not llr.any():
+        return 0.0
+    with np.errstate(over="ignore"):
+        shrink = np.expm1(-llr)
+    huge = np.isinf(shrink)
+
+    def mean_density(q, other):
+        density = -np.log1p(other * shrink)
+        if huge.any():
+            c = math.log(q / other)
+            density[huge] = np.logaddexp(0.0, -c) - np.logaddexp(0.0, -c - llr[huge])
+        return float(weights @ density)
+
+    if q0 == q1:  # both symbols' entries have the same density
+        return mean_density(q1, q0) / _LN2
+    return (q1 * mean_density(q1, q0) + q0 * mean_density(q0, q1)) / _LN2
 
 
 def _receiver_figures(params: ChannelParams, tail_tol):
-    """Build one receiver's difference law and derive its figures from it.
+    """Build one receiver's law and derive its posteriors and figures from it.
 
-    Returns ``(law, i_diff, i_sign, error_bound)``: the
-    :func:`_hl_conditionals` tuple, the MI of the difference readout (which
-    is also I_WF), the MI of the sign readout and the certified bound.
+    Returns ``((difference, sign), i_diff, i_sign, error_bound)``; I_WF is
+    i_diff.  The sign readout is the same mirror law on the outcomes -1, +1:
+    symbol 1 gives -1 with probability b = :func:`_sign_split` (exactly 1/2
+    when the symbol laws coincide), so its slope is ln((1 - b) / b).  Both
+    symbols' laws miss the certified tail of the law they share, on the
+    mirrored window's alphabet, so the MI bound is twice the entropy bound.
     """
-    law = _hl_conditionals(params, tail_tol)
-    return (
-        law,
-        mutual_information(law[1:3], params.priors),
-        mutual_information(_sign_law(law), params.priors),
-        _law_error_bound(params.priors, law),
-    )
+    deltas, p1, tail = skellam_pmf_grid(*detection_rates(params, 1), tail_tol)
+    slope = _llr_slope(params)
+    b = _sign_split(deltas, p1) if slope else 0.5
+    posteriors = (_posterior(deltas, p1, slope),
+                  _posterior(np.array((-1, 1)), np.array((b, 1.0 - b)),
+                             math.inf if b == 0.0 else math.log((1.0 - b) / b)))
+    lo, hi = int(deltas[0]), int(deltas[-1])
+    return (posteriors, *(_information(params.priors, p) for p in posteriors),
+            2.0 * truncation_error_bound(tail, max(hi, -lo) - min(lo, -hi) + 1))
 
 
 def mi_wf(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
@@ -184,12 +207,12 @@ def mi_wf(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
     (n + m, n - m), and p(n + m | n - m) is the same for both symbols, so the
     difference is a sufficient statistic and I(K; n, m) = I(K; n - m).
     """
-    return mutual_information(_hl_conditionals(params, tail_tol)[1:3], params.priors)
+    return _receiver_figures(params, tail_tol)[1]
 
 
 def mi_hl(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
     """MI of the symbol vs the count difference Delta = n - m, in bits."""
-    return mutual_information(_hl_conditionals(params, tail_tol)[1:3], params.priors)
+    return _receiver_figures(params, tail_tol)[1]
 
 
 def mi_bds(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
@@ -199,8 +222,7 @@ def mi_bds(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
     equal priors this equals 1 - h2(p_err) of the induced binary symmetric
     channel.
     """
-    return mutual_information(_sign_law(_hl_conditionals(params, tail_tol)),
-                              params.priors)
+    return _receiver_figures(params, tail_tol)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +298,7 @@ class MiReport:
 
 def certified_error_bound(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
     """Certified bound (bits) on the MI truncation error for these windows."""
-    return _law_error_bound(params.priors, _hl_conditionals(params, tail_tol))
+    return _receiver_figures(params, tail_tol)[3]
 
 
 def mi_report(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> MiReport:

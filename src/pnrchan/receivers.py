@@ -49,6 +49,9 @@ __all__ = [
 
 DEFAULT_TAIL_TOL = 1e-10
 
+# the widest window: 24 sigma + 60 bins at an LO mean of 1.9e9, where a
+# one-point sweep peaks at about 85 MB of RSS and a security row at 140 MB
+_MAX_WINDOW_BINS = 1 << 20
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _WINDOW_GROWTH_STEPS = 60
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -244,7 +247,8 @@ def skellam_window(mu_t, mu_r, tail_tol=DEFAULT_TAIL_TOL):
     is grown geometrically until the Chernoff bounds of the two tails
     (:func:`_skellam_chernoff_upper`) sum to at most ``tail_tol``.  A dark
     arm bounds the difference by 0 on its side: the window ends there, and
-    that side has no tail.
+    that side has no tail.  A window of more than ``_MAX_WINDOW_BINS`` bins
+    is refused with a ValidationError before any bound is formed.
     """
     if tail_tol <= 0.0:  # an infinite alphabet leaves every window a tail
         raise NumericsError(
@@ -252,10 +256,14 @@ def skellam_window(mu_t, mu_r, tail_tol=DEFAULT_TAIL_TOL):
             "alphabet; it must be > 0"
         )
     mean = mu_t - mu_r
-    half = int(math.ceil(12.0 * math.sqrt(mu_t + mu_r) + 30.0))
+    # a window is wider than its half-width, so a wider one is refused below
+    half = int(math.ceil(min(12.0 * math.sqrt(mu_t + mu_r) + 30.0, _MAX_WINDOW_BINS)))
     for _ in range(_WINDOW_GROWTH_STEPS):
         lo = int(math.floor(mean)) - half if mu_r > 0.0 else 0
         hi = int(math.ceil(mean)) + half if mu_t > 0.0 else 0
+        if hi - lo + 1 > _MAX_WINDOW_BINS:
+            raise ValidationError(f"rates ({mu_t:g}, {mu_r:g}) need a window of more than "
+                                  f"{_MAX_WINDOW_BINS} bins, the limit; lower the means")
         bound = (_skellam_chernoff_upper(mu_t, mu_r, hi + 1)
                  + _skellam_chernoff_upper(mu_r, mu_t, 1 - lo))
         if bound <= tail_tol:
@@ -347,8 +355,8 @@ def skellam_pmf_grid(mu_t, mu_r, tail_tol=DEFAULT_TAIL_TOL):
     (:func:`skellam_window`) and the three-term recurrence
     (:func:`_skellam_pmf_recurrence`).
     """
-    if mu_t < 0.0 or mu_r < 0.0:
-        raise ValidationError("rates must be >= 0")
+    if not (0.0 <= mu_t < math.inf and 0.0 <= mu_r < math.inf):
+        raise ValidationError(f"rates must be finite and >= 0, got ({mu_t:g}, {mu_r:g})")
     if mu_t < mu_r:
         deltas, probs, bound = skellam_pmf_grid(mu_r, mu_t, tail_tol)
         return -deltas[::-1], probs[::-1].copy(), bound

@@ -7,7 +7,9 @@ Individual-attack key rates compare the honest MI with the eavesdropper's MI
 in direct (Alice-side) or reverse (Bob-side) reconciliation; collective
 attacks replace the eavesdropper's MI with the Holevo information of her
 quantum ensemble.  Each channel point builds the certified count-difference
-law of each receiver once, and every figure is derived from those two laws.
+law of each receiver once, and every figure is an expectation over the
+posteriors of those two laws (see
+:func:`~pnrchan.information._receiver_figures`).
 
 Eve's states span a two-dimensional subspace (two opposite coherent
 amplitudes), so every von Neumann entropy reduces to the binary entropy of a
@@ -21,14 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelParams, coherent_overlap, detection_rates, eve_params
-from .information import (
-    _hl_conditionals,
-    _receiver_figures,
-    _sign_law,
-    _xlogx,
-    mutual_information,
-)
+from .channel import ChannelParams, eve_params
+from .information import _receiver_figures, _xlogx
 from .receivers import DEFAULT_TAIL_TOL
 
 __all__ = [
@@ -52,34 +48,12 @@ _REFINE_TOL = 1e-14
 _BLOCK = 1 << 18
 
 
-def _llr_slope(params: ChannelParams) -> float:
-    """L = ln(mu_t / mu_r), the symbol log-likelihood ratio per unit of Delta.
-
-    The symbol laws are mirrors, so p(Delta | 1) / p(Delta | 0) is exactly
-    exp(L * Delta).  L is 0 when the two laws coincide and +inf when symbol 1
-    leaves the reflected arm dark (one-sided laws).
-    """
-    mu_t, mu_r = detection_rates(params, 1)
-    if mu_t == mu_r:
-        return 0.0
-    if mu_r == 0.0:
-        return math.inf
-    return math.log(mu_t) - math.log(mu_r)
-
-
-def _llr_support(law, slope):
-    """Symbol-1 weights and log-likelihood ratios of the bins that count.
-
-    A bin without symbol-1 mass adds nothing (the symbol-0 law is reached
-    through the mirror), and a one-sided law's +inf ratios only feed
-    softplus(-inf) = 0 terms, so both are dropped.
-    """
-    deltas, _, p1, _ = law
-    llr = np.zeros(len(deltas))
-    nonzero = deltas != 0
-    llr[nonzero] = slope * deltas[nonzero]
-    keep = (p1 > 0.0) & np.isfinite(llr)
-    return p1[keep], llr[keep]
+def _finite(posterior):
+    """A posterior without its entries of infinite ratio, which name the
+    symbol: they add only softplus(-inf) = 0 terms, and leave Eve pure."""
+    weights, llr = posterior
+    keep = np.isfinite(llr)
+    return weights[keep], llr[keep]
 
 
 def _softplus(x):
@@ -157,34 +131,32 @@ def _weighted_eve_mean_softplus(args, weights, eve_weights, eve_llr):
     return float(weights @ _eve_mean_softplus(args, eve_weights, eve_llr))
 
 
-def mi_bob_eve(bob: ChannelParams, bob_law, eve: ChannelParams, eve_law) -> float:
+def mi_bob_eve(priors, bob_posteriors, eve_posteriors) -> float:
     """I(B;E) between the two receivers' outcomes, marginalized over symbols.
 
-    ``bob_law`` and ``eve_law`` are the receivers' difference laws from
-    :func:`~pnrchan.information._hl_conditionals`; the count pair carries
-    nothing more about the other receiver than its difference.  B and E are
-    independent given the symbol K, so
+    Of the receivers' posteriors (see ``information._receiver_figures``)
+    the difference readout's is used: the count pair says nothing more about
+    the other receiver.  B and E are independent given the symbol K, so
 
         I(B;E) = H(K) - H(K|B) - H(K|E) + H(K|B,E),
 
     four terms of at most one bit each.  The posterior log-odds of K given
-    (b, e) is c + L_B b + L_E e, with c = ln(q1/q0) and each receiver's L
-    from :func:`_llr_slope`, so with the mirror laws every conditional
+    (b, e) is c + x_B(b) + x_E(e), with c = ln(q1/q0) and each receiver's
+    log-likelihood ratios x, so with the mirror laws every conditional
     entropy is a sum of softplus terms over symbol 1 alone.  H(K|B) and
     H(K|E) cost O(w).  The only coupling, H(K|B,E), is Bob's average of
-    G(+-c - L_B b) for one function G of Eve's law, evaluated by
+    G(+-c - x_B(b)) for one function G of Eve's law, evaluated by
     :func:`_weighted_eve_mean_softplus` in O(N w) time and O(N + w) memory
-    for N Chebyshev nodes.  Nothing of size w_B x w_E is built.  The result is exactly 0 when either
-    receiver's laws coincide or a prior is 0.  The test suite checks it
-    against the dense joint law and an exactly summed reference.
+    for N Chebyshev nodes.  Nothing of size w_B x w_E is built.  It is
+    exactly 0 when either receiver's laws coincide or a prior is 0.
     """
-    q0, q1 = bob.priors
-    slope_b, slope_e = _llr_slope(bob), _llr_slope(eve)
-    if slope_b == 0.0 or slope_e == 0.0 or q0 == 0.0 or q1 == 0.0:
+    q0, q1 = priors
+    bob, eve = bob_posteriors[0], eve_posteriors[0]
+    if not bob[1].any() or not eve[1].any() or q0 == 0.0 or q1 == 0.0:
         return 0.0
     c = math.log(q1 / q0)
-    bob_weights, bob_llr = _llr_support(bob_law, slope_b)
-    eve_weights, eve_llr = _llr_support(eve_law, slope_e)
+    bob_weights, bob_llr = _finite(bob)
+    eve_weights, eve_llr = _finite(eve)
     if c == 0.0:
         args, weights = -bob_llr, bob_weights
     else:
@@ -204,52 +176,51 @@ def mi_bob_eve(bob: ChannelParams, bob_law, eve: ChannelParams, eve_law) -> floa
 # Collective attacks (Holevo information, reverse reconciliation)
 # ---------------------------------------------------------------------------
 
-def _posterior_entropy(weights1, overlap):
-    """Entropy (bits) of (1 - w1)|-beta><-beta| + w1|+beta><+beta|, vectorized.
+def _rank_two_entropy(log_odds, amplitude_sq):
+    """Entropy (nats) of w0|-beta><-beta| + w1|+beta><+beta|, vectorized.
 
-    For two pure states with |<a|b>| = c the nonzero eigenvalues are
-    (1 +- sqrt(1 - 4 w0 w1 (1 - c^2))) / 2, so the entropy is h2(lambda_plus).
+    ``log_odds`` is t = ln(w1 / w0).  With c = <-beta|+beta> = exp(-2 beta^2)
+    the eigenvalues are (1 +- sqrt(1 - x)) / 2, x = 4 w0 w1 (1 - c^2) and
+    4 w0 w1 = 1 / cosh^2(t / 2); the smaller is x / (2 (1 + sqrt(1 - x))),
+    1 - c^2 is -expm1(-4 beta^2) and the larger one's term a log1p, so
+    nothing cancels.  At infinite t, cosh overflows and the entropy is 0.
     """
-    w1 = np.clip(weights1, 0.0, 1.0)
-    disc = np.maximum(0.0, 1.0 - 4.0 * w1 * (1.0 - w1) * (1.0 - overlap * overlap))
-    lam = 0.5 * (1.0 + np.sqrt(disc))
-    lam = np.clip(lam, 0.5, 1.0)
-    return (-_xlogx(lam) - _xlogx(1.0 - lam)) / _LN2
+    with np.errstate(over="ignore"):
+        x = -math.expm1(-4.0 * amplitude_sq) / np.cosh(0.5 * np.asarray(log_odds)) ** 2
+    small = x / (2.0 * (1.0 + np.sqrt(1.0 - x)))
+    return -_xlogx(small) - (1.0 - small) * np.log1p(-small)
 
 
-def _holevo_chi(conditionals, eve: ChannelParams) -> float:
-    """chi(B;E) = S(E) - S(E|B) for Bob's outcome law ``conditionals``.
+def _holevo_chi(posterior, eve: ChannelParams) -> float:
+    """chi(B;E) = S(E) - S(E|B), in bits, for one of Bob's readouts.
 
-    ``conditionals`` holds p(outcome | k) for k = 0, 1 on a common alphabet.
-    Eve's state given Bob's outcome j is a rank-two mixture with posterior
-    weight w1 = q1 p(j|1) / p(j); S(E) is the same entropy at w1 = q1.
-    When Bob's outcome law does not depend on the symbol, chi is exactly 0.
+    Eve's state given an entry of ``posterior`` (ratio x, sent symbol k) is
+    the rank-two mixture at log-odds c_k + x, c_1 = -c_0 = ln(q1/q0); S(E)
+    is its entropy at c_1.  chi is exactly 0 when Bob's laws coincide or a
+    prior is 0, where a truncated law would leave S(E) times its tail.
     """
-    b0, b1 = conditionals
-    if np.array_equal(b0, b1):
-        return 0.0
     q0, q1 = eve.priors
-    overlap = coherent_overlap(eve.signal_mean)
-    mix = q0 * b0 + q1 * b1
-    mask = mix > 0.0
-    w1 = q1 * b1[mask] / mix[mask]
-    s_cond = float((mix[mask] * _posterior_entropy(w1, overlap)).sum())
-    return float(_posterior_entropy(q1, overlap)) - s_cond
+    if q0 == 0.0 or q1 == 0.0 or not posterior[1].any():
+        return 0.0
+    weights, llr = _finite(posterior)
+    c = math.log(q1 / q0)
+
+    def held(c_k):
+        return float(weights @ _rank_two_entropy(c_k + llr, eve.signal_mean))
+
+    s_cond = held(c) if c == 0.0 else q1 * held(c) + q0 * held(-c)
+    return (float(_rank_two_entropy(c, eve.signal_mean)) - s_cond) / _LN2
 
 
-def holevo_chi_wf(bob_law, eve: ChannelParams) -> float:
-    """Holevo information of Eve's ensemble conditioned on Bob's counts.
-
-    Eve's conditional state given Bob's count pair depends on it only
-    through the count difference, so S(E|B) is averaged over Bob's
-    difference law ``bob_law``.
-    """
-    return _holevo_chi(bob_law[1:3], eve)
+def holevo_chi_wf(bob_posteriors, eve: ChannelParams) -> float:
+    """Holevo information of Eve's ensemble conditioned on Bob's counts,
+    through their difference, on which alone her conditional state depends."""
+    return _holevo_chi(bob_posteriors[0], eve)
 
 
-def holevo_chi_bds(bob_law, eve: ChannelParams) -> float:
+def holevo_chi_bds(bob_posteriors, eve: ChannelParams) -> float:
     """Holevo information conditioned on Bob's binary sign readout."""
-    return _holevo_chi(_sign_law(bob_law), eve)
+    return _holevo_chi(bob_posteriors[1], eve)
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +269,15 @@ def security_report_for(bob: ChannelParams, eve_lo_amplitude=None,
     vacuum: every Eve figure is zero and the normalized informations are 1
     (or undefined when the honest channel itself carries nothing).
     """
-    bob_law, i_ab_wf, i_ab_bds, bound = _receiver_figures(bob, tail_tol)
+    bob_posteriors, i_ab_wf, i_ab_bds, bound = _receiver_figures(bob, tail_tol)
     if bob.transmissivity >= 1.0:
         i_ae = i_be = chi_wf = chi_bds = 0.0
     else:
         eve = eve_params(bob, lo_amplitude=eve_lo_amplitude)
-        eve_law = _hl_conditionals(eve, tail_tol)
-        i_ae = mutual_information(eve_law[1:3], eve.priors)
-        i_be = mi_bob_eve(bob, bob_law, eve, eve_law)
-        chi_wf = holevo_chi_wf(bob_law, eve)
-        chi_bds = holevo_chi_bds(bob_law, eve)
+        eve_posteriors, i_ae, _, _ = _receiver_figures(eve, tail_tol)
+        i_be = mi_bob_eve(bob.priors, bob_posteriors, eve_posteriors)
+        chi_wf = holevo_chi_wf(bob_posteriors, eve)
+        chi_bds = holevo_chi_bds(bob_posteriors, eve)
     d_dr = i_ab_wf - i_ae
     d_rr = i_ab_wf - i_be
     d_ca_wf = i_ab_wf - chi_wf

@@ -2,8 +2,9 @@
 
 The package computes every readout from the certified count-difference law.
 The routes here take the long way round on purpose -- the Skellam law from
-scipy's scaled Bessel function and as an mpmath Poisson convolution, the
-full count-pair grid, the four-index joint law of the symbol and both
+scipy's scaled Bessel function and as an mpmath Poisson convolution, both
+symbols' difference laws padded onto one mirrored window and the figures
+summed from them as mixture entropies, the full count-pair grid, the four-index joint law of the symbol and both
 receivers, the dense Bob x Eve joint of the two difference laws, a
 number-basis diagonalization, adaptive quadrature of the homodyne entropy,
 shot-file text by one %-format per value, shot files read line by line
@@ -27,6 +28,7 @@ from pnrchan import (
     ExperimentRun,
     NumericsError,
     ValidationError,
+    coherent_overlap,
     detection_rates,
     eve_params,
     homodyne_mean,
@@ -34,7 +36,7 @@ from pnrchan import (
     shannon_entropy,
 )
 from pnrchan.montecarlo import MAX_COUNT
-from pnrchan.receivers import DEFAULT_TAIL_TOL, poisson_pmf, poisson_window
+from pnrchan.receivers import DEFAULT_TAIL_TOL, poisson_pmf, poisson_window, skellam_pmf_grid
 from pnrchan.recordio import SHOT_HEADER
 
 _JOINT_CELL_LIMIT = 20_000_000
@@ -124,6 +126,105 @@ def skellam_pmf_mpmath(mu_t, mu_r, delta, dps=40):
             if term < 1e-30 * total:
                 break
         return +total
+
+
+# ---------------------------------------------------------------------------
+# Both symbols' difference laws on one mirrored window
+# ---------------------------------------------------------------------------
+
+def mirror_law(params, tail_tol=DEFAULT_TAIL_TOL):
+    """Both symbols' difference laws, padded onto one symmetric window.
+
+    Returns ``(deltas, p0, p1, tail)``: symbol 1's certified law padded to
+    [-w, w] and its reversal as symbol 0's law.
+    """
+    deltas1, p1, tail = skellam_pmf_grid(*detection_rates(params, 1), tail_tol)
+    lo1, hi1 = int(deltas1[0]), int(deltas1[-1])
+    lo, hi = min(lo1, -hi1), max(hi1, -lo1)
+    full1 = np.zeros(hi - lo + 1)
+    full1[lo1 - lo:hi1 - lo + 1] = p1
+    return np.arange(lo, hi + 1), full1[::-1].copy(), full1, tail
+
+
+def sign_laws(law):
+    """Each symbol's two-outcome sign law ``[P(-1 | k), P(+1 | k)]`` from a
+    :func:`mirror_law`, the Delta = 0 mass split evenly."""
+    deltas, p0, p1, _ = law
+    neg, zero = deltas < 0, deltas == 0
+    splits = (float(p[neg].sum() + 0.5 * p[zero].sum()) for p in (p0, p1))
+    return tuple(np.array([b, 1.0 - b]) for b in splits)
+
+
+def holevo_chi_mixture(conditionals, eve):
+    """chi(B;E) in bits from Bob's two conditionals, through their mixture.
+
+    Eve's state given Bob's outcome j has posterior weight
+    w1 = q1 p(j|1) / p(j); its entropy is h2 of the larger eigenvalue
+    (1 + sqrt(1 - 4 w0 w1 (1 - c^2))) / 2 of the rank-two Gram matrix.
+    """
+    q0, q1 = eve.priors
+    overlap = coherent_overlap(eve.signal_mean)
+
+    def entropy(w1):
+        lam = 0.5 * (1.0 + np.sqrt(np.maximum(
+            0.0, 1.0 - 4.0 * w1 * (1.0 - w1) * (1.0 - overlap * overlap))))
+        return -(xlogy(lam, lam) + xlogy(1.0 - lam, 1.0 - lam)) / math.log(2.0)
+
+    b0, b1 = conditionals
+    mix = q0 * b0 + q1 * b1
+    mask = mix > 0.0
+    return float(entropy(q1) - mix[mask] @ entropy(q1 * b1[mask] / mix[mask]))
+
+
+def figures_mpmath(bob, dps=40):
+    """Bob's and his wiretapper's analytic figures at ``dps`` digits.
+
+    Returns a dict of mpmath numbers: ``i_ab_wf``, ``i_ab_bds``, ``i_ae_wf``,
+    ``chi_be_wf`` and ``chi_be_bds``.  Each receiver's laws are its
+    :func:`mirror_law`, the double bins taken as exact, and every figure is
+    summed over the mixture as in :func:`holevo_chi_mixture`, so it shares
+    the laws of the package but none of its arithmetic.
+    """
+    import mpmath
+
+    eve = eve_params(bob)
+    with mpmath.workdps(dps):
+        q0, q1 = (mpmath.mpf(q) for q in bob.priors)
+        ln2 = mpmath.log(2)
+
+        def laws(params):
+            deltas, p0, p1, _ = mirror_law(params)
+            p0, p1 = [[mpmath.mpf(float(v)) for v in p] for p in (p0, p1)]
+            b = (mpmath.fsum(v for d, v in zip(deltas, p1) if d < 0)
+                 + mpmath.fsum(v for d, v in zip(deltas, p1) if d == 0) / 2)
+            return (p0, p1), ([1 - b, b], [b, 1 - b])
+
+        def info(conds):
+            total = mpmath.mpf(0)
+            for a, b in zip(*conds):
+                mix = q0 * a + q1 * b
+                total += sum(q * p * mpmath.log(p / mix) for q, p in ((q0, a), (q1, b)) if p)
+            return total / ln2
+
+        deficit = -mpmath.expm1(-4 * mpmath.mpf(eve.signal_mean))
+
+        def entropy(w1):
+            x = 4 * w1 * (1 - w1) * deficit
+            small = x / (2 * (1 + mpmath.sqrt(1 - x)))
+            return -sum(v * mpmath.log(v) for v in (small, 1 - small) if v) / ln2
+
+        def chi(conds):
+            held = mpmath.mpf(0)
+            for a, b in zip(*conds):
+                mix = q0 * a + q1 * b
+                if mix:
+                    held += mix * entropy(q1 * b / mix)
+            return entropy(q1) - held
+
+        (bob_wf, bob_bds), (eve_wf, _) = laws(bob), laws(eve)
+        return {"i_ab_wf": info(bob_wf), "i_ab_bds": info(bob_bds),
+                "i_ae_wf": info(eve_wf), "chi_be_wf": chi(bob_wf),
+                "chi_be_bds": chi(bob_bds)}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from scipy.stats import poisson as sp_poisson
 
 from pnrchan import (
     ChannelParams,
-    coherent_overlap,
     detection_rates,
     homodyne_mean,
     mi_bds,
@@ -30,7 +29,7 @@ from pnrchan import (
     skellam_pmf_grid,
 )
 from pnrchan import cli
-from pnrchan.security import _posterior_entropy
+from pnrchan.security import _rank_two_entropy
 
 from oracles import fock_entropy_oracle, mi_wf_grid
 
@@ -164,7 +163,7 @@ def test_c07_rank_two_entropy_vs_fock_oracle():
         beta = math.sqrt(beta_sq)
         cutoff = int(math.ceil(beta_sq + 12.0 * math.sqrt(beta_sq) + 30.0))
         for w0 in (0.1, 0.3, 0.5):
-            closed = float(_posterior_entropy(1.0 - w0, coherent_overlap(beta_sq)))
+            closed = float(_rank_two_entropy(math.log((1.0 - w0) / w0), beta_sq)) / math.log(2.0)
             oracle = fock_entropy_oracle([w0, 1.0 - w0], [beta, -beta], cutoff)
             worst = max(worst, abs(closed - oracle))
     ok = worst <= 1e-8

@@ -520,12 +520,14 @@ class TestPresets:
 
     # the first line of each table names the package version, so a release
     # that bumps it re-pins these; so does a change of the tail certificate,
-    # which moves the trunc_err column alone
+    # which moves the trunc_err column alone, or of the rounding of the
+    # figures, which moves the last digits of the Delta and K columns of fig5
+    # and fig6 (differences and ratios of figures, so a 1e-16 move shows)
     PINNED = {
         "fig3": "86b134baea0dcfbe51826289d0bc3477da137d3eb8d3fae8353ff88e9733544d",
         "fig4": "d536c634a28a1879627e1b6f155d9b46fca00ab87fce684896bb74b1e5a10f21",
-        "fig5": "7d95a15c67289a1c62a8a395542611dac90ee4f2dffed7c7f69a8441b7c3ab4e",
-        "fig6": "610005c83c5d9eec51dcb7d1b1f4bea881610413030f318ab4f894b377fb7c3b",
+        "fig5": "7e02ba13f1dc81a679d1568ed381bbbaab2ca6453bad27295f7c10e324b891a1",
+        "fig6": "c9600eea4b99f229c6665297f0f4e1363a3872e9eba94c753bdb08eb879dae71",
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -547,8 +549,11 @@ SWEEP_CFG = "mode = lo\nsignal_mean = 2.0\ngrid = 1:9:3\n"
 
 
 class TestRuntimePath:
-    """Every law comes from the Skellam recurrence: no command calls the
-    Poisson evaluators, which serve the count-pair oracle alone."""
+    """Every law comes from the Skellam recurrence and every figure from its
+    posterior: no command calls the Poisson evaluators, which serve the
+    count-pair oracle alone, nor the mixture-entropy sums
+    ``mutual_information`` and ``shannon_entropy``, which serve the plug-in
+    estimates of sampled laws."""
 
     COMMANDS = {
         "fig3": ("sweep", "--preset", "fig3"),
@@ -572,12 +577,13 @@ class TestRuntimePath:
         assert run_cli(*args, "-o", str(plain)) == 0
 
         def forbidden(*_args, **_kwargs):
-            raise AssertionError("a reference Poisson evaluator ran")
+            raise AssertionError("a Poisson evaluator or a mixture entropy ran")
 
         # in every module, so that no import by name escapes the patch
         modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "pnrchan"]
         for module in modules:
-            for attr in ("poisson_pmf", "poisson_logpmf", "poisson_window"):
+            for attr in ("poisson_pmf", "poisson_logpmf", "poisson_window",
+                         "mutual_information", "shannon_entropy"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, forbidden)
         dark, window = [], receivers.skellam_window
@@ -859,3 +865,34 @@ class TestProcess:
                       and is_scipy(node.value)):
                     found.append(f"{path.name}:{node.lineno}: {node.value!r}")
         assert found == []
+
+
+class TestInputDomain:
+    """Means whose difference window would exceed the bin budget are refused
+    before any law is built: exit 1, one error line, no output file."""
+
+    BUDGET = str(receivers._MAX_WINDOW_BINS)
+
+    @pytest.mark.parametrize("args, named", [
+        (("sweep", "--mode", "lo", "--signal-mean", "1e300", "--grid", "12"), BUDGET),
+        (("sweep", "--mode", "lo", "--signal-mean", "3", "--grid", "1e308"), BUDGET),
+        (("sweep", "--mode", "lo", "--signal-mean", "3", "--grid", "1e20"), BUDGET),
+        (("sweep", "--mode", "lo", "--signal-mean", "3", "--grid", "1e16"), BUDGET),
+        (("sweep", "--mode", "lo", "--signal-mean", "3", "--grid", "1e12"), BUDGET),
+        (("security", "--signal-mean", "3", "--lo-mean", "1e20", "--grid", "3"), BUDGET),
+        (("security", "--signal-mean", "3", "--lo-mean", "1e12", "--grid", "3"), BUDGET),
+        # the rates themselves overflow
+        (("sweep", "--mode", "lo", "--signal-mean", "1e308", "--grid", "1e308"), "finite"),
+    ])
+    def test_huge_means_are_refused(self, tmp_path, capsys, args, named):
+        assert run_cli(*args, "-o", str(tmp_path / "x.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.count("pnrchan: error: ") == 1 and err.count("\n") == 1
+        assert "Traceback" not in err and named in err
+        assert not list(tmp_path.iterdir())
+
+    def test_lo_mean_1e7_runs(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run_cli("sweep", "--mode", "lo", "--signal-mean", "3", "--grid", "1e7",
+                       "-o", str(out)) == 0
+        assert out.read_text().splitlines()[-1].startswith("10000000,")

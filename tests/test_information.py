@@ -7,6 +7,9 @@ from pnrchan import (
     ChannelParams,
     ValidationError,
     binary_entropy,
+    detection_rates,
+    eve_params,
+    information,
     mi_bds,
     mi_hl,
     mi_homodyne,
@@ -15,10 +18,12 @@ from pnrchan import (
     mutual_information,
     shannon_entropy,
 )
-from pnrchan.information import _hl_conditionals, _homodyne_mixture_entropy, _sign_law
-from pnrchan.receivers import DEFAULT_TAIL_TOL, homodyne_mean
+from pnrchan.information import _homodyne_mixture_entropy, _information, _posterior, _sign_split
+from pnrchan.security import holevo_chi_bds, holevo_chi_wf
+from pnrchan.receivers import DEFAULT_TAIL_TOL, homodyne_mean, skellam_pmf_grid
 
-from oracles import mi_homodyne_quad, mi_wf_grid, wf_hl_equivalence_check
+from oracles import (holevo_chi_mixture, mi_homodyne_quad, mi_wf_grid, mirror_law, sign_laws,
+                     wf_hl_equivalence_check)
 
 
 def params_for(signal_mean, lo_mean, xi, priors=(0.5, 0.5)):
@@ -101,8 +106,8 @@ class TestEquivalenceAndHierarchy:
         rng = np.random.default_rng(33)
         for _ in range(25):
             p = random_params(rng)
-            s0, _ = _sign_law(_hl_conditionals(p, DEFAULT_TAIL_TOL))
-            p_err = s0[1]  # wrong sign
+            # the wrong sign, P(-1 | 1) with the fair tie split
+            p_err = _sign_split(*skellam_pmf_grid(*detection_rates(p, 1), DEFAULT_TAIL_TOL)[:2])
             closed = 1.0 - binary_entropy(p_err)
             assert mi_bds(p) == pytest.approx(closed, abs=1e-12)
 
@@ -194,6 +199,38 @@ class TestFactorizationCheck:
     def test_zero_visibility_gives_zero_residual(self):
         check = wf_hl_equivalence_check(params_for(2.0, 5.0, 0.0))
         assert check.max_symbol_dependence <= 1e-14
+
+
+class TestPosteriorForm:
+    """The posterior expectations against the mixture entropies of the
+    padded mirror laws they replaced."""
+
+    def test_matches_the_mirror_oracle(self):
+        rng = np.random.default_rng(34)
+        for _ in range(25):
+            q0 = rng.uniform(0.05, 0.95)
+            p = ChannelParams(alpha=math.sqrt(rng.uniform(0.01, 5.0)),
+                              transmissivity=rng.uniform(0.05, 0.95),
+                              lo_amplitude=math.sqrt(rng.uniform(0.0, 20.0)),
+                              visibility=rng.uniform(0.0, 1.0), priors=(q0, 1.0 - q0))
+            law, eve = mirror_law(p), eve_params(p)
+            bob = information._receiver_figures(p, DEFAULT_TAIL_TOL)[0]
+            assert mi_wf(p) == pytest.approx(mutual_information(law[1:3], p.priors), abs=1e-12)
+            assert mi_bds(p) == pytest.approx(mutual_information(sign_laws(law), p.priors),
+                                              abs=1e-12)
+            assert holevo_chi_wf(bob, eve) == pytest.approx(
+                holevo_chi_mixture(law[1:3], eve), abs=1e-12)
+            assert holevo_chi_bds(bob, eve) == pytest.approx(
+                holevo_chi_mixture(sign_laws(law), eve), abs=1e-12)
+
+    @pytest.mark.parametrize("priors", [(0.5, 0.5), (0.3, 0.7)])
+    def test_an_overflowing_ratio_takes_the_softplus_form(self, priors):
+        # Delta = -1 has ratio -720: expm1(720) overflows, the bin is subnormal
+        p1 = np.array([0.3 * math.exp(-720.0), 0.4, 0.3])
+        posterior = _posterior(np.array([-1, 0, 1]), p1, 720.0)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            value = _information(priors, posterior)
+        assert value == pytest.approx(mutual_information((p1[::-1], p1), priors), abs=1e-15)
 
 
 class TestMiReport:

@@ -19,7 +19,7 @@ from pnrchan.receivers import DEFAULT_TAIL_TOL
 from pnrchan.security import mi_bob_eve
 from pnrchan.sweeps import SECURITY_SCENARIOS, SweepSpec, run_security, run_sweep
 
-from oracles import mi_bob_eve_dense
+from oracles import mi_bob_eve_dense, mirror_law
 
 
 @pytest.fixture
@@ -112,10 +112,9 @@ def test_bob_eve_information_below_both_channels(bob):
 def test_bob_eve_kernel_matches_the_dense_joint(bob):
     assume(bob.transmissivity < 1.0)
     eve = eve_params(bob)
-    bob_law = information._hl_conditionals(bob, DEFAULT_TAIL_TOL)
-    eve_law = information._hl_conditionals(eve, DEFAULT_TAIL_TOL)
-    assert mi_bob_eve(bob, bob_law, eve, eve_law) == pytest.approx(
-        mi_bob_eve_dense(bob_law, eve_law, bob.priors), abs=1e-12)
+    posteriors = [information._receiver_figures(p, DEFAULT_TAIL_TOL)[0] for p in (bob, eve)]
+    assert mi_bob_eve(bob.priors, *posteriors) == pytest.approx(
+        mi_bob_eve_dense(mirror_law(bob), mirror_law(eve), bob.priors), abs=1e-12)
 
 
 @PROPERTIES

@@ -12,9 +12,9 @@ PUBLIC_NAMES = [
     "coherent_overlap", "detection_rates", "empirical_distributions", "errors",
     "eve_params", "homodyne_mean", "information", "loss_db_to_transmissivity",
     "mi_bds", "mi_hl", "mi_homodyne", "mi_report", "mi_wf", "montecarlo",
-    "mutual_information", "plugin_mi", "poisson_logpmf", "poisson_pmf", "receivers",
-    "run_experiment", "security", "security_report_for", "shannon_entropy",
-    "skellam_pmf_grid", "transmissivity_to_loss_db",
+    "mutual_information", "plugin_mi", "receivers", "run_experiment", "security",
+    "security_report_for", "shannon_entropy", "skellam_pmf_grid",
+    "transmissivity_to_loss_db",
 ]
 
 
@@ -30,4 +30,4 @@ def test_public_names_are_pinned():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 38
+    assert len(PUBLIC_NAMES) == 36

@@ -12,15 +12,14 @@ from pnrchan import (
     detection_rates,
     homodyne_mean,
     mi_homodyne,
-    poisson_logpmf,
-    poisson_pmf,
     skellam_pmf_grid,
 )
 from pnrchan import receivers
-from pnrchan.information import _hl_conditionals, _sign_law
-from pnrchan.receivers import DEFAULT_TAIL_TOL, poisson_window, skellam_window
+from pnrchan.information import _sign_split
+from pnrchan.receivers import (DEFAULT_TAIL_TOL, poisson_logpmf, poisson_pmf, poisson_window,
+                               skellam_window)
 
-from oracles import skellam_pmf_mpmath, wf_pmf
+from oracles import mirror_law, skellam_pmf_mpmath, wf_pmf
 
 UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -353,11 +352,11 @@ class TestSkellam:
         assert d0[-1] == -d1[0]
         np.testing.assert_array_equal(probs0, probs1[::-1])
 
-    def test_law_builder_mirrors_symbol_one(self):
-        # the builder derives symbol 0 by reversal; it must agree with the
+    def test_mirror_oracle_mirrors_symbol_one(self):
+        # the oracle derives symbol 0 by reversal; it must agree with the
         # law computed from the symbol-0 rates on a symmetric window
         p = params_for(2.3, 9.7, 0.87)
-        deltas, p0, p1, tail = _hl_conditionals(p, DEFAULT_TAIL_TOL)
+        deltas, p0, p1, tail = mirror_law(p, DEFAULT_TAIL_TOL)
         np.testing.assert_array_equal(deltas, -deltas[::-1])
         np.testing.assert_array_equal(p0, p1[::-1])
         for k, law in ((0, p0), (1, p1)):
@@ -469,8 +468,9 @@ class TestBds:
 
     @staticmethod
     def split(p):
-        """P(outcome 0 | symbol k) for k = 0, 1."""
-        return tuple(float(s[0]) for s in _sign_law(_hl_conditionals(p, DEFAULT_TAIL_TOL)))
+        """P(outcome 0 | symbol k) for k = 0, 1: symbol 0's is 1 - b by the mirror."""
+        b = _sign_split(*skellam_pmf_grid(*detection_rates(p, 1), DEFAULT_TAIL_TOL)[:2])
+        return 1.0 - b, b
 
     def test_no_information_is_a_fair_coin(self):
         for p in (ChannelParams(alpha=0.0, lo_amplitude=2.0),
@@ -502,7 +502,10 @@ class TestBds:
                 lo_amplitude=math.sqrt(rng.uniform(0.0, 20.0)),
                 visibility=rng.uniform(0.0, 1.0),
             )
-            b0, b1 = self.split(p)
+            # symbol 0's split, from the law of its own rates
+            d, probs, _ = difference_law(p, 0)
+            b0 = _sign_split(d, probs)
+            _, b1 = self.split(p)
             assert 0.0 <= b0 <= 1.0 and 0.0 <= b1 <= 1.0
             assert abs(b1 - (1.0 - b0)) <= 1e-14
 

@@ -16,55 +16,66 @@ from pnrchan import (
     security_report_for,
     shannon_entropy,
 )
-from pnrchan.information import _hl_conditionals, certified_error_bound
+from pnrchan.information import _receiver_figures, certified_error_bound
 from pnrchan.receivers import DEFAULT_TAIL_TOL
-from pnrchan.security import _posterior_entropy, holevo_chi_bds, holevo_chi_wf, mi_bob_eve
+from pnrchan.security import _rank_two_entropy, holevo_chi_bds, holevo_chi_wf, mi_bob_eve
 
-from oracles import (fock_entropy_oracle, joint_abe_pmf, mi_bob_eve_dense, mi_bob_eve_fsum,
-                     wf_pmf)
+from oracles import (figures_mpmath, fock_entropy_oracle, joint_abe_pmf, mi_bob_eve_dense,
+                     mi_bob_eve_fsum, mirror_law, wf_pmf)
 
 
-def bob_params(source_mean, loss_db, lo_mean, xi):
+def bob_params(source_mean, loss_db, lo_mean, xi, priors=(0.5, 0.5)):
     t = 10.0 ** (-loss_db / 10.0)
     return ChannelParams(alpha=math.sqrt(source_mean), transmissivity=t,
-                         lo_amplitude=math.sqrt(lo_mean), visibility=xi)
+                         lo_amplitude=math.sqrt(lo_mean), visibility=xi, priors=priors)
 
 
 def law(params):
-    return _hl_conditionals(params, DEFAULT_TAIL_TOL)
+    return mirror_law(params, DEFAULT_TAIL_TOL)
+
+
+def posteriors(params):
+    return _receiver_figures(params, DEFAULT_TAIL_TOL)[0]
 
 
 def i_be(bob):
     eve = eve_params(bob)
-    return mi_bob_eve(bob, law(bob), eve, law(eve))
+    return mi_bob_eve(bob.priors, posteriors(bob), posteriors(eve))
 
 
 def chi_wf(bob):
-    return holevo_chi_wf(law(bob), eve_params(bob))
+    return holevo_chi_wf(posteriors(bob), eve_params(bob))
 
 
 def chi_bds(bob):
-    return holevo_chi_bds(law(bob), eve_params(bob))
+    return holevo_chi_bds(posteriors(bob), eve_params(bob))
 
 
 class TestRankTwoEntropy:
-    """The closed form behind S(E) and S(E | Bob's outcome)."""
+    """The closed form behind S(E) and S(E | Bob's outcome), in bits."""
+
+    @staticmethod
+    def entropy(w1, beta_sq):
+        with np.errstate(divide="ignore"):
+            log_odds = np.log(w1) - np.log1p(-w1)
+        return float(_rank_two_entropy(log_odds, beta_sq)) / math.log(2.0)
 
     def test_identical_states_are_pure(self):
-        assert _posterior_entropy(0.5, 1.0) == 0.0
+        assert self.entropy(0.5, 0.0) == 0.0
 
     def test_single_component_is_pure(self):
-        assert _posterior_entropy(0.0, 0.3) == 0.0
+        assert self.entropy(0.0, 0.3) == 0.0
+        assert self.entropy(1.0, 0.3) == 0.0
 
     def test_orthogonal_even_mixture_is_one_bit(self):
-        assert _posterior_entropy(0.5, 0.0) == 1.0
+        assert self.entropy(0.5, math.inf) == 1.0
 
     def test_against_fock_oracle_grid(self):
         for beta_sq in (0.1, 1.0, 3.0, 10.0):
             beta = math.sqrt(beta_sq)
             cutoff = int(math.ceil(beta_sq + 12.0 * math.sqrt(beta_sq) + 30.0))
             for w0 in (0.1, 0.3, 0.5):
-                closed = _posterior_entropy(1.0 - w0, coherent_overlap(beta_sq))
+                closed = self.entropy(1.0 - w0, beta_sq)
                 oracle = fock_entropy_oracle([w0, 1.0 - w0], [beta, -beta], cutoff)
                 assert closed == pytest.approx(oracle, abs=1e-8)
 
@@ -266,8 +277,27 @@ class TestHolevo:
         h2 = -(np.where(lam < 1, lam * np.log2(lam), 0.0)
                + np.where(lam < 1, (1 - lam) * np.log2(np.maximum(1e-300, 1 - lam)), 0.0))
         s_cond_pairs = float((mix[mask] * h2).sum())
-        s_total = float(_posterior_entropy(0.5, overlap))
+        s_total = float(_rank_two_entropy(0.0, eve_params(bob).signal_mean)) / math.log(2.0)
         assert s_total - s_cond_pairs == pytest.approx(chi_wf(bob), abs=1e-10)
+
+
+class TestFortyDigits:
+    """The figures against a 40-digit evaluation on the same laws."""
+
+    @pytest.mark.parametrize("bob", [
+        *(bob_params(3.2, loss, 12.15, 0.94, priors)
+          for priors in ((0.5, 0.5), (0.3, 0.7)) for loss in (0.64, 3.2, 8.96, 13.44)),
+        # symbol 1 leaves Bob's and Eve's reflected arms dark
+        ChannelParams.from_means(5.0, 5.0, visibility=1.0, loss_db=3.0),
+    ])
+    def test_every_figure_within_1e_15(self, bob):
+        rep = security_report_for(bob)
+        exact = figures_mpmath(bob)
+        exact["delta_ia_dr"] = exact["i_ab_wf"] - exact["i_ae_wf"]
+        exact["delta_ca_wf"] = exact["i_ab_wf"] - exact["chi_be_wf"]
+        exact["delta_ca_bds"] = exact["i_ab_bds"] - exact["chi_be_bds"]
+        errors = {name: float(abs(getattr(rep, name) - value)) for name, value in exact.items()}
+        assert max(errors.values()) <= 1e-15, errors
 
 
 class TestCollectiveRates:
@@ -325,7 +355,7 @@ class TestScenarioAndReport:
         eve = eve_params(bob, lo_amplitude=math.sqrt(30.0))
         rep = security_report_for(bob, eve_lo_amplitude=math.sqrt(30.0))
         assert rep.i_ae_wf == mi_wf(eve)
-        assert rep.i_be_wf == mi_bob_eve(bob, law(bob), eve, law(eve))
+        assert rep.i_be_wf == mi_bob_eve(bob.priors, posteriors(bob), posteriors(eve))
         assert rep.i_be_wf != i_be(bob)
 
     def test_k_undefined_when_channel_carries_nothing(self):
