@@ -75,30 +75,53 @@ def _worker_count():
         return os.cpu_count() or 1
 
 
-def _run_jobs(jobs, workers):
-    """Call every job, on this thread and ``workers - 1`` more.
+def _run_jobs(jobs, deliver=None):
+    """Call every job, on this thread and up to ``_worker_count() - 1`` more,
+    one thread per job at most.
 
-    The first exception stops the claiming of further jobs and is raised here
-    once every thread has finished the job in hand.
+    Jobs are claimed in order.  With ``deliver``, each job's result is passed
+    to it strictly in job order: a thread whose job is done waits until every
+    earlier result has been delivered, then delivers its own, so at most one
+    finished result per thread is held.  The first exception, from a job or
+    from ``deliver``, stops the claiming of further jobs and the delivery of
+    further results, wakes every waiting thread, and is raised here once
+    every thread has finished the job in hand.
     """
-    pending = iter(jobs)
-    lock = threading.Lock()
+    pending = enumerate(jobs)
+    turn = threading.Condition()
     errors = []
+    delivered = 0
+
+    def hand_off(index, result):
+        nonlocal delivered
+        with turn:
+            while delivered < index and not errors:
+                turn.wait()
+            if errors:
+                return
+        deliver(result)  # alone: every later result waits for the count below
+        with turn:
+            delivered += 1
+            turn.notify_all()
 
     def work():
-        while True:
-            with lock:
-                job = None if errors else next(pending, None)
-            if job is None:
-                return
-            try:
-                job()
-            except BaseException as exc:
-                with lock:
-                    errors.append(exc)
-                return
+        try:
+            while True:
+                with turn:
+                    index, job = (None, None) if errors else next(pending, (None, None))
+                if job is None:
+                    return
+                if deliver is None:
+                    job()
+                else:
+                    hand_off(index, job())
+        except BaseException as exc:
+            with turn:
+                errors.append(exc)
+                turn.notify_all()
 
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=work)
+               for _ in range(min(_worker_count(), len(jobs)) - 1)]
     for thread in threads:
         thread.start()
     try:
@@ -126,6 +149,9 @@ def run_experiment(params: ChannelParams, shots_per_symbol: int, seed: int) -> E
         raise ValidationError("seed must be a nonnegative integer")
     seed = int(seed)
     rates = [detection_rates(params, symbol) for symbol in (0, 1)]
+    if not all(math.isfinite(mu) for pair in rates for mu in pair):  # the means overflow them
+        raise ValidationError(f"arm means must be finite, got {rates[0]} for symbol 0 and "
+                              f"{rates[1]} for symbol 1; lower the means")
     for mu in (mu for pair in rates for mu in pair):
         # refused before any draw: a count 40 standard deviations out is never drawn
         if not mu + 40.0 * math.sqrt(mu) <= MAX_COUNT:
@@ -144,7 +170,7 @@ def run_experiment(params: ChannelParams, shots_per_symbol: int, seed: int) -> E
 
     chunks = -(-shots_per_symbol // _CHUNK)
     jobs = [partial(draw, symbol, index) for symbol in (0, 1) for index in range(chunks)]
-    _run_jobs(jobs, min(_worker_count(), len(jobs)))
+    _run_jobs(jobs)
     symbols = np.zeros(2 * shots_per_symbol, dtype=np.uint8)
     symbols[shots_per_symbol:] = 1
     return ExperimentRun(symbols=symbols, n=n, m=m)

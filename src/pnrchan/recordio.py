@@ -11,11 +11,12 @@ import contextlib
 import io
 import os
 import tempfile
+from functools import partial
 
 import numpy as np
 
 from .errors import ValidationError
-from .montecarlo import MAX_COUNT, ExperimentRun
+from .montecarlo import MAX_COUNT, ExperimentRun, _run_jobs
 
 __all__ = [
     "SHOT_HEADER",
@@ -72,7 +73,7 @@ def write_text_atomic(path, text):
 
 def _format_block(columns):
     """The shot-file rows of one block: equal-length nonnegative integer columns
-    in, their decimal text as ASCII bytes out.
+    in, a buffer of their decimal text as ASCII out.
 
     Each column gets one uint8 slot per digit of its widest value in the
     block, then one separator slot (a comma, or the row's newline).  The
@@ -87,7 +88,7 @@ def _format_block(columns):
     keep = np.ones(digits.shape, dtype=bool)
     at = 0
     for column, top, width in zip(columns, tops, widths):
-        q = column.astype(np.min_scalar_type(top))
+        q = column.astype(np.min_scalar_type(top), copy=False)
         for power in range(1, width):
             keep[:, at + width - 1 - power] = q >= 10 ** power
         for slot in range(at + width - 1, at - 1, -1):
@@ -98,23 +99,32 @@ def _format_block(columns):
         digits[:, at] = ord(",")
         at += 1
     digits[:, -1] = ord("\n")
-    return digits[keep].tobytes()
+    return memoryview(digits[keep])
+
+
+def _shot_block(run, start):
+    """The text of the rows of ``run`` from ``start``, one block of them."""
+    stop = min(start + _WRITE_BLOCK_ROWS, len(run))
+    ids = np.arange(start, stop, dtype=np.min_scalar_type(stop - 1))
+    return _format_block([ids, run.symbols[start:stop], run.n[start:stop], run.m[start:stop]])
 
 
 def write_shot_records(path, run: ExperimentRun):
     """Serialize a run as shot-record CSV (one line per pulse).
 
-    Rows go to the file in blocks of ``_WRITE_BLOCK_ROWS``, so memory stays
-    bounded by the block.  Each block's text is built as one digit matrix in
-    numpy (``_format_block``); no Python string or int is made per value.
-    The bytes are those of ``"%d,%d,%d,%d\\n"`` applied to every row.
+    Rows are formatted in blocks of ``_WRITE_BLOCK_ROWS``, each as one digit
+    matrix in numpy (``_format_block``); no Python string or int is made per
+    value.  The blocks are formatted concurrently on a thread per usable CPU
+    (``montecarlo._run_jobs``) and handed to the file strictly in block
+    order, so memory stays bounded by a block per thread and the bytes, those
+    of ``"%d,%d,%d,%d\\n"`` applied to every row, do not depend on the thread
+    count.  The first failure stops the formatting and no later block is
+    written; the temp file then goes.
     """
+    jobs = [partial(_shot_block, run, start) for start in range(0, len(run), _WRITE_BLOCK_ROWS)]
     with _atomic_output(path) as handle:
         handle.write(_PLAIN_HEADER)
-        for start in range(0, len(run), _WRITE_BLOCK_ROWS):
-            stop = min(start + _WRITE_BLOCK_ROWS, len(run))
-            handle.write(_format_block([np.arange(start, stop), run.symbols[start:stop],
-                                        run.n[start:stop], run.m[start:stop]]))
+        _run_jobs(jobs, handle.write)
 
 
 _ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)  # a row's separators, in order

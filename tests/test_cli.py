@@ -8,11 +8,15 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnrchan import cli, receivers, recordio, sweeps
 from pnrchan.errors import ValidationError
@@ -21,6 +25,14 @@ from pnrchan.recordio import parse_config, read_shot_records, write_text_atomic
 
 def run_cli(*args):
     return cli.main(list(args))
+
+
+def child_env():
+    """The environment of a child interpreter that imports this package's source."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 class TestSimulateAnalyze:
@@ -78,6 +90,15 @@ class TestSimulateAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("pnrchan: error: arm mean ") and err.count("\n") == 1
         assert "count limit 2147483647" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_means_that_overflow_the_arm_means_are_named(self, tmp_path, capsys):
+        # the sum of the means overflows, and inf - inf is a NaN arm mean
+        assert run_cli("simulate", "--signal-mean", "1e308", "--lo-mean", "1e308",
+                       "--shots", "3", "-o", str(tmp_path / "x.csv")) == 1
+        err = capsys.readouterr().err
+        assert err == ("pnrchan: error: arm means must be finite, got (nan, inf) for symbol 0 "
+                       "and (inf, nan) for symbol 1; lower the means\n")
         assert not list(tmp_path.iterdir())
 
     def test_zero_shots_is_a_validation_error(self, tmp_path):
@@ -838,11 +859,7 @@ class TestProcess:
                 "print(' '.join(sorted(m for m in sys.modules if m == 'scipy' "
                 "or m.startswith('scipy.') "
                 f"or m in {heavy!r})))")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
@@ -896,3 +913,52 @@ class TestInputDomain:
         assert run_cli("sweep", "--mode", "lo", "--signal-mean", "3", "--grid", "1e7",
                        "-o", str(out)) == 0
         assert out.read_text().splitlines()[-1].startswith("10000000,")
+
+
+# A child that runs the CLI on its argv under an address-space limit a few
+# hundred MB above its footprint once the package is imported (about 144 MB),
+# so that a blow-up fails the test and never presses on the host's memory.
+LIMITED_CLI = """
+import resource, sys
+import pnrchan.cli
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+limit = (size << 10) + (400 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(pnrchan.cli.main(sys.argv[1:]))
+"""
+# log-uniform over [0, 1.78e308] (10**-324 is 0, and the subnormals are in), and
+# the largest double and the values no power of ten reaches
+MEANS = st.floats(-324.0, 308.25).map(lambda e: 10.0 ** e) | st.sampled_from(
+    [sys.float_info.max, math.inf, math.nan, -0.0])
+
+
+@st.composite
+def one_point_argv(draw):
+    """A one-point ``sweep``, ``security`` or ``simulate`` on two drawn means."""
+    first, second = repr(draw(MEANS)), repr(draw(MEANS))
+    return draw(st.sampled_from([
+        ["sweep", "--mode", "lo", "--signal-mean", first, "--grid", second],
+        ["security", "--signal-mean", first, "--lo-mean", second, "--grid", "3"],
+        ["simulate", "--signal-mean", first, "--lo-mean", second, "--shots", "3"],
+    ]))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(argv=one_point_argv())
+def test_every_mean_is_certified_or_refused(argv):
+    """Whatever the means, a run ends with a result (exit 0, nothing on stderr)
+    or with one error line (exit 1 or 3), never a traceback, and a refused
+    run leaves no file.  The children run one at a time."""
+    with tempfile.TemporaryDirectory() as directory:
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, *argv, "-o", os.path.join(directory, "out")],
+            env=child_env(), capture_output=True, text=True, timeout=300)
+        left = os.listdir(directory)
+    assert proc.returncode in (0, 1, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode:
+        assert proc.stderr.startswith("pnrchan: error: ") and proc.stderr.count("\n") == 1
+        assert left == []
+    else:
+        assert proc.stderr == "" and left == ["out"]

@@ -12,8 +12,11 @@ regular expression, on every input and whatever the block size: the same
 arrays and dtypes, or the same error naming the same line.
 """
 
+import errno
 import itertools
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnrchan import ExperimentRun, ValidationError, recordio
+from pnrchan import ChannelParams, ExperimentRun, ValidationError, cli, montecarlo, recordio
 from pnrchan.montecarlo import MAX_COUNT
 from pnrchan.recordio import SHOT_HEADER, read_shot_records, write_shot_records
 
@@ -335,6 +338,9 @@ def test_a_bad_last_row_is_named_from_its_own_block(tmp_path, monkeypatch):
 
 
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    # on one thread the blocks are formatted in order, so the failure is the
+    # last call; the threaded case is test_failure_on_a_worker_leaves_no_file
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
     run = ExperimentRun(symbols=np.zeros(10, dtype=np.uint8), n=np.arange(10),
                         m=np.arange(10))
     calls = []
@@ -409,4 +415,146 @@ def test_block_format_holds_any_int64():
     columns = [values, values[::-1], np.zeros(len(values), dtype=np.uint8), values % 7]
     block = np.column_stack(columns)
     expected = ("%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
-    assert recordio._format_block(columns) == expected.encode()
+    assert bytes(recordio._format_block(columns)) == expected.encode()
+
+
+def varied_run(shots, seed):
+    """A run whose field widths change from row to row and from block to block."""
+    rng = np.random.default_rng(seed)
+    return ExperimentRun(symbols=rng.integers(0, 2, shots, dtype=np.uint8),
+                         n=rng.choice(EDGE_COUNTS, shots), m=rng.integers(0, 30, shots))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, workers):
+    """Blocks are formatted on every thread and written in order: one file,
+    whatever the thread count and block size, a partial last block included.
+    Threads switch every microsecond, so that a hand-off out of turn shows."""
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+    run = varied_run(300, 11)
+    path = tmp_path / "shots.csv"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for block_rows in (1, 7, 64):
+            monkeypatch.setattr(recordio, "_WRITE_BLOCK_ROWS", block_rows)
+            write_shot_records(path, run)
+            assert path.read_bytes() == shot_file_percent(run), block_rows
+    finally:
+        sys.setswitchinterval(interval)
+
+
+BLOCK_ROWS = 64
+FAILING_BLOCKS = [0, 3, 9]  # of the ten blocks of 600 rows: the first, one inside, the last
+
+
+def blocks_of(data):
+    """A written file's bytes as the writer hands them over: the header, then
+    each block of ``BLOCK_ROWS`` rows."""
+    header, rows = data.split(b"\n", 1)
+    lines = rows.splitlines(keepends=True)
+    return [header + b"\n"] + [b"".join(lines[at:at + BLOCK_ROWS])
+                               for at in range(0, len(lines), BLOCK_ROWS)]
+
+
+class Writes(list):
+    fail_at = None
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """Every write to a file opened by ``os.fdopen``, in order; a write whose
+    index is put in ``writes.fail_at`` raises ENOSPC instead."""
+    real_fdopen = os.fdopen
+    attempts = Writes()
+
+    class Recorded:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def write(self, data):
+            attempts.append(bytes(data))
+            if len(attempts) - 1 == attempts.fail_at:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return self.handle.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.handle, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.handle.__exit__(*exc)
+
+    monkeypatch.setattr(os, "fdopen", lambda *args: Recorded(real_fdopen(*args)))
+    return attempts
+
+
+def bounded(call):
+    """What ``call()`` returned or raised, from a thread given 60 s: a hand-off
+    that deadlocks fails the test instead of hanging the suite."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(call())
+        except BaseException as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "the writer did not finish"
+    return outcome[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("failing", FAILING_BLOCKS)
+def test_failure_on_a_worker_leaves_no_file(tmp_path, monkeypatch, writes, workers, failing):
+    """A block that fails to format, on whichever thread: the error is raised,
+    no later block reaches the file, the temp file goes and every thread ends."""
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+    monkeypatch.setattr(recordio, "_WRITE_BLOCK_ROWS", BLOCK_ROWS)
+    run = varied_run(600, 5)
+    real_format_block = recordio._format_block
+
+    def format_block(columns):
+        if columns[0][0] == failing * BLOCK_ROWS:
+            raise MemoryError
+        return real_format_block(columns)
+
+    monkeypatch.setattr(recordio, "_format_block", format_block)
+    threads = threading.active_count()
+    raised = bounded(lambda: write_shot_records(tmp_path / "shots.csv", run))
+    assert isinstance(raised, MemoryError)
+    assert threading.active_count() == threads
+    assert not list(tmp_path.iterdir())
+    # the blocks written are the first ones, in order, and none from the failing one on
+    expected = blocks_of(shot_file_percent(run))
+    assert writes == expected[:len(writes)] and len(writes) <= failing + 1
+    assert workers > 1 or len(writes) == failing + 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("failing", FAILING_BLOCKS)
+def test_full_disk_on_a_worker_is_an_io_error(tmp_path, monkeypatch, capsys, writes,
+                                              workers, failing):
+    """``simulate`` whose write of a block finds the disk full: exit 2 with one
+    i/o error line, no file, no write after the failing one, no thread left."""
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+    monkeypatch.setattr(recordio, "_WRITE_BLOCK_ROWS", BLOCK_ROWS)
+    writes.fail_at = failing + 1  # the header is write 0
+    out = tmp_path / "shots.csv"
+    args = ["simulate", "--signal-mean", "3.07", "--lo-mean", "12.17", "--xi", "0.94",
+            "--shots", "300", "--seed", "7", "-o", str(out)]
+    threads = threading.active_count()
+    assert bounded(lambda: cli.main(args)) == 2
+    assert threading.active_count() == threads
+    err = capsys.readouterr().err
+    assert err.startswith("pnrchan: i/o error: ") and err.count("\n") == 1
+    assert os.strerror(errno.ENOSPC) in err
+    assert not list(tmp_path.iterdir())
+    run = montecarlo.run_experiment(ChannelParams.from_means(3.07, 12.17, visibility=0.94),
+                                    300, 7)
+    assert writes == blocks_of(shot_file_percent(run))[:failing + 2]
