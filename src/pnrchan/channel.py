@@ -82,10 +82,12 @@ class ChannelParams:
         ``signal_mean`` is the signal mean photon number at the receiver
         (T * alpha^2) and ``lo_mean`` the LO mean photon number (z^2).  When a
         nonzero ``loss_db`` is given, the source amplitude is scaled up so the
-        receiver-side mean stays at ``signal_mean``.
+        receiver-side mean stays at ``signal_mean``.  A mean that is not
+        finite and >= 0 is refused by the name the caller gave it.
         """
-        if signal_mean < 0.0 or lo_mean < 0.0:
-            raise ValidationError("mean photon numbers must be >= 0")
+        for name, mean in (("signal", signal_mean), ("LO", lo_mean)):
+            if not (mean >= 0.0 and math.isfinite(mean)):
+                raise ValidationError(f"{name} mean must be finite and >= 0, got {mean}")
         t = loss_db_to_transmissivity(loss_db)
         return cls(
             alpha=math.sqrt(signal_mean / t),

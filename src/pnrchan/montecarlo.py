@@ -37,9 +37,16 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _CHUNK = 1 << 16
-# empirical_distributions keys each shot as ((n << 31) | m) << 1 | symbol in
-# one int64; counts of at most 31 bits keep that key exact, with no wraparound.
+# the int32 maximum: every count the package makes is held in an int32 column,
+# and empirical_distributions' key ((n << b) | m) << 1 | symbol, b the bit
+# length of the largest m, then takes at most 63 bits and never wraps.
 MAX_COUNT = (1 << 31) - 1
+
+
+def _outside(column, top):
+    """Whether an integer column holds a value below 0 or above ``top``: one
+    or two reductions, with no temporary the size of the column."""
+    return column.max() > top or (column.dtype.kind == "i" and column.min() < 0)
 
 
 @dataclass(frozen=True)
@@ -55,12 +62,12 @@ class ExperimentRun:
             raise ValidationError("symbol and count columns must have equal length")
         if len(self.symbols) == 0:
             raise ValidationError("a run must contain at least one shot")
-        if not all(np.issubdtype(np.asarray(column).dtype, np.integer)
+        if not all(isinstance(column, np.ndarray) and np.issubdtype(column.dtype, np.integer)
                    for column in (self.symbols, self.n, self.m)):
             raise ValidationError("symbols and counts must be integer arrays")
-        if np.any((self.symbols != 0) & (self.symbols != 1)):
+        if _outside(self.symbols, 1):
             raise ValidationError("symbols must be 0 or 1")
-        if any(np.any(c < 0) or np.any(c > MAX_COUNT) for c in (self.n, self.m)):
+        if _outside(self.n, MAX_COUNT) or _outside(self.m, MAX_COUNT):
             raise ValidationError(f"counts must lie in [0, {MAX_COUNT}]")
 
     def __len__(self):
@@ -139,9 +146,10 @@ def run_experiment(params: ChannelParams, shots_per_symbol: int, seed: int) -> E
     Deterministic for fixed (params, shots_per_symbol, seed); the record
     order is all symbol-0 shots followed by all symbol-1 shots.  Each chunk
     of ``_CHUNK`` shots draws its n counts and then its m counts from its own
-    Philox substream straight into its slices of the two columns, so the
-    chunks run concurrently on a thread per usable CPU (numpy's Poisson fill
+    Philox substream into its slices of the two int32 columns, so the chunks
+    run concurrently on a thread per usable CPU (numpy's Poisson fill
     releases the GIL) and the result does not depend on the thread count.
+    A chunk that holds a count above ``MAX_COUNT`` raises ``ValidationError``.
     """
     if shots_per_symbol < 1:
         raise ValidationError("shots_per_symbol must be >= 1")
@@ -157,16 +165,19 @@ def run_experiment(params: ChannelParams, shots_per_symbol: int, seed: int) -> E
         if not mu + 40.0 * math.sqrt(mu) <= MAX_COUNT:
             raise ValidationError(f"arm mean {mu:.6g} is too large to record: mean + "
                                   f"40 sqrt(mean) must be at most the count limit {MAX_COUNT}")
-    n = np.empty(2 * shots_per_symbol, dtype=np.int64)
-    m = np.empty(2 * shots_per_symbol, dtype=np.int64)
+    n = np.empty(2 * shots_per_symbol, dtype=np.int32)
+    m = np.empty(2 * shots_per_symbol, dtype=np.int32)
 
     def draw(symbol, index):
-        mu_t, mu_r = rates[symbol]
         size = min(_CHUNK, shots_per_symbol - index * _CHUNK)
         start = symbol * shots_per_symbol + index * _CHUNK
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, symbol, index))))
-        n[start:start + size] = gen.poisson(mu_t, size)
-        m[start:start + size] = gen.poisson(mu_r, size)
+        for column, mu in zip((n, m), rates[symbol]):
+            counts = gen.poisson(mu, size)
+            top = int(counts.max())  # checked before the store: a wrapped count can look legal
+            if top > MAX_COUNT:
+                raise ValidationError(f"drew a count of {top}, above the count limit {MAX_COUNT}")
+            column[start:start + size] = counts
 
     chunks = -(-shots_per_symbol // _CHUNK)
     jobs = [partial(draw, symbol, index) for symbol in (0, 1) for index in range(chunks)]
@@ -228,15 +239,21 @@ class EmpiricalDistributions:
 def empirical_distributions(run: ExperimentRun) -> EmpiricalDistributions:
     """Count each symbol's observed (n, m) pairs: one sort of one key per shot.
 
-    The key ((n << 31) | m) << 1 | symbol is built, widened to int64, in one
-    fresh array and sorted in place; its runs give the distinct keys and
-    their tallies.  Memory is O(shots) whatever the counts are.
+    The key ((n << b) | m) << 1 | symbol, with ``b`` the bit length of the
+    largest m, is built in one fresh array of the narrowest unsigned type
+    that holds its largest value (uint16 for counts of a few bits, at most
+    uint64 for counts up to ``MAX_COUNT``) and sorted in place; its runs give
+    the distinct keys and their tallies.  Memory is O(shots) whatever the
+    counts are.
     """
-    key = run.n.astype(np.int64)
-    key <<= 31
-    np.bitwise_or(key, run.m, out=key, dtype=np.int64, casting="unsafe")
+    top_n, top_m = int(run.n.max()), int(run.m.max())
+    b = top_m.bit_length()
+    dtype = np.min_scalar_type((top_n << b | top_m) << 1 | 1)
+    key = run.n.astype(dtype)
+    key <<= b
+    np.bitwise_or(key, run.m, out=key, dtype=dtype, casting="unsafe")
     key <<= 1
-    np.bitwise_or(key, run.symbols, out=key, dtype=np.int64, casting="unsafe")
+    np.bitwise_or(key, run.symbols, out=key, dtype=dtype, casting="unsafe")
     key.sort()
     first = np.empty(len(key), dtype=bool)
     first[0] = True
@@ -244,14 +261,15 @@ def empirical_distributions(run: ExperimentRun) -> EmpiricalDistributions:
     starts = np.flatnonzero(first)
     keys = key[starts]
     tally = np.diff(starts, append=len(key))
-    pairs, column = np.unique(keys >> 1, return_inverse=True)
+    # signed cells: the differences n - m of unsigned ones would wrap
+    pairs, column = np.unique((keys >> 1).astype(np.int64), return_inverse=True)
     counts = np.zeros((2, len(pairs)), dtype=np.int64)
     counts[keys & 1, column] = tally
     shots = tuple(int(s) for s in counts.sum(axis=1))
     for k in (0, 1):
         if shots[k] == 0:
             raise ValidationError(f"run contains no shots for symbol {k}")
-    return EmpiricalDistributions(cells=np.column_stack([pairs >> 31, pairs & MAX_COUNT]),
+    return EmpiricalDistributions(cells=np.column_stack([pairs >> b, pairs & ((1 << b) - 1)]),
                                   counts=counts, shots=shots)
 
 

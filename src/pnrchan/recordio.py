@@ -127,7 +127,7 @@ def write_shot_records(path, run: ExperimentRun):
         _run_jobs(jobs, handle.write)
 
 
-_ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)  # a row's separators, in order
+_ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint32)[0]  # a row's separators, as one word
 _COUNT_DIGITS = len(str(MAX_COUNT))  # the widest count field the grammar allows
 _READ_BLOCK_BYTES = 1 << 17  # a block's work arrays take a few times its size
 
@@ -136,17 +136,22 @@ def _count_into(out, body, ends, widths):
     """Write the counts whose fields end before ``ends`` into ``out``.
 
     Digit ``j`` of each field, counted from the right, is ``body[ends - j]``,
-    masked where the field is narrower than ``j``.  False if a field is
-    wider than ``_COUNT_DIGITS``.
+    masked where the field is narrower than ``j``.  The values are summed in
+    int64, where ten digits cannot wrap, and stored only once all are in
+    [0, ``MAX_COUNT``].  False if a field is wider than ``_COUNT_DIGITS`` or
+    a value is over ``MAX_COUNT``.
     """
     top = int(widths.max())
     if top > _COUNT_DIGITS:
         return False
-    np.subtract(body[ends - 1], ord("0"), out=out, casting="unsafe")
+    values = np.subtract(body[ends - 1], ord("0"), dtype=np.int64)
     for j in range(2, top + 1):
         digits = body[ends - j] - ord("0")
         digits *= widths >= j
-        out += digits * np.int64(10 ** (j - 1))
+        values += digits * np.int64(10 ** (j - 1))
+    if values.max() > MAX_COUNT:
+        return False
+    out[:] = values
     return True
 
 
@@ -158,8 +163,7 @@ def _parse_rows(body, symbols, n, m):
         return None
     seps = np.flatnonzero(separator)
     rows = len(seps) // 4
-    if len(seps) % 4 or not np.array_equal(body[seps].reshape(rows, 4),
-                                           np.broadcast_to(_ROW_SEPARATORS, (rows, 4))):
+    if len(seps) % 4 or not (body[seps].view(np.uint32) == _ROW_SEPARATORS).all():
         return None
     seps = seps.reshape(rows, 4)
     if (seps[:, 1] - seps[:, 0] != 2).any():
@@ -169,7 +173,7 @@ def _parse_rows(body, symbols, n, m):
     for column, k in ((n, 2), (m, 3)):
         if not _count_into(column, body, seps[:, k], seps[:, k] - seps[:, k - 1] - 1):
             return None
-    if symbols.max() > 1 or n.max() > MAX_COUNT or m.max() > MAX_COUNT:
+    if symbols.max() > 1:
         return None
     return rows
 
@@ -263,13 +267,14 @@ def read_shot_records(path) -> ExperimentRun:
     """Parse a shot-record file, or name the first line that breaks the grammar.
 
     Each block of lines goes straight into columns sized for the most rows the
-    file can hold (eight bytes a row; pages never written cost no memory).
+    file can hold (eight bytes a row; pages never written cost no memory): the
+    symbols as uint8, the counts as int32.
     """
     with open(path, "rb") as handle:
         head = handle.read(len(_PLAIN_HEADER))
         header = head == _PLAIN_HEADER
         cap = max(0, os.fstat(handle.fileno()).st_size - len(_PLAIN_HEADER) + 1) // 8
-        columns = [np.empty(cap, dtype) for dtype in (np.uint8, np.int64, np.int64)]
+        columns = [np.empty(cap, dtype) for dtype in (np.uint8, np.int32, np.int32)]
         filled, line_no = 0, int(header)
         for body in _line_blocks(handle, b"" if header else head.removeprefix(b"\xef\xbb\xbf")):
             if filled + len(body) // 8 > len(columns[0]):

@@ -517,7 +517,7 @@ def read_shot_lines(path):
         raise ValidationError(f"{path}: no shot records after the header")
     symbols, n, m = zip(*rows)
     return ExperimentRun(symbols=np.array(symbols, dtype=np.uint8),
-                         n=np.array(n, dtype=np.int64), m=np.array(m, dtype=np.int64))
+                         n=np.array(n, dtype=np.int32), m=np.array(m, dtype=np.int32))
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,28 @@ class TestSimulateAnalyze:
         assert "count limit 2147483647" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    # the second would wrap to a legal 1 in an int32 column
+    @pytest.mark.parametrize("count", [2**31, 2**32 + 1])
+    def test_a_draw_over_the_count_limit_is_refused_before_any_file(self, tmp_path, capsys,
+                                                                    monkeypatch, count):
+        class WildDraws:
+            def __init__(self, _bit_generator):
+                pass
+
+            def poisson(self, _mu, size):
+                counts = np.zeros(size, dtype=np.int64)
+                counts[-1] = count
+                return counts
+
+        monkeypatch.setattr(np.random, "Generator", WildDraws)
+        out = tmp_path / "shots.csv"
+        assert run_cli("simulate", "--signal-mean", "3", "--lo-mean", "12", "--xi", "0.9",
+                       "--shots", "10", "-o", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == (f"pnrchan: error: drew a count of {count}, above the count limit "
+                       "2147483647\n")
+        assert not list(tmp_path.iterdir())
+
     def test_means_that_overflow_the_arm_means_are_named(self, tmp_path, capsys):
         # the sum of the means overflows, and inf - inf is a NaN arm mean
         assert run_cli("simulate", "--signal-mean", "1e308", "--lo-mean", "1e308",
@@ -174,8 +196,10 @@ class TestSimulateAnalyze:
                            "-o", str(reports[-1])) == 0
         assert reports[0].read_bytes() == reports[1].read_bytes()
 
-    # the first overflows int64, the second only the law's 31-bit count bound
-    @pytest.mark.parametrize("count", ["99999999999999999999", "2147483648"])
+    # the first overflows int64, the second only the law's 31-bit count bound;
+    # the last two fit ten digits, and a 32-bit sum would wrap both
+    @pytest.mark.parametrize("count", ["99999999999999999999", "2147483648", "4294967297",
+                                       "9999999999"])
     def test_analyze_names_a_count_too_large(self, tmp_path, capsys, count):
         path = tmp_path / "big.csv"
         path.write_text(f"shot_id,symbol,n_t,n_r\n0,1,3,1\n1,0,{count},0\n")
@@ -676,7 +700,7 @@ class TestConfigFiles:
         code, err = self.run_config(tmp_path, capsys,
                                     "mode = lo\nsignal_mean = 2.0\ngrid = -3:-1:3\n")
         assert code == 1
-        assert "mean photon numbers must be >= 0" in err
+        assert "LO mean must be finite and >= 0, got -3.0" in err
 
     @pytest.mark.parametrize("data, line_no", [
         (b"mode = lo\nsignal_mean = 2.0\xff\ngrid = 1:9:3\n", 2),

@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnrchan import (
@@ -92,7 +92,7 @@ class TestConcurrentDraws:
             n, m = run_experiment_serial(DIM, shots, 19)
             np.testing.assert_array_equal(run.n, n)
             np.testing.assert_array_equal(run.m, m)
-            assert run.n.dtype == run.m.dtype == np.int64
+            assert run.n.dtype == run.m.dtype == np.int32
             assert run.symbols.tolist() == [0] * shots + [1] * shots
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -168,6 +168,16 @@ class TestEmpiricalDistributions:
             with pytest.raises(ValidationError):
                 ExperimentRun(symbols=symbols, n=np.array(n), m=np.array(m))
 
+    @pytest.mark.parametrize("symbols, n", [
+        (np.array([0, -1], dtype=np.int8), np.array([0, 0])),
+        (np.array([0, 2], dtype=np.uint8), np.array([0, 0])),
+        (np.array([0, 1]), np.array([0, -1], dtype=np.int32)),
+        (np.array([0, 1]), [0, 0]),  # not an array
+    ])
+    def test_columns_out_of_range_rejected(self, symbols, n):
+        with pytest.raises(ValidationError):
+            ExperimentRun(symbols=symbols, n=n, m=np.array([0, 0]))
+
     @pytest.mark.parametrize("n", [[2.5, 1.0], [np.nan, 1.0]])
     def test_non_integer_counts_rejected(self, n):
         with pytest.raises(ValidationError):
@@ -214,6 +224,19 @@ wide_runs = st.sampled_from(KEY_DTYPES).flatmap(lambda dtype: st.tuples(
     st.integers(0, 2**32 - 1)))
 
 
+def key_edges(test):
+    """Explicit runs whose largest key ((n << b) | m) << 1 | symbol, b the bit
+    length of the largest m, is 2**w - 1 or 2**w: each side of each width
+    (8, 16, 32 and 63 bits) the key can take."""
+    for w, b in ((8, 1), (8, 3), (16, 1), (16, 7), (32, 1), (32, 15), (63, 31)):
+        n = (1 << (w - 1 - b)) - 1  # with m = 2**b - 1 and symbol 1, the key 2**w - 1
+        test = example((np.int32, [(0, 0, 0), (1, n, (1 << b) - 1)], 0))(test)
+        if n < MAX_COUNT:  # n + 1 with m = 0 and symbol 0: the key 2**w
+            test = example((np.int32, [(1, 0, (1 << b) - 1), (0, n + 1, 0)], 0))(test)
+    return test
+
+
+@key_edges
 @PROPERTIES
 @given(wide_runs)
 def test_sorted_key_runs_count_like_np_unique(case):

@@ -35,7 +35,8 @@ PROPERTIES = settings(derandomize=True, database=None, max_examples=400, deadlin
 
 # fields int() once accepted and the grammar does not, and other faulty fields
 ODD_FIELDS = ["+3", " 3 ", "3_000", "\uff13", "3.0", "0x3", "", "-1", "2", "10", "01", "257",
-              str(MAX_COUNT), str(MAX_COUNT + 1), "-0", "0" * 25 + "1", str(2**63),
+              str(MAX_COUNT), str(MAX_COUNT + 1), str(2**32 + 1), "9999999999", "-0",
+              "0" * 25 + "1", str(2**63),
               "1\x0c0", "1\x1c0", "1\u20280", "3\x0c", "\x1c3", "3\x0b", "1\r0", "3\r"]
 # whole lines, before or after the header: blank, comments, wrong field counts
 ODD_LINES = ["", "   ", "\t", "\r", " \r", "# a comment", "  #0,1,2,3", "# \u00b5 note",
@@ -177,8 +178,8 @@ def test_other_line_breaks_are_not_line_ends(tmp_path, text, message):
     path = tmp_path / "shots.csv"
     path.write_bytes(text.encode("utf-8"))
     if message is None:
-        assert outcome(read_shot_records, path) == [("|u1", [0, 1]), ("<i8", [1, 1]),
-                                                    ("<i8", [2, 1])]
+        assert outcome(read_shot_records, path) == [("|u1", [0, 1]), ("<i4", [1, 1]),
+                                                    ("<i4", [2, 1])]
     else:
         with pytest.raises(ValidationError, match=message):
             read_shot_records(path)
@@ -404,8 +405,9 @@ def test_written_files_read_back_across_block_boundaries(scratch, run, block_byt
         patch.setattr(recordio, "_READ_BLOCK_BYTES", block_bytes)
         patch.setattr(recordio, "_parse_lines", refuse)
         back = read_shot_records(scratch)
-    for got, want in zip((back.symbols, back.n, back.m), (run.symbols, run.n, run.m)):
-        assert got.dtype == want.dtype
+    for got, want, dtype in zip((back.symbols, back.n, back.m), (run.symbols, run.n, run.m),
+                                (np.uint8, np.int32, np.int32)):
+        assert got.dtype == dtype
         np.testing.assert_array_equal(got, want)
 
 
