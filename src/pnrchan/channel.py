@@ -83,14 +83,21 @@ class ChannelParams:
         (T * alpha^2) and ``lo_mean`` the LO mean photon number (z^2).  When a
         nonzero ``loss_db`` is given, the source amplitude is scaled up so the
         receiver-side mean stays at ``signal_mean``.  A mean that is not
-        finite and >= 0 is refused by the name the caller gave it.
+        finite and >= 0 is refused by the name the caller gave it, and a loss
+        that would need an infinite source mean by its value.
         """
         for name, mean in (("signal", signal_mean), ("LO", lo_mean)):
             if not (mean >= 0.0 and math.isfinite(mean)):
                 raise ValidationError(f"{name} mean must be finite and >= 0, got {mean}")
         t = loss_db_to_transmissivity(loss_db)
+        source_mean = signal_mean / t
+        if source_mean == math.inf:
+            raise ValidationError(
+                f"signal mean {signal_mean} behind a loss of {loss_db:.12g} dB needs "
+                "a source mean above the largest double"
+            )
         return cls(
-            alpha=math.sqrt(signal_mean / t),
+            alpha=math.sqrt(source_mean),
             transmissivity=t,
             lo_amplitude=math.sqrt(lo_mean),
             visibility=visibility,
@@ -160,10 +167,19 @@ def coherent_overlap(amplitude_sq: float) -> float:
 
 
 def loss_db_to_transmissivity(loss_db: float) -> float:
-    """Convert an attenuation in dB to a power transmissivity in (0, 1]."""
+    """Convert an attenuation in dB to a power transmissivity in (0, 1].
+
+    A loss whose transmissivity underflows to 0 (above about 3236 dB) is
+    refused by its value.
+    """
     if loss_db < 0.0 or not math.isfinite(loss_db):
         raise ValidationError(f"loss_db must be finite and >= 0, got {loss_db}")
-    return 10.0 ** (-loss_db / 10.0)
+    t = 10.0 ** (-loss_db / 10.0)
+    if t == 0.0:
+        raise ValidationError(
+            f"a loss of {loss_db:.12g} dB leaves a transmissivity below the smallest double"
+        )
+    return t
 
 
 def transmissivity_to_loss_db(transmissivity: float) -> float:

@@ -424,8 +424,21 @@ def _unknown_args(argv):
         return []
 
 
+def _out_of_memory(ns):
+    """The out-of-memory message, naming what the command can shrink."""
+    command = getattr(ns, "command", None)
+    if command == "simulate":
+        return "out of memory; use fewer --shots"
+    if command == "analyze":
+        return f"out of memory on the shot file {ns.input}"
+    if command in ("sweep", "security"):
+        return "out of memory; use a smaller --grid or a looser --tail-tol"
+    return "out of memory"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    ns = None
     try:
         argv, origins = _splice_sources(sys.argv[1:] if argv is None else list(argv))
         try:
@@ -446,8 +459,7 @@ def main(argv=None) -> int:
         print(f"pnrchan: i/o error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("pnrchan: error: out of memory; use a smaller grid, fewer shots "
-              "or a looser --tail-tol", file=sys.stderr)
+        print(f"pnrchan: error: {_out_of_memory(ns)}", file=sys.stderr)
         return 1
 
 

@@ -1,16 +1,17 @@
-"""Shannon entropies and the mutual information of the three readouts.
+"""Shannon entropies and the mutual information of the readouts.
 
-All informations are in bits per channel use, over certified truncation
-windows whose tails go into an explicit error bound.  Every analytic figure
-is an expectation over one posterior per readout (:func:`_posterior`), built
-from symbol 1's count-difference law and the slope of :func:`_llr_slope`;
-symbol 0's law is its mirror and is never formed.  For phase-shift keying
-the count pair carries exactly the information of its difference: the pair
-is equivalent to (sum, difference), and the law of the sum given the
-difference does not depend on the symbol.  The count-pair grid and the
-padded mirror laws are oracles of the test suite, with a numerical check of
-that factorization; :func:`mutual_information` and :func:`shannon_entropy`
-serve the plug-in estimates of sampled laws.
+All informations are in bits per channel use, with an explicit error bound.
+Every analytic figure is the mean of :func:`_information` over one
+posterior per readout, built from symbol 1's law alone (symbol 0's is its
+mirror): a certified count-difference law with the slope of
+:func:`_llr_slope` (:func:`_posterior`), or for the ideal homodyne a unit
+Gaussian on fixed trapezoid nodes (:func:`_homodyne_information`).  For
+phase-shift keying the count pair carries exactly the information of its
+difference: the pair is equivalent to (sum, difference), and the law of the
+sum given the difference does not depend on the symbol.  The count-pair
+grid and the padded mirror laws are oracles of the test suite, with a
+numerical check of that factorization; :func:`mutual_information` and
+:func:`shannon_entropy` serve the plug-in estimates of sampled laws.
 """
 
 import math
@@ -229,54 +230,52 @@ def mi_bds(params: ChannelParams, tail_tol=DEFAULT_TAIL_TOL) -> float:
 # Ideal homodyne reference
 # ---------------------------------------------------------------------------
 
-def _homodyne_mixture_entropy(a0, a1, q0, q1):
-    """Differential entropy (bits) of q0 N(a0, 1) + q1 N(a1, 1), with its error.
+def _homodyne_information(params: ChannelParams):
+    """I(K; Y) in bits of the ideal homodyne channel, with its error.
 
-    Composite trapezoid rule of step 1/16 over [min(a) - 12, max(a) + 12]; for
-    this analytic, Gaussian-decaying integrand the rule converges
-    exponentially in 1/h (Trefethen & Weideman, SIAM Review 2014), so the gap
-    to the rule of step 1/8, about that coarse rule's own error, bounds the
-    error of the fine one.  The returned error adds the mass outside the
-    interval and the rounding of the sums.
+    Y given symbol 1 is N(a, 1), a = :func:`homodyne_mean`, and symbol 0's
+    law is its mirror, so :func:`_information` takes symbol 1's law alone:
+    at the offset t the ratio is x = 2a(a + t).  The nodes are t = -12 ... 12
+    in steps of 1/16, whatever a, with trapezoid weights h phi(t).  For this
+    Gaussian-decaying integrand the rule converges exponentially in 1/h
+    (Trefethen & Weideman, SIAM Review 2014), so the gap to the rule on every
+    other node bounds the fine rule's error.  The error adds the law off the
+    nodes and the rounding of the weighted sums.
     """
-    left = min(a0, a1) - _HOMODYNE_HALF_WIDTH
-    # an even number of steps, so that every other node gives the coarse rule
-    steps = 2 * math.ceil(0.5 * (max(a0, a1) + _HOMODYNE_HALF_WIDTH - left)
-                          / _HOMODYNE_STEP)
-    y = left + _HOMODYNE_STEP * np.arange(steps + 1)
-    p = (q0 * np.exp(-0.5 * (y - a0) ** 2)
-         + q1 * np.exp(-0.5 * (y - a1) ** 2)) * math.exp(-_LN_SQRT_2PI)
-    f = -_xlogx(p)
-    ends = 0.5 * (f[0] + f[-1])
-    fine = _HOMODYNE_STEP * (f.sum() - ends)
-    coarse = 2.0 * _HOMODYNE_STEP * (f[::2].sum() - ends)
-    # outside the interval the density is at most phi(d), d >= t the distance
-    # to the nearer mean, and -x ln x increases on [0, 1/e]: each side adds
-    # at most the integral of phi(d) (d^2/2 + ln sqrt(2*pi)) over d > t
-    t = _HOMODYNE_HALF_WIDTH
-    tail = (t * math.exp(-0.5 * t * t - _LN_SQRT_2PI)
-            + (1.0 + 2.0 * _LN_SQRT_2PI) * 0.5 * math.erfc(t / math.sqrt(2.0)))
-    rounding = (steps + 4) * np.finfo(float).eps * fine
-    return fine / _LN2, (abs(fine - coarse) + tail + rounding) / _LN2
+    a = homodyne_mean(params, 1)
+    half = round(_HOMODYNE_HALF_WIDTH / _HOMODYNE_STEP)
+    t = _HOMODYNE_STEP * np.arange(-half, half + 1)
+    w = _HOMODYNE_STEP * np.exp(-0.5 * t * t - _LN_SQRT_2PI)
+    w[[0, -1]] *= 0.5
+    with np.errstate(over="ignore"):  # an infinite ratio names its symbol
+        x = 2.0 * a * (a + t)
+    fine = _information(params.priors, (w, x))
+    coarse = _information(params.priors, (2.0 * w[::2], x[::2]))
+    # ln(post_k / q_k) lies in [0, ln(1 / q_k)] where x >= 0, so their mean
+    # over k is at most 1 bit, and in [x, 0) where x < 0, which off the nodes
+    # happens only for t < -max(a, 12): there |x| <= 2a|t|, and the
+    # integral of |t| phi(t) over t < -m is phi(m)
+    m = max(a, _HOMODYNE_HALF_WIDTH)
+    tail = (math.erfc(_HOMODYNE_HALF_WIDTH / math.sqrt(2.0))
+            + 2.0 * a * math.exp(-0.5 * m * m - _LN_SQRT_2PI) / _LN2)
+    # each sum is off by at most gamma_n sum w |ln(post_k / q_k)|; the
+    # negative terms enter that sum twice, and each is at most |x|
+    neg = x < 0.0
+    magnitude = fine + 2.0 * float(w[neg] @ -x[neg]) / _LN2
+    rounding = (len(w) + 8) * np.finfo(float).eps * magnitude
+    return fine, abs(fine - coarse) + tail + rounding
 
 
 def mi_homodyne(params: ChannelParams) -> float:
-    """MI of the macroscopic-LO Gaussian reference channel, in bits.
-
-    Both conditionals are unit-variance Gaussians, so
-    MI = h(Y) - (1/2)log2(2*pi*e); h(Y) comes from
-    :func:`_homodyne_mixture_entropy`, whose error must stay within
-    ``_HOMODYNE_QUAD_TOL``.
-    """
-    q0, q1 = params.priors
-    h_mix_bits, err = _homodyne_mixture_entropy(
-        homodyne_mean(params, 0), homodyne_mean(params, 1), q0, q1
-    )
+    """MI of the macroscopic-LO Gaussian reference channel, in bits, from
+    :func:`_homodyne_information`, whose error must stay within
+    ``_HOMODYNE_QUAD_TOL``."""
+    bits, err = _homodyne_information(params)
     if err > _HOMODYNE_QUAD_TOL:
         raise NumericsError(
             f"homodyne quadrature error {err:.2e} bits exceeds tolerance"
         )
-    return h_mix_bits - 0.5 * math.log2(2.0 * math.pi * math.e)
+    return bits
 
 
 # ---------------------------------------------------------------------------

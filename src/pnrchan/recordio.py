@@ -44,9 +44,11 @@ def _umask():
 def _atomic_output(path):
     """A binary handle on a same-directory temp file that is renamed to ``path``.
 
-    The file is flushed to disk before the rename, and it gets the mode an
-    ordinary ``open`` would give it (0o666 less the umask) rather than the
-    owner-only mode of the temp file.  On any failure the temp file goes.
+    The file is flushed to disk before the rename and the directory after
+    it, so the new name is durable once the block exits.  The file gets the
+    mode an ordinary ``open`` would give it (0o666 less the umask) rather than
+    the owner-only mode of the temp file.  On any failure before the rename
+    the temp file goes.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".pnrchan-", suffix=".tmp")
@@ -63,6 +65,11 @@ def _atomic_output(path):
         except OSError:
             pass
         raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def write_text_atomic(path, text):

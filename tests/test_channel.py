@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,3 +223,18 @@ class TestLossConversion:
             loss_db_to_transmissivity(-1.0)
         with pytest.raises(ValidationError):
             transmissivity_to_loss_db(1.5)
+
+    @pytest.mark.parametrize("loss_db", [3300.0, 1e308])
+    def test_underflowing_transmissivity_is_named_by_its_loss(self, loss_db):
+        with pytest.raises(ValidationError, match=re.escape(f"loss of {loss_db:.12g} dB")):
+            loss_db_to_transmissivity(loss_db)
+
+    def test_largest_loss_with_a_transmissivity_is_kept(self):
+        # the smallest subnormal, 5e-324, is still a transmissivity
+        assert loss_db_to_transmissivity(3236.0) > 0.0
+
+    def test_source_mean_that_overflows_is_named_by_its_loss(self):
+        with pytest.raises(ValidationError, match="loss of 3100 dB"):
+            ChannelParams.from_means(3.0, 1.0, loss_db=3100.0)
+        # no signal needs no source, whatever the loss
+        assert ChannelParams.from_means(0.0, 1.0, loss_db=3100.0).alpha == 0.0

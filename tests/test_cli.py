@@ -260,6 +260,13 @@ class TestSweep:
                        "--grid", "1,3,2", "-o", str(tmp_path / "x.csv"))
         assert code == 1
 
+    def test_homodyne_column_of_a_bright_signal(self, tmp_path):
+        # the reference is 1 bit here, good to its rounding whatever the signal
+        out = tmp_path / "x.csv"
+        assert run_cli("sweep", "--mode", "lo", "--signal-mean", "1e9", "--grid", "1",
+                       "--strategies", "hom", "-o", str(out)) == 0
+        assert out.read_text().splitlines()[-1].split(",")[:2] == ["1", "1"]
+
     def test_unwritable_path_is_io_error(self, tmp_path):
         target = tmp_path / "missing-dir" / "out.csv"
         code = run_cli("sweep", "--mode", "lo", "--signal-mean", "2.0",
@@ -594,11 +601,11 @@ SWEEP_CFG = "mode = lo\nsignal_mean = 2.0\ngrid = 1:9:3\n"
 
 
 class TestRuntimePath:
-    """Every law comes from the Skellam recurrence and every figure from its
-    posterior: no command calls the Poisson evaluators, which serve the
-    count-pair oracle alone, nor the mixture-entropy sums
-    ``mutual_information`` and ``shannon_entropy``, which serve the plug-in
-    estimates of sampled laws."""
+    """Every law comes from the Skellam recurrence, and every figure, the
+    homodyne reference included, is a mean over one posterior of symbol 1's
+    law: no command calls the Poisson evaluators, which serve the count-pair
+    oracle alone, nor the mixture-entropy sums ``mutual_information`` and
+    ``shannon_entropy``, which serve the plug-in estimates of sampled laws."""
 
     COMMANDS = {
         "fig3": ("sweep", "--preset", "fig3"),
@@ -837,11 +844,12 @@ class TestRecordIo:
         assert path.read_text() == "a,b\n"
 
     def test_written_file_is_synced_before_the_rename(self, tmp_path, monkeypatch):
-        events = []
+        events, synced = [], []
         real_fsync, real_replace = os.fsync, os.replace
 
         def fsync(fd):
             events.append("fsync")
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
             real_fsync(fd)
 
         def replace(src, dst):
@@ -851,7 +859,9 @@ class TestRecordIo:
         monkeypatch.setattr(recordio.os, "fsync", fsync)
         monkeypatch.setattr(recordio.os, "replace", replace)
         write_text_atomic(tmp_path / "out.txt", "x\n")
-        assert events == ["fsync", "replace"]
+        # the file before the rename, its directory after it
+        assert events == ["fsync", "replace", "fsync"]
+        assert synced == [False, True]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -860,16 +870,26 @@ class TestRecordIo:
 
 
 class TestProcess:
+    @pytest.mark.parametrize("patched, args, advice", [
+        ("run_sweep", ("sweep", "--preset", "fig3"),
+         "use a smaller --grid or a looser --tail-tol"),
+        ("run_security", ("security", "--preset", "fig5"),
+         "use a smaller --grid or a looser --tail-tol"),
+        ("run_experiment", ("simulate", "--signal-mean", "3", "--lo-mean", "12",
+                            "--shots", "10"), "use fewer --shots"),
+        ("read_shot_records", ("analyze", "shots.csv"), "on the shot file shots.csv"),
+    ])
     def test_out_of_memory_is_one_line_without_traceback(self, tmp_path, monkeypatch,
-                                                         capsys):
-        def exhaust(spec):
+                                                         capsys, patched, args, advice):
+        def exhaust(*_args):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "run_sweep", exhaust)
-        code = run_cli("sweep", "--preset", "fig3", "-o", str(tmp_path / "x.csv"))
+        monkeypatch.setattr(cli, patched, exhaust)
+        code = run_cli(*args, "-o", str(tmp_path / "x.out"))
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("pnrchan: error: out of memory")
+        assert advice in err
         assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
@@ -909,8 +929,10 @@ class TestProcess:
 
 
 class TestInputDomain:
-    """Means whose difference window would exceed the bin budget are refused
-    before any law is built: exit 1, one error line, no output file."""
+    """Means whose difference window would exceed the bin budget, and losses
+    whose transmissivity or source mean leaves the doubles, are refused before
+    any law is built: exit 1, one error line that names them, no output
+    file."""
 
     BUDGET = str(receivers._MAX_WINDOW_BINS)
 
@@ -924,6 +946,15 @@ class TestInputDomain:
         (("security", "--signal-mean", "3", "--lo-mean", "1e12", "--grid", "3"), BUDGET),
         # the rates themselves overflow
         (("sweep", "--mode", "lo", "--signal-mean", "1e308", "--grid", "1e308"), "finite"),
+        # the transmissivity underflows to 0, or the source mean behind it overflows
+        (("sweep", "--mode", "lo", "--signal-mean", "3", "--loss-db", "3300", "--grid", "1,2"),
+         "loss of 3300 dB"),
+        (("sweep", "--mode", "lo", "--signal-mean", "3", "--loss-db", "3100", "--grid", "1,2"),
+         "loss of 3100 dB"),
+        (("security", "--signal-mean", "3", "--lo-mean", "12", "--grid", "0,1e308"),
+         "loss of 1e+308 dB"),
+        (("sweep", "--mode", "loss", "--signal-mean", "3", "--lo-mean", "12", "--grid", "3300"),
+         "loss of 3300 dB"),
     ])
     def test_huge_means_are_refused(self, tmp_path, capsys, args, named):
         assert run_cli(*args, "-o", str(tmp_path / "x.csv")) == 1
@@ -959,11 +990,12 @@ MEANS = st.floats(-324.0, 308.25).map(lambda e: 10.0 ** e) | st.sampled_from(
 
 @st.composite
 def one_point_argv(draw):
-    """A one-point ``sweep``, ``security`` or ``simulate`` on two drawn means."""
-    first, second = repr(draw(MEANS)), repr(draw(MEANS))
+    """A one-point ``sweep``, ``security`` or ``simulate`` on two drawn means and,
+    for the first two, a drawn loss in dB."""
+    first, second, loss = (repr(draw(MEANS)) for _ in range(3))
     return draw(st.sampled_from([
-        ["sweep", "--mode", "lo", "--signal-mean", first, "--grid", second],
-        ["security", "--signal-mean", first, "--lo-mean", second, "--grid", "3"],
+        ["sweep", "--mode", "lo", "--signal-mean", first, "--grid", second, "--loss-db", loss],
+        ["security", "--signal-mean", first, "--lo-mean", second, "--grid", loss],
         ["simulate", "--signal-mean", first, "--lo-mean", second, "--shots", "3"],
     ]))
 

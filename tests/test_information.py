@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +20,9 @@ from pnrchan import (
     mutual_information,
     shannon_entropy,
 )
-from pnrchan.information import _homodyne_mixture_entropy, _information, _posterior, _sign_split
+from pnrchan.information import _homodyne_information, _information, _posterior, _sign_split
 from pnrchan.security import holevo_chi_bds, holevo_chi_wf
-from pnrchan.receivers import DEFAULT_TAIL_TOL, homodyne_mean, skellam_pmf_grid
+from pnrchan.receivers import DEFAULT_TAIL_TOL, skellam_pmf_grid
 
 from oracles import (holevo_chi_mixture, mi_homodyne_quad, mi_wf_grid, mirror_law, sign_laws,
                      wf_hl_equivalence_check)
@@ -72,7 +74,7 @@ class TestTrivialZeros:
         assert mi_bds(p) == pytest.approx(0.0, abs=1e-12)
 
     def test_homodyne_zero_at_no_signal(self):
-        assert mi_homodyne(params_for(0.0, 4.0, 0.9)) == pytest.approx(0.0, abs=1e-9)
+        assert mi_homodyne(params_for(0.0, 4.0, 0.9)) == 0.0
 
 
 class TestEquivalenceAndHierarchy:
@@ -126,7 +128,13 @@ class TestMonotonicity:
             vals = [func(params_for(2.5, 8.0, float(x))) for x in xis]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         vals = [mi_homodyne(params_for(2.5, 8.0, float(x))) for x in xis]
-        assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("priors", [(0.5, 0.5), (0.3, 0.7)])
+    def test_homodyne_nondecreasing_in_signal(self, priors):
+        means = np.geomspace(1e-12, 1e3, 200)
+        vals = [mi_homodyne(params_for(float(s), 8.0, 0.94, priors)) for s in means]
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_mi_nondecreasing_in_lo(self):
         lo_means = np.linspace(0.0, 14.0, 8)
@@ -144,41 +152,55 @@ class TestHomodyneReference:
         assert abs(mi_hl(p_fine) - mi_homodyne(p_fine)) <= 1e-3
 
     @pytest.mark.parametrize("priors", [(0.5, 0.5), (0.3, 0.7)])
-    def test_matches_adaptive_quadrature_oracle(self, priors):
+    def test_matches_forty_digit_oracle(self, priors):
+        pytest.importorskip("mpmath")
         for signal_mean in np.geomspace(0.01, 12.0, 10):
             for xi in (0.5, 0.7, 0.86, 0.94, 1.0):
                 p = params_for(float(signal_mean), 12.15, xi, priors)
                 value, quad_err = mi_homodyne_quad(p)
-                assert quad_err <= 1e-9
-                assert abs(mi_homodyne(p) - value) <= 1e-12
+                assert quad_err <= 1e-30
+                assert abs(mi_homodyne(p) - float(value)) <= 1e-12
+
+    @pytest.mark.parametrize("priors", [(0.5, 0.5), (0.25, 0.75), (0.3, 0.7)])
+    def test_relative_error_down_to_a_faint_signal(self, priors):
+        # the information falls like the signal mean, so an error relative to
+        # the entropy of the mixture, about 2 bits, would show at the faint end
+        pytest.importorskip("mpmath")
+        for signal_mean in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 10.0):
+            p = params_for(signal_mean, 12.17, 0.94, priors)
+            value, _ = mi_homodyne_quad(p)
+            assert abs(mi_homodyne(p) - value) <= 1e-9 * value
+
+    @pytest.mark.parametrize("signal_mean", [1e12, 1e300, sys.float_info.max])
+    @pytest.mark.parametrize("priors", [(0.5, 0.5), (0.3, 0.7)])
+    def test_bright_signal_saturates_in_fixed_memory(self, signal_mean, priors):
+        p = params_for(signal_mean, 12.17, 0.94, priors)
+        tracemalloc.start()
+        try:
+            value = mi_homodyne(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= value <= binary_entropy(priors[0]) + 1e-15
+        assert value == pytest.approx(binary_entropy(priors[0]), abs=1e-12)
+        assert peak < 1 << 16  # a few arrays of the 385 nodes
 
     @pytest.mark.parametrize("signal_mean, xi, priors", [
+        (1e-12, 0.94, (0.3, 0.7)),
         (0.01, 0.5, (0.5, 0.5)),
         (3.07, 0.94, (0.5, 0.5)),
         (3.07, 1.0, (0.3, 0.7)),
         (12.0, 1.0, (0.5, 0.5)),
         (12.0, 0.86, (0.3, 0.7)),
     ])
-    def test_error_bound_encloses_high_precision_entropy(self, signal_mean, xi, priors):
-        mpmath = pytest.importorskip("mpmath")
+    def test_error_bound_encloses_high_precision_information(self, signal_mean, xi, priors):
+        pytest.importorskip("mpmath")
         p = params_for(signal_mean, 12.15, xi, priors)
-        a0, a1 = homodyne_mean(p, 0), homodyne_mean(p, 1)
-        h_bits, err = _homodyne_mixture_entropy(a0, a1, *priors)
+        bits, err = _homodyne_information(p)
         assert 0.0 < err <= 1e-9
-        with mpmath.workdps(50):
-            q0, q1 = (mpmath.mpf(q) for q in priors)
-            norm = 1 / mpmath.sqrt(2 * mpmath.pi)
-
-            def neg_p_log_p(y):
-                dens = norm * (q0 * mpmath.exp(-(y - a0) ** 2 / 2)
-                               + q1 * mpmath.exp(-(y - a1) ** 2 / 2))
-                return -dens * mpmath.log(dens)
-
-            knots = [-mpmath.inf, a0, 0.5 * (a0 + a1), a1, mpmath.inf]
-            exact = mpmath.quad(neg_p_log_p, knots) / mpmath.log(2)
-            exact_mi = exact - mpmath.log(2 * mpmath.pi * mpmath.e, 2) / 2
-        assert abs(h_bits - float(exact)) <= err
-        assert abs(mi_homodyne(p) - float(exact_mi)) <= err + 1e-15
+        exact, _ = mi_homodyne_quad(p, dps=50)
+        assert abs(bits - exact) <= err
+        assert mi_homodyne(p) == bits
 
 
 class TestFactorizationCheck:
