@@ -15,6 +15,7 @@ Everything here is a pure function over immutable value objects.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import ValidationError
@@ -169,16 +170,16 @@ def coherent_overlap(amplitude_sq: float) -> float:
 def loss_db_to_transmissivity(loss_db: float) -> float:
     """Convert an attenuation in dB to a power transmissivity in (0, 1].
 
-    A loss whose transmissivity underflows to 0 (above about 3236 dB) is
-    refused by its value.
+    A loss whose transmissivity is below the smallest normal double (a loss
+    above about 3076.5 dB) is refused by its value: a subnormal carries
+    fewer than 53 significant bits, so it would not hold the loss.
     """
     if loss_db < 0.0 or not math.isfinite(loss_db):
         raise ValidationError(f"loss_db must be finite and >= 0, got {loss_db}")
     t = 10.0 ** (-loss_db / 10.0)
-    if t == 0.0:
-        raise ValidationError(
-            f"a loss of {loss_db:.12g} dB leaves a transmissivity below the smallest double"
-        )
+    if t < sys.float_info.min:
+        raise ValidationError(f"a loss of {loss_db:.12g} dB leaves a transmissivity below "
+                              f"the smallest normal double, {sys.float_info.min:.6g}")
     return t
 
 

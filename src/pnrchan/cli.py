@@ -239,8 +239,8 @@ def _cmd_security(ns):
 # simulate / analyze
 # ---------------------------------------------------------------------------
 
-def _print_run_summary(run):
-    emp = empirical_distributions(run)
+def _print_run_summary(tally):
+    emp = empirical_distributions(tally)
     report = plugin_mi(emp)
     for k, (mean_n, mean_m) in enumerate(emp.arm_means):
         print(f"symbol {k}: shots={emp.shots[k]} mean_n={mean_n:.6g} mean_m={mean_m:.6g}")
@@ -252,10 +252,9 @@ def _print_run_summary(run):
 
 def _cmd_simulate(ns):
     params = ChannelParams.from_means(ns.signal_mean, ns.lo_mean, visibility=ns.xi)
-    run = run_experiment(params, ns.shots, ns.seed)
-    write_shot_records(ns.output, run)
+    tally = write_shot_records(ns.output, run_experiment(params, ns.shots, ns.seed))
     print(f"wrote {2 * ns.shots} shots to {ns.output} (seed={ns.seed})")
-    _print_run_summary(run)
+    _print_run_summary(tally)
     return 0
 
 
@@ -273,8 +272,7 @@ def _empirical_payload(emp):
 
 
 def _cmd_analyze(ns):
-    run = read_shot_records(ns.input)
-    emp = empirical_distributions(run)
+    emp = empirical_distributions(read_shot_records(ns.input))
     report = plugin_mi(emp)
     payload = {
         "shots": {"symbol0": emp.shots[0], "symbol1": emp.shots[1]},

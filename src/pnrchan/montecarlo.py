@@ -7,13 +7,16 @@ on numpy's counter-based Philox generator with one substream per chunk of
 part of the stream: the counts depend only on (params, shots, seed), not on
 how many threads draw the chunks or in which order they finish, but a
 different ``_CHUNK`` would give different counts.
+
+A run is a plan of blocks, and every estimate comes from tallies of the
+distinct (n, m, symbol) cells, which add exactly across blocks: no column
+of a whole run is ever built.
 """
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -25,10 +28,12 @@ from .information import mutual_information
 __all__ = [
     "ExperimentRun",
     "EmpiricalDistributions",
+    "ShotTally",
     "PluginEstimate",
     "PluginMiReport",
     "CalibrationResult",
     "run_experiment",
+    "block_tally",
     "empirical_distributions",
     "plugin_mi",
     "calibrate_params",
@@ -38,9 +43,11 @@ __all__ = [
 _LN2 = math.log(2.0)
 _CHUNK = 1 << 16
 # the int32 maximum: every count the package makes is held in an int32 column,
-# and empirical_distributions' key ((n << b) | m) << 1 | symbol, b the bit
-# length of the largest m, then takes at most 63 bits and never wraps.
+# and the tally key (n << 32) | (m << 1) | symbol then fits in an int64
 MAX_COUNT = (1 << 31) - 1
+# a tally re-reduces its pending block tallies once they hold this many cells,
+# or as many as the reduced tally, whichever is more
+_PENDING_CELLS = 1 << 16
 
 
 def _outside(column, top):
@@ -51,105 +58,72 @@ def _outside(column, top):
 
 @dataclass(frozen=True)
 class ExperimentRun:
-    """A column-wise batch of shot records: one symbol and two arm counts per pulse."""
+    """A run of shot records, held as the plan of its blocks, not as columns.
 
-    symbols: np.ndarray
-    n: np.ndarray
-    m: np.ndarray
+    ``blocks[i]()`` makes block ``i``, rows ``starts[i]`` to ``starts[i + 1]``
+    of the run: its symbols (uint8) and its two arm counts (int32, each at
+    most ``MAX_COUNT``).  ``run_experiment`` draws a block when it is made;
+    ``from_columns`` slices columns already in memory.  ``len(run)`` is the
+    number of shots.
+    """
 
-    def __post_init__(self):
-        if not (len(self.symbols) == len(self.n) == len(self.m)):
-            raise ValidationError("symbol and count columns must have equal length")
-        if len(self.symbols) == 0:
-            raise ValidationError("a run must contain at least one shot")
-        if not all(isinstance(column, np.ndarray) and np.issubdtype(column.dtype, np.integer)
-                   for column in (self.symbols, self.n, self.m)):
-            raise ValidationError("symbols and counts must be integer arrays")
-        if _outside(self.symbols, 1):
-            raise ValidationError("symbols must be 0 or 1")
-        if _outside(self.n, MAX_COUNT) or _outside(self.m, MAX_COUNT):
-            raise ValidationError(f"counts must lie in [0, {MAX_COUNT}]")
+    blocks: tuple
+    starts: tuple
 
     def __len__(self):
-        return len(self.symbols)
+        return self.starts[-1]
+
+    @classmethod
+    def from_columns(cls, symbols, n, m) -> "ExperimentRun":
+        """A run of columns already in memory: the symbols and the two arm
+        counts, equal-length integer arrays of any dtype, in blocks of
+        ``_CHUNK`` rows."""
+        if not (len(symbols) == len(n) == len(m)):
+            raise ValidationError("symbol and count columns must have equal length")
+        if len(symbols) == 0:
+            raise ValidationError("a run must contain at least one shot")
+        if not all(isinstance(column, np.ndarray) and np.issubdtype(column.dtype, np.integer)
+                   for column in (symbols, n, m)):
+            raise ValidationError("symbols and counts must be integer arrays")
+        if _outside(symbols, 1):
+            raise ValidationError("symbols must be 0 or 1")
+        if _outside(n, MAX_COUNT) or _outside(m, MAX_COUNT):
+            raise ValidationError(f"counts must lie in [0, {MAX_COUNT}]")
+        starts = (*range(0, len(symbols), _CHUNK), len(symbols))
+        return cls(blocks=tuple(partial(_slice, symbols, n, m, a, b)
+                                for a, b in zip(starts, starts[1:])), starts=starts)
 
 
-def _worker_count():
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+def _slice(symbols, n, m, start, stop):
+    return (symbols[start:stop].astype(np.uint8, copy=False),
+            n[start:stop].astype(np.int32, copy=False),
+            m[start:stop].astype(np.int32, copy=False))
 
 
-def _run_jobs(jobs, deliver=None):
-    """Call every job, on this thread and up to ``_worker_count() - 1`` more,
-    one thread per job at most.
-
-    Jobs are claimed in order.  With ``deliver``, each job's result is passed
-    to it strictly in job order: a thread whose job is done waits until every
-    earlier result has been delivered, then delivers its own, so at most one
-    finished result per thread is held.  The first exception, from a job or
-    from ``deliver``, stops the claiming of further jobs and the delivery of
-    further results, wakes every waiting thread, and is raised here once
-    every thread has finished the job in hand.
-    """
-    pending = enumerate(jobs)
-    turn = threading.Condition()
-    errors = []
-    delivered = 0
-
-    def hand_off(index, result):
-        nonlocal delivered
-        with turn:
-            while delivered < index and not errors:
-                turn.wait()
-            if errors:
-                return
-        deliver(result)  # alone: every later result waits for the count below
-        with turn:
-            delivered += 1
-            turn.notify_all()
-
-    def work():
-        try:
-            while True:
-                with turn:
-                    index, job = (None, None) if errors else next(pending, (None, None))
-                if job is None:
-                    return
-                if deliver is None:
-                    job()
-                else:
-                    hand_off(index, job())
-        except BaseException as exc:
-            with turn:
-                errors.append(exc)
-                turn.notify_all()
-
-    threads = [threading.Thread(target=work)
-               for _ in range(min(_worker_count(), len(jobs)) - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        work()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+def _draw(seed, symbol, index, rates, size):
+    """Chunk ``index`` of ``symbol``'s shots: ``size`` n counts and then ``size``
+    m counts from the Philox substream keyed by (seed, symbol, index)."""
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, symbol, index))))
+    counts = []
+    for mu in rates:
+        drawn = gen.poisson(mu, size)
+        top = int(drawn.max())  # checked before the narrowing: a wrapped count can look legal
+        if top > MAX_COUNT:
+            raise ValidationError(f"drew a count of {top}, above the count limit {MAX_COUNT}")
+        counts.append(drawn.astype(np.int32))
+    return (np.full(size, symbol, dtype=np.uint8), *counts)
 
 
 def run_experiment(params: ChannelParams, shots_per_symbol: int, seed: int) -> ExperimentRun:
-    """Generate a balanced run: ``shots_per_symbol`` pulses for each symbol.
+    """Plan a balanced run: ``shots_per_symbol`` pulses for each symbol.
 
     Deterministic for fixed (params, shots_per_symbol, seed); the record
-    order is all symbol-0 shots followed by all symbol-1 shots.  Each chunk
-    of ``_CHUNK`` shots draws its n counts and then its m counts from its own
-    Philox substream into its slices of the two int32 columns, so the chunks
-    run concurrently on a thread per usable CPU (numpy's Poisson fill
-    releases the GIL) and the result does not depend on the thread count.
-    A chunk that holds a count above ``MAX_COUNT`` raises ``ValidationError``.
+    order is all symbol-0 shots followed by all symbol-1 shots.  Block ``i``
+    is a chunk of at most ``_CHUNK`` shots of one symbol, drawn when it is
+    made from its own Philox substream, n counts first; so the counts do not
+    depend on which blocks are made, on how many threads make them or in
+    which order.  Nothing is drawn here: the means are checked, and a block
+    that draws a count above ``MAX_COUNT`` raises ``ValidationError``.
     """
     if shots_per_symbol < 1:
         raise ValidationError("shots_per_symbol must be >= 1")
@@ -165,26 +139,90 @@ def run_experiment(params: ChannelParams, shots_per_symbol: int, seed: int) -> E
         if not mu + 40.0 * math.sqrt(mu) <= MAX_COUNT:
             raise ValidationError(f"arm mean {mu:.6g} is too large to record: mean + "
                                   f"40 sqrt(mean) must be at most the count limit {MAX_COUNT}")
-    n = np.empty(2 * shots_per_symbol, dtype=np.int32)
-    m = np.empty(2 * shots_per_symbol, dtype=np.int32)
+    sizes = [min(_CHUNK, shots_per_symbol - start) for start in range(0, shots_per_symbol, _CHUNK)]
+    blocks = tuple(partial(_draw, seed, symbol, index, rates[symbol], size)
+                   for symbol in (0, 1) for index, size in enumerate(sizes))
+    return ExperimentRun(blocks=blocks, starts=tuple(accumulate(sizes + sizes, initial=0)))
 
-    def draw(symbol, index):
-        size = min(_CHUNK, shots_per_symbol - index * _CHUNK)
-        start = symbol * shots_per_symbol + index * _CHUNK
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, symbol, index))))
-        for column, mu in zip((n, m), rates[symbol]):
-            counts = gen.poisson(mu, size)
-            top = int(counts.max())  # checked before the store: a wrapped count can look legal
-            if top > MAX_COUNT:
-                raise ValidationError(f"drew a count of {top}, above the count limit {MAX_COUNT}")
-            column[start:start + size] = counts
 
-    chunks = -(-shots_per_symbol // _CHUNK)
-    jobs = [partial(draw, symbol, index) for symbol in (0, 1) for index in range(chunks)]
-    _run_jobs(jobs)
-    symbols = np.zeros(2 * shots_per_symbol, dtype=np.uint8)
-    symbols[shots_per_symbol:] = 1
-    return ExperimentRun(symbols=symbols, n=n, m=m)
+def _run_starts(keys):
+    """Where each run of equal values starts in a sorted, nonempty array."""
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def block_tally(symbols, n, m):
+    """The distinct (n, m, symbol) cells of one block of shots and how often
+    each occurs: int64 keys (n << 32) | (m << 1) | symbol, ascending, and
+    their int64 tallies.
+
+    One sort of one key per shot does it.  Offset by the block's smallest n
+    and m, the key ((n - n0) << b | (m - m0)) << 1 | symbol, with ``b`` the
+    bit length of the block's m range, is built in the narrowest unsigned
+    type that holds its largest value: uint16 for counts that span a few
+    bits, whatever their size, at most uint64 for counts up to
+    ``MAX_COUNT``.  Its runs give the distinct keys, which alone are
+    widened back to the common key.
+    """
+    low_n, low_m = int(n.min()), int(m.min())
+    b = (int(m.max()) - low_m).bit_length()
+    dtype = np.min_scalar_type(((int(n.max()) - low_n) << b | ((1 << b) - 1)) << 1 | 1)
+    key, low = np.empty(len(n), dtype=dtype), np.empty(len(m), dtype=dtype)
+    np.subtract(n, low_n, out=key, casting="unsafe")  # differences in int32, stored narrow
+    np.subtract(m, low_m, out=low, casting="unsafe")
+    key <<= b
+    key |= low
+    key <<= 1
+    key |= symbols
+    key.sort()
+    starts = _run_starts(key)
+    keys = key[starts].astype(np.int64)
+    tally = np.diff(starts, append=len(key))
+    cell_n = (keys >> (b + 1)) + low_n
+    cell_m = ((keys >> 1) & ((1 << b) - 1)) + low_m
+    return (cell_n << 32) | (cell_m << 1) | (keys & 1), tally
+
+
+class ShotTally:
+    """Block tallies (``block_tally``) summed into one, as they come.
+
+    ``add`` keeps a block's tally pending; once the pending ones hold
+    ``_PENDING_CELLS`` cells, or as many as the reduced tally, all are
+    concatenated and re-reduced: a stable sort of the keys and a sum over
+    each run.  Memory stays a few times the support plus a block, and each
+    cell is re-sorted a logarithmic number of times.
+    """
+
+    def __init__(self):
+        self._keys = np.empty(0, dtype=np.int64)
+        self._tally = np.empty(0, dtype=np.int64)
+        self._pending = []
+        self._pending_cells = 0
+
+    def add(self, block):
+        self._pending.append(block)
+        self._pending_cells += len(block[0])
+        if self._pending_cells >= max(_PENDING_CELLS, len(self._keys)):
+            self._reduce()
+
+    def _reduce(self):
+        keys = np.concatenate([self._keys, *(k for k, _ in self._pending)])
+        tally = np.concatenate([self._tally, *(t for _, t in self._pending)])
+        self._pending, self._pending_cells = [], 0
+        if len(keys):
+            order = np.argsort(keys, kind="stable")
+            keys, tally = keys[order], tally[order]
+            starts = _run_starts(keys)
+            keys, tally = keys[starts], np.add.reduceat(tally, starts)
+        self._keys, self._tally = keys, tally
+
+    def reduced(self):
+        """The distinct keys, ascending, and their tallies."""
+        if self._pending:
+            self._reduce()
+        return self._keys, self._tally
 
 
 @dataclass(frozen=True)
@@ -236,41 +274,29 @@ class EmpiricalDistributions:
         return self._per_shot(self.counts @ self.cells)
 
 
-def empirical_distributions(run: ExperimentRun) -> EmpiricalDistributions:
-    """Count each symbol's observed (n, m) pairs: one sort of one key per shot.
+def empirical_distributions(shots) -> EmpiricalDistributions:
+    """Count each symbol's observed (n, m) pairs.
 
-    The key ((n << b) | m) << 1 | symbol, with ``b`` the bit length of the
-    largest m, is built in one fresh array of the narrowest unsigned type
-    that holds its largest value (uint16 for counts of a few bits, at most
-    uint64 for counts up to ``MAX_COUNT``) and sorted in place; its runs give
-    the distinct keys and their tallies.  Memory is O(shots) whatever the
-    counts are.
+    ``shots`` is the ``ShotTally`` that ``write_shot_records`` or
+    ``read_shot_records`` returns, or an ``ExperimentRun``, whose blocks are
+    made and tallied here one after another.  Memory is that of the tally
+    and a block, whatever the length of the run.
     """
-    top_n, top_m = int(run.n.max()), int(run.m.max())
-    b = top_m.bit_length()
-    dtype = np.min_scalar_type((top_n << b | top_m) << 1 | 1)
-    key = run.n.astype(dtype)
-    key <<= b
-    np.bitwise_or(key, run.m, out=key, dtype=dtype, casting="unsafe")
-    key <<= 1
-    np.bitwise_or(key, run.symbols, out=key, dtype=dtype, casting="unsafe")
-    key.sort()
-    first = np.empty(len(key), dtype=bool)
-    first[0] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    keys = key[starts]
-    tally = np.diff(starts, append=len(key))
-    # signed cells: the differences n - m of unsigned ones would wrap
-    pairs, column = np.unique((keys >> 1).astype(np.int64), return_inverse=True)
+    if isinstance(shots, ExperimentRun):
+        tally = ShotTally()
+        for block in shots.blocks:
+            tally.add(block_tally(*block()))
+        shots = tally
+    keys, tally = shots.reduced()
+    pairs, column = np.unique(keys >> 1, return_inverse=True)
     counts = np.zeros((2, len(pairs)), dtype=np.int64)
     counts[keys & 1, column] = tally
-    shots = tuple(int(s) for s in counts.sum(axis=1))
+    per_symbol = tuple(int(s) for s in counts.sum(axis=1))
     for k in (0, 1):
-        if shots[k] == 0:
+        if per_symbol[k] == 0:
             raise ValidationError(f"run contains no shots for symbol {k}")
-    return EmpiricalDistributions(cells=np.column_stack([pairs >> b, pairs & ((1 << b) - 1)]),
-                                  counts=counts, shots=shots)
+    return EmpiricalDistributions(cells=np.column_stack([pairs >> 31, pairs & MAX_COUNT]),
+                                  counts=counts, shots=per_symbol)
 
 
 @dataclass(frozen=True)

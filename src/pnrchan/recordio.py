@@ -1,7 +1,9 @@
 """File formats: shot-record CSV, result tables, and flat config files.
 
 Shot records are comma-separated text with the header ``shot_id,symbol,n_t,n_r``,
-in the grammar the README states.  Result tables carry a ``#``-prefixed metadata
+in the grammar the README states.  They are written and read block by block,
+and each block is tallied on the way (``montecarlo.block_tally``), so no
+column of a whole run is held.  Result tables carry a ``#``-prefixed metadata
 preamble followed by a CSV header and rows, so a figure can be regenerated
 from the file alone.  All writes go through a write-then-rename so a failed
 run never leaves a partial file behind.
@@ -11,12 +13,13 @@ import contextlib
 import io
 import os
 import tempfile
+import threading
 from functools import partial
 
 import numpy as np
 
 from .errors import ValidationError
-from .montecarlo import MAX_COUNT, ExperimentRun, _run_jobs
+from .montecarlo import MAX_COUNT, ExperimentRun, ShotTally, block_tally
 
 __all__ = [
     "SHOT_HEADER",
@@ -30,7 +33,7 @@ __all__ = [
 
 SHOT_HEADER = "shot_id,symbol,n_t,n_r"
 _PLAIN_HEADER = (SHOT_HEADER + "\n").encode()  # the header line, as written
-_WRITE_BLOCK_ROWS = 65536
+_WRITE_BLOCK_ROWS = 1 << 14  # rows formatted at once: a digit matrix of a few hundred KiB
 
 
 def _umask():
@@ -78,6 +81,69 @@ def write_text_atomic(path, text):
         handle.write(text.encode("utf-8"))
 
 
+def _worker_count():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_jobs(jobs, deliver):
+    """Call every job, on this thread and up to ``_worker_count() - 1`` more,
+    one thread per job at most, and pass each result to ``deliver``.
+
+    Jobs are claimed in order, and their results are delivered strictly in
+    job order: a thread whose job is done waits until every earlier result
+    has been delivered, then delivers its own, so at most one finished
+    result per thread is held.  The first exception, from a job or from
+    ``deliver``, stops the claiming of further jobs and the delivery of
+    further results, wakes every waiting thread, and is raised here once
+    every thread has finished the job in hand.
+    """
+    pending = enumerate(jobs)
+    turn = threading.Condition()
+    errors = []
+    delivered = 0
+
+    def hand_off(index, result):
+        nonlocal delivered
+        with turn:
+            while delivered < index and not errors:
+                turn.wait()
+            if errors:
+                return
+        deliver(result)  # alone: every later result waits for the count below
+        with turn:
+            delivered += 1
+            turn.notify_all()
+
+    def work():
+        try:
+            while True:
+                with turn:
+                    index, job = (None, None) if errors else next(pending, (None, None))
+                if job is None:
+                    return
+                hand_off(index, job())
+        except BaseException as exc:
+            with turn:
+                errors.append(exc)
+                turn.notify_all()
+
+    threads = [threading.Thread(target=work)
+               for _ in range(min(_worker_count(), len(jobs)) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _format_block(columns):
     """The shot-file rows of one block: equal-length nonnegative integer columns
     in, a buffer of their decimal text as ASCII out.
@@ -109,34 +175,52 @@ def _format_block(columns):
     return memoryview(digits[keep])
 
 
-def _shot_block(run, start):
-    """The text of the rows of ``run`` from ``start``, one block of them."""
-    stop = min(start + _WRITE_BLOCK_ROWS, len(run))
-    ids = np.arange(start, stop, dtype=np.min_scalar_type(stop - 1))
-    return _format_block([ids, run.symbols[start:stop], run.n[start:stop], run.m[start:stop]])
+def _block_job(run, index):
+    """Block ``index`` of ``run``, made, formatted and tallied: its text in
+    pieces of ``_WRITE_BLOCK_ROWS`` rows (``_format_block``), and its
+    ``block_tally``."""
+    symbols, n, m = run.blocks[index]()
+    start = run.starts[index]
+    pieces = []
+    for at in range(0, len(n), _WRITE_BLOCK_ROWS):
+        stop = min(at + _WRITE_BLOCK_ROWS, len(n))
+        ids = np.arange(start + at, start + stop, dtype=np.min_scalar_type(start + stop - 1))
+        pieces.append(_format_block([ids, symbols[at:stop], n[at:stop], m[at:stop]]))
+    return pieces, block_tally(symbols, n, m)
 
 
-def write_shot_records(path, run: ExperimentRun):
-    """Serialize a run as shot-record CSV (one line per pulse).
+def write_shot_records(path, run: ExperimentRun) -> ShotTally:
+    """Write a run as shot-record CSV (one line per pulse) and tally it.
 
-    Rows are formatted in blocks of ``_WRITE_BLOCK_ROWS``, each as one digit
-    matrix in numpy (``_format_block``); no Python string or int is made per
-    value.  The blocks are formatted concurrently on a thread per usable CPU
-    (``montecarlo._run_jobs``) and handed to the file strictly in block
-    order, so memory stays bounded by a block per thread and the bytes, those
-    of ``"%d,%d,%d,%d\\n"`` applied to every row, do not depend on the thread
-    count.  The first failure stops the formatting and no later block is
-    written; the temp file then goes.
+    Each block of the run is one job (``_run_jobs``): it is made (a draw,
+    for a run of ``run_experiment``), formatted as digit matrices in numpy
+    (``_format_block``), with no Python string or int per value, and
+    tallied.  The jobs run on a thread per usable CPU and hand their text
+    to the file and their tally to the returned ``ShotTally`` strictly in
+    block order, so memory stays bounded by a block per thread plus the
+    tally, and the bytes, those of ``"%d,%d,%d,%d\\n"`` applied to every
+    row, do not depend on the thread count.  The first failure stops the
+    jobs and no later block is written; the temp file then goes.
     """
-    jobs = [partial(_shot_block, run, start) for start in range(0, len(run), _WRITE_BLOCK_ROWS)]
+    tally = ShotTally()
+
+    def deliver(result):
+        pieces, block = result
+        for piece in pieces:
+            handle.write(piece)
+        tally.add(block)
+
     with _atomic_output(path) as handle:
         handle.write(_PLAIN_HEADER)
-        _run_jobs(jobs, handle.write)
+        _run_jobs([partial(_block_job, run, index) for index in range(len(run.blocks))],
+                  deliver)
+    return tally
 
 
 _ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint32)[0]  # a row's separators, as one word
 _COUNT_DIGITS = len(str(MAX_COUNT))  # the widest count field the grammar allows
 _READ_BLOCK_BYTES = 1 << 17  # a block's work arrays take a few times its size
+_READ_BUFFER_ROWS = 1 << 16  # rows parsed before they are tallied
 
 
 def _count_into(out, body, ends, widths):
@@ -270,32 +354,53 @@ def _line_blocks(handle, carry):
         yield np.frombuffer(b"".join([*parts, b"\n"]), dtype=np.uint8)
 
 
-def read_shot_records(path) -> ExperimentRun:
-    """Parse a shot-record file, or name the first line that breaks the grammar.
+def _shot_blocks(path):
+    """The rows of a shot file as blocks of (symbols, n, m) columns, or the
+    error that names its first line that breaks the grammar.
 
-    Each block of lines goes straight into columns sized for the most rows the
-    file can hold (eight bytes a row; pages never written cost no memory): the
-    symbols as uint8, the counts as int32.
+    Each block of lines is parsed straight into one reused buffer of
+    ``_READ_BUFFER_ROWS`` rows (eight bytes a row at least, so a block of
+    lines fits in it: the symbols as uint8, the counts as int32), and the
+    rows it holds are yielded, as views of it, before a block that might
+    not fit, and at the end.  Each block is gone once the next is asked for.
     """
     with open(path, "rb") as handle:
         head = handle.read(len(_PLAIN_HEADER))
         header = head == _PLAIN_HEADER
-        cap = max(0, os.fstat(handle.fileno()).st_size - len(_PLAIN_HEADER) + 1) // 8
-        columns = [np.empty(cap, dtype) for dtype in (np.uint8, np.int32, np.int32)]
-        filled, line_no = 0, int(header)
+        columns = [np.empty(_READ_BUFFER_ROWS, dtype) for dtype in (np.uint8, np.int32, np.int32)]
+        filled, total, line_no = 0, 0, int(header)
         for body in _line_blocks(handle, b"" if header else head.removeprefix(b"\xef\xbb\xbf")):
-            if filled + len(body) // 8 > len(columns[0]):
-                columns = [np.resize(c, 2 * len(c) + len(body)) for c in columns]
-            into = [c[filled:] for c in columns]
+            room = len(body) // 8
+            if filled + room > len(columns[0]):
+                if filled:
+                    yield tuple(column[:filled] for column in columns)
+                    total, filled = total + filled, 0
+                if room > len(columns[0]):  # a long line, joined from several reads
+                    columns = [np.empty(room, column.dtype) for column in columns]
+            into = [column[filled:] for column in columns]
             rows = lines = _parse_rows(body, *into) if header else None
             if rows is None:
                 rows, header, lines = _parse_lines(path, body, line_no, header, into)
             filled, line_no = filled + rows, line_no + lines
+        if filled:
+            yield tuple(column[:filled] for column in columns)
     if not header:
         raise ValidationError(f"{path}: empty file")
-    if not filled:
+    if not total + filled:
         raise ValidationError(f"{path}: no shot records after the header")
-    return ExperimentRun(*(column[:filled] for column in columns))
+
+
+def read_shot_records(path) -> ShotTally:
+    """Parse and tally a shot file, or name the first line that breaks the grammar.
+
+    The file is parsed block by block into one buffer (``_shot_blocks``),
+    and the buffer is tallied (``block_tally``) each time it fills, so
+    memory is that of the buffer and the tally, whatever the file's length.
+    """
+    tally = ShotTally()
+    for block in _shot_blocks(path):
+        tally.add(block_tally(*block))
+    return tally
 
 
 def _decode_utf8(path, data):

@@ -9,7 +9,8 @@ receivers, the dense Bob x Eve joint of the two difference laws, a
 number-basis diagonalization, 40-digit quadrature of the homodyne entropy,
 shot-file text by one %-format per value, shot files read line by line
 with a regular expression per field, Monte Carlo chunks drawn one after
-another and counted by np.unique -- so the tests can compare production
+another and counted by np.unique, whole-run columns joined from the blocks
+the package makes one at a time -- so the tests can compare production
 against something that shares none of its shortcuts.  They only
 run at small windows, except the exactly summed I(B;E) reference, which
 works through the dense joint in row blocks.
@@ -18,6 +19,7 @@ works through the dense joint in row blocks.
 import itertools
 import math
 import re
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +38,7 @@ from pnrchan import (
 )
 from pnrchan.montecarlo import MAX_COUNT
 from pnrchan.receivers import DEFAULT_TAIL_TOL, poisson_pmf, poisson_window, skellam_pmf_grid
-from pnrchan.recordio import SHOT_HEADER
+from pnrchan.recordio import SHOT_HEADER, _shot_blocks
 
 _JOINT_CELL_LIMIT = 20_000_000
 
@@ -448,12 +450,47 @@ def mi_homodyne_quad(params, dps=40):
 
 
 # ---------------------------------------------------------------------------
+# Whole-run columns, which the package never builds
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Columns:
+    """The three columns of a whole run: uint8 symbols and the two arm counts."""
+
+    symbols: np.ndarray
+    n: np.ndarray
+    m: np.ndarray
+
+    def __len__(self):
+        return len(self.symbols)
+
+    def run(self):
+        """The in-memory ``ExperimentRun`` of these columns."""
+        return ExperimentRun.from_columns(self.symbols, self.n, self.m)
+
+
+def run_columns(run):
+    """The columns of ``run``, its blocks made one after another and joined."""
+    if isinstance(run, Columns):
+        return run
+    return Columns(*(np.concatenate(parts) for parts in zip(*(block() for block in run.blocks))))
+
+
+def read_columns(path):
+    """The columns the shot reader parses, its blocks copied out of its
+    buffer and joined; or the error it raises."""
+    blocks = [[column.copy() for column in block] for block in _shot_blocks(path)]
+    return Columns(*(np.concatenate(parts) for parts in zip(*blocks)))
+
+
+# ---------------------------------------------------------------------------
 # Shot-file text by one %-format per value
 # ---------------------------------------------------------------------------
 
 def shot_file_percent(run):
     """The bytes of the shot file for ``run``, formatted the way the writer
     did before its digit matrix: every value through ``%d``."""
+    run = run_columns(run)
     block = np.column_stack([np.arange(len(run)), run.symbols, run.n, run.m])
     rows = ("%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
     return (SHOT_HEADER + "\n" + rows).encode()
@@ -515,8 +552,8 @@ def read_shot_lines(path):
     if not rows:
         raise ValidationError(f"{path}: no shot records after the header")
     symbols, n, m = zip(*rows)
-    return ExperimentRun(symbols=np.array(symbols, dtype=np.uint8),
-                         n=np.array(n, dtype=np.int32), m=np.array(m, dtype=np.int32))
+    return Columns(symbols=np.array(symbols, dtype=np.uint8),
+                   n=np.array(n, dtype=np.int32), m=np.array(m, dtype=np.int32))
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +580,19 @@ def run_experiment_serial(params, shots_per_symbol, seed):
     return np.concatenate(n_parts), np.concatenate(m_parts)
 
 
+def tally_unique(run):
+    """The distinct keys (n << 32) | (m << 1) | symbol of a run, ascending,
+    and their tallies, by np.unique over its rows."""
+    run = run_columns(run)
+    return np.unique((run.n.astype(np.int64) << 32)
+                     | (run.m.astype(np.int64) << 1)
+                     | run.symbols.astype(np.int64), return_counts=True)
+
+
 def empirical_counts_unique(run):
     """``cells``, ``counts`` and ``shots`` of ``empirical_distributions``, by
     np.unique on the key (n << 32) | (m << 1) | symbol and then on its pairs."""
-    keys, tally = np.unique((run.n.astype(np.int64) << 32)
-                            | (run.m.astype(np.int64) << 1)
-                            | run.symbols.astype(np.int64), return_counts=True)
+    keys, tally = tally_unique(run)
     pairs, column = np.unique(keys >> 1, return_inverse=True)
     counts = np.zeros((2, len(pairs)), dtype=np.int64)
     counts[keys & 1, column] = tally

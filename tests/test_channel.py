@@ -1,8 +1,11 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnrchan import (
     ChannelParams,
@@ -13,6 +16,10 @@ from pnrchan import (
     loss_db_to_transmissivity,
     transmissivity_to_loss_db,
 )
+
+# the largest loss whose transmissivity is a normal double; the next double
+# up leaves a subnormal one
+LOSS_EDGE_DB = 3076.526555685887
 
 
 def random_params(rng):
@@ -229,12 +236,29 @@ class TestLossConversion:
         with pytest.raises(ValidationError, match=re.escape(f"loss of {loss_db:.12g} dB")):
             loss_db_to_transmissivity(loss_db)
 
-    def test_largest_loss_with_a_transmissivity_is_kept(self):
-        # the smallest subnormal, 5e-324, is still a transmissivity
-        assert loss_db_to_transmissivity(3236.0) > 0.0
+    @pytest.mark.parametrize("loss_db", [3236.0, 3200.0, 3100.0, LOSS_EDGE_DB + 1e-9])
+    def test_subnormal_transmissivity_is_named_by_its_loss(self, loss_db):
+        # a subnormal transmissivity, down to the smallest, 5e-324 at 3236 dB,
+        # would not hold its loss: 3200 dB came back as 3200.00004834948
+        with pytest.raises(ValidationError, match=re.escape(f"loss of {loss_db:.12g} dB")):
+            loss_db_to_transmissivity(loss_db)
+
+    def test_largest_loss_with_a_normal_transmissivity_is_kept(self):
+        assert loss_db_to_transmissivity(LOSS_EDGE_DB) >= sys.float_info.min
+        with pytest.raises(ValidationError):
+            loss_db_to_transmissivity(float(np.nextafter(LOSS_EDGE_DB, 1e4)))
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(st.floats(0.0, LOSS_EDGE_DB) | st.sampled_from([0.0, 5e-324, 1.0, LOSS_EDGE_DB]))
+    def test_round_trip_holds_the_loss_up_to_the_edge(self, loss_db):
+        # within a few ulp of the loss; near 0 dB, where the transmissivity
+        # rounds next to 1, one ulp of it is worth about 5e-16 dB
+        back = transmissivity_to_loss_db(loss_db_to_transmissivity(loss_db))
+        assert abs(back - loss_db) <= 4 * np.spacing(loss_db) + 1e-15
 
     def test_source_mean_that_overflows_is_named_by_its_loss(self):
         with pytest.raises(ValidationError, match="loss of 3100 dB"):
             ChannelParams.from_means(3.0, 1.0, loss_db=3100.0)
-        # no signal needs no source, whatever the loss
-        assert ChannelParams.from_means(0.0, 1.0, loss_db=3100.0).alpha == 0.0
+        # no signal needs no source, but 3100 dB is refused by itself
+        with pytest.raises(ValidationError, match="loss of 3100 dB"):
+            ChannelParams.from_means(0.0, 1.0, loss_db=3100.0)

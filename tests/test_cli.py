@@ -22,6 +22,8 @@ from pnrchan import cli, receivers, recordio, sweeps
 from pnrchan.errors import ValidationError
 from pnrchan.recordio import parse_config, read_shot_records, write_text_atomic
 
+from oracles import read_columns
+
 
 def run_cli(*args):
     return cli.main(list(args))
@@ -138,7 +140,7 @@ class TestSimulateAnalyze:
                        "-o", str(report_path))
         assert code == 0
         payload = json.loads(report_path.read_text())
-        run = read_shot_records(out)
+        run = read_columns(out)
         assert payload["arm_means"]["symbol1"]["n"] == pytest.approx(
             run.n[run.symbols == 1].mean())
         assert payload["calibration"]["xi"] == pytest.approx(0.94, abs=0.05)
@@ -820,7 +822,7 @@ class TestRecordIo:
         for data in (text.encode(), text.replace("\n", "\r\n").encode(),
                      text.encode("utf-8-sig")):
             path.write_bytes(data)
-            run = read_shot_records(path)
+            run = read_columns(path)
             assert (run.symbols.tolist(), run.n.tolist(), run.m.tolist()) == (
                 [0, 1], [1, 3], [2, 0])
 
@@ -869,6 +871,25 @@ class TestRecordIo:
         assert exc.value.code == 0
 
 
+# the CLI's entry point, with an exit hook that writes the process's peak RSS
+# (VmHWM) to the file named by the first argument
+PEAK_ENTRY = ("import atexit, sys\n"
+              "def record_peak(path=sys.argv.pop(1)):\n"
+              "    with open('/proc/self/status') as status, open(path, 'w') as out:\n"
+              "        out.write(next(line for line in status if line.startswith('VmHWM:')))\n"
+              "atexit.register(record_peak)\n"
+              "from pnrchan.cli import main\n"
+              "sys.exit(main())\n")
+
+
+def peak_mb(record, *args):
+    """The peak RSS, in MB, of one ``pnrchan`` command run in a child."""
+    proc = subprocess.run([sys.executable, "-c", PEAK_ENTRY, str(record), *args],
+                          env=child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(record.read_text().split()[1]) / 1024
+
+
 class TestProcess:
     @pytest.mark.parametrize("patched, args, advice", [
         ("run_sweep", ("sweep", "--preset", "fig3"),
@@ -893,8 +914,24 @@ class TestProcess:
         assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="the peak RSS is read from /proc/self/status")
+    def test_shot_commands_take_the_same_memory_at_ten_times_the_shots(self, tmp_path):
+        # each command holds a block per thread and the tally, never a column
+        # of the whole run: 2e6 rows cost less than 4 MB more than 2e5
+        peaks = {}
+        for shots in (100_000, 1_000_000):
+            path = tmp_path / f"shots{shots}.csv"
+            peaks["simulate", shots] = peak_mb(
+                tmp_path / "peak", "simulate", "--signal-mean", "3.07", "--lo-mean", "12.17",
+                "--xi", "0.94", "--shots", str(shots), "--seed", "3", "-o", str(path))
+            peaks["analyze", shots] = peak_mb(tmp_path / "peak", "analyze", str(path),
+                                              "-o", str(tmp_path / "report.json"))
+        for command in ("simulate", "analyze"):
+            assert peaks[command, 1_000_000] - peaks[command, 100_000] < 4.0, peaks
+
     def test_cli_import_loads_no_scipy_module(self):
-        # run_experiment runs its own threads: a pool module, with the logging
+        # the shot writer runs its own threads: a pool module, with the logging
         # it imports, would cost every CLI process its import; no law needs
         # decimal arithmetic
         heavy = ("concurrent.futures", "concurrent.futures.process", "decimal",

@@ -25,9 +25,18 @@ from pnrchan import (
     run_experiment,
     skellam_pmf_grid,
 )
-from pnrchan.montecarlo import MAX_COUNT, EmpiricalDistributions
+from pnrchan import recordio
+from pnrchan.montecarlo import MAX_COUNT, EmpiricalDistributions, ShotTally, block_tally
+from pnrchan.recordio import write_shot_records
 
-from oracles import empirical_counts_unique, run_experiment_serial, wf_pmf
+from oracles import (
+    Columns,
+    empirical_counts_unique,
+    read_columns,
+    run_columns,
+    run_experiment_serial,
+    wf_pmf,
+)
 
 
 def params_for(signal_mean, lo_mean, xi):
@@ -40,33 +49,33 @@ REF = params_for(3.07, 12.17, 0.94)
 
 class TestSampling:
     def test_dark_channel_gives_zero_counts(self):
-        run = run_experiment(ChannelParams(alpha=0.0, lo_amplitude=0.0), 100, seed=0)
+        run = run_columns(run_experiment(ChannelParams(alpha=0.0, lo_amplitude=0.0), 100, seed=0))
         assert not run.n.any() and not run.m.any()
 
     def test_dark_arm_stays_dark(self):
         p = ChannelParams(alpha=2.0, transmissivity=1.0, lo_amplitude=2.0,
                           visibility=1.0)  # rates (8, 0) for symbol 1
-        run = run_experiment(p, 2000, seed=3)
+        run = run_columns(run_experiment(p, 2000, seed=3))
         n1, m1 = run.n[run.symbols == 1], run.m[run.symbols == 1]
         assert int(m1.sum()) == 0
         assert n1.mean() == pytest.approx(8.0, abs=4 * math.sqrt(8.0 / 2000))
 
     def test_sample_mean_within_clt_bound(self):
         p = params_for(5.0, 0.0, 1.0)  # both arms at rate 2.5
-        run = run_experiment(p, 100_000, seed=9)
+        run = run_columns(run_experiment(p, 100_000, seed=9))
         n = run.n[run.symbols == 1]
         assert n.mean() == pytest.approx(2.5, abs=4 * math.sqrt(2.5 / 100_000))
 
     def test_same_seed_is_bit_identical(self):
-        a = run_experiment(REF, 5000, seed=123)
-        b = run_experiment(REF, 5000, seed=123)
+        a = run_columns(run_experiment(REF, 5000, seed=123))
+        b = run_columns(run_experiment(REF, 5000, seed=123))
         np.testing.assert_array_equal(a.n, b.n)
         np.testing.assert_array_equal(a.m, b.m)
         np.testing.assert_array_equal(a.symbols, b.symbols)
 
     def test_different_seeds_differ(self):
-        a = run_experiment(REF, 2000, seed=1)
-        b = run_experiment(REF, 2000, seed=2)
+        a = run_columns(run_experiment(REF, 2000, seed=1))
+        b = run_columns(run_experiment(REF, 2000, seed=2))
         assert not np.array_equal(a.n, b.n)
 
     def test_single_shot_run_is_valid(self):
@@ -84,20 +93,26 @@ DIM = params_for(0.3, 0.6, 0.5)  # small counts keep the draws cheap
 
 
 class TestConcurrentDraws:
+    """The blocks of a run are drawn where they are written, on every thread."""
+
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-    def test_bit_identical_to_serial_chunks(self, monkeypatch, workers):
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+    def test_bit_identical_to_serial_chunks(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(recordio, "_worker_count", lambda: workers)
+        path = tmp_path / "shots.csv"
         for shots in (1, 65535, 65536, 65537, 2 * 65536 + 17):
-            run = run_experiment(DIM, shots, seed=19)
+            plan = run_experiment(DIM, shots, seed=19)
+            write_shot_records(path, plan)
+            run = read_columns(path)
             n, m = run_experiment_serial(DIM, shots, 19)
+            np.testing.assert_array_equal(run_columns(plan).n, n)
             np.testing.assert_array_equal(run.n, n)
             np.testing.assert_array_equal(run.m, m)
             assert run.n.dtype == run.m.dtype == np.int32
             assert run.symbols.tolist() == [0] * shots + [1] * shots
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_failed_chunk_raises_its_error(self, monkeypatch, workers):
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+    def test_failed_chunk_raises_its_error(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(recordio, "_worker_count", lambda: workers)
         philox, built = np.random.Philox, itertools.count()
 
         def third_fails(seed_sequence):
@@ -108,8 +123,9 @@ class TestConcurrentDraws:
         monkeypatch.setattr(montecarlo.np.random, "Philox", third_fails)
         threads = threading.active_count()
         with pytest.raises(MemoryError):
-            run_experiment(DIM, 8 * 65536, seed=3)
+            write_shot_records(tmp_path / "shots.csv", run_experiment(DIM, 8 * 65536, seed=3))
         assert threading.active_count() == threads
+        assert not list(tmp_path.iterdir())
         # the failure stops the claiming of chunks: of the 16, the other
         # threads finish at most the ones in hand
         started = next(built)
@@ -117,7 +133,7 @@ class TestConcurrentDraws:
 
 class TestEmpiricalDistributions:
     def test_point_mass_run(self):
-        run = ExperimentRun(symbols=np.array([0, 1], dtype=np.uint8),
+        run = ExperimentRun.from_columns(symbols=np.array([0, 1], dtype=np.uint8),
                             n=np.array([2, 5]), m=np.array([7, 2]))
         emp = empirical_distributions(run)
         assert emp.cells.tolist() == [[2, 7], [5, 2]]
@@ -135,7 +151,7 @@ class TestEmpiricalDistributions:
             assert emp.bds[k].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_missing_symbol_rejected(self):
-        run = ExperimentRun(symbols=np.array([1, 1], dtype=np.uint8),
+        run = ExperimentRun.from_columns(symbols=np.array([1, 1], dtype=np.uint8),
                             n=np.array([1, 2]), m=np.array([0, 0]))
         with pytest.raises(ValidationError):
             empirical_distributions(run)
@@ -151,7 +167,7 @@ class TestEmpiricalDistributions:
         assert tv <= 0.02
 
     def test_outlier_count_keeps_the_law_linear_in_shots(self):
-        run = ExperimentRun(symbols=np.array([0, 0, 1, 1], dtype=np.uint8),
+        run = ExperimentRun.from_columns(symbols=np.array([0, 0, 1, 1], dtype=np.uint8),
                             n=np.array([0, 10**6, 3, 1]), m=np.array([1, 0, 0, 2]))
         emp = empirical_distributions(run)
         assert emp.wf.size <= 2 * len(run)
@@ -160,13 +176,13 @@ class TestEmpiricalDistributions:
 
     def test_counts_beyond_the_key_bound_rejected(self):
         symbols = np.array([0, 1], dtype=np.uint8)
-        largest = ExperimentRun(symbols=symbols, n=np.array([MAX_COUNT, 0]),
+        largest = ExperimentRun.from_columns(symbols=symbols, n=np.array([MAX_COUNT, 0]),
                                 m=np.array([MAX_COUNT, MAX_COUNT]))
         assert empirical_distributions(largest).cells.tolist() == [
             [0, MAX_COUNT], [MAX_COUNT, MAX_COUNT]]
         for n, m in (([MAX_COUNT + 1, 0], [0, 0]), ([0, 0], [0, 2**62])):
             with pytest.raises(ValidationError):
-                ExperimentRun(symbols=symbols, n=np.array(n), m=np.array(m))
+                ExperimentRun.from_columns(symbols=symbols, n=np.array(n), m=np.array(m))
 
     @pytest.mark.parametrize("symbols, n", [
         (np.array([0, -1], dtype=np.int8), np.array([0, 0])),
@@ -176,12 +192,13 @@ class TestEmpiricalDistributions:
     ])
     def test_columns_out_of_range_rejected(self, symbols, n):
         with pytest.raises(ValidationError):
-            ExperimentRun(symbols=symbols, n=n, m=np.array([0, 0]))
+            ExperimentRun.from_columns(symbols=symbols, n=n, m=np.array([0, 0]))
 
     @pytest.mark.parametrize("n", [[2.5, 1.0], [np.nan, 1.0]])
     def test_non_integer_counts_rejected(self, n):
         with pytest.raises(ValidationError):
-            ExperimentRun(symbols=np.array([0, 1]), n=np.array(n), m=np.array([0, 0]))
+            ExperimentRun.from_columns(symbols=np.array([0, 1]), n=np.array(n),
+                                       m=np.array([0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +210,15 @@ PROPERTIES = settings(derandomize=True, database=None, max_examples=100, deadlin
 small_runs = st.lists(
     st.tuples(st.integers(0, 1), st.integers(0, 6), st.integers(0, 6)), min_size=2, max_size=40,
 ).filter(lambda shots: {k for k, _, _ in shots} == {0, 1}).map(
-    lambda shots: ExperimentRun(*(np.array(column) for column in zip(*shots))))
+    lambda shots: Columns(*(np.array(column) for column in zip(*shots))))
 
 
 @PROPERTIES
 @given(small_runs, st.integers(0, 2**32 - 1))
 def test_shot_order_changes_nothing(run, seed):
     order = np.random.default_rng(seed).permutation(len(run))
-    shuffled = ExperimentRun(symbols=run.symbols[order], n=run.n[order], m=run.m[order])
-    emp, emp_shuffled = empirical_distributions(run), empirical_distributions(shuffled)
+    shuffled = Columns(symbols=run.symbols[order], n=run.n[order], m=run.m[order])
+    emp, emp_shuffled = empirical_distributions(run.run()), empirical_distributions(shuffled.run())
     assert emp.cells.tolist() == sorted(map(list, set(zip(run.n.tolist(), run.m.tolist()))))
     np.testing.assert_array_equal(emp_shuffled.cells, emp.cells)
     np.testing.assert_array_equal(emp_shuffled.counts, emp.counts)
@@ -227,7 +244,8 @@ wide_runs = st.sampled_from(KEY_DTYPES).flatmap(lambda dtype: st.tuples(
 def key_edges(test):
     """Explicit runs whose largest key ((n << b) | m) << 1 | symbol, b the bit
     length of the largest m, is 2**w - 1 or 2**w: each side of each width
-    (8, 16, 32 and 63 bits) the key can take."""
+    (8, 16, 32 and 63 bits) the key can take.  Each holds n = 0 and m = 0,
+    so the block's offsets are 0."""
     for w, b in ((8, 1), (8, 3), (16, 1), (16, 7), (32, 1), (32, 15), (63, 31)):
         n = (1 << (w - 1 - b)) - 1  # with m = 2**b - 1 and symbol 1, the key 2**w - 1
         test = example((np.int32, [(0, 0, 0), (1, n, (1 << b) - 1)], 0))(test)
@@ -243,18 +261,72 @@ def test_sorted_key_runs_count_like_np_unique(case):
     dtype, shots, seed = case
     columns = [np.array(c, dtype=dtype) for c in zip(*shots)]
     order = np.random.default_rng(seed).permutation(len(shots))
-    for run in (ExperimentRun(*columns), ExperimentRun(*(c[order] for c in columns))):
-        emp = empirical_distributions(run)
+    for run in (Columns(*columns), Columns(*(c[order] for c in columns))):
+        emp = empirical_distributions(run.run())
         cells, counts, per_symbol = empirical_counts_unique(run)
         np.testing.assert_array_equal(emp.cells, cells)
         np.testing.assert_array_equal(emp.counts, counts)
         assert emp.shots == per_symbol
 
 
+COLUMN_TYPES = (np.uint8, np.int32, np.int32)  # the symbols and counts of a block
+
+
+@st.composite
+def split_runs(draw):
+    """Rows with counts up to ``MAX_COUNT`` (one symbol or both, in shuffled
+    order, or all symbol-0 rows first), and cuts that split them into blocks:
+    any cuts, one-row blocks, or a cut where the symbol changes."""
+    rows = draw(st.lists(st.tuples(st.integers(0, 1), _counts(np.int32), _counts(np.int32)),
+                         min_size=1, max_size=40))
+    if draw(st.booleans()):
+        rows.sort(key=lambda row: row[0])
+    columns = Columns(*(np.array(c, dtype=t) for c, t in zip(zip(*rows), COLUMN_TYPES)))
+    split = draw(st.sampled_from(["any", "rows", "symbol"]))
+    if split == "rows":
+        cuts = list(range(1, len(rows)))
+    elif split == "symbol":
+        cuts = sorted({at for at in range(1, len(rows)) if rows[at][0] != rows[at - 1][0]})
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, max(1, len(rows) - 1)))) - {len(rows)})
+    return columns, cuts
+
+
+@settings(PROPERTIES, max_examples=300)
+@given(split_runs(), st.integers(1, 4))
+def test_merged_block_tallies_equal_the_whole_run_tally(case, pending_cells):
+    """However a run is cut into blocks, and however often the pending block
+    tallies are re-reduced, the merged tally is the whole run's: the same
+    cells in the same order and the same exact counts."""
+    columns, cuts = case
+    tally = ShotTally()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_PENDING_CELLS", pending_cells)
+        for block in zip(*(np.split(column, cuts) for column in (columns.symbols, columns.n,
+                                                                 columns.m))):
+            tally.add(block_tally(*block))
+    if len(set(columns.symbols.tolist())) < 2:
+        missing = 1 - int(columns.symbols[0])
+        with pytest.raises(ValidationError, match=f"run contains no shots for symbol {missing}"):
+            empirical_distributions(tally)
+        return
+    emp = empirical_distributions(tally)
+    cells, counts, per_symbol = empirical_counts_unique(columns)
+    np.testing.assert_array_equal(emp.cells, cells)
+    np.testing.assert_array_equal(emp.counts, counts)
+    assert emp.counts.dtype == np.int64
+    assert emp.shots == per_symbol
+
+
+def test_an_empty_tally_has_no_shots_for_symbol_0():
+    with pytest.raises(ValidationError, match="run contains no shots for symbol 0"):
+        empirical_distributions(ShotTally())
+
+
 @PROPERTIES
 @given(small_runs)
 def test_plugin_data_processing_hierarchy(run):
-    rep = plugin_mi(empirical_distributions(run))
+    rep = plugin_mi(empirical_distributions(run.run()))
     # each step holds exactly for the empirical joint; 1e-12 absorbs rounding
     assert -1e-12 <= rep.bds.value <= rep.hl.value + 1e-12
     assert rep.hl.value <= rep.wf.value + 1e-12
@@ -264,7 +336,7 @@ def test_plugin_data_processing_hierarchy(run):
 @PROPERTIES
 @given(small_runs)
 def test_arm_means_are_exact_count_sums(run):
-    emp = empirical_distributions(run)
+    emp = empirical_distributions(run.run())
     for k in (0, 1):
         mask = run.symbols == k
         assert emp.arm_means[k].tolist() == [int(run.n[mask].sum()) / emp.shots[k],
@@ -274,7 +346,7 @@ def test_arm_means_are_exact_count_sums(run):
 @PROPERTIES
 @given(small_runs)
 def test_difference_and_sign_laws_aggregate_the_cells(run):
-    emp = empirical_distributions(run)
+    emp = empirical_distributions(run.run())
     delta = emp.cells[:, 0] - emp.cells[:, 1]
     assert emp.deltas.tolist() == sorted(set(delta.tolist()))
     for k in (0, 1):
@@ -305,7 +377,7 @@ class TestPluginMi:
         assert rep.bds.value == pytest.approx(mi_bds(p), abs=1e-10)
 
     def test_single_shot_overfit_flagged(self):
-        run = ExperimentRun(symbols=np.array([0, 1], dtype=np.uint8),
+        run = ExperimentRun.from_columns(symbols=np.array([0, 1], dtype=np.uint8),
                             n=np.array([0, 5]), m=np.array([5, 0]))
         rep = plugin_mi(empirical_distributions(run))
         assert rep.wf.value == pytest.approx(1.0, abs=1e-12)

@@ -4,12 +4,14 @@ reference line parser.
 ``write_shot_records`` builds each block's text as a digit matrix; its bytes
 must be those of one ``%d`` per value (``oracles.shot_file_percent``).
 ``read_shot_records`` is the one reader of the grammar the README states: a
-pass over blocks of whole lines that parses each straight into the columns,
+pass over blocks of whole lines that parses each straight into one buffer,
 normalising a block that is not in the written form (CRLF, blank and comment
-lines) and naming the first faulty line itself.  It must agree with
-``oracles.read_shot_lines``, which splits at LF and matches each field with a
-regular expression, on every input and whatever the block size: the same
-arrays and dtypes, or the same error naming the same line.
+lines) and naming the first faulty line itself, and tallies the buffer each
+time it fills.  The rows it parses, its buffers joined
+(``oracles.read_columns``), must agree with ``oracles.read_shot_lines``,
+which splits at LF and matches each field with a regular expression, on
+every input and whatever the block size: the same arrays and dtypes, or the
+same error naming the same line; and its tally must be theirs.
 """
 
 import errno
@@ -29,7 +31,7 @@ from pnrchan.montecarlo import MAX_COUNT
 from pnrchan.recordio import SHOT_HEADER, read_shot_records, write_shot_records
 
 import oracles
-from oracles import read_shot_lines, shot_file_percent
+from oracles import read_columns, read_shot_lines, run_columns, shot_file_percent, tally_unique
 
 PROPERTIES = settings(derandomize=True, database=None, max_examples=400, deadline=None)
 
@@ -92,6 +94,20 @@ def outcome(reader, path):
     return [(column.dtype.str, column.tolist()) for column in (run.symbols, run.n, run.m)]
 
 
+def assert_same_tally(tally, run):
+    keys, counts = tally.reduced()
+    want_keys, want_counts = tally_unique(run)
+    np.testing.assert_array_equal(keys, want_keys)
+    np.testing.assert_array_equal(counts, want_counts)
+
+
+def read_and_tally(path):
+    """The rows the reader parses, once its tally of them has been checked."""
+    run = read_columns(path)
+    assert_same_tally(read_shot_records(path), run)
+    return run
+
+
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("shots") / "shots.csv"
@@ -108,7 +124,7 @@ def test_fast_reader_agrees_with_the_line_parser(scratch, text, block_bytes):
     scratch.write_bytes(text.encode("utf-8"))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(recordio, "_READ_BLOCK_BYTES", block_bytes)
-        fast = outcome(read_shot_records, scratch)
+        fast = outcome(read_and_tally, scratch)
     assert fast == outcome(read_shot_lines, scratch)
 
 
@@ -142,7 +158,7 @@ def test_each_odd_form_alone_agrees_with_the_line_parser(tmp_path, monkeypatch):
         path.write_bytes(text.encode("utf-8"))
         for block_bytes in (1, 9, recordio._READ_BLOCK_BYTES):
             monkeypatch.setattr(recordio, "_READ_BLOCK_BYTES", block_bytes)
-            if outcome(read_shot_records, path) != outcome(read_shot_lines, path):
+            if outcome(read_and_tally, path) != outcome(read_shot_lines, path):
                 disagree.append((text, block_bytes))
     assert disagree == []
 
@@ -153,9 +169,9 @@ def refuse(*_args):
 
 def test_written_files_take_the_vectorised_pass(tmp_path, monkeypatch):
     path = tmp_path / "shots.csv"
-    write_shot_records(path, ExperimentRun(symbols=np.array([0, 1, 1], dtype=np.uint8),
-                                           n=np.array([1, 3, MAX_COUNT]),
-                                           m=np.array([2, 0, 10])))
+    write_shot_records(path, ExperimentRun.from_columns(
+        symbols=np.array([0, 1, 1], dtype=np.uint8), n=np.array([1, 3, MAX_COUNT]),
+        m=np.array([2, 0, 10])))
     expected = outcome(read_shot_lines, path)
 
     def no_loadtxt(*_args, **_kwargs):
@@ -163,7 +179,7 @@ def test_written_files_take_the_vectorised_pass(tmp_path, monkeypatch):
 
     monkeypatch.setattr(recordio, "_parse_lines", refuse)
     monkeypatch.setattr(np, "loadtxt", no_loadtxt)
-    assert outcome(read_shot_records, path) == expected
+    assert outcome(read_and_tally, path) == expected
 
 
 # str.splitlines breaks a line at each of these; the grammar does not, so in
@@ -178,7 +194,7 @@ def test_other_line_breaks_are_not_line_ends(tmp_path, text, message):
     path = tmp_path / "shots.csv"
     path.write_bytes(text.encode("utf-8"))
     if message is None:
-        assert outcome(read_shot_records, path) == [("|u1", [0, 1]), ("<i4", [1, 1]),
+        assert outcome(read_and_tally, path) == [("|u1", [0, 1]), ("<i4", [1, 1]),
                                                     ("<i4", [2, 1])]
     else:
         with pytest.raises(ValidationError, match=message):
@@ -203,7 +219,7 @@ def test_the_first_faulty_line_is_named(tmp_path, monkeypatch, data, message):
         monkeypatch.setattr(recordio, "_READ_BLOCK_BYTES", block_bytes)
         with pytest.raises(ValidationError, match=message):
             read_shot_records(path)
-    assert outcome(read_shot_records, path) == outcome(read_shot_lines, path)
+    assert outcome(read_and_tally, path) == outcome(read_shot_lines, path)
 
 
 @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n"])
@@ -215,8 +231,9 @@ def test_header_only_file_is_named_without_a_warning(tmp_path, body):
 
 
 def test_a_file_that_grows_while_read_is_read_whole(tmp_path, monkeypatch):
-    # the columns are sized from the file's size when opened; they grow to
-    # take the rows that do not fit, on the written form and on CRLF lines
+    # nothing is sized from the file's size when opened: a buffer of two rows
+    # is tallied each time it fills and grows for a block of lines that holds
+    # more, on the written form and on CRLF lines
     path = tmp_path / "shots.csv"
     real_fstat = os.fstat
 
@@ -231,7 +248,8 @@ def test_a_file_that_grows_while_read_is_read_whole(tmp_path, monkeypatch):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(os, "fstat", fstat_of_two_rows)
             patch.setattr(recordio, "_READ_BLOCK_BYTES", 16)
-            assert outcome(read_shot_records, path) == expected
+            patch.setattr(recordio, "_READ_BUFFER_ROWS", 2)
+            assert outcome(read_and_tally, path) == expected
 
 
 @pytest.mark.parametrize("line, message", [
@@ -269,10 +287,10 @@ def dressed_forms(data):
 def test_reader_peak_memory_is_a_few_times_the_file(tmp_path):
     rng = np.random.default_rng(3)
     shots = 100_000
-    run = ExperimentRun(symbols=rng.integers(0, 2, shots, dtype=np.uint8),
-                        n=rng.poisson(12.0, shots), m=rng.poisson(9.0, shots))
+    run = oracles.Columns(symbols=rng.integers(0, 2, shots, dtype=np.uint8),
+                          n=rng.poisson(12.0, shots), m=rng.poisson(9.0, shots))
     path = tmp_path / "shots.csv"
-    write_shot_records(path, run)
+    write_shot_records(path, run.run())
     for form, data in dressed_forms(path.read_bytes()).items():
         path.write_bytes(data)
         tracemalloc.start()
@@ -281,7 +299,7 @@ def test_reader_peak_memory_is_a_few_times_the_file(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        np.testing.assert_array_equal(back.n, run.n)
+        assert_same_tally(back, run)
         assert peak < 4 * len(data), form
 
 
@@ -292,7 +310,7 @@ def test_a_bad_last_row_is_named_from_its_own_block(tmp_path, monkeypatch):
     only the last block is normalised; the other forms count their lines
     through normalised blocks."""
     shots = 100_000
-    run = ExperimentRun(symbols=np.arange(shots, dtype=np.uint8) % 2,
+    run = ExperimentRun.from_columns(symbols=np.arange(shots, dtype=np.uint8) % 2,
                         n=np.arange(shots) % 41, m=np.arange(shots) % 7 + 10)
     path = tmp_path / "shots.csv"
     write_shot_records(path, run)
@@ -341,9 +359,9 @@ def test_a_bad_last_row_is_named_from_its_own_block(tmp_path, monkeypatch):
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
     # on one thread the blocks are formatted in order, so the failure is the
     # last call; the threaded case is test_failure_on_a_worker_leaves_no_file
-    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
-    run = ExperimentRun(symbols=np.zeros(10, dtype=np.uint8), n=np.arange(10),
-                        m=np.arange(10))
+    monkeypatch.setattr(recordio, "_worker_count", lambda: 1)
+    run = ExperimentRun.from_columns(symbols=np.zeros(10, dtype=np.uint8), n=np.arange(10),
+                                     m=np.arange(10))
     calls = []
     real_format_block = recordio._format_block
 
@@ -379,17 +397,21 @@ def shot_runs(draw):
                          [rng.choice(EDGE_COUNTS, shots), rng.integers(0, 30, shots),
                           rng.integers(0, MAX_COUNT, shots, endpoint=True)])
 
-    return ExperimentRun(symbols=rng.integers(0, 2, shots, dtype=np.uint8),
-                         n=counts(), m=counts())
+    return oracles.Columns(symbols=rng.integers(0, 2, shots, dtype=np.uint8),
+                           n=counts(), m=counts())
 
 
 @PROPERTIES
-@given(run=shot_runs(), block_rows=st.integers(1, 70))
-def test_writer_bytes_equal_a_percent_format_per_value(scratch, run, block_rows):
+@given(run=shot_runs(), block_rows=st.integers(1, 70), chunk_rows=st.integers(1, 500))
+def test_writer_bytes_equal_a_percent_format_per_value(scratch, run, block_rows, chunk_rows):
+    """Whatever the blocks of the run and the rows formatted at once; the
+    tally written is the run's."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(recordio, "_WRITE_BLOCK_ROWS", block_rows)
-        write_shot_records(scratch, run)
+        patch.setattr(montecarlo, "_CHUNK", chunk_rows)
+        tally = write_shot_records(scratch, run.run())
     assert scratch.read_bytes() == shot_file_percent(run)
+    assert_same_tally(tally, run)
 
 
 @settings(PROPERTIES, max_examples=100)
@@ -398,13 +420,13 @@ def test_written_files_read_back_across_block_boundaries(scratch, run, block_byt
                                                          final_lf):
     """A written file, its final LF kept or cut, reads back with no block
     normalised."""
-    write_shot_records(scratch, run)
+    write_shot_records(scratch, run.run())
     if not final_lf:
         scratch.write_bytes(scratch.read_bytes()[:-1])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(recordio, "_READ_BLOCK_BYTES", block_bytes)
         patch.setattr(recordio, "_parse_lines", refuse)
-        back = read_shot_records(scratch)
+        back = read_and_tally(scratch)
     for got, want, dtype in zip((back.symbols, back.n, back.m), (run.symbols, run.n, run.m),
                                 (np.uint8, np.int32, np.int32)):
         assert got.dtype == dtype
@@ -423,25 +445,29 @@ def test_block_format_holds_any_int64():
 def varied_run(shots, seed):
     """A run whose field widths change from row to row and from block to block."""
     rng = np.random.default_rng(seed)
-    return ExperimentRun(symbols=rng.integers(0, 2, shots, dtype=np.uint8),
-                         n=rng.choice(EDGE_COUNTS, shots), m=rng.integers(0, 30, shots))
+    return ExperimentRun.from_columns(symbols=rng.integers(0, 2, shots, dtype=np.uint8),
+                                      n=rng.choice(EDGE_COUNTS, shots),
+                                      m=rng.integers(0, 30, shots))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 def test_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, workers):
-    """Blocks are formatted on every thread and written in order: one file,
-    whatever the thread count and block size, a partial last block included.
-    Threads switch every microsecond, so that a hand-off out of turn shows."""
-    monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
-    run = varied_run(300, 11)
+    """Blocks are formatted and tallied on every thread and handed over in
+    order: one file and one tally, whatever the thread count and block size,
+    a partial last block included.  Threads switch every microsecond, so
+    that a hand-off out of turn shows."""
+    monkeypatch.setattr(recordio, "_worker_count", lambda: workers)
     path = tmp_path / "shots.csv"
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for block_rows in (1, 7, 64):
             monkeypatch.setattr(recordio, "_WRITE_BLOCK_ROWS", block_rows)
-            write_shot_records(path, run)
+            monkeypatch.setattr(montecarlo, "_CHUNK", 2 * block_rows + 1)
+            run = varied_run(300, 11)
+            tally = write_shot_records(path, run)
             assert path.read_bytes() == shot_file_percent(run), block_rows
+            assert_same_tally(tally, run)
     finally:
         sys.setswitchinterval(interval)
 
@@ -450,13 +476,16 @@ BLOCK_ROWS = 64
 FAILING_BLOCKS = [0, 3, 9]  # of the ten blocks of 600 rows: the first, one inside, the last
 
 
-def blocks_of(data):
+def blocks_of(data, per_symbol=None):
     """A written file's bytes as the writer hands them over: the header, then
-    each block of ``BLOCK_ROWS`` rows."""
+    each block of ``BLOCK_ROWS`` rows; of each symbol's ``per_symbol`` rows
+    apart, for a run that ``run_experiment`` plans in blocks of one symbol."""
     header, rows = data.split(b"\n", 1)
     lines = rows.splitlines(keepends=True)
-    return [header + b"\n"] + [b"".join(lines[at:at + BLOCK_ROWS])
-                               for at in range(0, len(lines), BLOCK_ROWS)]
+    per_symbol = per_symbol or len(lines)
+    return [header + b"\n"] + [b"".join(lines[at:min(at + BLOCK_ROWS, half + per_symbol)])
+                               for half in range(0, len(lines), per_symbol)
+                               for at in range(half, half + per_symbol, BLOCK_ROWS)]
 
 
 class Writes(list):
@@ -516,8 +545,9 @@ def bounded(call):
 def test_failure_on_a_worker_leaves_no_file(tmp_path, monkeypatch, writes, workers, failing):
     """A block that fails to format, on whichever thread: the error is raised,
     no later block reaches the file, the temp file goes and every thread ends."""
-    monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+    monkeypatch.setattr(recordio, "_worker_count", lambda: workers)
     monkeypatch.setattr(recordio, "_WRITE_BLOCK_ROWS", BLOCK_ROWS)
+    monkeypatch.setattr(montecarlo, "_CHUNK", BLOCK_ROWS)
     run = varied_run(600, 5)
     real_format_block = recordio._format_block
 
@@ -544,8 +574,9 @@ def test_full_disk_on_a_worker_is_an_io_error(tmp_path, monkeypatch, capsys, wri
                                               workers, failing):
     """``simulate`` whose write of a block finds the disk full: exit 2 with one
     i/o error line, no file, no write after the failing one, no thread left."""
-    monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+    monkeypatch.setattr(recordio, "_worker_count", lambda: workers)
     monkeypatch.setattr(recordio, "_WRITE_BLOCK_ROWS", BLOCK_ROWS)
+    monkeypatch.setattr(montecarlo, "_CHUNK", BLOCK_ROWS)
     writes.fail_at = failing + 1  # the header is write 0
     out = tmp_path / "shots.csv"
     args = ["simulate", "--signal-mean", "3.07", "--lo-mean", "12.17", "--xi", "0.94",
@@ -559,4 +590,63 @@ def test_full_disk_on_a_worker_is_an_io_error(tmp_path, monkeypatch, capsys, wri
     assert not list(tmp_path.iterdir())
     run = montecarlo.run_experiment(ChannelParams.from_means(3.07, 12.17, visibility=0.94),
                                     300, 7)
-    assert writes == blocks_of(shot_file_percent(run))[:failing + 2]
+    assert writes == blocks_of(shot_file_percent(run), per_symbol=300)[:failing + 2]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("failing", FAILING_BLOCKS)
+def test_failed_draw_of_a_block_leaves_no_file(tmp_path, monkeypatch, capsys, writes,
+                                               workers, failing):
+    """``simulate`` whose block ``failing`` of ten runs out of memory as it is
+    drawn: exit 1 with the out-of-memory line, no file, only earlier blocks
+    written, in order, and no thread left."""
+    monkeypatch.setattr(recordio, "_worker_count", lambda: workers)
+    monkeypatch.setattr(recordio, "_WRITE_BLOCK_ROWS", BLOCK_ROWS)
+    monkeypatch.setattr(montecarlo, "_CHUNK", BLOCK_ROWS)
+    real_draw = montecarlo._draw
+
+    def draw(seed, symbol, index, rates, size):
+        if 5 * symbol + index == failing:  # five blocks of 300 shots per symbol
+            raise MemoryError
+        return real_draw(seed, symbol, index, rates, size)
+
+    monkeypatch.setattr(montecarlo, "_draw", draw)
+    out = tmp_path / "shots.csv"
+    args = ["simulate", "--signal-mean", "3.07", "--lo-mean", "12.17", "--xi", "0.94",
+            "--shots", "300", "--seed", "7", "-o", str(out)]
+    threads = threading.active_count()
+    assert bounded(lambda: cli.main(args)) == 1
+    assert threading.active_count() == threads
+    assert capsys.readouterr().err == "pnrchan: error: out of memory; use fewer --shots\n"
+    assert not list(tmp_path.iterdir())
+    monkeypatch.setattr(montecarlo, "_draw", real_draw)
+    run = montecarlo.run_experiment(ChannelParams.from_means(3.07, 12.17, visibility=0.94),
+                                    300, 7)
+    expected = blocks_of(shot_file_percent(run), per_symbol=300)
+    assert writes == expected[:len(writes)] and len(writes) <= failing + 1
+    assert workers > 1 or len(writes) == failing + 1
+
+
+@pytest.mark.parametrize("failing", [0, 3, 9])
+def test_bad_line_in_a_later_block_leaves_no_report(tmp_path, monkeypatch, capsys, failing):
+    """``analyze`` of a file whose read block ``failing`` holds a bad line,
+    after earlier blocks have been tallied: exit 1 naming that line, and no
+    report.  The reader runs on one thread whatever the CPU count."""
+    monkeypatch.setattr(recordio, "_READ_BLOCK_BYTES", 256)
+    monkeypatch.setattr(recordio, "_READ_BUFFER_ROWS", 64)
+    path, report = tmp_path / "shots.csv", tmp_path / "report.json"
+    write_shot_records(path, varied_run(400, 7))
+    data = path.read_bytes()
+    at = data.index(b"\n", (2 * failing + 1) * 128) + 1  # a line inside read block `failing`
+    data = data[:at] + b"0,1,2,x\n" + data[at:]
+    path.write_bytes(data)
+    line_no = data[:at].count(b"\n") + 1
+    tallied = []
+    real_block_tally = recordio.block_tally
+    monkeypatch.setattr(recordio, "block_tally",
+                        lambda *block: tallied.append(len(block[0])) or real_block_tally(*block))
+    assert cli.main(["analyze", str(path), "-o", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        f"pnrchan: error: {path}: line {line_no}: n_r must be ASCII digits\n")
+    assert not report.exists()
+    assert failing < 3 or len(tallied) >= failing // 3  # the buffer filled on the way
