@@ -12,6 +12,7 @@ reproduce the reference figure conditions.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from importlib import resources
 
 import numpy as np
@@ -88,8 +89,8 @@ def _parse_grid(text):
 def _parse_float_list(text):
     try:
         return tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError as exc:
-        raise ValidationError(f"bad number list {text!r}: {exc}") from exc
+    except ValueError as exc:  # argparse names the flag, not this function
+        raise argparse.ArgumentTypeError(f"bad number list {text!r}: {exc}") from exc
 
 
 def _parse_name_list(text):
@@ -281,30 +282,13 @@ def _cmd_analyze(ns):
             for k, (mean_n, mean_m) in enumerate(emp.arm_means.tolist())
         },
         "priors": list(report.priors),
-        "plugin_mi": {
-            name: {
-                "value": getattr(report, name).value,
-                "miller_madow_bias": getattr(report, name).miller_madow_bias,
-            }
-            for name in ("wf", "hl", "bds")
-        },
+        "plugin_mi": {name: asdict(getattr(report, name)) for name in ("wf", "hl", "bds")},
         "empirical": _empirical_payload(emp),
         "calibration": None,
     }
     if ns.known_lo_mean is not None or ns.known_signal_mean is not None:
-        cal = calibrate_params(
-            emp,
-            known_lo_mean=ns.known_lo_mean,
-            known_signal_mean=ns.known_signal_mean,
-        )
-        payload["calibration"] = {
-            "signal_mean": cal.signal_mean,
-            "lo_mean": cal.lo_mean,
-            "xi": cal.xi,
-            "xi_raw": cal.xi_raw,
-            "xi_stderr": cal.xi_stderr,
-            "clamped": cal.clamped,
-        }
+        payload["calibration"] = asdict(calibrate_params(
+            emp, known_lo_mean=ns.known_lo_mean, known_signal_mean=ns.known_signal_mean))
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if ns.output:
         write_text_atomic(ns.output, text)

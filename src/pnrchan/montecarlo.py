@@ -45,9 +45,6 @@ _CHUNK = 1 << 16
 # the int32 maximum: every count the package makes is held in an int32 column,
 # and the tally key (n << 32) | (m << 1) | symbol then fits in an int64
 MAX_COUNT = (1 << 31) - 1
-# a tally re-reduces its pending block tallies once they hold this many cells,
-# or as many as the reduced tally, whichever is more
-_PENDING_CELLS = 1 << 16
 
 
 def _outside(column, top):
@@ -188,11 +185,12 @@ def block_tally(symbols, n, m):
 class ShotTally:
     """Block tallies (``block_tally``) summed into one, as they come.
 
-    ``add`` keeps a block's tally pending; once the pending ones hold
-    ``_PENDING_CELLS`` cells, or as many as the reduced tally, all are
-    concatenated and re-reduced: a stable sort of the keys and a sum over
-    each run.  Memory stays a few times the support plus a block, and each
-    cell is re-sorted a logarithmic number of times.
+    ``add`` keeps a block's tally pending; once the pending ones hold at
+    least as many cells as the reduced tally, all are concatenated and
+    re-reduced: a stable sort of the keys and a sum over each run.  Each
+    re-reduce thus sorts at most twice the pending cells, so the cells
+    sorted over a run are at most twice those of its block tallies, and
+    memory stays a few times the support plus a block.
     """
 
     def __init__(self):
@@ -204,7 +202,7 @@ class ShotTally:
     def add(self, block):
         self._pending.append(block)
         self._pending_cells += len(block[0])
-        if self._pending_cells >= max(_PENDING_CELLS, len(self._keys)):
+        if self._pending_cells >= len(self._keys):
             self._reduce()
 
     def _reduce(self):

@@ -93,50 +93,42 @@ def _run_jobs(jobs, deliver):
     """Call every job, on this thread and up to ``_worker_count() - 1`` more,
     one thread per job at most, and pass each result to ``deliver``.
 
-    Jobs are claimed in order, and their results are delivered strictly in
-    job order: a thread whose job is done waits until every earlier result
-    has been delivered, then delivers its own, so at most one finished
-    result per thread is held.  The first exception, from a job or from
-    ``deliver``, stops the claiming of further jobs and the delivery of
-    further results, wakes every waiting thread, and is raised here once
-    every thread has finished the job in hand.
+    Of ``w`` threads, thread ``t`` (this one is 0) runs jobs ``t``, ``t + w``,
+    ``t + 2w``, ...  Results are delivered strictly in job order: each job has
+    a turn, and the result of job ``i`` waits for turn ``i``, is delivered,
+    and sets turn ``i + 1``; it is gone before its thread starts its next
+    job, so at most one finished result per thread is held.  The first
+    exception, from a job or from ``deliver``, sets every turn, so no thread
+    starts or delivers another job, and it is raised here once every thread
+    has finished the job in hand.
     """
-    pending = enumerate(jobs)
-    turn = threading.Condition()
+    workers = min(_worker_count(), len(jobs)) or 1
+    turns = [threading.Event() for _ in range(len(jobs) + 1)]
+    turns[0].set()
     errors = []
-    delivered = 0
 
     def hand_off(index, result):
-        nonlocal delivered
-        with turn:
-            while delivered < index and not errors:
-                turn.wait()
-            if errors:
-                return
-        deliver(result)  # alone: every later result waits for the count below
-        with turn:
-            delivered += 1
-            turn.notify_all()
+        turns[index].wait()
+        if not errors:
+            deliver(result)
+            turns[index + 1].set()
 
-    def work():
+    def work(first):
         try:
-            while True:
-                with turn:
-                    index, job = (None, None) if errors else next(pending, (None, None))
-                if job is None:
+            for index in range(first, len(jobs), workers):
+                if errors:
                     return
-                hand_off(index, job())
+                hand_off(index, jobs[index]())
         except BaseException as exc:
-            with turn:
-                errors.append(exc)
-                turn.notify_all()
+            errors.append(exc)
+            for turn in turns:
+                turn.set()
 
-    threads = [threading.Thread(target=work)
-               for _ in range(min(_worker_count(), len(jobs)) - 1)]
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(1, workers)]
     for thread in threads:
         thread.start()
     try:
-        work()
+        work(0)
     finally:
         for thread in threads:
             thread.join()
@@ -195,12 +187,14 @@ def write_shot_records(path, run: ExperimentRun) -> ShotTally:
     Each block of the run is one job (``_run_jobs``): it is made (a draw,
     for a run of ``run_experiment``), formatted as digit matrices in numpy
     (``_format_block``), with no Python string or int per value, and
-    tallied.  The jobs run on a thread per usable CPU and hand their text
-    to the file and their tally to the returned ``ShotTally`` strictly in
-    block order, so memory stays bounded by a block per thread plus the
-    tally, and the bytes, those of ``"%d,%d,%d,%d\\n"`` applied to every
-    row, do not depend on the thread count.  The first failure stops the
-    jobs and no later block is written; the temp file then goes.
+    tallied.  The jobs run on a thread per usable CPU, block ``i`` on thread
+    ``i`` modulo the thread count, and each hands its text to the file and
+    its tally to the returned ``ShotTally`` in its turn, strictly in block
+    order, so memory stays bounded by a block per thread plus the tally,
+    and the bytes, those of ``"%d,%d,%d,%d\\n"`` applied to every row, do
+    not depend on the thread count.  The first failure stops the jobs and
+    no later block is written; the temp file then goes.  A run of no
+    blocks writes the header alone.
     """
     tally = ShotTally()
 

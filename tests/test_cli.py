@@ -391,6 +391,32 @@ class TestSweep:
         assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args, message", [
+        (("--xi", "a"), "error: argument --xi: bad number list 'a'"),
+        (("--strategies", "wf,xx"), "unknown strategy 'xx'"),
+        (("--security", "ia-xx"), "unknown security scenario 'ia-xx'"),
+        (("--xi", ","), "need at least one visibility"),
+        (("--xi", "0.9,0.95", "--security", "ia-dr"), "security columns need a single visibility"),
+        (("--mode", "loss"), "loss mode needs a fixed lo_mean"),
+        (("--grid", ","), "grid must not be empty"),
+        (("--grid", "1:2"), "grid spec must be start:stop:count, got '1:2'"),
+        (("--grid", "a:2:3"), "bad grid spec 'a:2:3'"),
+        (("--grid", "1:2:0"), "grid count must be >= 1"),
+        (("--grid", "2,1,3"), "grid must be strictly monotone"),
+        (("--grid", "1,x"), "bad grid list '1,x'"),
+    ])
+    def test_a_refused_sweep_is_one_error_line_and_no_file(self, tmp_path, capsys, args,
+                                                           message):
+        out = tmp_path / "x.csv"
+        # the flags given last win: each case overrides a sweep that would run
+        code = run_cli("sweep", "--mode", "lo", "--signal-mean", "3", "--grid", "1,2",
+                       *args, "-o", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pnrchan: error: ") and err.count("\n") == 1
+        assert message in err and "_parse" not in err  # no internal name
+        assert not list(tmp_path.iterdir())
+
     def test_workers_do_not_change_bytes(self, tmp_path):
         # Each row depends on its grid point alone: cutting the grid into
         # one-point runs, as any split of the work would, gives the same bytes.

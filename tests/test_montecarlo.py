@@ -293,18 +293,16 @@ def split_runs(draw):
 
 
 @settings(PROPERTIES, max_examples=300)
-@given(split_runs(), st.integers(1, 4))
-def test_merged_block_tallies_equal_the_whole_run_tally(case, pending_cells):
-    """However a run is cut into blocks, and however often the pending block
-    tallies are re-reduced, the merged tally is the whole run's: the same
-    cells in the same order and the same exact counts."""
+@given(split_runs())
+def test_merged_block_tallies_equal_the_whole_run_tally(case):
+    """However a run is cut into blocks, and so however often the pending
+    block tallies are re-reduced, the merged tally is the whole run's: the
+    same cells in the same order and the same exact counts."""
     columns, cuts = case
     tally = ShotTally()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(montecarlo, "_PENDING_CELLS", pending_cells)
-        for block in zip(*(np.split(column, cuts) for column in (columns.symbols, columns.n,
-                                                                 columns.m))):
-            tally.add(block_tally(*block))
+    for block in zip(*(np.split(column, cuts) for column in (columns.symbols, columns.n,
+                                                             columns.m))):
+        tally.add(block_tally(*block))
     if len(set(columns.symbols.tolist())) < 2:
         missing = 1 - int(columns.symbols[0])
         with pytest.raises(ValidationError, match=f"run contains no shots for symbol {missing}"):
@@ -434,6 +432,24 @@ class TestCalibration:
     def test_inconsistent_system_raises(self):
         with pytest.raises(CalibrationError):
             calibrate_from_means((1.0, 1.0), (1.0, 1.0), known_lo_mean=50.0)
+
+    @pytest.mark.parametrize("known", [{"known_lo_mean": 10.0}, {"known_signal_mean": 10.0}])
+    def test_a_dark_arm_with_no_cross_term_has_visibility_zero(self, known):
+        # all of the total rate is the known mean: the other one is 0
+        cal = calibrate_from_means((5.0, 5.0), (5.0, 5.0), shots_per_symbol=1000, **known)
+        assert cal.signal_mean * cal.lo_mean == 0.0
+        assert cal.xi_raw == 0.0 and cal.xi == 0.0 and not cal.clamped
+        assert cal.xi_stderr is None
+
+    def test_a_dark_arm_with_a_cross_term_is_inconsistent(self):
+        with pytest.raises(CalibrationError, match="cross term 1 with a dark arm "
+                                                   r"\(signal_mean=0, lo_mean=10\)"):
+            calibrate_from_means((6.0, 4.0), (4.0, 6.0), known_lo_mean=10.0)
+
+    @pytest.mark.parametrize("means", [((-1.0, 2.0), (1.0, 1.0)), ((1.0, 1.0), (1.0, -0.5))])
+    def test_a_negative_arm_mean_is_refused(self, means):
+        with pytest.raises(ValidationError, match="arm means must be >= 0"):
+            calibrate_from_means(*means, known_lo_mean=1.0)
 
     def test_exactly_one_known_required(self):
         with pytest.raises(ValidationError):

@@ -20,6 +20,8 @@ import os
 import sys
 import threading
 import tracemalloc
+import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -231,9 +233,10 @@ def test_header_only_file_is_named_without_a_warning(tmp_path, body):
 
 
 def test_a_file_that_grows_while_read_is_read_whole(tmp_path, monkeypatch):
-    # nothing is sized from the file's size when opened: a buffer of two rows
-    # is tallied each time it fills and grows for a block of lines that holds
-    # more, on the written form and on CRLF lines
+    # nothing is sized from the file's size when opened: a buffer of one row
+    # is tallied each time it fills, and grows for a block of lines that
+    # holds more (two rows of a 16-byte read, or a comment line joined from
+    # several reads), on the written form and on CRLF lines
     path = tmp_path / "shots.csv"
     real_fstat = os.fstat
 
@@ -243,13 +246,16 @@ def test_a_file_that_grows_while_read_is_read_whole(tmp_path, monkeypatch):
         return os.stat_result(fields)
 
     for end in ("\n", "\r\n"):
-        path.write_bytes(("shot_id,symbol,n_t,n_r\n" + f"0,1,2,3{end}" * 5).encode())
+        rows = f"0,1,2,3{end}" * 5
+        path.write_bytes(f"{SHOT_HEADER}{end}{rows}# {'x' * 40}{end}{rows}".encode())
         expected = outcome(read_shot_lines, path)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(os, "fstat", fstat_of_two_rows)
             patch.setattr(recordio, "_READ_BLOCK_BYTES", 16)
-            patch.setattr(recordio, "_READ_BUFFER_ROWS", 2)
+            patch.setattr(recordio, "_READ_BUFFER_ROWS", 1)
             assert outcome(read_and_tally, path) == expected
+            # a block of rows past the two a 16-byte read holds: the comment grew it
+            assert max(len(block[0]) for block in recordio._shot_blocks(path)) > 2
 
 
 @pytest.mark.parametrize("line, message", [
@@ -470,6 +476,51 @@ def test_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, workers)
             assert_same_tally(tally, run)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_each_thread_holds_one_finished_result_at_most(monkeypatch, workers):
+    """Results are delivered in job order, and each is gone before its thread
+    starts another job, so no more results than threads are ever alive.
+    Threads switch every microsecond, so that a result kept too long shows."""
+    monkeypatch.setattr(recordio, "_worker_count", lambda: workers)
+    lock = threading.Lock()
+    alive, peak, delivered = [0], [0], []
+
+    class Result:
+        def __init__(self, index):
+            self.index = index
+
+    def dead():
+        with lock:
+            alive[0] -= 1
+
+    def job(index):
+        result = Result(index)
+        weakref.finalize(result, dead)
+        with lock:
+            alive[0] += 1
+            peak[0] = max(peak[0], alive[0])
+        return result
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        recordio._run_jobs([partial(job, index) for index in range(200)],
+                           lambda result: delivered.append(result.index))
+    finally:
+        sys.setswitchinterval(interval)
+    assert delivered == list(range(200))
+    assert 1 <= peak[0] <= workers and alive[0] == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_run_of_no_blocks_writes_the_header_alone(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(recordio, "_worker_count", lambda: workers)
+    path = tmp_path / "shots.csv"
+    keys, counts = write_shot_records(path, ExperimentRun(blocks=(), starts=(0,))).reduced()
+    assert path.read_bytes() == f"{SHOT_HEADER}\n".encode()
+    assert len(keys) == len(counts) == 0
 
 
 BLOCK_ROWS = 64
