@@ -10,9 +10,12 @@ reproduce the reference figure conditions.
 """
 
 import argparse
+import gc
+import itertools
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -91,6 +94,16 @@ def _parse_float_list(text):
         return tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError as exc:  # argparse names the flag, not this function
         raise argparse.ArgumentTypeError(f"bad number list {text!r}: {exc}") from exc
+
+
+def _parse_int_at_least(least, text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {value}")
+    return value
 
 
 def _parse_name_list(text):
@@ -289,12 +302,20 @@ def _cmd_analyze(ns):
     if ns.known_lo_mean is not None or ns.known_signal_mean is not None:
         payload["calibration"] = asdict(calibrate_params(
             emp, known_lo_mean=ns.known_lo_mean, known_signal_mean=ns.known_signal_mean))
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if ns.output:
-        write_text_atomic(ns.output, text)
+        write_text_atomic(ns.output, _json_pieces(payload))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_json_pieces(payload))
     return 0
+
+
+def _json_pieces(payload):
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``,
+    in pieces of 4096 encoder chunks, so it is never held whole."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    while piece := "".join(itertools.islice(chunks, 4096)):
+        yield piece
+    yield "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +393,10 @@ def build_parser():
     simulate.add_argument("--lo-mean", type=float, required=True,
                           help="LO mean photon number")
     simulate.add_argument("--xi", type=float, default=1.0, help="interference visibility")
-    simulate.add_argument("--shots", type=int, required=True, help="shots per symbol")
-    simulate.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    simulate.add_argument("--shots", type=partial(_parse_int_at_least, 1), required=True,
+                          help="shots per symbol")
+    simulate.add_argument("--seed", type=partial(_parse_int_at_least, 0), default=0,
+                          help="RNG seed (default 0)")
     simulate.add_argument("-o", "--output", required=True)
     simulate.set_defaults(func=_cmd_simulate)
 
@@ -419,6 +442,18 @@ def _out_of_memory(ns):
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code.
+
+    With ``argv`` None this is the program's entry point, reading
+    ``sys.argv``, and it first moves every object alive so far (the
+    import-time heap, most of it numpy's) to the collector's permanent
+    generation: the full collections during the command and at interpreter
+    exit then skip them, while everything the command allocates is
+    collected as usual.  ``main(argv)`` with a list, as a test or library
+    caller uses it, leaves the collector alone.
+    """
+    if argv is None:
+        gc.freeze()
     parser = build_parser()
     ns = None
     try:

@@ -76,9 +76,14 @@ def _atomic_output(path):
 
 
 def write_text_atomic(path, text):
-    """Write ``text`` to ``path`` as UTF-8, atomically (see ``_atomic_output``)."""
+    """Write ``text`` to ``path`` as UTF-8, atomically (see ``_atomic_output``).
+
+    ``text`` is a string, or an iterable of strings written in turn, so a
+    long text need never be held whole.
+    """
     with _atomic_output(path) as handle:
-        handle.write(text.encode("utf-8"))
+        for piece in (text,) if isinstance(text, str) else text:
+            handle.write(piece.encode("utf-8"))
 
 
 def _worker_count():

@@ -45,7 +45,7 @@ _K_DEFINED_FLOOR = 1e-12
 
 _FIRST_NODES = 33
 _REFINE_TOL = 1e-14
-_BLOCK = 1 << 18
+_BLOCK = 1 << 15  # cells per kernel block: 256 KiB of float64
 
 
 def _finite(posterior):
@@ -63,12 +63,18 @@ def _softplus(x):
 def _eve_mean_softplus(args, eve_weights, eve_llr):
     """G(y) = sum_e e1(e) softplus(y - L_E e) at every y in ``args``.
 
-    Evaluated in blocks of at most ``_BLOCK`` cells, so memory stays O(w).
+    Evaluated in blocks of at most ``_BLOCK`` cells, each filled in place
+    in one scratch array, so memory stays O(w).
     """
     out = np.empty(len(args))
     rows = max(1, _BLOCK // max(1, len(eve_llr)))
+    scratch = np.empty((min(rows, len(args)), len(eve_llr)))
     for i in range(0, len(args), rows):
-        out[i:i + rows] = _softplus(args[i:i + rows, None] - eve_llr) @ eve_weights
+        chunk = args[i:i + rows]
+        block = scratch[:len(chunk)]
+        np.subtract(chunk[:, None], eve_llr, out=block)
+        np.logaddexp(0.0, block, out=block)
+        out[i:i + rows] = block @ eve_weights
     return out
 
 
@@ -84,11 +90,14 @@ def _barycentric(x, nodes, values):
     weights[[0, -1]] *= 0.5
     out = np.empty(len(x))
     rows = max(1, _BLOCK // len(nodes))
+    scratch = np.empty((min(rows, len(x)), len(nodes)))
     for i in range(0, len(x), rows):
-        diff = x[i:i + rows, None] - nodes
-        hit = diff == 0.0
-        diff[hit] = 1.0
-        terms = weights / diff
+        chunk = x[i:i + rows]
+        terms = scratch[:len(chunk)]
+        np.subtract(chunk[:, None], nodes, out=terms)
+        hit = terms == 0.0
+        terms[hit] = 1.0
+        np.divide(weights, terms, out=terms)
         block = (terms @ values) / terms.sum(axis=1)
         on_node = hit.any(axis=1)
         block[on_node] = values[hit[on_node].argmax(axis=1)]

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -125,10 +126,43 @@ class TestSimulateAnalyze:
                        "and (inf, nan) for symbol 1; lower the means\n")
         assert not list(tmp_path.iterdir())
 
-    def test_zero_shots_is_a_validation_error(self, tmp_path):
+    @pytest.mark.parametrize("args, message", [
+        (("--shots", "0"), "argument --shots: must be an integer >= 1, got 0"),
+        (("--shots", "-5"), "argument --shots: must be an integer >= 1, got -5"),
+        (("--shots", "1.5"), "argument --shots: invalid int value: '1.5'"),
+        (("--seed", "-1"), "argument --seed: must be an integer >= 0, got -1"),
+    ])
+    def test_a_refused_simulate_names_the_flag(self, tmp_path, capsys, args, message):
         code = run_cli("simulate", "--signal-mean", "2.0", "--lo-mean", "8.0",
-                       "--shots", "0", "-o", str(tmp_path / "x.csv"))
+                       "--shots", "10", *args, "-o", str(tmp_path / "x.csv"))
         assert code == 1
+        assert capsys.readouterr().err == f"pnrchan: error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["output", "stdout"])
+    def test_analyze_streams_the_bytes_json_dumps_would_write(self, tmp_path, capsys,
+                                                              monkeypatch, to_file):
+        # LO 2000 spreads 3000 shots per symbol over thousands of cells, so the
+        # report is written in many pieces
+        shots = tmp_path / "shots.csv"
+        run_cli("simulate", "--signal-mean", "3", "--lo-mean", "2000", "--xi", "0.9",
+                "--shots", "3000", "--seed", "2", "-o", str(shots))
+        payloads = []
+
+        def recorded(payload):
+            payloads.append(payload)
+            return real(payload)
+
+        real = cli._json_pieces
+        monkeypatch.setattr(cli, "_json_pieces", recorded)
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        assert run_cli("analyze", str(shots), "--known-lo-mean", "2000",
+                       *(["-o", str(report)] if to_file else [])) == 0
+        expected = json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
+        assert len(list(real(payloads[0]))) > 5
+        written = report.read_bytes() if to_file else capsys.readouterr().out.encode()
+        assert written == expected.encode()
 
     def test_analyze_round_trip_reproduces_summary(self, tmp_path, capsys):
         out = tmp_path / "shots.csv"
@@ -891,6 +925,10 @@ class TestRecordIo:
         assert events == ["fsync", "replace", "fsync"]
         assert synced == [False, True]
 
+    def test_atomic_write_takes_the_text_in_pieces(self, tmp_path):
+        write_text_atomic(tmp_path / "out.txt", iter(["a,", "é", "\n"]))
+        assert (tmp_path / "out.txt").read_bytes() == "a,é\n".encode()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("--version")
@@ -916,7 +954,56 @@ def peak_mb(record, *args):
     return int(record.read_text().split()[1]) / 1024
 
 
+# the program entry as PEAK_ENTRY runs it, with an exit hook that writes the
+# collector's freeze count and whether it is enabled to the file named by the
+# first argument
+FREEZE_ENTRY = ("import atexit, gc, sys\n"
+                "def record_collector(path=sys.argv.pop(1)):\n"
+                "    with open(path, 'w') as out:\n"
+                "        out.write(f'{gc.get_freeze_count()} {gc.isenabled()}')\n"
+                "atexit.register(record_collector)\n"
+                "from pnrchan.cli import main\n"
+                "sys.exit(main())\n")
+
+
+def run_entry(record, *args):
+    """Run one ``pnrchan`` command in a child; return it and its collector record."""
+    proc = subprocess.run([sys.executable, "-c", FREEZE_ENTRY, str(record), *args],
+                          env=child_env(), capture_output=True, text=True, timeout=300)
+    frozen, enabled = record.read_text().split()
+    return proc, int(frozen), enabled
+
+
 class TestProcess:
+    def test_the_program_entry_freezes_its_import_heap(self, tmp_path):
+        out = tmp_path / "child.csv"
+        proc, frozen, enabled = run_entry(tmp_path / "record", "security", "--preset",
+                                          "fig6", "-o", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert frozen > 1000 and enabled == "True"
+        assert run_cli("security", "--preset", "fig6", "-o", str(tmp_path / "here.csv")) == 0
+        assert out.read_bytes() == (tmp_path / "here.csv").read_bytes()
+
+    def test_a_refused_command_at_the_entry_is_one_error_line(self, tmp_path):
+        proc, frozen, _ = run_entry(tmp_path / "record", "sweep", "--mode", "lo",
+                                    "--signal-mean", "3", "--grid", "1,x",
+                                    "-o", str(tmp_path / "x.csv"))
+        assert proc.returncode == 1 and frozen > 0
+        assert proc.stderr.startswith("pnrchan: error: ") and proc.stderr.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["record"]
+
+    def test_main_with_an_argv_list_leaves_the_collector_alone(self, tmp_path):
+        assert run_cli("sweep", "--preset", "fig3", "-o", str(tmp_path / "x.csv")) == 0
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+    def test_importing_the_package_leaves_the_collector_alone(self):
+        code = ("import gc, pnrchan, pnrchan.cli; "
+                "print(gc.get_freeze_count(), gc.isenabled())")
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 True\n"
+
     @pytest.mark.parametrize("patched, args, advice", [
         ("run_sweep", ("sweep", "--preset", "fig3"),
          "use a smaller --grid or a looser --tail-tol"),
