@@ -16,7 +16,8 @@ Everything here is a pure function over immutable value objects.
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from functools import wraps
+from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -30,8 +31,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class _ChannelFields(NamedTuple):
+    alpha: float
+    transmissivity: float = 1.0
+    lo_amplitude: float = 0.0
+    visibility: float = 1.0
+    priors: tuple = (0.5, 0.5)
+
+
+class ChannelParams(_ChannelFields):
     """Source, channel, and receiver parameters for one party.
 
     alpha          source coherent amplitude (>= 0; 0 is the degenerate
@@ -40,15 +48,23 @@ class ChannelParams:
     lo_amplitude   local-oscillator amplitude z >= 0
     visibility     interference visibility xi in [0, 1]
     priors         a-priori symbol probabilities (q0, q1), q0 + q1 = 1
+
+    An immutable record; ``_replace`` validates the new fields as the
+    constructor does.
     """
 
-    alpha: float
-    transmissivity: float = 1.0
-    lo_amplitude: float = 0.0
-    visibility: float = 1.0
-    priors: tuple = (0.5, 0.5)
+    __slots__ = ()
 
-    def __post_init__(self):
+    @wraps(_ChannelFields.__new__)  # so inspect.signature and help show the fields
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+    def _check(self):
         if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
             raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not (0.0 < self.transmissivity <= 1.0):
@@ -149,8 +165,7 @@ def eve_params(params: ChannelParams, lo_amplitude=None) -> ChannelParams:
         raise ValidationError(
             "transmissivity is 1: the wiretapper receives vacuum (degenerate)"
         )
-    return replace(
-        params,
+    return params._replace(
         transmissivity=1.0 - t,
         visibility=1.0,
         lo_amplitude=params.lo_amplitude if lo_amplitude is None else lo_amplitude,

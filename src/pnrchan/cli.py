@@ -14,7 +14,6 @@ import gc
 import itertools
 import json
 import sys
-from dataclasses import asdict
 from functools import partial
 from importlib import resources
 
@@ -53,17 +52,20 @@ class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as validation errors (exit 1).
 
     Flags must be spelled out in full, so that a config key names exactly
-    one flag.
+    one flag.  ``dests`` maps each option string added here, aliases such
+    as ``-o`` included, to the destination it sets.
     """
 
     def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, **kwargs)
         self.required_actions = []
+        self.dests = {}  # set first: the base class adds -h/--help through add_argument
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
         if action.required:
             self.required_actions.append(action)
+        self.dests.update(dict.fromkeys(action.option_strings, action.dest))
         return action
 
     def error(self, message):
@@ -141,13 +143,15 @@ def _add_sources(parser, command):
                                         "this command's flags with - written as _")
 
 
-def _splice_sources(argv):
+def _splice_sources(argv, parser):
     """Replace --preset/--config by the flags their file stands for.
 
     Each ``key = value`` becomes ``--key=value`` right after the command name,
-    so flags given on the command line come later and win.  The ``=`` form
-    keeps values such as ``-1:5:2`` from reading as flags.  Returns the new
-    argv and, for each spliced flag, where it came from.
+    so flags given on the command line come later and win; a key whose
+    flag the command line also sets, under any of its names, is dropped,
+    so its value is never parsed.  The ``=`` form keeps values such as
+    ``-1:5:2`` from reading as flags.  Returns the new argv and, for each
+    spliced flag, where it came from.
     """
     if not argv or argv[0] not in _CONFIG_COMMANDS:
         return argv, {}
@@ -166,11 +170,17 @@ def _splice_sources(argv):
     if wanted and wanted != command:
         raise ValidationError(f"{source} is for the {wanted!r} command, not {command!r}")
     cfg.pop("description", None)
+    dests = parser.commands[command].dests
+    # what the command line sets, as --flag, --flag=value, -o, -o=value or -ovalue
+    given = {dests.get(arg.partition("=")[0]) or dests.get(arg[:2])
+             for arg in rest if arg.startswith("-")} - {None}
     origins = {}
     for key, value in cfg.items():
         if key in ("preset", "config"):
             raise ValidationError(f"{source}: key {key!r} cannot name another file")
-        origins[f"--{key.replace('_', '-')}={value}"] = f"key {key!r} in {source}"
+        flag = f"--{key.replace('_', '-')}"
+        if dests.get(flag) not in given:
+            origins[f"{flag}={value}"] = f"key {key!r} in {source}"
     return [command, *origins, *rest], origins
 
 
@@ -272,17 +282,42 @@ def _cmd_simulate(ns):
     return 0
 
 
+# stands in the payload for text spliced into its JSON (see _json_pieces)
+_SPLICED = "\0"
+# one wf_cells row, n, m, freq_symbol0, freq_symbol1, as json.dumps writes it
+# with indent=2 at the depth of payload["empirical"]["wf_cells"]
+_CELL_JSON = "      [\n        %d,\n        %d,\n        %r,\n        %r\n      ]"
+_CELL_ROWS = 4096  # wf_cells rows formatted at once
+
+
 def _empirical_payload(emp):
-    """JSON-friendly view of the empirical laws, on the observed outcomes only."""
-    wf0, wf1 = emp.wf.tolist()
+    """JSON-friendly view of the empirical laws, on the observed outcomes
+    only; the text of ``wf_cells`` comes from ``_cells_json``."""
     hl0, hl1 = emp.hl.tolist()
     bds0, bds1 = emp.bds.tolist()
     return {
-        "wf_cells": [[n, m, f0, f1] for (n, m), f0, f1 in zip(emp.cells.tolist(), wf0, wf1)],
+        "wf_cells": _SPLICED,
         "wf_cell_format": ["n", "m", "freq_symbol0", "freq_symbol1"],
         "hl": {"deltas": emp.deltas.tolist(), "symbol0": hl0, "symbol1": hl1},
         "bds": {"symbol0": bds0, "symbol1": bds1},
     }
+
+
+def _cells_json(emp):
+    """The JSON of the wf_cells rows, [n, m, freq_symbol0, freq_symbol1] for
+    each observed cell, made from the arrays ``_CELL_ROWS`` rows at a time
+    (``_CELL_JSON``; a float's ``repr`` is its JSON), so no list of the rows
+    is built.  A run has a cell, so the list is never empty."""
+    wf = emp.wf
+    separator = "[\n"
+    for at in range(0, len(emp.cells), _CELL_ROWS):
+        cells = emp.cells[at:at + _CELL_ROWS]
+        values = [None] * (4 * len(cells))
+        values[0::4], values[1::4] = cells.T.tolist()
+        values[2::4], values[3::4] = wf[:, at:at + _CELL_ROWS].tolist()
+        yield separator + ",\n".join([_CELL_JSON] * len(cells)) % tuple(values)
+        separator = ",\n"
+    yield "\n    ]"
 
 
 def _cmd_analyze(ns):
@@ -295,26 +330,35 @@ def _cmd_analyze(ns):
             for k, (mean_n, mean_m) in enumerate(emp.arm_means.tolist())
         },
         "priors": list(report.priors),
-        "plugin_mi": {name: asdict(getattr(report, name)) for name in ("wf", "hl", "bds")},
+        "plugin_mi": {name: getattr(report, name)._asdict() for name in ("wf", "hl", "bds")},
         "empirical": _empirical_payload(emp),
         "calibration": None,
     }
     if ns.known_lo_mean is not None or ns.known_signal_mean is not None:
-        payload["calibration"] = asdict(calibrate_params(
-            emp, known_lo_mean=ns.known_lo_mean, known_signal_mean=ns.known_signal_mean))
+        payload["calibration"] = calibrate_params(
+            emp, known_lo_mean=ns.known_lo_mean, known_signal_mean=ns.known_signal_mean)._asdict()
+    pieces = _json_pieces(payload, _cells_json(emp))
     if ns.output:
-        write_text_atomic(ns.output, _json_pieces(payload))
+        write_text_atomic(ns.output, pieces)
     else:
-        sys.stdout.writelines(_json_pieces(payload))
+        sys.stdout.writelines(pieces)
     return 0
 
 
-def _json_pieces(payload):
+def _json_pieces(payload, spliced):
     """The text of ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``,
-    in pieces of 4096 encoder chunks, so it is never held whole."""
+    with the pieces of ``spliced`` in place of the JSON of ``_SPLICED``,
+    in pieces of 4096 encoder chunks, so it is never held whole.  The
+    encoder yields each string whole, so a piece holds all of the marker
+    or none of it."""
+    marker = json.dumps(_SPLICED)
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
     while piece := "".join(itertools.islice(chunks, 4096)):
-        yield piece
+        head, found, tail = piece.partition(marker)
+        yield head
+        if found:
+            yield from spliced
+            yield tail
     yield "\n"
 
 
@@ -457,7 +501,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = None
     try:
-        argv, origins = _splice_sources(sys.argv[1:] if argv is None else list(argv))
+        argv, origins = _splice_sources(sys.argv[1:] if argv is None else list(argv), parser)
         try:
             ns, unknown = parser.parse_known_args(argv)
             problem = ""

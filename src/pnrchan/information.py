@@ -15,7 +15,7 @@ numerical check of that factorization; :func:`mutual_information` and
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -282,8 +282,7 @@ def mi_homodyne(params: ChannelParams) -> float:
 # Report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MiReport:
+class MiReport(NamedTuple):
     """The MI figures for one parameter set and their certified bound.
 
     ``i_wf`` is also I_HL: the difference is a sufficient statistic.

@@ -14,10 +14,9 @@ of a whole run is ever built.
 """
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -53,7 +52,6 @@ def _outside(column, top):
     return column.max() > top or (column.dtype.kind == "i" and column.min() < 0)
 
 
-@dataclass(frozen=True)
 class ExperimentRun:
     """A run of shot records, held as the plan of its blocks, not as columns.
 
@@ -61,11 +59,32 @@ class ExperimentRun:
     of the run: its symbols (uint8) and its two arm counts (int32, each at
     most ``MAX_COUNT``).  ``run_experiment`` draws a block when it is made;
     ``from_columns`` slices columns already in memory.  ``len(run)`` is the
-    number of shots.
+    number of shots, so the record is a class of its own, not a tuple; its
+    two fields cannot be assigned or deleted.
     """
 
-    blocks: tuple
-    starts: tuple
+    __slots__ = ("blocks", "starts")
+
+    def __init__(self, blocks, starts):
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "starts", starts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"ExperimentRun(blocks={self.blocks!r}, starts={self.starts!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.blocks, self.starts) == (other.blocks, other.starts)
+
+    def __hash__(self):
+        return hash((self.blocks, self.starts))
 
     def __len__(self):
         return self.starts[-1]
@@ -223,8 +242,7 @@ class ShotTally:
         return self._keys, self._tally
 
 
-@dataclass(frozen=True)
-class EmpiricalDistributions:
+class EmpiricalDistributions(NamedTuple):
     """The observed count-pair law of a run, and the readout laws it gives.
 
     ``cells`` holds the distinct observed (n, m) pairs in row-major order,
@@ -297,16 +315,14 @@ def empirical_distributions(shots) -> EmpiricalDistributions:
                                   counts=counts, shots=per_symbol)
 
 
-@dataclass(frozen=True)
-class PluginEstimate:
+class PluginEstimate(NamedTuple):
     """Plug-in MI with its Miller-Madow bias estimate (reported, not applied)."""
 
     value: float
     miller_madow_bias: float
 
 
-@dataclass(frozen=True)
-class PluginMiReport:
+class PluginMiReport(NamedTuple):
     wf: PluginEstimate
     hl: PluginEstimate
     bds: PluginEstimate
@@ -338,8 +354,7 @@ def plugin_mi(emp: EmpiricalDistributions) -> PluginMiReport:
     return PluginMiReport(wf=out["wf"], hl=out["hl"], bds=out["bds"], priors=priors)
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     """Channel parameters inferred from per-symbol arm means.
 
     ``xi_raw`` is the unclamped visibility estimate; ``clamped`` flags a raw

@@ -12,7 +12,6 @@ run never leaves a partial file behind.
 import contextlib
 import io
 import os
-import tempfile
 import threading
 from functools import partial
 
@@ -34,13 +33,20 @@ __all__ = [
 SHOT_HEADER = "shot_id,symbol,n_t,n_r"
 _PLAIN_HEADER = (SHOT_HEADER + "\n").encode()  # the header line, as written
 _WRITE_BLOCK_ROWS = 1 << 14  # rows formatted at once: a digit matrix of a few hundred KiB
+_TEMP_NAME_TRIES = 100  # random temp names drawn before a clash is an error
 
 
-def _umask():
-    """The process umask; reading it means setting it, so it is put back at once."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
+def _create_temp(directory):
+    """Create ``.pnrchan-<random>.tmp`` in ``directory``; return its write-only
+    descriptor and its path.  The kernel applies the umask to mode 0o666, as
+    for an ordinary ``open``; a name already taken is drawn again."""
+    for attempt in range(_TEMP_NAME_TRIES):
+        tmp_path = os.path.join(directory, f".pnrchan-{os.urandom(6).hex()}.tmp")
+        try:
+            return os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp_path
+        except FileExistsError:
+            if attempt == _TEMP_NAME_TRIES - 1:
+                raise
 
 
 @contextlib.contextmanager
@@ -48,16 +54,14 @@ def _atomic_output(path):
     """A binary handle on a same-directory temp file that is renamed to ``path``.
 
     The file is flushed to disk before the rename and the directory after
-    it, so the new name is durable once the block exits.  The file gets the
-    mode an ordinary ``open`` would give it (0o666 less the umask) rather than
-    the owner-only mode of the temp file.  On any failure before the rename
-    the temp file goes.
+    it, so the new name is durable once the block exits.  The file is
+    created with the mode an ordinary ``open`` would give it (0o666 less
+    the umask).  On any failure before the rename the temp file goes.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".pnrchan-", suffix=".tmp")
+    fd, tmp_path = _create_temp(directory)
     try:
         with os.fdopen(fd, "wb") as handle:
-            os.chmod(tmp_path, 0o666 & ~_umask())
             yield handle
             handle.flush()
             os.fsync(handle.fileno())

@@ -18,8 +18,7 @@ truncated number-basis diagonalization.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -236,8 +235,7 @@ def holevo_chi_bds(bob_posteriors, eve: ChannelParams) -> float:
 # Assembled report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SecurityReport:
+class SecurityReport(NamedTuple):
     """All security figures for one channel condition.
 
     Normalized informations are ``None`` when the honest MI is below the

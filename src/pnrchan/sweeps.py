@@ -6,8 +6,8 @@ The security table is a column layout of a loss sweep.
 """
 
 import math
-from dataclasses import dataclass, fields
-from typing import Optional
+from functools import wraps
+from typing import NamedTuple, Optional
 
 from .channel import ChannelParams, loss_db_to_transmissivity
 from .errors import ValidationError
@@ -37,7 +37,7 @@ SECURITY_SCENARIOS = {
 # two figures named as SecurityReport names them
 _SECURITY_NAMES = {"i_wf": "i_ab_wf", "i_bds": "i_ab_bds"}
 _SECURITY_COLUMNS = ("loss_db", "transmissivity", "signal_mean",
-                     *(f.name for f in fields(SecurityReport) if f.name != "error_bound"),
+                     *(name for name in SecurityReport._fields if name != "error_bound"),
                      "trunc_err")
 
 
@@ -46,19 +46,7 @@ def _check_mean(name, value):
         raise ValidationError(f"{name} must be finite and >= 0, got {value}")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A mutual-information sweep over LO energy or signal loss.
-
-    In ``lo`` mode the grid is the LO mean photon number and ``signal_mean``
-    is the signal mean at the receiver.  In ``loss`` mode the grid is the
-    attenuation in dB, ``signal_mean`` is the zero-loss reference, and
-    ``lo_mean`` stays fixed.  Under ``security`` the eavesdropper collects
-    the fraction of the signal the channel loses (the grid's attenuation in
-    ``loss`` mode, ``fixed_loss_db`` in ``lo`` mode) and reads it with Bob's
-    LO unless ``eve_lo_mean`` is given.
-    """
-
+class _SweepFields(NamedTuple):
     mode: str
     signal_mean: float
     grid: tuple
@@ -70,7 +58,32 @@ class SweepSpec:
     eve_lo_mean: Optional[float] = None
     tail_tol: float = DEFAULT_TAIL_TOL
 
-    def __post_init__(self):
+
+class SweepSpec(_SweepFields):
+    """A mutual-information sweep over LO energy or signal loss.
+
+    In ``lo`` mode the grid is the LO mean photon number and ``signal_mean``
+    is the signal mean at the receiver.  In ``loss`` mode the grid is the
+    attenuation in dB, ``signal_mean`` is the zero-loss reference, and
+    ``lo_mean`` stays fixed.  Under ``security`` the eavesdropper collects
+    the fraction of the signal the channel loses (the grid's attenuation in
+    ``loss`` mode, ``fixed_loss_db`` in ``lo`` mode) and reads it with Bob's
+    LO unless ``eve_lo_mean`` is given.  An immutable record; ``_replace``
+    validates the new fields as the constructor does.
+    """
+
+    __slots__ = ()
+
+    @wraps(_SweepFields.__new__)  # so inspect.signature and help show the fields
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+    def _check(self):
         if self.mode not in ("lo", "loss"):
             raise ValidationError(f"mode must be 'lo' or 'loss', got {self.mode!r}")
         _check_mean("signal_mean", self.signal_mean)

@@ -1,6 +1,5 @@
 import argparse
 import ast
-import dataclasses
 import gc
 import hashlib
 import json
@@ -21,6 +20,7 @@ from hypothesis import strategies as st
 
 from pnrchan import cli, receivers, recordio, sweeps
 from pnrchan.errors import ValidationError
+from pnrchan.montecarlo import empirical_distributions
 from pnrchan.recordio import parse_config, read_shot_records, write_text_atomic
 
 from oracles import read_columns
@@ -143,26 +143,32 @@ class TestSimulateAnalyze:
     def test_analyze_streams_the_bytes_json_dumps_would_write(self, tmp_path, capsys,
                                                               monkeypatch, to_file):
         # LO 2000 spreads 3000 shots per symbol over thousands of cells, so the
-        # report is written in many pieces
+        # report is written in many pieces, its cells in several
         shots = tmp_path / "shots.csv"
         run_cli("simulate", "--signal-mean", "3", "--lo-mean", "2000", "--xi", "0.9",
                 "--shots", "3000", "--seed", "2", "-o", str(shots))
-        payloads = []
+        pieces = []
 
-        def recorded(payload):
-            payloads.append(payload)
-            return real(payload)
+        def recorded(*args):
+            for piece in real(*args):
+                pieces.append(piece)
+                yield piece
 
         real = cli._json_pieces
         monkeypatch.setattr(cli, "_json_pieces", recorded)
+        monkeypatch.setattr(cli, "_CELL_ROWS", 1000)
         capsys.readouterr()
         report = tmp_path / "report.json"
         assert run_cli("analyze", str(shots), "--known-lo-mean", "2000",
                        *(["-o", str(report)] if to_file else [])) == 0
-        expected = json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
-        assert len(list(real(payloads[0]))) > 5
         written = report.read_bytes() if to_file else capsys.readouterr().out.encode()
-        assert written == expected.encode()
+        # the cells as a list of 4-item lists, which the command never builds
+        emp = empirical_distributions(read_shot_records(shots))
+        cells = [[n, m, f0, f1] for (n, m), f0, f1 in zip(emp.cells.tolist(), *emp.wf.tolist())]
+        payload = json.loads(written)
+        payload["empirical"]["wf_cells"] = cells
+        assert written == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        assert len(cells) > 3000 and len(pieces) > 5
 
     def test_analyze_round_trip_reproduces_summary(self, tmp_path, capsys):
         out = tmp_path / "shots.csv"
@@ -591,7 +597,7 @@ class TestSecurityCommand:
         columns, rows = sweeps.run_security(spec)
         assert columns[3:5] == ["i_ab_wf", "i_ab_bds"] and len(rows[0]) == 18
         with pytest.raises(ValidationError, match="loss sweep of wf,bds"):
-            sweeps.run_security(dataclasses.replace(spec, **change))
+            sweeps.run_security(spec._replace(**change))
 
     def test_every_cell_is_finite_or_sentinel(self, tmp_path):
         out = tmp_path / "sec.csv"
@@ -763,6 +769,35 @@ class TestConfigFiles:
                        "-o", str(tmp_path / "b.csv")) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_a_key_the_command_line_overrides_is_never_parsed(self, tmp_path, capsys):
+        cfg = tmp_path / "my.cfg"
+        cfg.write_text(f"signal_mean = 2.0\nlo_mean = 8.0\nshots = 0\n"
+                       f"output = {tmp_path / 'never.csv'}\n")
+        # every form of a flag, and -o for the key output
+        for overrides in (["--shots", "5", "-o", str(tmp_path / "0.csv")],
+                          ["--shots=5", "--output", str(tmp_path / "1.csv")],
+                          ["--shots=5", f"-o={tmp_path / '2.csv'}"],
+                          ["--shots", "5", f"-o{tmp_path / '3.csv'}"]):
+            assert run_cli("simulate", "--config", str(cfg), *overrides) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "0.csv", "1.csv", "2.csv", "3.csv", "my.cfg"]
+        capsys.readouterr()
+        # not overridden, the key's bad value is still refused by its name
+        assert run_cli("simulate", "--config", str(cfg), "-o", str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err == (
+            "pnrchan: error: argument --shots: must be an integer >= 1, got 0\n")
+
+    def test_splice_drops_each_flag_the_command_line_sets(self, tmp_path):
+        cfg = tmp_path / "my.cfg"
+        cfg.write_text("signal_mean = 2.0\nlo_mean = 8.0\nshots = 0\noutput = a.csv\n"
+                       "bogus = 1\n")
+        argv, origins = cli._splice_sources(
+            ["simulate", "--config", str(cfg), "--shots=5", "-ob.csv"], cli.build_parser())
+        # a key that is not a flag stays, to be named as unknown
+        assert argv == ["simulate", "--signal-mean=2.0", "--lo-mean=8.0", "--bogus=1",
+                        "--shots=5", "-ob.csv"]
+        assert origins["--bogus=1"] == f"key 'bogus' in {cfg}"
+
     def test_value_that_looks_like_a_flag_reaches_the_command(self, tmp_path, capsys):
         # spliced as --grid=-3:-1:3; as two words argparse would read the
         # value as a flag and report a missing argument instead
@@ -904,6 +939,25 @@ class TestRecordIo:
             os.umask(old)
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
         assert path.read_text() == "a,b\n"
+
+    def test_a_write_never_sets_the_umask(self, tmp_path, monkeypatch):
+        # setting it, even for an instant, races any thread that creates a file
+        def forbidden(*_args):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", forbidden)
+        write_text_atomic(tmp_path / "table.csv", "a,b\n")
+        assert (tmp_path / "table.csv").read_text() == "a,b\n"
+
+    def test_a_taken_temp_name_is_drawn_again(self, tmp_path, monkeypatch):
+        taken = tmp_path / f".pnrchan-{bytes(6).hex()}.tmp"
+        taken.write_text("another writer's\n")
+        draws = iter([bytes(6), bytes(6), b"\x01" * 6])
+        monkeypatch.setattr(recordio.os, "urandom", lambda size: next(draws))
+        write_text_atomic(tmp_path / "out.txt", "x\n")
+        assert taken.read_text() == "another writer's\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "out.txt"]
+        assert next(draws, None) is None
 
     def test_written_file_is_synced_before_the_rename(self, tmp_path, monkeypatch):
         events, synced = [], []

@@ -7,7 +7,6 @@ the derived figures over random channels.
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -84,7 +83,7 @@ channels = st.builds(
 
 
 def swapped(params):
-    return replace(params, priors=params.priors[::-1])
+    return params._replace(priors=params.priors[::-1])
 
 
 @PROPERTIES

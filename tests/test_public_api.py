@@ -1,9 +1,17 @@
+import inspect
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pnrchan
+from pnrchan import (ChannelParams, SecurityReport, ValidationError, calibrate_params,
+                     empirical_distributions, mi_report, plugin_mi, run_experiment,
+                     security_report_for)
+from pnrchan.sweeps import SweepSpec, run_security
 
 PUBLIC_NAMES = [
     "CalibrationError", "CalibrationResult", "ChannelParams", "ExperimentRun",
@@ -18,16 +26,118 @@ PUBLIC_NAMES = [
 ]
 
 
-def test_public_names_are_pinned():
-    # a fresh interpreter: other tests import submodules such as pnrchan.cli,
-    # which would add their names to the package namespace
-    code = ("import pnrchan; "
-            "print(' '.join(sorted(n for n in dir(pnrchan) if not n.startswith('_'))))")
+def run_fresh(code):
+    """The stdout of ``code`` run in a fresh interpreter that imports this checkout."""
     src = str(Path(pnrchan.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == PUBLIC_NAMES
+    return proc.stdout
+
+
+def test_public_names_are_pinned():
+    # a fresh interpreter: other tests import submodules such as pnrchan.cli,
+    # which would add their names to the package namespace
+    out = run_fresh("import pnrchan; "
+                    "print(' '.join(sorted(n for n in dir(pnrchan) if not n.startswith('_'))))")
+    assert out.split() == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 36
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # the records are tuples or slotted classes: no generated methods are
+    # compiled when a CLI process starts
+    assert run_fresh("import sys, pnrchan.cli; print('dataclasses' in sys.modules)") == "False\n"
+
+
+# each public record and one of its fields
+RECORD_FIELDS = {
+    "ChannelParams": "alpha", "MiReport": "i_wf", "SecurityReport": "k_dr",
+    "ExperimentRun": "blocks", "EmpiricalDistributions": "cells", "PluginMiReport": "wf",
+    "PluginEstimate": "value", "CalibrationResult": "xi", "SweepSpec": "grid",
+}
+
+
+def public_records():
+    params = ChannelParams(alpha=2.0, transmissivity=0.5, lo_amplitude=3.0, visibility=0.9)
+    run = run_experiment(params, 200, seed=1)
+    emp = empirical_distributions(run)
+    report = plugin_mi(emp)
+    return {
+        "ChannelParams": params, "MiReport": mi_report(params),
+        "SecurityReport": security_report_for(params), "ExperimentRun": run,
+        "EmpiricalDistributions": emp, "PluginMiReport": report, "PluginEstimate": report.wf,
+        "CalibrationResult": calibrate_params(emp, known_lo_mean=9.0),
+        "SweepSpec": SweepSpec(mode="lo", signal_mean=1.0, grid=(1.0, 2.0)),
+    }
+
+
+@pytest.mark.parametrize("name", RECORD_FIELDS)
+def test_each_public_record_is_immutable(name):
+    record, field = public_records()[name], RECORD_FIELDS[name]
+    assert type(record).__name__ == name
+    value = getattr(record, field)
+    for change in (lambda: setattr(record, field, None), lambda: delattr(record, field),
+                   lambda: setattr(record, "extra", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert getattr(record, field) is value and not hasattr(record, "extra")
+
+
+def test_security_report_fields_are_the_security_table_columns():
+    spec = SweepSpec(mode="loss", signal_mean=3.2, grid=(0.0, 3.0), strategies=("wf", "bds"),
+                     lo_mean=12.15, security=("ia-dr", "ia-rr", "ca-rr"))
+    columns, _ = run_security(spec)
+    assert columns == ["loss_db", "transmissivity", "signal_mean",
+                       *SecurityReport._fields[:-1], "trunc_err"]
+    assert SecurityReport._fields[-1] == "error_bound"
+
+
+CHANNEL = {"alpha": 1.5, "transmissivity": 0.5, "lo_amplitude": 2.0}
+SWEEP = {"mode": "lo", "signal_mean": 2.0, "grid": (1.0, 2.0, 4.0)}
+
+
+@pytest.mark.parametrize("record, fields, change", [
+    (ChannelParams, CHANNEL, {"alpha": -1.0}),
+    (ChannelParams, CHANNEL, {"alpha": math.nan}),
+    (ChannelParams, CHANNEL, {"transmissivity": 0.0}),
+    (ChannelParams, CHANNEL, {"lo_amplitude": math.inf}),
+    (ChannelParams, CHANNEL, {"visibility": 1.5}),
+    (ChannelParams, CHANNEL, {"priors": (1.0,)}),
+    (ChannelParams, CHANNEL, {"priors": (0.6, 0.6)}),
+    (SweepSpec, SWEEP, {"mode": "energy"}),
+    (SweepSpec, SWEEP, {"signal_mean": -2.0}),
+    (SweepSpec, SWEEP, {"strategies": ()}),
+    (SweepSpec, SWEEP, {"strategies": ("wf", "pnr")}),
+    (SweepSpec, SWEEP, {"security": ("ia-xx",)}),
+    (SweepSpec, SWEEP, {"visibilities": ()}),
+    (SweepSpec, SWEEP, {"mode": "loss"}),
+    (SweepSpec, SWEEP, {"grid": (1.0, 3.0, 2.0)}),
+    (SweepSpec, SWEEP, {"tail_tol": math.nan}),
+])
+def test_replace_validates_as_the_constructor_does(record, fields, change):
+    with pytest.raises(ValidationError) as built:
+        record(**{**fields, **change})
+    with pytest.raises(ValidationError) as replaced:
+        record(**fields)._replace(**change)
+    assert str(replaced.value) == str(built.value)
+
+
+@pytest.mark.parametrize("record", [ChannelParams, SweepSpec])
+def test_validated_records_show_their_fields_as_parameters(record):
+    parameters = inspect.signature(record).parameters
+    assert list(parameters) == list(record._fields)
+    assert {name: p.default for name, p in parameters.items()
+            if p.default is not p.empty} == record._field_defaults
+
+
+def test_records_keep_their_repr():
+    assert repr(ChannelParams(alpha=1.0)) == (
+        "ChannelParams(alpha=1.0, transmissivity=1.0, lo_amplitude=0.0, visibility=1.0, "
+        "priors=(0.5, 0.5))")
+    assert repr(SweepSpec(mode="lo", signal_mean=1.0, grid=(2.0,))) == (
+        "SweepSpec(mode='lo', signal_mean=1.0, grid=(2.0,), strategies=('wf', 'hl', 'bds'), "
+        "visibilities=(1.0,), lo_mean=None, fixed_loss_db=0.0, security=(), "
+        "eve_lo_mean=None, tail_tol=1e-10)")
