@@ -41,6 +41,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _CHUNK = 1 << 16
+_DRAW_PIECE = 1 << 14  # counts drawn at once; unlike _CHUNK, not part of the stream
 # the int32 maximum: every count the package makes is held in an int32 column,
 # and the tally key (n << 32) | (m << 1) | symbol then fits in an int64
 MAX_COUNT = (1 << 31) - 1
@@ -118,15 +119,18 @@ def _slice(symbols, n, m, start, stop):
 
 def _draw(seed, symbol, index, rates, size):
     """Chunk ``index`` of ``symbol``'s shots: ``size`` n counts and then ``size``
-    m counts from the Philox substream keyed by (seed, symbol, index)."""
+    m counts from the Philox substream keyed by (seed, symbol, index), each
+    arm drawn ``_DRAW_PIECE`` counts at a time into its int32 column.  The
+    draws continue one stream, so the counts do not depend on the piece size."""
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, symbol, index))))
-    counts = []
-    for mu in rates:
-        drawn = gen.poisson(mu, size)
-        top = int(drawn.max())  # checked before the narrowing: a wrapped count can look legal
-        if top > MAX_COUNT:
-            raise ValidationError(f"drew a count of {top}, above the count limit {MAX_COUNT}")
-        counts.append(drawn.astype(np.int32))
+    counts = [np.empty(size, dtype=np.int32) for _ in rates]
+    for mu, column in zip(rates, counts):
+        for at in range(0, size, _DRAW_PIECE):
+            drawn = gen.poisson(mu, min(_DRAW_PIECE, size - at))
+            top = int(drawn.max())  # checked before the narrowing: a wrapped count can look legal
+            if top > MAX_COUNT:
+                raise ValidationError(f"drew a count of {top}, above the count limit {MAX_COUNT}")
+            column[at:at + len(drawn)] = drawn
     return (np.full(size, symbol, dtype=np.uint8), *counts)
 
 
@@ -136,10 +140,12 @@ def run_experiment(params: ChannelParams, shots_per_symbol: int, seed: int) -> E
     Deterministic for fixed (params, shots_per_symbol, seed); the record
     order is all symbol-0 shots followed by all symbol-1 shots.  Block ``i``
     is a chunk of at most ``_CHUNK`` shots of one symbol, drawn when it is
-    made from its own Philox substream, n counts first; so the counts do not
-    depend on which blocks are made, on how many threads make them or in
-    which order.  Nothing is drawn here: the means are checked, and a block
-    that draws a count above ``MAX_COUNT`` raises ``ValidationError``.
+    made from its own Philox substream, n counts first (``_draw``); so the
+    counts do not depend on which blocks are made, on how many threads make
+    them or in which order.  ``write_shot_records`` draws the blocks
+    concurrently and formats, writes and tallies each in block order.
+    Nothing is drawn here: the means are checked, and a block that draws a
+    count above ``MAX_COUNT`` raises ``ValidationError``.
     """
     if shots_per_symbol < 1:
         raise ValidationError("shots_per_symbol must be >= 1")

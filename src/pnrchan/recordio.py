@@ -13,7 +13,6 @@ import contextlib
 import io
 import os
 import threading
-from functools import partial
 
 import numpy as np
 
@@ -176,47 +175,38 @@ def _format_block(columns):
     return memoryview(digits[keep])
 
 
-def _block_job(run, index):
-    """Block ``index`` of ``run``, made, formatted and tallied: its text in
-    pieces of ``_WRITE_BLOCK_ROWS`` rows (``_format_block``), and its
-    ``block_tally``."""
-    symbols, n, m = run.blocks[index]()
-    start = run.starts[index]
-    pieces = []
-    for at in range(0, len(n), _WRITE_BLOCK_ROWS):
-        stop = min(at + _WRITE_BLOCK_ROWS, len(n))
-        ids = np.arange(start + at, start + stop, dtype=np.min_scalar_type(start + stop - 1))
-        pieces.append(_format_block([ids, symbols[at:stop], n[at:stop], m[at:stop]]))
-    return pieces, block_tally(symbols, n, m)
-
-
 def write_shot_records(path, run: ExperimentRun) -> ShotTally:
     """Write a run as shot-record CSV (one line per pulse) and tally it.
 
-    Each block of the run is one job (``_run_jobs``): it is made (a draw,
-    for a run of ``run_experiment``), formatted as digit matrices in numpy
-    (``_format_block``), with no Python string or int per value, and
-    tallied.  The jobs run on a thread per usable CPU, block ``i`` on thread
-    ``i`` modulo the thread count, and each hands its text to the file and
-    its tally to the returned ``ShotTally`` in its turn, strictly in block
-    order, so memory stays bounded by a block per thread plus the tally,
-    and the bytes, those of ``"%d,%d,%d,%d\\n"`` applied to every row, do
-    not depend on the thread count.  The first failure stops the jobs and
-    no later block is written; the temp file then goes.  A run of no
-    blocks writes the header alone.
+    Each block of the run is one job (``_run_jobs``), which only makes it (a
+    draw, for a run of ``run_experiment``); the jobs run on a thread per
+    usable CPU, block ``i`` on thread ``i`` modulo the thread count.  In its
+    turn, strictly in block order, each block is formatted
+    ``_WRITE_BLOCK_ROWS`` rows at a time as digit matrices in numpy
+    (``_format_block``), with no Python string or int per value, each piece
+    written at once, and the block tallied into the returned ``ShotTally``.
+    So memory stays bounded by a block per thread, one piece of text and
+    the tally, and the bytes, those of ``"%d,%d,%d,%d\\n"`` applied to every
+    row, do not depend on the thread count.  The first failure stops the
+    jobs and no later block is written; the temp file then goes.  A run of
+    no blocks writes the header alone.
     """
     tally = ShotTally()
+    start = 0  # the shot id of the block's first row
 
-    def deliver(result):
-        pieces, block = result
-        for piece in pieces:
-            handle.write(piece)
-        tally.add(block)
+    def deliver(block):
+        nonlocal start
+        symbols, n, m = block
+        for at in range(0, len(n), _WRITE_BLOCK_ROWS):
+            stop = min(at + _WRITE_BLOCK_ROWS, len(n))
+            ids = np.arange(start + at, start + stop, dtype=np.min_scalar_type(start + stop - 1))
+            handle.write(_format_block([ids, symbols[at:stop], n[at:stop], m[at:stop]]))
+        start += len(n)
+        tally.add(block_tally(symbols, n, m))
 
     with _atomic_output(path) as handle:
         handle.write(_PLAIN_HEADER)
-        _run_jobs([partial(_block_job, run, index) for index in range(len(run.blocks))],
-                  deliver)
+        _run_jobs(run.blocks, deliver)
     return tally
 
 

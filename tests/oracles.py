@@ -580,6 +580,28 @@ def run_experiment_serial(params, shots_per_symbol, seed):
     return np.concatenate(n_parts), np.concatenate(m_parts)
 
 
+def wild_in_call(call, count, entropy=None):
+    """A generator class that draws as numpy's does, except that its draw
+    number ``call`` (from 1) on the substream keyed by ``entropy`` (any, if
+    None) ends in ``count``."""
+    real_generator = np.random.Generator
+
+    class Wild:
+        def __init__(self, bit_generator):
+            self.gen = real_generator(bit_generator)
+            self.calls = 0
+            self.wild = entropy in (None, bit_generator.seed_seq.entropy)
+
+        def poisson(self, mu, size):
+            drawn = self.gen.poisson(mu, size)
+            self.calls += 1
+            if self.wild and self.calls == call:
+                drawn[-1] = count
+            return drawn
+
+    return Wild
+
+
 def tally_unique(run):
     """The distinct keys (n << 32) | (m << 1) | symbol of a run, ascending,
     and their tallies, by np.unique over its rows."""

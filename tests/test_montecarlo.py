@@ -36,6 +36,7 @@ from oracles import (
     run_columns,
     run_experiment_serial,
     wf_pmf,
+    wild_in_call,
 )
 
 
@@ -93,7 +94,7 @@ DIM = params_for(0.3, 0.6, 0.5)  # small counts keep the draws cheap
 
 
 class TestConcurrentDraws:
-    """The blocks of a run are drawn where they are written, on every thread."""
+    """The blocks of a run are drawn by the writer's jobs, on every thread."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_bit_identical_to_serial_chunks(self, tmp_path, monkeypatch, workers):
@@ -130,6 +131,37 @@ class TestConcurrentDraws:
         # threads finish at most the ones in hand
         started = next(built)
         assert started == 3 if workers == 1 else started < 16
+
+
+class TestDrawPieces:
+    """``_draw`` fills each arm piece by piece from one generator, and the
+    piece size, unlike ``_CHUNK``, is not part of the stream."""
+
+    # the last size is the last chunk of a run of 5e5 shots per symbol
+    @pytest.mark.parametrize("size", [1, 16383, 16384, 16385, 41248, 65536])
+    @pytest.mark.parametrize("piece", [1, 7, 65536, None])  # None: the shipped size
+    def test_pieces_continue_one_draw(self, monkeypatch, size, piece):
+        if piece is not None:
+            monkeypatch.setattr(montecarlo, "_DRAW_PIECE", piece)
+        for symbol in (0, 1):  # each gives one arm a mean above 10, one below
+            rates = detection_rates(REF, symbol)
+            gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((29, symbol, 4))))
+            want = [gen.poisson(mu, size).astype(np.int32) for mu in rates]
+            symbols, n, m = montecarlo._draw(29, symbol, 4, rates, size)
+            assert symbols.dtype == np.uint8 and symbols.tolist() == [symbol] * size
+            for got, expected in zip((n, m), want):
+                assert got.dtype == np.int32
+                np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("count", [2**31, 2**32 + 1])  # the second wraps to 1 in int32
+    def test_a_count_over_the_limit_in_a_later_piece_is_refused(self, monkeypatch, count):
+        monkeypatch.setattr(montecarlo, "_DRAW_PIECE", 7)
+        # of 20 counts per arm, draws 1-3 are the n counts and 4-6 the m counts
+        monkeypatch.setattr(montecarlo.np.random, "Generator", wild_in_call(6, count))
+        with pytest.raises(ValidationError, match=f"drew a count of {count}, above the count "
+                                                  f"limit {MAX_COUNT}"):
+            montecarlo._draw(29, 0, 0, detection_rates(REF, 0), 20)
+
 
 class TestEmpiricalDistributions:
     def test_point_mass_run(self):

@@ -179,6 +179,15 @@ class TestChernoffBound:
                     if exact >= mpmath.mpf(2) ** -1022:
                         assert got <= exact * (1 + rel), args
 
+    @pytest.mark.parametrize("mu_r", [0.0, 1e-300, 1e-3, 0.5, 12.17, 300.0])
+    def test_a_dark_arm_covers_the_exact_tail_at_every_edge(self, mu_r):
+        # with mu_t = 0, Delta = -m, so P(Delta >= d) = P(m <= -d): 0 for d
+        # >= 1, and e^-mu_r at d = 0; the callers pass only d >= 1 today
+        for d in range(-5, 2):
+            got = receivers._skellam_chernoff_upper(0.0, mu_r, d)
+            assert sp_poisson.cdf(-d, mu_r) <= got <= 1.0, d
+        assert receivers._skellam_chernoff_upper(0.0, mu_r, 1) == 0.0
+
     def test_extreme_rate_ratio_keeps_the_base_window(self):
         # d + sqrt(d^2 + 4 mu_t mu_r) cancels for d < 0: formed that way, the
         # lower tail read 1 and the window grew to [-47813, 247813]

@@ -458,7 +458,7 @@ def varied_run(shots, seed):
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 def test_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, workers):
-    """Blocks are formatted and tallied on every thread and handed over in
+    """Blocks are drawn on every thread and formatted, written and tallied in
     order: one file and one tally, whatever the thread count and block size,
     a partial last block included.  Threads switch every microsecond, so
     that a hand-off out of turn shows."""
@@ -512,6 +512,33 @@ def test_each_thread_holds_one_finished_result_at_most(monkeypatch, workers):
         sys.setswitchinterval(interval)
     assert delivered == list(range(200))
     assert 1 <= peak[0] <= workers and alive[0] == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_writer_peak_memory_is_a_block_per_thread_and_one_piece(tmp_path, monkeypatch,
+                                                                 workers):
+    """The jobs only draw, and each block is formatted, written and tallied
+    in its turn.  So each thread holds at most its block and numpy's int64
+    draw of one piece, and only the thread whose turn it is holds text: one
+    piece of ``_WRITE_BLOCK_ROWS`` rows, as its digit matrix, its mask and
+    the text compressed from them.  The bound is derived from those sizes."""
+    monkeypatch.setattr(recordio, "_worker_count", lambda: workers)
+    run = montecarlo.run_experiment(ChannelParams.from_means(3.07, 12.17, visibility=0.94),
+                                    3 * montecarlo._CHUNK, 23)
+    np.random.Philox  # numpy.random is imported on first use, which is not the writer's
+    tracemalloc.start()
+    try:
+        tally = write_shot_records(tmp_path / "shots.csv", run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    keys, _ = tally.reduced()
+    widest_row = f"{len(run) - 1},1,{keys.max() >> 32},{((keys >> 1) & MAX_COUNT).max()}\n"
+    block = (1 + 4 + 4) * montecarlo._CHUNK  # uint8 symbols and int32 counts
+    draw_piece = 8 * montecarlo._DRAW_PIECE
+    text = 3 * len(widest_row) * recordio._WRITE_BLOCK_ROWS
+    slack = 200_000  # the tally, the turns and numpy's column-sized temporaries
+    assert peak <= text + workers * (block + draw_piece) + slack
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -648,12 +675,19 @@ def test_full_disk_on_a_worker_is_an_io_error(tmp_path, monkeypatch, capsys, wri
 @pytest.mark.parametrize("failing", FAILING_BLOCKS)
 def test_failed_draw_of_a_block_leaves_no_file(tmp_path, monkeypatch, capsys, writes,
                                                workers, failing):
-    """``simulate`` whose block ``failing`` of ten runs out of memory as it is
-    drawn: exit 1 with the out-of-memory line, no file, only earlier blocks
-    written, in order, and no thread left."""
+    """``simulate`` whose block ``failing`` of ten fails as it is drawn: it
+    runs out of memory, or a later piece of its m counts holds a count over
+    the limit.  Each time: exit 1 with the error's line, no file, only
+    earlier blocks written, in order, and no thread left."""
     monkeypatch.setattr(recordio, "_worker_count", lambda: workers)
     monkeypatch.setattr(recordio, "_WRITE_BLOCK_ROWS", BLOCK_ROWS)
     monkeypatch.setattr(montecarlo, "_CHUNK", BLOCK_ROWS)
+    run = montecarlo.run_experiment(ChannelParams.from_means(3.07, 12.17, visibility=0.94),
+                                    300, 7)
+    expected = blocks_of(shot_file_percent(run), per_symbol=300)
+    args = ["simulate", "--signal-mean", "3.07", "--lo-mean", "12.17", "--xi", "0.94",
+            "--shots", "300", "--seed", "7", "-o", str(tmp_path / "shots.csv")]
+    threads = threading.active_count()
     real_draw = montecarlo._draw
 
     def draw(seed, symbol, index, rates, size):
@@ -661,21 +695,24 @@ def test_failed_draw_of_a_block_leaves_no_file(tmp_path, monkeypatch, capsys, wr
             raise MemoryError
         return real_draw(seed, symbol, index, rates, size)
 
-    monkeypatch.setattr(montecarlo, "_draw", draw)
-    out = tmp_path / "shots.csv"
-    args = ["simulate", "--signal-mean", "3.07", "--lo-mean", "12.17", "--xi", "0.94",
-            "--shots", "300", "--seed", "7", "-o", str(out)]
-    threads = threading.active_count()
-    assert bounded(lambda: cli.main(args)) == 1
-    assert threading.active_count() == threads
-    assert capsys.readouterr().err == "pnrchan: error: out of memory; use fewer --shots\n"
-    assert not list(tmp_path.iterdir())
-    monkeypatch.setattr(montecarlo, "_draw", real_draw)
-    run = montecarlo.run_experiment(ChannelParams.from_means(3.07, 12.17, visibility=0.94),
-                                    300, 7)
-    expected = blocks_of(shot_file_percent(run), per_symbol=300)
-    assert writes == expected[:len(writes)] and len(writes) <= failing + 1
-    assert workers > 1 or len(writes) == failing + 1
+    for fault in ("memory", "count"):
+        writes.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            if fault == "memory":
+                patch.setattr(montecarlo, "_draw", draw)
+                error = "out of memory; use fewer --shots"
+            else:
+                # of a block's 64 or 44 counts per arm, draws 1-4 or 1-3 are the n counts
+                patch.setattr(montecarlo, "_DRAW_PIECE", 16)
+                patch.setattr(np.random, "Generator",
+                              oracles.wild_in_call(6, 2**32 + 1, (7, *divmod(failing, 5))))
+                error = f"drew a count of {2**32 + 1}, above the count limit {MAX_COUNT}"
+            assert bounded(lambda: cli.main(args)) == 1
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err == f"pnrchan: error: {error}\n"
+        assert not list(tmp_path.iterdir())
+        assert writes == expected[:len(writes)] and len(writes) <= failing + 1
+        assert workers > 1 or len(writes) == failing + 1
 
 
 @pytest.mark.parametrize("failing", [0, 3, 9])

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pnrchan import (
     eve_params,
     mi_bds,
     mi_wf,
+    security,
     security_report_for,
     shannon_entropy,
 )
@@ -233,6 +235,82 @@ class TestBobEveKernel:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+class TestRefinementCost:
+    """``_weighted_eve_mean_softplus``'s promises, read off the nodes it hands
+    to ``_eve_mean_softplus``: each level of the nested Chebyshev refinement
+    holds at most a third as many nodes as there are arguments, and is
+    computed while the next one would still hold that few; small windows go
+    direct at once; a converged refinement is used and agrees with the
+    direct sum."""
+
+    @staticmethod
+    def evaluations(monkeypatch, args, weights, eve):
+        """Each array of nodes handed to G, in order, and the value returned.
+        A level over a third of the arguments fails before it is evaluated,
+        so a refinement that runs away is stopped."""
+        real, handed = security._eve_mean_softplus, []
+
+        def counting(nodes, *law):
+            handed.append(nodes)
+            level = sum(map(len, handed))
+            assert nodes is args or 3 * level <= len(args), (level, len(args))
+            return real(nodes, *law)
+
+        monkeypatch.setattr(security, "_eve_mean_softplus", counting)
+        value = security._weighted_eve_mean_softplus(args, weights, *eve)
+        return handed, value
+
+    @staticmethod
+    def eve_law():
+        return security._finite(posteriors(eve_params(bob_params(3.2, 3.0, 3e3, 0.94)))[0])
+
+    @staticmethod
+    def spread(size):
+        args = np.linspace(-9.0, 9.0, size)
+        weights = np.exp(-args ** 2 / 8.0)
+        return args, weights / weights.sum()
+
+    # 194 is one short of three times the first refined level, of 65 nodes;
+    # the last holds many arguments, all equal
+    @pytest.mark.parametrize("size, equal", [(1, False), (2, False), (33, False), (100, False),
+                                             (194, False), (1000, True)])
+    def test_small_windows_make_one_direct_evaluation(self, monkeypatch, size, equal):
+        args, weights = self.spread(size)
+        if equal:
+            args = np.full(size, 0.5)
+        handed, value = self.evaluations(monkeypatch, args, weights, self.eve_law())
+        assert len(handed) == 1 and handed[0] is args
+        assert value == float(weights @ security._eve_mean_softplus(args, *self.eve_law()))
+
+    # each side of the sizes from which a level of 65, 129, 257 or 513 nodes fits
+    @pytest.mark.parametrize("size", [195, 196, *(3 * level + d for level in (129, 257, 513)
+                                                  for d in (-1, 0, 1)), 5000])
+    def test_a_failed_refinement_costs_at_most_a_third_of_the_direct_sum(self, monkeypatch,
+                                                                          size):
+        monkeypatch.setattr(security, "_REFINE_TOL", -1.0)  # never met
+        args, weights = self.spread(size)
+        handed, value = self.evaluations(monkeypatch, args, weights, self.eve_law())
+        *refined, direct = handed
+        assert direct is args
+        levels = list(accumulate(map(len, refined)))
+        assert levels[0] == security._FIRST_NODES
+        assert all(3 * level <= size for level in levels)
+        assert 3 * (2 * levels[-1] - 1) > size  # the next level would not fit
+        assert value == float(weights @ security._eve_mean_softplus(args, *self.eve_law()))
+
+    @pytest.mark.parametrize("lo_mean", [1e3, 3e3, 1e4])
+    def test_a_converged_refinement_is_used(self, monkeypatch, lo_mean):
+        bob = bob_params(3.2, 3.0, lo_mean, 0.94)
+        weights, llr = security._finite(posteriors(bob)[0])
+        eve = security._finite(posteriors(eve_params(bob))[0])
+        args = -llr
+        direct = float(weights @ security._eve_mean_softplus(args, *eve))
+        handed, value = self.evaluations(monkeypatch, args, weights, eve)
+        assert all(nodes is not args for nodes in handed)
+        assert 3 * sum(map(len, handed)) <= len(args)
+        assert abs(value - direct) <= 1e-13
 
 
 class TestHolevo:
