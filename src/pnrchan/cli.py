@@ -52,21 +52,33 @@ class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as validation errors (exit 1).
 
     Flags must be spelled out in full, so that a config key names exactly
-    one flag.  ``dests`` maps each option string added here, aliases such
-    as ``-o`` included, to the destination it sets.
+    one flag.  ``actions`` maps each option string added here, aliases such
+    as ``-o`` included, to its action.  ``origins`` maps each action whose
+    value a config key or preset gives to that key and file: a refusal of
+    the value names them instead of the flag.
     """
 
     def __init__(self, **kwargs):
         self.required_actions = []
-        self.dests = {}  # set first: the base class adds -h/--help through add_argument
+        self.actions = {}  # set first: the base class adds -h/--help through add_argument
+        self.origins = {}
         super().__init__(allow_abbrev=False, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
         if action.required:
             self.required_actions.append(action)
-        self.dests.update(dict.fromkeys(action.option_strings, action.dest))
+        self.actions.update(dict.fromkeys(action.option_strings, action))
         return action
+
+    def _get_values(self, action, arg_strings):
+        try:
+            return super()._get_values(action, arg_strings)
+        except argparse.ArgumentError as exc:
+            if action not in self.origins:
+                raise
+            # without an action, the error prints as its message alone
+            raise argparse.ArgumentError(None, f"{self.origins[action]}: {exc.message}") from None
 
     def error(self, message):
         raise ValidationError(message)
@@ -150,7 +162,8 @@ def _splice_sources(argv, parser):
     so flags given on the command line come later and win; a key whose
     flag the command line also sets, under any of its names, is dropped,
     so its value is never parsed.  The ``=`` form keeps values such as
-    ``-1:5:2`` from reading as flags.  Returns the new argv and, for each
+    ``-1:5:2`` from reading as flags.  A spliced flag's refusal names its
+    key and file (``_Parser.origins``).  Returns the new argv and, for each
     spliced flag, where it came from.
     """
     if not argv or argv[0] not in _CONFIG_COMMANDS:
@@ -170,17 +183,21 @@ def _splice_sources(argv, parser):
     if wanted and wanted != command:
         raise ValidationError(f"{source} is for the {wanted!r} command, not {command!r}")
     cfg.pop("description", None)
-    dests = parser.commands[command].dests
+    subparser = parser.commands[command]
+    actions = subparser.actions
     # what the command line sets, as --flag, --flag=value, -o, -o=value or -ovalue
-    given = {dests.get(arg.partition("=")[0]) or dests.get(arg[:2])
+    given = {actions.get(arg.partition("=")[0]) or actions.get(arg[:2])
              for arg in rest if arg.startswith("-")} - {None}
     origins = {}
     for key, value in cfg.items():
         if key in ("preset", "config"):
             raise ValidationError(f"{source}: key {key!r} cannot name another file")
         flag = f"--{key.replace('_', '-')}"
-        if dests.get(flag) not in given:
-            origins[f"{flag}={value}"] = f"key {key!r} in {source}"
+        action = actions.get(flag)
+        if action not in given:
+            origins[f"{flag}={value}"] = origin = f"key {key!r} in {source}"
+            if action is not None:
+                subparser.origins[action] = origin
     return [command, *origins, *rest], origins
 
 

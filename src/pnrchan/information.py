@@ -52,6 +52,24 @@ def _xlogx(p):
     return p * np.log(p, out=np.zeros_like(p), where=p > 0.0)
 
 
+def _softplus(x, out=None):
+    """softplus(x) = ln(1 + e^x) elementwise, as max(x, 0) + log1p(exp(-|x|)).
+
+    Formed with numpy's vectorized ``exp`` and ``log1p``: its own ufunc for
+    ln(e^a + e^b) is a scalar loop, about 7 times slower.  Exact at +-inf
+    (inf and 0) and without a warning anywhere.  With ``out`` given the
+    result is formed in it, and ``x``, a float64 array, serves as scratch:
+    it is left holding max(x, 0).  Without it ``x`` is not touched.
+    """
+    if out is None:
+        x = np.array(x, dtype=float)
+        out = np.empty_like(x)
+    # not copysign(x, -1): its loop is code no other step pages in (64 KiB of RSS)
+    np.negative(np.abs(x, out=out), out=out)
+    np.log1p(np.exp(out, out=out), out=out)
+    return np.add(out, np.maximum(x, 0.0, out=x), out=out)
+
+
 def shannon_entropy(dist) -> float:
     """Shannon entropy -sum p log2 p in bits, with 0*log(0) = 0.
 
@@ -172,7 +190,7 @@ def _information(priors, posterior) -> float:
         density = -np.log1p(other * shrink)
         if huge.any():
             c = math.log(q / other)
-            density[huge] = np.logaddexp(0.0, -c) - np.logaddexp(0.0, -c - llr[huge])
+            density[huge] = _softplus(-c) - _softplus(-c - llr[huge])
         return float(weights @ density)
 
     if q0 == q1:  # both symbols' entries have the same density

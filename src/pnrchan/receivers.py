@@ -341,7 +341,7 @@ def _skellam_pmf_recurrence(mu_t, mu_r, lo, hi):
     law = np.concatenate(
         (np.cumprod(down)[::-1], [1.0], np.cumprod(up[above:]))
     )
-    law /= math.fsum(law)
+    law /= math.fsum(memoryview(law))  # correctly rounded: any order, the same bits
     return law[lo - bottom:hi - bottom + 1]
 
 

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .channel import ChannelParams, eve_params
-from .information import _receiver_figures, _xlogx
+from .information import _receiver_figures, _softplus, _xlogx
 from .receivers import DEFAULT_TAIL_TOL
 
 __all__ = [
@@ -44,7 +44,7 @@ _K_DEFINED_FLOOR = 1e-12
 
 _FIRST_NODES = 33
 _REFINE_TOL = 1e-14
-_BLOCK = 1 << 15  # cells per kernel block: 256 KiB of float64
+_BLOCK = 1 << 15  # cells of scratch per kernel call: 256 KiB of float64
 
 
 def _finite(posterior):
@@ -55,25 +55,28 @@ def _finite(posterior):
     return weights[keep], llr[keep]
 
 
-def _softplus(x):
-    return np.logaddexp(0.0, x)
-
-
 def _eve_mean_softplus(args, eve_weights, eve_llr):
     """G(y) = sum_e e1(e) softplus(y - L_E e) at every y in ``args``.
 
-    Evaluated in blocks of at most ``_BLOCK`` cells, each filled in place
-    in one scratch array, so memory stays O(w).
+    Evaluated in tiles of at most ``_BLOCK // 2`` cells and half the rows
+    of ``args`` (rounded up): rows by Eve's whole law, or one row by a slice
+    of it when her law is wider, the slices' sums added up.  Each tile fills
+    two scratch arrays in place, its differences and their softplus, so they
+    hold at most ``_BLOCK`` cells, and no more than the whole product but
+    one row, besides the output.
     """
-    out = np.empty(len(args))
-    rows = max(1, _BLOCK // max(1, len(eve_llr)))
-    scratch = np.empty((min(rows, len(args)), len(eve_llr)))
-    for i in range(0, len(args), rows):
-        chunk = args[i:i + rows]
-        block = scratch[:len(chunk)]
-        np.subtract(chunk[:, None], eve_llr, out=block)
-        np.logaddexp(0.0, block, out=block)
-        out[i:i + rows] = block @ eve_weights
+    width = max(1, min(len(eve_llr), _BLOCK // 2))
+    rows = min(_BLOCK // 2 // width, max(1, (len(args) + 1) // 2))
+    out = np.zeros(len(args))
+    diff = np.empty((rows, width))
+    soft = np.empty_like(diff)
+    for j in range(0, len(eve_llr), width):
+        llr, weights = eve_llr[j:j + width], eve_weights[j:j + width]
+        for i in range(0, len(args), rows):
+            chunk = args[i:i + rows]
+            block = diff[:len(chunk), :len(llr)]
+            np.subtract(chunk[:, None], llr, out=block)
+            out[i:i + rows] += _softplus(block, out=soft[:len(chunk), :len(llr)]) @ weights
     return out
 
 
@@ -83,24 +86,28 @@ def _chebyshev_nodes(mid, half, n):
 
 
 def _barycentric(x, nodes, values):
-    """Polynomial interpolant through ``values`` at Chebyshev ``nodes``, at ``x``."""
+    """Polynomial interpolant through ``values`` at Chebyshev ``nodes``, at ``x``.
+
+    An argument on a node takes that node's value; the nodes descend, so
+    ``searchsorted`` on their negatives finds it.
+    """
     weights = np.ones(len(nodes))
     weights[1::2] = -1.0
     weights[[0, -1]] *= 0.5
+    at = np.minimum(np.searchsorted(-nodes, -x), len(nodes) - 1)
+    on_node = nodes[at] == x
     out = np.empty(len(x))
     rows = max(1, _BLOCK // len(nodes))
     scratch = np.empty((min(rows, len(x)), len(nodes)))
-    for i in range(0, len(x), rows):
-        chunk = x[i:i + rows]
-        terms = scratch[:len(chunk)]
-        np.subtract(chunk[:, None], nodes, out=terms)
-        hit = terms == 0.0
-        terms[hit] = 1.0
-        np.divide(weights, terms, out=terms)
-        block = (terms @ values) / terms.sum(axis=1)
-        on_node = hit.any(axis=1)
-        block[on_node] = values[hit[on_node].argmax(axis=1)]
-        out[i:i + rows] = block
+    # a row on a node divides by 0; its value is replaced below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, len(x), rows):
+            chunk = x[i:i + rows]
+            terms = scratch[:len(chunk)]
+            np.subtract(chunk[:, None], nodes, out=terms)
+            np.divide(weights, terms, out=terms)
+            out[i:i + rows] = (terms @ values) / terms.sum(axis=1)
+    out[on_node] = values[at[on_node]]
     return out
 
 

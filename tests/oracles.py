@@ -5,7 +5,8 @@ The routes here take the long way round on purpose -- the Skellam law from
 scipy's scaled Bessel function and as an mpmath Poisson convolution, both
 symbols' difference laws padded onto one mirrored window and the figures
 summed from them as mixture entropies, the full count-pair grid, the four-index joint law of the symbol and both
-receivers, the dense Bob x Eve joint of the two difference laws, a
+receivers, the dense Bob x Eve joint of the two difference laws, the I(B;E)
+kernels with numpy's scalar softplus and a node mask, a
 number-basis diagonalization, 40-digit quadrature of the homodyne entropy,
 shot-file text by one %-format per value, shot files read line by line
 with a regular expression per field, Monte Carlo chunks drawn one after
@@ -377,6 +378,38 @@ def mi_bob_eve_fsum(bob_law, eve_law, priors, block_cells=1 << 20):
         terms(q0 * np.outer(b0[i:i + rows], e0) + q1 * np.outer(b1[i:i + rows], e1))
         for i in range(0, len(b0), rows)))
     return (h_b + h_e - h_be) / math.log(2.0)
+
+
+def eve_mean_softplus_logaddexp(args, eve_weights, eve_llr, block_cells=1 << 15):
+    """G(y) = sum_e e1(e) softplus(y - L_E e) at every y in ``args``, each
+    softplus from numpy's scalar ``logaddexp`` and each row summed in one
+    product over Eve's whole law, ``block_cells`` cells of rows at a time."""
+    out = np.empty(len(args))
+    rows = max(1, block_cells // max(1, len(eve_llr)))
+    for i in range(0, len(args), rows):
+        block = np.logaddexp(0.0, args[i:i + rows, None] - eve_llr)
+        out[i:i + rows] = block @ eve_weights
+    return out
+
+
+def barycentric_masked(x, nodes, values, block_cells=1 << 15):
+    """Chebyshev interpolant through ``values`` at ``nodes``, at ``x``, with
+    node hits found by a block-sized mask of exact zeros of x - node."""
+    weights = np.ones(len(nodes))
+    weights[1::2] = -1.0
+    weights[[0, -1]] *= 0.5
+    out = np.empty(len(x))
+    rows = max(1, block_cells // len(nodes))
+    for i in range(0, len(x), rows):
+        terms = x[i:i + rows, None] - nodes
+        hit = terms == 0.0
+        terms[hit] = 1.0
+        terms = weights / terms
+        block = (terms @ values) / terms.sum(axis=1)
+        on_node = hit.any(axis=1)
+        block[on_node] = values[hit[on_node].argmax(axis=1)]
+        out[i:i + rows] = block
+    return out
 
 
 # ---------------------------------------------------------------------------

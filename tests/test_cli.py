@@ -782,10 +782,43 @@ class TestConfigFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "0.csv", "1.csv", "2.csv", "3.csv", "my.cfg"]
         capsys.readouterr()
-        # not overridden, the key's bad value is still refused by its name
+        # not overridden, the key's bad value is still refused, named by its key
         assert run_cli("simulate", "--config", str(cfg), "-o", str(tmp_path / "x.csv")) == 1
         assert capsys.readouterr().err == (
-            "pnrchan: error: argument --shots: must be an integer >= 1, got 0\n")
+            f"pnrchan: error: key 'shots' in {cfg}: must be an integer >= 1, got 0\n")
+
+    @pytest.mark.parametrize("command, text, refusal", [
+        ("simulate", "signal_mean = 2.0\nlo_mean = 8.0\nshots = 0\n",
+         "key 'shots' in {}: must be an integer >= 1, got 0"),
+        ("sweep", SWEEP_CFG + "tail_tol = abc\n",
+         "key 'tail_tol' in {}: invalid float value: 'abc'"),
+        ("sweep", SWEEP_CFG + "mode = low\n",
+         "key 'mode' in {}: invalid choice: 'low' (choose from 'lo', 'loss')"),
+    ])
+    def test_a_refused_config_value_names_its_key_and_file(self, tmp_path, capsys, command,
+                                                           text, refusal):
+        code, err = self.run_config(tmp_path, capsys, text, command)
+        assert code == 1
+        assert err == f"pnrchan: error: {refusal.format(tmp_path / 'my.cfg')}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["my.cfg"]
+        # the same value given on the command line is refused by its flag
+        key, _, value = text.splitlines()[-1].partition(" = ")
+        flag = f"--{key.replace('_', '-')}"
+        assert run_cli(command, "--config", str(tmp_path / "my.cfg"), flag, value,
+                       "-o", str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err.startswith(f"pnrchan: error: argument {flag}: ")
+
+    def test_a_refused_preset_value_names_its_key_and_preset(self, tmp_path, capsys,
+                                                             monkeypatch):
+        real = cli._load_preset
+        monkeypatch.setattr(cli, "_load_preset", lambda name: {**real(name), "tail_tol": "abc"})
+        out = tmp_path / "x.csv"
+        assert run_cli("sweep", "--preset", "fig3", "-o", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "pnrchan: error: key 'tail_tol' in preset fig3: invalid float value: 'abc'\n")
+        assert not out.exists()
+        # a flag the command line gives still wins over the preset's key
+        assert run_cli("sweep", "--preset", "fig3", "--tail-tol", "1e-20", "-o", str(out)) == 0
 
     def test_splice_drops_each_flag_the_command_line_sets(self, tmp_path):
         cfg = tmp_path / "my.cfg"

@@ -1,9 +1,12 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pnrchan import (
     ChannelParams,
@@ -20,7 +23,8 @@ from pnrchan import (
     mutual_information,
     shannon_entropy,
 )
-from pnrchan.information import _homodyne_information, _information, _posterior, _sign_split
+from pnrchan.information import (_homodyne_information, _information, _posterior, _sign_split,
+                                 _softplus)
 from pnrchan.security import holevo_chi_bds, holevo_chi_wf
 from pnrchan.receivers import DEFAULT_TAIL_TOL, skellam_pmf_grid
 
@@ -253,6 +257,54 @@ class TestPosteriorForm:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             value = _information(priors, posterior)
         assert value == pytest.approx(mutual_information((p1[::-1], p1), priors), abs=1e-15)
+
+
+def softplus_libm(x):
+    """max(x, 0) + log1p(exp(-|x|)) from the C library's scalar functions."""
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+
+SOFTPLUS_EDGES = [0.0, -0.0, 5e-324, -5e-324, 36.7, -36.7, 709.8, -709.8, math.inf, -math.inf]
+MAGNITUDES = st.floats(min_value=1e-300, max_value=1e308)
+
+
+class TestSoftplus:
+    """``_softplus``, on numpy's vector exp and log1p, against the scalar
+    C library: within 4 ulp, exact at +-inf, with no floating-point warning,
+    on both its paths (a new array, or formed in ``out`` with x as scratch)."""
+
+    @staticmethod
+    def both_paths(xs):
+        x = np.array(xs, dtype=float)
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise",
+                                                    invalid="raise"):
+            warnings.simplefilter("error")
+            fresh = _softplus(x)
+            assert np.array_equal(x, xs)  # untouched without ``out``
+            formed = _softplus(x, out=np.empty_like(x))
+        assert np.array_equal(x, np.maximum(xs, 0.0))  # the scratch left as max(x, 0)
+        assert np.array_equal(fresh, formed)
+        return fresh
+
+    @staticmethod
+    def assert_within_4_ulp(got, xs):
+        want = np.array([softplus_libm(x) for x in xs])
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite])
+        gap = np.abs(got[finite] - want[finite])
+        assert np.all(gap <= 4.0 * np.spacing(want[finite])), (xs, got, want)
+
+    def test_edges(self):
+        got = self.both_paths(SOFTPLUS_EDGES)
+        self.assert_within_4_ulp(got, SOFTPLUS_EDGES)
+        assert got[-2] == math.inf and got[-1] == 0.0
+        assert _softplus(-math.inf) == 0.0 and _softplus(math.inf) == math.inf
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(MAGNITUDES | MAGNITUDES.map(lambda x: -x), min_size=1, max_size=40))
+    @example([1e-300, -1e-300, 1e308, -1e308, 745.2, -745.2, 1e-16, -1e-16])
+    def test_within_4_ulp_of_the_scalar_form(self, xs):
+        self.assert_within_4_ulp(self.both_paths(xs), xs)
 
 
 class TestMiReport:

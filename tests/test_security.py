@@ -14,16 +14,19 @@ from pnrchan import (
     eve_params,
     mi_bds,
     mi_wf,
+    mutual_information,
     security,
     security_report_for,
     shannon_entropy,
 )
-from pnrchan.information import _receiver_figures, certified_error_bound
+from pnrchan.information import (_information, _posterior, _receiver_figures,
+                                 certified_error_bound)
 from pnrchan.receivers import DEFAULT_TAIL_TOL
 from pnrchan.security import _rank_two_entropy, holevo_chi_bds, holevo_chi_wf, mi_bob_eve
 
-from oracles import (figures_mpmath, fock_entropy_oracle, joint_abe_pmf, mi_bob_eve_dense,
-                     mi_bob_eve_fsum, mirror_law, wf_pmf)
+from oracles import (barycentric_masked, eve_mean_softplus_logaddexp, figures_mpmath,
+                     fock_entropy_oracle, joint_abe_pmf, mi_bob_eve_dense, mi_bob_eve_fsum,
+                     mirror_law, wf_pmf)
 
 
 def bob_params(source_mean, loss_db, lo_mean, xi, priors=(0.5, 0.5)):
@@ -191,8 +194,20 @@ class TestJointDistribution:
             joint_abe_pmf(bob)
 
 
+@pytest.fixture
+def no_logaddexp(monkeypatch):
+    """numpy's logaddexp made to fail: it runs as a scalar loop."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.logaddexp called on the runtime path")
+
+    monkeypatch.setattr(np, "logaddexp", refuse)
+
+
+@pytest.mark.usefixtures("no_logaddexp")
 class TestBobEveKernel:
-    """The O(w) I(B;E) kernel against the dense Bob x Eve joint it replaced."""
+    """The O(w) I(B;E) kernel against the dense Bob x Eve joint it replaced,
+    with numpy's logaddexp refused: every softplus on the runtime path is
+    ``information._softplus``."""
 
     @pytest.mark.parametrize("lo_mean", [12.15, 1e3, 3e3, 1e4])
     @pytest.mark.parametrize("loss_db", [0.5, 3.0, 13.44])
@@ -313,6 +328,91 @@ class TestRefinementCost:
         assert abs(value - direct) <= 1e-13
 
 
+@pytest.mark.usefixtures("no_logaddexp")
+class TestVectorSoftplus:
+    """The overflow branch of ``information._information`` uses
+    ``information._softplus`` too."""
+
+    def test_an_overflowing_ratio(self):
+        # Delta = -1 has ratio -720, so expm1(720) overflows
+        p1 = np.array([0.3 * math.exp(-720.0), 0.4, 0.3])
+        for priors in ((0.5, 0.5), (0.3, 0.7)):
+            value = _information(priors, _posterior(np.array([-1, 0, 1]), p1, 720.0))
+            assert value == pytest.approx(mutual_information((p1[::-1], p1), priors), abs=1e-15)
+
+
+class TestKernelOracles:
+    """The I(B;E) kernels against their forms with numpy's scalar softplus
+    and a node mask (``tests/oracles.py``)."""
+
+    @staticmethod
+    def eve_law(lo_mean):
+        return security._finite(posteriors(eve_params(bob_params(3.2, 3.0, lo_mean, 0.94)))[0])
+
+    # Eve's law narrower than a tile (several rows a tile, the last one
+    # short), and wider (one row by slices of it)
+    @pytest.mark.parametrize("lo_mean, size", [(12.15, 7), (3e3, 1000), (1e6, 5)])
+    def test_eve_mean_softplus(self, lo_mean, size):
+        eve_weights, eve_llr = self.eve_law(lo_mean)
+        args = np.random.default_rng(8).uniform(-1.5, 1.5, size) * eve_llr.max()
+        got = security._eve_mean_softplus(args, eve_weights, eve_llr)
+        want = eve_mean_softplus_logaddexp(args, eve_weights, eve_llr)
+        # the sum of w nonnegative terms, each within 2 ulp
+        assert np.all(np.abs(got - want) <= (len(eve_llr) + 8) * 2.0 ** -53 * want)
+        if lo_mean == 1e6:
+            assert len(eve_llr) > security._BLOCK // 2
+
+    def test_eve_mean_softplus_of_no_law(self):
+        empty = np.empty(0)
+        assert np.array_equal(security._eve_mean_softplus(np.arange(3.0), empty, empty),
+                              np.zeros(3))
+
+    # a 1e5-bin law: one row by slices of it, two slices of scratch; laws of
+    # several rows a tile, whose scratch is bounded by the product itself
+    @pytest.mark.parametrize("bins, size", [(100_000, 200), (100_000, 1), (4000, 200),
+                                            (4000, 3), (4000, 2), (4000, 1), (60, 200)])
+    def test_eve_mean_softplus_scratch_stays_at_block(self, bins, size):
+        eve_llr = np.linspace(-60.0, 60.0, bins)
+        eve_weights = np.full(bins, 1.0 / bins)
+        args = np.linspace(-70.0, 70.0, size)
+        tracemalloc.start()
+        try:
+            security._eve_mean_softplus(args, eve_weights, eve_llr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scratch = min(security._BLOCK, (size + 1) * bins)
+        # numpy buffers a broadcast subtract of short rows: two operands of
+        # at most getbufsize() float64 each, freed before the softplus
+        buffers = 16 * np.getbufsize() if bins < 1000 else 0
+        assert peak <= 8 * scratch + 16 * size + 4096 + buffers
+
+    @staticmethod
+    def interpolant(n):
+        nodes = security._chebyshev_nodes(0.3, 2.5, n)
+        return nodes, np.cos(3.0 * nodes) + nodes ** 2
+
+    @pytest.mark.parametrize("n", [2, 32, 64, 512])
+    def test_barycentric_on_nodes(self, n):
+        nodes, values = self.interpolant(n)
+        # both ends, an interior node and repeats, among arguments off them
+        hits = np.array([0, n, n // 2, n // 2, 0, n])
+        x = np.random.default_rng(n).uniform(-2.2, 2.8, 3 * len(hits))
+        x[::3] = nodes[hits]
+        got = security._barycentric(x, nodes, values)
+        assert np.array_equal(got[::3], values[hits])
+        assert np.array_equal(got, barycentric_masked(x, nodes, values))
+
+    @pytest.mark.parametrize("n", [2, 32, 64, 512])
+    def test_barycentric_off_nodes(self, n):
+        nodes, values = self.interpolant(n)
+        # enough arguments for several blocks, two of them beyond the nodes
+        x = np.random.default_rng(n).uniform(-2.2, 2.8, 3 * security._BLOCK // (n + 1) + 7)
+        x[[5, -5]] = -2.5, 3.1
+        assert np.array_equal(security._barycentric(x, nodes, values),
+                              barycentric_masked(x, nodes, values))
+
+
 class TestHolevo:
     def test_no_signal_carries_nothing(self):
         bob = ChannelParams(alpha=0.0, transmissivity=0.5, lo_amplitude=2.0,
@@ -402,6 +502,7 @@ class TestCollectiveRates:
         assert all(b <= a + 1e-9 for a, b in zip(rates, rates[1:]))
 
 
+@pytest.mark.usefixtures("no_logaddexp")
 class TestScenarioAndReport:
     def test_report_is_internally_consistent(self):
         bob = bob_params(3.2, 4.0, 12.15, 0.94)
