@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 1 validation error or out of memory, 2 I/O error,
 3 numerical certification failure.  Every option is a flag of its command,
-declared once.  A flat ``key = value`` config file (--config) or a bundled
-preset (--preset) is read as those same flags: each key is a flag name
-with - written as _, and a key that is not a flag of the command exits 1.
-Flags given on the command line win over the file.  The bundled presets
-reproduce the reference figure conditions.
+declared once.  Each key of a flat ``key = value`` config file (--config)
+or bundled preset (--preset) is one of those flags, named by its dest (the
+flag with - written as _), and its value becomes the flag's default: a
+flag given on the command line wins, and a key that is not a flag of the
+command exits 1.  The bundled presets reproduce the reference figure
+conditions.
 """
 
 import argparse
@@ -48,37 +49,37 @@ from .sweeps import (
 __all__ = ["main"]
 
 
+class _FileValue(str):
+    """A value of a --config or --preset key, set as its flag's default;
+    ``origin`` names the key and file."""
+
+    def __new__(cls, value, origin):
+        self = super().__new__(cls, value)
+        self.origin = origin
+        return self
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as validation errors (exit 1).
 
-    Flags must be spelled out in full, so that a config key names exactly
-    one flag.  ``actions`` maps each option string added here, aliases such
-    as ``-o`` included, to its action.  ``origins`` maps each action whose
-    value a config key or preset gives to that key and file: a refusal of
-    the value names them instead of the flag.
+    Flags must be spelled out in full.  A default that a config key or
+    preset gives (a ``_FileValue``) is refused under that key and file
+    instead of the flag.
     """
 
     def __init__(self, **kwargs):
-        self.required_actions = []
-        self.actions = {}  # set first: the base class adds -h/--help through add_argument
-        self.origins = {}
         super().__init__(allow_abbrev=False, **kwargs)
 
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.required:
-            self.required_actions.append(action)
-        self.actions.update(dict.fromkeys(action.option_strings, action))
-        return action
-
-    def _get_values(self, action, arg_strings):
+    def _get_value(self, action, arg_string):
+        if not isinstance(arg_string, _FileValue):
+            return super()._get_value(action, arg_string)
         try:
-            return super()._get_values(action, arg_strings)
+            value = super()._get_value(action, str(arg_string))
+            self._check_value(action, value)  # argparse checks no default's choice
         except argparse.ArgumentError as exc:
-            if action not in self.origins:
-                raise
             # without an action, the error prints as its message alone
-            raise argparse.ArgumentError(None, f"{self.origins[action]}: {exc.message}") from None
+            raise argparse.ArgumentError(None, f"{arg_string.origin}: {exc.message}") from None
+        return value
 
     def error(self, message):
         raise ValidationError(message)
@@ -155,50 +156,44 @@ def _add_sources(parser, command):
                                         "this command's flags with - written as _")
 
 
-def _splice_sources(argv, parser):
-    """Replace --preset/--config by the flags their file stands for.
+def _set_file_defaults(argv, parser):
+    """Make each key of the --preset or --config file in argv its flag's default.
 
-    Each ``key = value`` becomes ``--key=value`` right after the command name,
-    so flags given on the command line come later and win; a key whose
-    flag the command line also sets, under any of its names, is dropped,
-    so its value is never parsed.  The ``=`` form keeps values such as
-    ``-1:5:2`` from reading as flags.  A spliced flag's refusal names its
-    key and file (``_Parser.origins``).  Returns the new argv and, for each
-    spliced flag, where it came from.
+    argparse converts a string default only when the command line does not
+    give the flag, so a flag given there wins and its key is never parsed;
+    a flag the file gives is no longer required.  Returns, for each key
+    that is not a flag of the command, where it came from.
     """
     if not argv or argv[0] not in _CONFIG_COMMANDS:
-        return argv, {}
+        return []
     command = argv[0]
     pre = _Parser(add_help=False)
     _add_sources(pre, command)
-    ns, rest = pre.parse_known_args(argv[1:])
+    ns = pre.parse_known_args(argv[1:])[0]
     preset = getattr(ns, "preset", None)
     if preset:
         source, cfg = f"preset {preset}", _load_preset(preset)
     elif ns.config:
         source, cfg = ns.config, parse_config(ns.config)
     else:
-        return argv, {}
+        return []
     wanted = cfg.pop("command", None)
     if wanted and wanted != command:
         raise ValidationError(f"{source} is for the {wanted!r} command, not {command!r}")
     cfg.pop("description", None)
-    subparser = parser.commands[command]
-    actions = subparser.actions
-    # what the command line sets, as --flag, --flag=value, -o, -o=value or -ovalue
-    given = {actions.get(arg.partition("=")[0]) or actions.get(arg[:2])
-             for arg in rest if arg.startswith("-")} - {None}
-    origins = {}
+    # every flag's dest is its key; -h takes no value, so help is not a key
+    actions = {action.dest: action for action in parser.commands[command]._actions
+               if action.nargs != 0}
+    unknown = []
     for key, value in cfg.items():
         if key in ("preset", "config"):
             raise ValidationError(f"{source}: key {key!r} cannot name another file")
-        flag = f"--{key.replace('_', '-')}"
-        action = actions.get(flag)
-        if action not in given:
-            origins[f"{flag}={value}"] = origin = f"key {key!r} in {source}"
-            if action is not None:
-                subparser.origins[action] = origin
-    return [command, *origins, *rest], origins
+        origin = f"key {key!r} in {source}"
+        if key in actions:
+            actions[key].default, actions[key].required = _FileValue(value, origin), False
+        else:
+            unknown.append(origin)
+    return unknown
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +472,13 @@ def build_parser():
 def _unknown_args(argv):
     """The arguments no flag of the command takes, or [] if argv does not parse.
 
-    argparse stops at a missing required argument before it reports unknown
-    ones, so this parses again with a parser whose commands require none.
+    argparse stops at a missing required argument or a refused file value
+    before it reports unknown ones, so this parses again with a parser whose
+    commands require none and hold no file's defaults.
     """
     parser = build_parser()
     for command in parser.commands.values():
-        for action in command.required_actions:
+        for action in command._actions:
             action.required = False
     try:
         return parser.parse_known_args(argv)[1]
@@ -518,17 +514,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = None
     try:
-        argv, origins = _splice_sources(sys.argv[1:] if argv is None else list(argv), parser)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        unknown = _set_file_defaults(argv, parser)  # the file's keys that are not flags
         try:
-            ns, unknown = parser.parse_known_args(argv)
+            ns, extra = parser.parse_known_args(argv)
             problem = ""
         except ValidationError as exc:
-            unknown, problem = _unknown_args(argv), f"; {exc}"
-            if not unknown:
+            extra, problem = _unknown_args(argv), f"; {exc}"
+            if not unknown + extra:
                 raise
+        unknown += extra
         if unknown:
-            parser.error("unrecognized arguments: "
-                         + " ".join(origins.get(arg, arg) for arg in unknown) + problem)
+            parser.error("unrecognized arguments: " + " ".join(unknown) + problem)
         return ns.func(ns)
     except PnrchanError as exc:
         print(f"pnrchan: error: {exc}", file=sys.stderr)

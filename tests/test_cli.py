@@ -11,6 +11,7 @@ import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -751,6 +752,8 @@ class TestConfigFiles:
         ("command = security\n", "'security'"),
         ("sig = 2.0\n", "'sig'"),
         ("workers = 2\n", "'workers'"),
+        ("help = 1\n", "'help'"),
+        ("signal-mean = 2.0\n", "'signal-mean'"),  # a key is a dest, not a flag
     ])
     def test_keys_that_are_not_this_commands_flags_rejected(self, tmp_path, capsys,
                                                             extra, message):
@@ -820,20 +823,65 @@ class TestConfigFiles:
         # a flag the command line gives still wins over the preset's key
         assert run_cli("sweep", "--preset", "fig3", "--tail-tol", "1e-20", "-o", str(out)) == 0
 
-    def test_splice_drops_each_flag_the_command_line_sets(self, tmp_path):
+    @pytest.mark.parametrize("name", sorted(TestPresets.PINNED))
+    @settings(derandomize=True, database=None, max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_flags_given_over_a_preset_win_in_every_form(self, name, data):
+        """The command line gives a random subset of the preset's keys, each
+        as --flag v or --flag=v, and the output in each of its five forms,
+        all in random order: the table is the preset's own.  In the file each
+        such key holds a value its flag refuses, so the run fails unless the
+        flag wins and the key is never parsed."""
+        preset = cli._load_preset(name)
+        keys = data.draw(st.lists(st.sampled_from(
+            sorted(set(preset) - {"command", "description"})), unique=True))
+        with tempfile.TemporaryDirectory() as directory:
+            out = os.path.join(directory, "out.csv")
+            groups = [["--preset", name]]
+            groups.append(data.draw(st.sampled_from([
+                ["-o", out], [f"-o={out}"], [f"-o{out}"], ["--output", out],
+                [f"--output={out}"]])))
+            for key in keys:
+                flag = f"--{key.replace('_', '-')}"
+                groups.append(data.draw(st.sampled_from([[flag, preset[key]],
+                                                         [f"{flag}={preset[key]}"]])))
+            argv = [arg for group in data.draw(st.permutations(groups)) for arg in group]
+            refused = {**preset, **dict.fromkeys(keys, "abc")}
+            with mock.patch.object(cli, "_load_preset", lambda _name: dict(refused)):
+                assert run_cli(preset["command"], *argv) == 0
+            digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
+        assert digest == TestPresets.PINNED[name]
+
+    def test_a_key_that_is_not_a_flag_is_named_among_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "my.cfg"
-        cfg.write_text("signal_mean = 2.0\nlo_mean = 8.0\nshots = 0\noutput = a.csv\n"
-                       "bogus = 1\n")
-        argv, origins = cli._splice_sources(
-            ["simulate", "--config", str(cfg), "--shots=5", "-ob.csv"], cli.build_parser())
-        # a key that is not a flag stays, to be named as unknown
-        assert argv == ["simulate", "--signal-mean=2.0", "--lo-mean=8.0", "--bogus=1",
-                        "--shots=5", "-ob.csv"]
-        assert origins["--bogus=1"] == f"key 'bogus' in {cfg}"
+        cfg.write_text(f"signal_mean = 2.0\nlo_mean = 8.0\nshots = 0\n"
+                       f"output = {tmp_path / 'a.csv'}\nbogus = 1\n")
+        assert run_cli("simulate", "--config", str(cfg), "--shots=5",
+                       f"-o{tmp_path / 'b.csv'}") == 1
+        assert capsys.readouterr().err == (
+            f"pnrchan: error: unrecognized arguments: key 'bogus' in {cfg}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["my.cfg"]
+
+    @pytest.mark.parametrize("extra, named", [
+        # the flag's refusal of the file's value keeps the unknown flag named
+        ("tail_tol = abc\n", "--bogus 3; key 'tail_tol' in {}: invalid float value: 'abc'"),
+        # an unknown key comes before an unknown flag
+        ("tail_tols = 1e-20\n", "key 'tail_tols' in {} --bogus 3"),
+    ])
+    def test_an_unknown_flag_is_named_with_the_files_faults(self, tmp_path, capsys, extra,
+                                                            named):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(SWEEP_CFG + extra)
+        out = tmp_path / "x.csv"
+        assert run_cli("sweep", "--config", str(cfg), "--bogus", "3", "-o", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"pnrchan: error: unrecognized arguments: {named.format(cfg)}\n")
+        assert not out.exists()
 
     def test_value_that_looks_like_a_flag_reaches_the_command(self, tmp_path, capsys):
-        # spliced as --grid=-3:-1:3; as two words argparse would read the
-        # value as a flag and report a missing argument instead
+        # the value is the flag's default, never a word of argv: as the two
+        # words --grid -3:-1:3 argparse would read it as a flag and report a
+        # missing argument instead
         code, err = self.run_config(tmp_path, capsys,
                                     "mode = lo\nsignal_mean = 2.0\ngrid = -3:-1:3\n")
         assert code == 1

@@ -83,6 +83,12 @@ class TestSampling:
         run = run_experiment(REF, 1, seed=5)
         assert len(run) == 2
 
+    def test_a_plan_equals_itself_alone(self):
+        run, again = run_experiment(REF, 10, seed=0), run_experiment(REF, 10, seed=0)
+        assert run == run and hash(run) == hash(run)
+        assert run != again and again.starts == run.starts
+        assert len({run, again}) == 2
+
     def test_invalid_requests_rejected(self):
         with pytest.raises(ValidationError):
             run_experiment(REF, 0, seed=1)
