@@ -472,14 +472,14 @@ def build_parser():
 def _unknown_args(argv):
     """The arguments no flag of the command takes, or [] if argv does not parse.
 
-    argparse stops at a missing required argument or a refused file value
-    before it reports unknown ones, so this parses again with a parser whose
-    commands require none and hold no file's defaults.
+    argparse stops at a missing required argument or a refused value before
+    it reports unknown ones, so this parses again with a parser whose flags
+    are all optional, take any value and hold no file's defaults.
     """
     parser = build_parser()
     for command in parser.commands.values():
         for action in command._actions:
-            action.required = False
+            action.required, action.type, action.choices = False, None, None
     try:
         return parser.parse_known_args(argv)[1]
     except ValidationError:

@@ -32,7 +32,6 @@ __all__ = [
     "PluginMiReport",
     "CalibrationResult",
     "run_experiment",
-    "block_tally",
     "empirical_distributions",
     "plugin_mi",
     "calibrate_params",
@@ -168,7 +167,7 @@ def _run_starts(keys):
     return np.flatnonzero(first)
 
 
-def block_tally(symbols, n, m):
+def _block_tally(symbols, n, m):
     """The distinct (n, m, symbol) cells of one block of shots and how often
     each occurs: int64 keys (n << 32) | (m << 1) | symbol, ascending, and
     their int64 tallies.
@@ -201,14 +200,15 @@ def block_tally(symbols, n, m):
 
 
 class ShotTally:
-    """Block tallies (``block_tally``) summed into one, as they come.
+    """The tallies of blocks of shots summed into one, as the blocks come.
 
-    ``add`` keeps a block's tally pending; once the pending ones hold at
-    least as many cells as the reduced tally, all are concatenated and
-    re-reduced: a stable sort of the keys and a sum over each run.  Each
-    re-reduce thus sorts at most twice the pending cells, so the cells
-    sorted over a run are at most twice those of its block tallies, and
-    memory stays a few times the support plus a block.
+    ``add`` tallies a block (``_block_tally``) and keeps that tally pending,
+    never the block's columns, which the caller may reuse; once the pending
+    tallies hold at least as many cells as the reduced tally, all are
+    concatenated and re-reduced: a stable sort of the keys and a sum over
+    each run.  Each re-reduce thus sorts at most twice the pending cells, so
+    the cells sorted over a run are at most twice those of its block
+    tallies, and memory stays a few times the support plus a block.
     """
 
     def __init__(self):
@@ -217,9 +217,11 @@ class ShotTally:
         self._pending = []
         self._pending_cells = 0
 
-    def add(self, block):
-        self._pending.append(block)
-        self._pending_cells += len(block[0])
+    def add(self, symbols, n, m):
+        """Tally one nonempty block, unchecked: uint8 symbols, each 0 or 1,
+        and int32 counts, each at least 0."""
+        self._pending.append(_block_tally(symbols, n, m))
+        self._pending_cells += len(self._pending[-1][0])
         if self._pending_cells >= len(self._keys):
             self._reduce()
 
@@ -300,7 +302,7 @@ def empirical_distributions(shots) -> EmpiricalDistributions:
     if isinstance(shots, ExperimentRun):
         tally = ShotTally()
         for block in shots.blocks:
-            tally.add(block_tally(*block()))
+            tally.add(*block())
         shots = tally
     keys, tally = shots.reduced()
     pairs, column = np.unique(keys >> 1, return_inverse=True)

@@ -2,7 +2,7 @@
 
 Shot records are comma-separated text with the header ``shot_id,symbol,n_t,n_r``,
 in the grammar the README states.  They are written and read block by block,
-and each block is tallied on the way (``montecarlo.block_tally``), so no
+and each block is tallied on the way (``montecarlo.ShotTally``), so no
 column of a whole run is held.  Result tables carry a ``#``-prefixed metadata
 preamble followed by a CSV header and rows, so a figure can be regenerated
 from the file alone.  All writes go through a write-then-rename so a failed
@@ -17,14 +17,13 @@ import threading
 import numpy as np
 
 from .errors import ValidationError
-from .montecarlo import MAX_COUNT, ExperimentRun, ShotTally, block_tally
+from .montecarlo import MAX_COUNT, ExperimentRun, ShotTally
 
 __all__ = [
     "SHOT_HEADER",
     "write_text_atomic",
     "write_shot_records",
     "read_shot_records",
-    "format_cell",
     "render_table",
     "parse_config",
 ]
@@ -202,7 +201,7 @@ def write_shot_records(path, run: ExperimentRun) -> ShotTally:
             ids = np.arange(start + at, start + stop, dtype=np.min_scalar_type(start + stop - 1))
             handle.write(_format_block([ids, symbols[at:stop], n[at:stop], m[at:stop]]))
         start += len(n)
-        tally.add(block_tally(symbols, n, m))
+        tally.add(symbols, n, m)
 
     with _atomic_output(path) as handle:
         handle.write(_PLAIN_HEADER)
@@ -387,12 +386,12 @@ def read_shot_records(path) -> ShotTally:
     """Parse and tally a shot file, or name the first line that breaks the grammar.
 
     The file is parsed block by block into one buffer (``_shot_blocks``),
-    and the buffer is tallied (``block_tally``) each time it fills, so
+    and the buffer is tallied (``ShotTally.add``) each time it fills, so
     memory is that of the buffer and the tally, whatever the file's length.
     """
     tally = ShotTally()
     for block in _shot_blocks(path):
-        tally.add(block_tally(*block))
+        tally.add(*block)
     return tally
 
 
@@ -405,7 +404,7 @@ def _decode_utf8(path, data):
         raise _not_utf8(path, line_no, data, exc) from exc
 
 
-def format_cell(value) -> str:
+def _format_cell(value) -> str:
     """Deterministic cell rendering; undefined quantities get a sentinel."""
     if value is None:
         return "undefined"
@@ -425,7 +424,7 @@ def render_table(version, preamble, columns, rows) -> str:
     for row in rows:
         if len(row) != len(columns):
             raise ValidationError("row width does not match the column header")
-        out.append(",".join(format_cell(cell) for cell in row))
+        out.append(",".join(_format_cell(cell) for cell in row))
     return "\n".join(out) + "\n"
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "STRATEGIES",
     "SECURITY_SCENARIOS",
     "SweepSpec",
-    "sweep_columns",
     "run_sweep",
     "run_security",
 ]
@@ -121,7 +120,7 @@ def _security_columns(spec):
             for c in cols]
 
 
-def sweep_columns(spec: SweepSpec):
+def _sweep_columns(spec: SweepSpec):
     cols = ["lo_mean"] if spec.mode == "lo" else ["loss_db", "transmissivity", "signal_mean"]
     for xi in spec.visibilities:
         tag = f"[xi={xi:g}]" if len(spec.visibilities) > 1 else ""
@@ -170,7 +169,7 @@ def _sweep_row(spec, value):
 
 def run_sweep(spec: SweepSpec):
     """Evaluate a MI sweep; returns (columns, rows) in grid order."""
-    return sweep_columns(spec), [_sweep_row(spec, value) for value in spec.grid]
+    return _sweep_columns(spec), [_sweep_row(spec, value) for value in spec.grid]
 
 
 def run_security(spec: SweepSpec):
@@ -181,7 +180,7 @@ def run_security(spec: SweepSpec):
     signal_mean, then the SecurityReport fields in declaration order (Bob's
     figures as i_ab_wf and i_ab_bds), then trunc_err.
     """
-    names = [_SECURITY_NAMES.get(c, c) for c in sweep_columns(spec)]
+    names = [_SECURITY_NAMES.get(c, c) for c in _sweep_columns(spec)]
     if sorted(names) != sorted(_SECURITY_COLUMNS):
         raise ValidationError("the security table is a loss sweep of wf,bds "
                               f"with security {','.join(SECURITY_SCENARIOS)}")

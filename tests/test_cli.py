@@ -878,6 +878,25 @@ class TestConfigFiles:
             f"pnrchan: error: unrecognized arguments: {named.format(cfg)}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, refusal", [
+        # a float type, a choice and a custom type, each refusing its value
+        (("sweep", "--preset", "fig3", "--tail-tol", "abc"),
+         "argument --tail-tol: invalid float value: 'abc'"),
+        (("sweep", "--preset", "fig3", "--mode", "low"),
+         "argument --mode: invalid choice: 'low' (choose from 'lo', 'loss')"),
+        (("simulate", "--signal-mean", "2", "--lo-mean", "8", "--shots", "0"),
+         "argument --shots: must be an integer >= 1, got 0"),
+    ])
+    def test_an_unknown_flag_is_named_before_a_refused_value(self, tmp_path, capsys, args,
+                                                             refusal):
+        out = tmp_path / "x.csv"
+        for at in (1, len(args)):  # before and after the refused value
+            argv = [*args[:at], "--bogus", "3", *args[at:], "-o", str(out)]
+            assert run_cli(*argv) == 1
+            assert capsys.readouterr().err == (
+                f"pnrchan: error: unrecognized arguments: --bogus 3; {refusal}\n")
+            assert not out.exists()
+
     def test_value_that_looks_like_a_flag_reaches_the_command(self, tmp_path, capsys):
         # the value is the flag's default, never a word of argv: as the two
         # words --grid -3:-1:3 argparse would read it as a flag and report a

@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from pnrchan import (
     skellam_pmf_grid,
 )
 from pnrchan import recordio
-from pnrchan.montecarlo import MAX_COUNT, EmpiricalDistributions, ShotTally, block_tally
+from pnrchan.montecarlo import MAX_COUNT, EmpiricalDistributions, ShotTally
 from pnrchan.recordio import write_shot_records
 
 from oracles import (
@@ -340,7 +341,7 @@ def test_merged_block_tallies_equal_the_whole_run_tally(case):
     tally = ShotTally()
     for block in zip(*(np.split(column, cuts) for column in (columns.symbols, columns.n,
                                                              columns.m))):
-        tally.add(block_tally(*block))
+        tally.add(*block)
     if len(set(columns.symbols.tolist())) < 2:
         missing = 1 - int(columns.symbols[0])
         with pytest.raises(ValidationError, match=f"run contains no shots for symbol {missing}"):
@@ -357,6 +358,63 @@ def test_merged_block_tallies_equal_the_whole_run_tally(case):
 def test_an_empty_tally_has_no_shots_for_symbol_0():
     with pytest.raises(ValidationError, match="run contains no shots for symbol 0"):
         empirical_distributions(ShotTally())
+
+
+def test_a_tally_keeps_none_of_the_columns_it_is_given():
+    """The reader hands ``add`` views of a buffer that it reuses: columns
+    overwritten after ``add``, once reduced or still pending, leave the
+    tally as it was."""
+    rng = np.random.default_rng(5)
+    blocks = [tuple(rng.integers(0, top, size).astype(t) for top, t in zip((2, 40, 40),
+                                                                             COLUMN_TYPES))
+              for size in (300, 20, 20)]
+    expected, tally = ShotTally(), ShotTally()
+    for block in blocks:
+        expected.add(*(column.copy() for column in block))
+        tally.add(*block)
+        for column in block:
+            column[:] = 0
+    for got, want in zip(tally.reduced(), expected.reduced()):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_a_tally_re_reduces_once_its_pending_cells_reach_the_reduced_ones(monkeypatch):
+    """The re-reduce rule: pending block tallies are merged once they hold at
+    least as many cells as the reduced tally, and not before."""
+    reduces, real_reduce = [], ShotTally._reduce
+    monkeypatch.setattr(ShotTally, "_reduce", lambda self: reduces.append(1) or real_reduce(self))
+    rows = [np.array(c, dtype=t) for c, t in zip(([0, 0, 1, 1], [0, 1, 0, 1], [0, 0, 0, 0]),
+                                                 COLUMN_TYPES)]
+    tally, after = ShotTally(), []
+    for stop in (4, 3, 1):  # 4 cells reduced; 3 kept pending; 3 + 1 reach 4, reduced
+        tally.add(*(column[:stop] for column in rows))
+        after.append(len(reduces))
+    assert after == [1, 1, 2]
+    assert tally.reduced()[1].tolist() == [3, 2, 2, 1] and len(reduces) == 2
+
+
+@pytest.mark.parametrize("bits, b, width, low", [
+    # (key bits, bit length of the m range, key bytes, smallest count)
+    *((bits, b, width, low) for bits, b, width in ((8, 1, 1), (8, 3, 1), (8, 7, 1), (16, 7, 2),
+                                                   (32, 15, 4)) for low in (0, 10**6)),
+    (63, 31, 8, 0),  # n up to MAX_COUNT
+])
+def test_a_block_key_is_as_narrow_as_its_largest_value(bits, b, width, low):
+    """A block of few cells takes two key arrays and a bool a shot, in the
+    narrowest type that holds its largest key ((n - n0) << b | (m - m0)) << 1
+    | symbol, here 2**bits - 1, however large the counts' offset."""
+    top = (1 << (bits - 1 - b)) - 1
+    size = 1 << 16
+    n, m = np.full(size, low, dtype=np.int32), np.full(size, low, dtype=np.int32)
+    n[0], m[0] = low + top, low + (1 << b) - 1
+    symbols = np.ones(size, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        montecarlo._block_tally(symbols, n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * width + 2) * size
 
 
 @PROPERTIES

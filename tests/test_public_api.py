@@ -11,6 +11,7 @@ import pnrchan
 from pnrchan import (ChannelParams, SecurityReport, ValidationError, calibrate_params,
                      empirical_distributions, mi_report, plugin_mi, run_experiment,
                      security_report_for)
+from pnrchan import montecarlo, recordio
 from pnrchan.sweeps import SweepSpec, run_security
 
 PUBLIC_NAMES = [
@@ -141,3 +142,17 @@ def test_records_keep_their_repr():
         "SweepSpec(mode='lo', signal_mean=1.0, grid=(2.0,), strategies=('wf', 'hl', 'bds'), "
         "visibilities=(1.0,), lo_mean=None, fixed_loss_db=0.0, security=(), "
         "eve_lo_mean=None, tail_tol=1e-10)")
+
+
+class TestOneWayIntoATally:
+    """A shot tally is fed only by ``ShotTally.add``, which takes a block's
+    columns: the packed (n, m, symbol) key is built, merged and unpacked in
+    ``montecarlo`` alone, and the file formats never see it."""
+
+    def test_recordio_holds_no_block_tally(self):
+        assert not hasattr(recordio, "block_tally")
+        assert not hasattr(recordio, "_block_tally")
+
+    def test_block_tally_is_not_exported(self):
+        assert "block_tally" not in montecarlo.__all__
+        assert not hasattr(montecarlo, "block_tally")

@@ -730,8 +730,8 @@ def test_bad_line_in_a_later_block_leaves_no_report(tmp_path, monkeypatch, capsy
     path.write_bytes(data)
     line_no = data[:at].count(b"\n") + 1
     tallied = []
-    real_block_tally = recordio.block_tally
-    monkeypatch.setattr(recordio, "block_tally",
+    real_block_tally = montecarlo._block_tally
+    monkeypatch.setattr(montecarlo, "_block_tally",
                         lambda *block: tallied.append(len(block[0])) or real_block_tally(*block))
     assert cli.main(["analyze", str(path), "-o", str(report)]) == 1
     assert capsys.readouterr().err == (
