@@ -177,7 +177,7 @@ def coherent_overlap(amplitude_sq: float) -> float:
 
     ``amplitude_sq`` is beta^2 (mean photon number of either state).
     """
-    if amplitude_sq < 0.0:
+    if not amplitude_sq >= 0.0:
         raise ValidationError(f"amplitude_sq must be >= 0, got {amplitude_sq}")
     return math.exp(-2.0 * amplitude_sq)
 

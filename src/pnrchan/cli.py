@@ -244,27 +244,17 @@ def _maybe_write_gnuplot(ns, columns, title):
 # ---------------------------------------------------------------------------
 
 def _cmd_security(ns):
-    spec = SweepSpec(
-        mode="loss",
-        signal_mean=ns.signal_mean,
-        grid=_parse_grid(ns.grid),
-        strategies=("wf", "bds"),
-        visibilities=(ns.xi,),
-        lo_mean=ns.lo_mean,
-        security=tuple(SECURITY_SCENARIOS),
-        eve_lo_mean=ns.eve_lo_mean,
-        tail_tol=ns.tail_tol,
-    )
-    columns, rows = run_security(spec)
+    columns, rows = run_security(ns.signal_mean, ns.lo_mean, _parse_grid(ns.grid), ns.xi,
+                                 ns.eve_lo_mean, ns.tail_tol)
     preamble = [
         ("command", "security"),
-        ("signal_mean", f"{spec.signal_mean:.12g}"),
-        ("lo_mean", f"{spec.lo_mean:.12g}"),
-        ("xi_bob", f"{spec.visibilities[0]:.12g}"),
+        ("signal_mean", f"{ns.signal_mean:.12g}"),
+        ("lo_mean", f"{ns.lo_mean:.12g}"),
+        ("xi_bob", f"{ns.xi:.12g}"),
         ("xi_eve", "1"),
-        ("eve_lo_mean", "bob" if spec.eve_lo_mean is None else f"{spec.eve_lo_mean:.12g}"),
+        ("eve_lo_mean", "bob" if ns.eve_lo_mean is None else f"{ns.eve_lo_mean:.12g}"),
         ("grid", ns.grid),
-        ("tail_tol", f"{spec.tail_tol:g}"),
+        ("tail_tol", f"{ns.tail_tol:g}"),
     ]
     write_text_atomic(ns.output, render_table(__version__, preamble, columns, rows))
     _maybe_write_gnuplot(ns, columns, "pnrchan security")

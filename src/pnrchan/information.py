@@ -81,7 +81,7 @@ def shannon_entropy(dist) -> float:
     p = np.asarray(dist, dtype=float)
     if p.size == 0:
         raise ValidationError("empty distribution")
-    if np.any(p < 0.0):
+    if not np.all(p >= 0.0):
         raise ValidationError("distribution entries must be >= 0")
     if p.sum() > 1.0 + 1e-9:
         raise ValidationError(f"distribution mass {p.sum()} exceeds 1")
@@ -106,6 +106,8 @@ def mutual_information(conditionals, priors=(0.5, 0.5)) -> float:
     ps = [np.asarray(p, dtype=float) for p in conditionals]
     if len(ps) != len(priors):
         raise ValidationError("need one conditional per prior")
+    if not (all(q >= 0.0 for q in priors) and abs(math.fsum(priors) - 1.0) <= 1e-12):
+        raise ValidationError(f"priors must be finite, nonnegative and sum to 1, got {priors}")
     h_cond = sum(q * shannon_entropy(p) for q, p in zip(priors, ps))
     if all(np.array_equal(p, ps[0]) for p in ps[1:]):
         return 0.0

@@ -46,10 +46,23 @@ _DRAW_PIECE = 1 << 14  # counts drawn at once; unlike _CHUNK, not part of the st
 MAX_COUNT = (1 << 31) - 1
 
 
-def _outside(column, top):
-    """Whether an integer column holds a value below 0 or above ``top``: one
-    or two reductions, with no temporary the size of the column."""
-    return column.max() > top or (column.dtype.kind == "i" and column.min() < 0)
+def _block_bounds(symbols, n, m, unit="block"):
+    """The least and greatest n and m of a ``unit`` of shots, refused unless its
+    columns are integer arrays of one nonzero length with symbols 0 or 1 and
+    counts in [0, MAX_COUNT]: two reductions a column, no temporary."""
+    if not all(isinstance(column, np.ndarray) and np.issubdtype(column.dtype, np.integer)
+               for column in (symbols, n, m)):
+        raise ValidationError("symbols and counts must be integer arrays")
+    if not (len(symbols) == len(n) == len(m)):
+        raise ValidationError("symbol and count columns must have equal length")
+    if len(symbols) == 0:
+        raise ValidationError(f"a {unit} must contain at least one shot")
+    if symbols.max() > 1 or symbols.min() < 0:
+        raise ValidationError("symbols must be 0 or 1")
+    bounds = int(n.min()), int(n.max()), int(m.min()), int(m.max())
+    if min(bounds) < 0 or max(bounds) > MAX_COUNT:
+        raise ValidationError(f"counts must lie in [0, {MAX_COUNT}]")
+    return bounds
 
 
 class ExperimentRun:
@@ -85,19 +98,9 @@ class ExperimentRun:
     @classmethod
     def from_columns(cls, symbols, n, m) -> "ExperimentRun":
         """A run of columns already in memory: the symbols and the two arm
-        counts, equal-length integer arrays of any dtype, in blocks of
-        ``_CHUNK`` rows."""
-        if not (len(symbols) == len(n) == len(m)):
-            raise ValidationError("symbol and count columns must have equal length")
-        if len(symbols) == 0:
-            raise ValidationError("a run must contain at least one shot")
-        if not all(isinstance(column, np.ndarray) and np.issubdtype(column.dtype, np.integer)
-                   for column in (symbols, n, m)):
-            raise ValidationError("symbols and counts must be integer arrays")
-        if _outside(symbols, 1):
-            raise ValidationError("symbols must be 0 or 1")
-        if _outside(n, MAX_COUNT) or _outside(m, MAX_COUNT):
-            raise ValidationError(f"counts must lie in [0, {MAX_COUNT}]")
+        counts, integer arrays of any dtype, checked whole (``_block_bounds``)
+        and then sliced into blocks of ``_CHUNK`` rows."""
+        _block_bounds(symbols, n, m, unit="run")
         starts = (*range(0, len(symbols), _CHUNK), len(symbols))
         return cls(blocks=tuple(partial(_slice, symbols, n, m, a, b)
                                 for a, b in zip(starts, starts[1:])), starts=starts)
@@ -139,8 +142,9 @@ def run_experiment(params: ChannelParams, shots_per_symbol: int, seed: int) -> E
     Nothing is drawn here: the means are checked, and a block that draws a
     count above ``MAX_COUNT`` raises ``ValidationError``.
     """
-    if shots_per_symbol < 1:
-        raise ValidationError("shots_per_symbol must be >= 1")
+    if not isinstance(shots_per_symbol, (int, np.integer)) or shots_per_symbol < 1:
+        raise ValidationError(f"shots_per_symbol must be an integer >= 1, "
+                              f"got {shots_per_symbol!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
     seed = int(seed)
@@ -173,23 +177,23 @@ def _block_tally(symbols, n, m):
     their int64 tallies.
 
     One sort of one key per shot does it.  Offset by the block's smallest n
-    and m, the key ((n - n0) << b | (m - m0)) << 1 | symbol, with ``b`` the
-    bit length of the block's m range, is built in the narrowest unsigned
-    type that holds its largest value: uint16 for counts that span a few
-    bits, whatever their size, at most uint64 for counts up to
-    ``MAX_COUNT``.  Its runs give the distinct keys, which alone are
-    widened back to the common key.
+    and m (``_block_bounds``, which checks the block), the key
+    ((n - n0) << b | (m - m0)) << 1 | symbol, with ``b`` the bit length of
+    the block's m range, is built in the narrowest unsigned type that holds
+    its largest value: uint16 for counts that span a few bits, whatever
+    their size, at most uint64 for counts up to ``MAX_COUNT``.  Its runs
+    give the distinct keys, which alone are widened back to the common key.
     """
-    low_n, low_m = int(n.min()), int(m.min())
-    b = (int(m.max()) - low_m).bit_length()
-    dtype = np.min_scalar_type(((int(n.max()) - low_n) << b | ((1 << b) - 1)) << 1 | 1)
+    low_n, high_n, low_m, high_m = _block_bounds(symbols, n, m)
+    b = (high_m - low_m).bit_length()
+    dtype = np.min_scalar_type(((high_n - low_n) << b | ((1 << b) - 1)) << 1 | 1)
     key, low = np.empty(len(n), dtype=dtype), np.empty(len(m), dtype=dtype)
-    np.subtract(n, low_n, out=key, casting="unsafe")  # differences in int32, stored narrow
+    np.subtract(n, low_n, out=key, casting="unsafe")  # differences in the counts' dtype, narrowed
     np.subtract(m, low_m, out=low, casting="unsafe")
     key <<= b
     key |= low
     key <<= 1
-    key |= symbols
+    np.bitwise_or(key, symbols, out=key, casting="unsafe")  # symbols of any integer type
     key.sort()
     starts = _run_starts(key)
     keys = key[starts].astype(np.int64)
@@ -218,8 +222,7 @@ class ShotTally:
         self._pending_cells = 0
 
     def add(self, symbols, n, m):
-        """Tally one nonempty block, unchecked: uint8 symbols, each 0 or 1,
-        and int32 counts, each at least 0."""
+        """Tally one block of shots, checked by ``_block_bounds``."""
         self._pending.append(_block_tally(symbols, n, m))
         self._pending_cells += len(self._pending[-1][0])
         if self._pending_cells >= len(self._keys):
@@ -304,6 +307,9 @@ def empirical_distributions(shots) -> EmpiricalDistributions:
         for block in shots.blocks:
             tally.add(*block())
         shots = tally
+    elif not isinstance(shots, ShotTally):
+        raise ValidationError(f"shots must be a ShotTally or an ExperimentRun, "
+                              f"got {type(shots).__name__}")
     keys, tally = shots.reduced()
     pairs, column = np.unique(keys >> 1, return_inverse=True)
     counts = np.zeros((2, len(pairs)), dtype=np.int64)
@@ -390,8 +396,9 @@ def calibrate_from_means(means_symbol0, means_symbol1, known_lo_mean=None,
             raise ValidationError(f"{label} must be a finite mean >= 0, got {known!r}")
     t0, r0 = means_symbol0
     t1, r1 = means_symbol1
-    if min(t0, r0, t1, r1) < 0.0:
-        raise ValidationError("arm means must be >= 0")
+    if not all(0.0 <= mean < math.inf for mean in (t0, r0, t1, r1)):
+        raise ValidationError(f"arm means must be >= 0 and finite, got {means_symbol0} for "
+                              f"symbol 0 and {means_symbol1} for symbol 1")
     total = 0.5 * (t0 + r0 + t1 + r1)
     cross = 0.25 * (abs(t1 - r1) + abs(t0 - r0))
     if known_lo_mean is not None:

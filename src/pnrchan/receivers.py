@@ -247,9 +247,12 @@ def skellam_window(mu_t, mu_r, tail_tol=DEFAULT_TAIL_TOL):
     is grown geometrically until the Chernoff bounds of the two tails
     (:func:`_skellam_chernoff_upper`) sum to at most ``tail_tol``.  A dark
     arm bounds the difference by 0 on its side: the window ends there, and
-    that side has no tail.  A window of more than ``_MAX_WINDOW_BINS`` bins
-    is refused with a ValidationError before any bound is formed.
+    that side has no tail.  A non-finite ``tail_tol``, and a window of more
+    than ``_MAX_WINDOW_BINS`` bins before any bound is formed, are refused
+    with a ValidationError; a ``tail_tol`` <= 0 with a NumericsError.
     """
+    if not math.isfinite(tail_tol):
+        raise ValidationError(f"tail_tol must be finite, got {tail_tol}")
     if tail_tol <= 0.0:  # an infinite alphabet leaves every window a tail
         raise NumericsError(
             f"tail tolerance {tail_tol:g} cannot be certified on an infinite "

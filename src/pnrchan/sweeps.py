@@ -68,7 +68,8 @@ class SweepSpec(_SweepFields):
     the fraction of the signal the channel loses (the grid's attenuation in
     ``loss`` mode, ``fixed_loss_db`` in ``lo`` mode) and reads it with Bob's
     LO unless ``eve_lo_mean`` is given.  An immutable record; ``_replace``
-    validates the new fields as the constructor does.
+    validates the new fields as the constructor does.  ``tail_tol`` is
+    checked by the first window it sizes (:func:`~pnrchan.receivers.skellam_window`).
     """
 
     __slots__ = ()
@@ -109,10 +110,6 @@ class SweepSpec(_SweepFields):
         diffs = [b - a for a, b in zip(self.grid, self.grid[1:])]
         if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ValidationError("grid must be strictly monotone")
-        # zero and negative tolerances are left to the window certification,
-        # which reports them as numerical failures
-        if not math.isfinite(self.tail_tol):
-            raise ValidationError(f"tail_tol must be finite, got {self.tail_tol}")
 
 
 def _security_columns(spec):
@@ -172,18 +169,18 @@ def run_sweep(spec: SweepSpec):
     return _sweep_columns(spec), [_sweep_row(spec, value) for value in spec.grid]
 
 
-def run_security(spec: SweepSpec):
-    """Evaluate a loss sweep as the security table; returns (columns, rows).
-
-    ``spec`` must be a loss sweep of strategies wf and bds with every
-    security scenario.  The columns are loss_db, transmissivity and
-    signal_mean, then the SecurityReport fields in declaration order (Bob's
-    figures as i_ab_wf and i_ab_bds), then trunc_err.
+def run_security(signal_mean, lo_mean, grid, xi=1.0, eve_lo_mean=None,
+                 tail_tol=DEFAULT_TAIL_TOL):
+    """The security table: the loss sweep (:class:`SweepSpec`) of wf and bds
+    with every security scenario at the one visibility ``xi``; returns
+    (columns, rows) in grid order.  The columns are loss_db, transmissivity
+    and signal_mean, the SecurityReport fields in declaration order (Bob's
+    figures as i_ab_wf and i_ab_bds), and trunc_err.
     """
+    spec = SweepSpec(mode="loss", signal_mean=signal_mean, grid=grid, strategies=("wf", "bds"),
+                     visibilities=(xi,), lo_mean=lo_mean, security=tuple(SECURITY_SCENARIOS),
+                     eve_lo_mean=eve_lo_mean, tail_tol=tail_tol)
     names = [_SECURITY_NAMES.get(c, c) for c in _sweep_columns(spec)]
-    if sorted(names) != sorted(_SECURITY_COLUMNS):
-        raise ValidationError("the security table is a loss sweep of wf,bds "
-                              f"with security {','.join(SECURITY_SCENARIOS)}")
     order = [names.index(c) for c in _SECURITY_COLUMNS]
     rows = [_sweep_row(spec, value) for value in spec.grid]
     return list(_SECURITY_COLUMNS), [[row[i] for i in order] for row in rows]

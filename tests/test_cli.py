@@ -585,20 +585,9 @@ class TestSecurityCommand:
             for column, cell in by_security.items():
                 assert by_sweep[renamed.get(column, column)] == cell, column
 
-    @pytest.mark.parametrize("change", [
-        {"mode": "lo", "lo_mean": None},
-        {"strategies": ("wf", "hl", "bds")},
-        {"strategies": ("wf",)},
-        {"security": ("ia-dr", "ca-rr")},
-    ])
-    def test_run_security_takes_only_its_own_layout(self, change):
-        spec = sweeps.SweepSpec(mode="loss", signal_mean=3.2, grid=(0.0,),
-                                strategies=("bds", "wf"), lo_mean=12.15,
-                                security=tuple(sweeps.SECURITY_SCENARIOS))
-        columns, rows = sweeps.run_security(spec)
+    def test_run_security_takes_only_its_own_layout(self):
+        columns, rows = sweeps.run_security(3.2, 12.15, (0.0,))
         assert columns[3:5] == ["i_ab_wf", "i_ab_bds"] and len(rows[0]) == 18
-        with pytest.raises(ValidationError, match="loss sweep of wf,bds"):
-            sweeps.run_security(spec._replace(**change))
 
     def test_every_cell_is_finite_or_sentinel(self, tmp_path):
         out = tmp_path / "sec.csv"

@@ -228,6 +228,7 @@ class TestEmpiricalDistributions:
         (np.array([0, 2], dtype=np.uint8), np.array([0, 0])),
         (np.array([0, 1]), np.array([0, -1], dtype=np.int32)),
         (np.array([0, 1]), [0, 0]),  # not an array
+        (np.array([0, 1]), 0),  # not a column
     ])
     def test_columns_out_of_range_rejected(self, symbols, n):
         with pytest.raises(ValidationError):
@@ -374,6 +375,19 @@ def test_a_tally_keeps_none_of_the_columns_it_is_given():
         tally.add(*block)
         for column in block:
             column[:] = 0
+    for got, want in zip(tally.reduced(), expected.reduced()):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_a_tally_takes_integer_columns_of_any_type():
+    """``add`` checks a block as ``from_columns`` checks whole columns, so it
+    takes the integer types that ``from_columns`` takes, and tallies the same
+    cells."""
+    rng = np.random.default_rng(6)
+    block = [rng.integers(0, top, 500).astype(t) for top, t in zip((2, 40, 40), COLUMN_TYPES)]
+    expected, tally = ShotTally(), ShotTally()
+    expected.add(*block)
+    tally.add(*(column.astype(np.int64) for column in block))
     for got, want in zip(tally.reduced(), expected.reduced()):
         np.testing.assert_array_equal(got, want)
 

@@ -5,14 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pnrchan
-from pnrchan import (ChannelParams, SecurityReport, ValidationError, calibrate_params,
-                     empirical_distributions, mi_report, plugin_mi, run_experiment,
-                     security_report_for)
+from pnrchan import (ChannelParams, SecurityReport, ValidationError, calibrate_from_means,
+                     calibrate_params, coherent_overlap, empirical_distributions, mi_report,
+                     mutual_information, plugin_mi, run_experiment, security_report_for,
+                     shannon_entropy, skellam_pmf_grid)
 from pnrchan import montecarlo, recordio
-from pnrchan.sweeps import SweepSpec, run_security
+from pnrchan.sweeps import SweepSpec, run_security, run_sweep
 
 PUBLIC_NAMES = [
     "CalibrationError", "CalibrationResult", "ChannelParams", "ExperimentRun",
@@ -88,9 +90,7 @@ def test_each_public_record_is_immutable(name):
 
 
 def test_security_report_fields_are_the_security_table_columns():
-    spec = SweepSpec(mode="loss", signal_mean=3.2, grid=(0.0, 3.0), strategies=("wf", "bds"),
-                     lo_mean=12.15, security=("ia-dr", "ia-rr", "ca-rr"))
-    columns, _ = run_security(spec)
+    columns, _ = run_security(3.2, 12.15, (0.0, 3.0))
     assert columns == ["loss_db", "transmissivity", "signal_mean",
                        *SecurityReport._fields[:-1], "trunc_err"]
     assert SecurityReport._fields[-1] == "error_bound"
@@ -116,7 +116,6 @@ SWEEP = {"mode": "lo", "signal_mean": 2.0, "grid": (1.0, 2.0, 4.0)}
     (SweepSpec, SWEEP, {"visibilities": ()}),
     (SweepSpec, SWEEP, {"mode": "loss"}),
     (SweepSpec, SWEEP, {"grid": (1.0, 3.0, 2.0)}),
-    (SweepSpec, SWEEP, {"tail_tol": math.nan}),
 ])
 def test_replace_validates_as_the_constructor_does(record, fields, change):
     with pytest.raises(ValidationError) as built:
@@ -124,6 +123,42 @@ def test_replace_validates_as_the_constructor_does(record, fields, change):
     with pytest.raises(ValidationError) as replaced:
         record(**fields)._replace(**change)
     assert str(replaced.value) == str(built.value)
+
+
+PAPER_POINT = ChannelParams.from_means(3.07, 12.17, visibility=0.94)
+
+
+def block(symbols, n, m):
+    return (np.array(symbols, dtype=np.uint8), np.array(n, dtype=np.int32),
+            np.array(m, dtype=np.int32))
+
+
+# each library call that is refused where its input is used, and the
+# argument its message names
+PROBES = {
+    "coherent_overlap": (lambda: coherent_overlap(math.nan), "amplitude_sq"),
+    "shannon_entropy": (lambda: shannon_entropy([math.nan, 1.0]), "distribution"),
+    "mutual_information": (lambda: mutual_information([[0.5, 0.5], [0.2, 0.8]],
+                                                      priors=(math.nan, 0.5)), "priors"),
+    "calibrate_from_means": (lambda: calibrate_from_means((math.nan, 1), (1, 2),
+                                                          known_lo_mean=12), "arm means"),
+    "run_experiment": (lambda: run_experiment(PAPER_POINT, 2.5, 1), "shots_per_symbol"),
+    "empirical_distributions": (lambda: empirical_distributions([1, 2, 3]), "shots"),
+    "mi_report": (lambda: mi_report(PAPER_POINT, tail_tol=math.nan), "tail_tol"),
+    "skellam_pmf_grid": (lambda: skellam_pmf_grid(3.0, 2.0, math.inf), "tail_tol"),
+    "run_sweep": (lambda: run_sweep(SweepSpec(**SWEEP)._replace(tail_tol=math.nan)),
+                  "tail_tol"),
+    "ShotTally.add(empty)": (lambda: montecarlo.ShotTally().add(*block([], [], [])), "block"),
+    "ShotTally.add(symbol 2)": (lambda: montecarlo.ShotTally().add(*block([2], [1], [1])),
+                                "symbols"),
+}
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_each_probe_is_refused_by_the_argument_it_names(probe):
+    call, argument = PROBES[probe]
+    with pytest.raises(ValidationError, match=argument):
+        call()
 
 
 @pytest.mark.parametrize("record", [ChannelParams, SweepSpec])

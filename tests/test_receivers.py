@@ -193,6 +193,35 @@ class TestChernoffBound:
         # lower tail read 1 and the window grew to [-47813, 247813]
         assert skellam_window(1e5, 1e-20) == (96175, 103825, pytest.approx(4.7e-32, rel=0.01))
 
+    @pytest.mark.parametrize("rates", [(12.17, 3.07), (3000.0, 2990.0), (5.0, 0.0)])
+    def test_a_tail_equal_to_the_tolerance_is_certified(self, rates):
+        # "at most tail_tol": the window whose bound is the tolerance itself
+        # is kept, not grown
+        window = skellam_window(*rates)
+        assert skellam_window(*rates, window[2]) == window
+
+    @pytest.mark.parametrize("rates", [(12.17, 3.07), (3000.0, 2990.0)])
+    def test_an_uncertified_window_grows_to_half_again_and_ten_bins(self, rates):
+        # the rule that sets every window wider than the base one: half-width
+        # h becomes ceil(1.5 h) + 10 while the tail exceeds the tolerance
+        lo, hi, tail = skellam_window(*rates)
+        half = math.ceil(12.0 * math.sqrt(sum(rates)) + 30.0)
+        grown = math.ceil(1.5 * half) + 10
+        assert skellam_window(*rates, 0.5 * tail)[:2] == (lo + half - grown, hi - half + grown)
+
+    @pytest.mark.parametrize("half, fits", [(2**19 - 1, True), (2**19, False)])
+    def test_the_bin_budget_holds_its_last_bin_and_no_more(self, half, fits):
+        # mean 1/2 and 12 sqrt(mu_t + mu_r) + 30 = half - 1/2: the base window
+        # [0 - half, 1 + half] has 2 half + 2 bins, 2^20 exactly for the first
+        total = ((half - 30.5) / 12.0) ** 2
+        rates = (0.5 * (total + 0.5), 0.5 * (total - 0.5))
+        if fits:
+            lo, hi, _ = skellam_window(*rates)
+            assert hi - lo + 1 == receivers._MAX_WINDOW_BINS
+        else:
+            with pytest.raises(ValidationError, match="more than 1048576 bins"):
+                skellam_window(*rates)
+
 
 class TestOneSidedLaw:
     """A dark arm: the difference law is the lit arm's Poisson law."""
