@@ -41,7 +41,6 @@ from .recordio import (
 from .sweeps import (
     SECURITY_SCENARIOS,
     STRATEGIES,
-    SweepSpec,
     run_security,
     run_sweep,
 )
@@ -201,35 +200,24 @@ def _set_file_defaults(argv, parser):
 # ---------------------------------------------------------------------------
 
 def _cmd_sweep(ns):
-    spec = SweepSpec(
-        mode=ns.mode,
-        signal_mean=ns.signal_mean,
-        grid=_parse_grid(ns.grid),
-        strategies=ns.strategies,
-        visibilities=ns.xi,
-        lo_mean=ns.lo_mean,
-        fixed_loss_db=ns.loss_db,
-        security=ns.security,
-        eve_lo_mean=ns.eve_lo_mean,
-        tail_tol=ns.tail_tol,
-    )
-    columns, rows = run_sweep(spec)
-    preamble = [("command", "sweep"), ("mode", spec.mode),
-                ("signal_mean", f"{spec.signal_mean:.12g}")]
-    if spec.lo_mean is not None:
-        preamble.append(("lo_mean", f"{spec.lo_mean:.12g}"))
-    if spec.fixed_loss_db:
-        preamble.append(("loss_db", f"{spec.fixed_loss_db:.12g}"))
-    preamble.append(("xi", ",".join(f"{v:g}" for v in spec.visibilities)))
-    preamble.append(("strategies", ",".join(spec.strategies)))
-    if spec.security:
-        preamble.append(("security", ",".join(spec.security)))
-    if spec.eve_lo_mean is not None:
-        preamble.append(("eve_lo_mean", f"{spec.eve_lo_mean:.12g}"))
+    columns, rows = run_sweep(ns.mode, ns.signal_mean, _parse_grid(ns.grid), ns.strategies, ns.xi,
+                              ns.lo_mean, ns.loss_db, ns.security, ns.eve_lo_mean, ns.tail_tol)
+    preamble = [("command", "sweep"), ("mode", ns.mode),
+                ("signal_mean", f"{ns.signal_mean:.12g}")]
+    if ns.lo_mean is not None:
+        preamble.append(("lo_mean", f"{ns.lo_mean:.12g}"))
+    if ns.loss_db:
+        preamble.append(("loss_db", f"{ns.loss_db:.12g}"))
+    preamble.append(("xi", ",".join(f"{v:g}" for v in ns.xi)))
+    preamble.append(("strategies", ",".join(ns.strategies)))
+    if ns.security:
+        preamble.append(("security", ",".join(ns.security)))
+    if ns.eve_lo_mean is not None:
+        preamble.append(("eve_lo_mean", f"{ns.eve_lo_mean:.12g}"))
     preamble.append(("grid", ns.grid))
-    preamble.append(("tail_tol", f"{spec.tail_tol:g}"))
+    preamble.append(("tail_tol", f"{ns.tail_tol:g}"))
     write_text_atomic(ns.output, render_table(__version__, preamble, columns, rows))
-    _maybe_write_gnuplot(ns, columns, f"pnrchan sweep ({spec.mode})")
+    _maybe_write_gnuplot(ns, columns, f"pnrchan sweep ({ns.mode})")
     return 0
 
 

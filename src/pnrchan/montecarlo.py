@@ -336,6 +336,12 @@ class PluginMiReport(NamedTuple):
     priors: tuple
 
 
+def _check_empirical(emp):
+    if not isinstance(emp, EmpiricalDistributions):
+        raise ValidationError(f"emp must be an EmpiricalDistributions, "
+                              f"got {type(emp).__name__}")
+
+
 def _miller_madow(mixture, total_shots):
     support = int(np.count_nonzero(mixture))
     return max(support - 1, 0) / (2.0 * total_shots * _LN2)
@@ -349,6 +355,7 @@ def plugin_mi(emp: EmpiricalDistributions) -> PluginMiReport:
     the outcome mixture, is attached as metadata for each strategy; the
     reported values stay uncorrected.
     """
+    _check_empirical(emp)
     total = sum(emp.shots)
     priors = (emp.shots[0] / total, emp.shots[1] / total)
     out = {}
@@ -384,7 +391,8 @@ def calibrate_from_means(means_symbol0, means_symbol1, known_lo_mean=None,
     The two observable means per symbol determine only the total rate
     S = T*alpha^2 + z^2 and the cross term xi*sqrt(T*alpha^2*z^2), so exactly
     one of ``known_lo_mean`` (z^2) or ``known_signal_mean`` (T*alpha^2) must
-    be supplied to separate the remaining unknowns.
+    be supplied to separate the remaining unknowns.  ``shots_per_symbol``,
+    None (unknown) or an integer >= 1, sets ``xi_stderr``.
     """
     if (known_lo_mean is None) == (known_signal_mean is None):
         raise ValidationError(
@@ -394,6 +402,10 @@ def calibrate_from_means(means_symbol0, means_symbol1, known_lo_mean=None,
                          ("known_signal_mean", known_signal_mean)):
         if known is not None and not (math.isfinite(known) and known >= 0.0):
             raise ValidationError(f"{label} must be a finite mean >= 0, got {known!r}")
+    if shots_per_symbol is not None and (not isinstance(shots_per_symbol, (int, np.integer))
+                                         or shots_per_symbol < 1):
+        raise ValidationError(f"shots_per_symbol must be None or an integer >= 1, "
+                              f"got {shots_per_symbol!r}")
     t0, r0 = means_symbol0
     t1, r1 = means_symbol1
     if not all(0.0 <= mean < math.inf for mean in (t0, r0, t1, r1)):
@@ -429,7 +441,7 @@ def calibrate_from_means(means_symbol0, means_symbol1, known_lo_mean=None,
     clamped = xi_raw > 1.0
     xi = min(xi_raw, 1.0)
     stderr = None
-    if shots_per_symbol:
+    if shots_per_symbol is not None:
         var_total = total / (2.0 * shots_per_symbol)
         var_cross = total / (8.0 * shots_per_symbol)
         if denom_sq > 0.0:
@@ -444,6 +456,7 @@ def calibrate_from_means(means_symbol0, means_symbol1, known_lo_mean=None,
 def calibrate_params(emp: EmpiricalDistributions, known_lo_mean=None,
                      known_signal_mean=None) -> CalibrationResult:
     """Infer channel parameters from the per-symbol arm means of an empirical law."""
+    _check_empirical(emp)
     return calibrate_from_means(
         *emp.arm_means.tolist(),
         known_lo_mean=known_lo_mean,

@@ -589,6 +589,11 @@ class TestSecurityCommand:
         columns, rows = sweeps.run_security(3.2, 12.15, (0.0,))
         assert columns[3:5] == ["i_ab_wf", "i_ab_bds"] and len(rows[0]) == 18
 
+    def test_eve_lo_mean_is_the_lo_mean_eve_reads_with(self):
+        bob = sweeps.run_security(3.2, 12.15, (3.0, 6.0))
+        assert sweeps.run_security(3.2, 12.15, (3.0, 6.0), eve_lo_mean=12.15) == bob
+        assert sweeps.run_security(3.2, 12.15, (3.0, 6.0), eve_lo_mean=30.0) != bob
+
     def test_every_cell_is_finite_or_sentinel(self, tmp_path):
         out = tmp_path / "sec.csv"
         assert run_cli("security", "--preset", "fig6", "-o", str(out)) == 0

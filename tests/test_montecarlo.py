@@ -467,6 +467,14 @@ def test_difference_and_sign_laws_aggregate_the_cells(run):
 
 
 class TestPluginMi:
+    def test_the_bias_counts_each_outcome_either_symbol_gives(self):
+        # both symbols give the same two cells equally often: MI 0 on a support of 2
+        run = ExperimentRun.from_columns(symbols=np.array([0, 0, 1, 1], dtype=np.uint8),
+                                         n=np.array([1, 0, 1, 0]), m=np.zeros(4, dtype=int))
+        report = plugin_mi(empirical_distributions(run))
+        assert report.wf.value == 0.0
+        assert report.wf.miller_madow_bias == pytest.approx(1.0 / (2 * 4 * math.log(2)))
+
     def test_exact_on_analytic_distributions(self):
         # the law of the analytic count-pair grid: probabilities as counts of one shot
         p = params_for(1.5, 6.0, 0.9)
@@ -560,6 +568,66 @@ class TestCalibration:
     def test_a_negative_arm_mean_is_refused(self, means):
         with pytest.raises(ValidationError, match="arm means must be >= 0"):
             calibrate_from_means(*means, known_lo_mean=1.0)
+
+    def test_means_below_one_recover_exactly(self):
+        # signal_mean * lo_mean = 0.75 and arm means under 1 take the general route
+        p = params_for(0.5, 1.5, 0.9)
+        cal = calibrate_from_means(detection_rates(p, 0), detection_rates(p, 1),
+                                   known_lo_mean=1.5, shots_per_symbol=100)
+        assert min(detection_rates(p, 0) + detection_rates(p, 1)) < 1.0
+        assert cal.signal_mean == pytest.approx(0.5, rel=1e-12)
+        assert cal.xi == pytest.approx(0.9, rel=1e-12)
+        assert cal.xi_stderr > 0.0
+
+    @pytest.mark.parametrize("known", [{"known_lo_mean": 0.0}, {"known_signal_mean": 0.0}])
+    def test_a_known_mean_of_zero_and_dark_arms_are_accepted(self, known):
+        cal = calibrate_from_means((0.0, 0.0), (0.0, 0.0), **known)
+        assert (cal.signal_mean, cal.lo_mean, cal.xi, cal.clamped) == (0.0, 0.0, 0.0, False)
+
+    @pytest.mark.parametrize("known, message", [
+        ({"known_lo_mean": 50.0}, "negative signal mean"),
+        ({"known_signal_mean": 50.0}, "negative LO mean"),
+    ])
+    def test_an_inconsistent_system_names_the_negative_mean(self, known, message):
+        with pytest.raises(CalibrationError, match=message):
+            calibrate_from_means((1.0, 1.0), (1.0, 1.0), **known)
+
+    @pytest.mark.parametrize("means, refused", [
+        # a cross term with a dark arm is rounding up to 1e-9 of the total
+        # rate, or of 1 below a total of 1
+        (((0.0, 0.0), (4e-9, 0.0)), False),
+        (((0.0, 0.0), (6e-9, 0.0)), True),
+        (((2.0, 2.0), (2.0 + 2e-9, 2.0 - 2e-9)), False),
+        (((2.0, 2.0), (2.0 + 2e-8, 2.0 - 2e-8)), True),
+    ])
+    def test_a_dark_arms_cross_term_tolerance(self, means, refused):
+        if refused:
+            with pytest.raises(CalibrationError, match="with a dark arm"):
+                calibrate_from_means(*means, known_signal_mean=0.0)
+        else:
+            assert calibrate_from_means(*means, known_signal_mean=0.0).xi_raw == 0.0
+
+    @pytest.mark.parametrize("means, xi_raw, clamped", [
+        (((0.0, 2.0), (2.0, 0.0)), 1.0, False),
+        (((0.0, 3.0), (3.0, 0.0)), 1.5 / math.sqrt(2.0), True),
+    ])
+    def test_a_visibility_above_one_is_clamped(self, means, xi_raw, clamped):
+        cal = calibrate_from_means(*means, known_lo_mean=1.0)
+        assert cal.xi_raw == pytest.approx(xi_raw, rel=1e-15)
+        assert (cal.xi, cal.clamped) == (1.0, clamped)
+
+    @pytest.mark.parametrize("shots", [1, 2000])
+    def test_the_standard_error_is_first_order_poisson_noise(self, shots):
+        # var(xi) = var(cross) / (s z) + xi^2 / (4 s^2) var(total), with
+        # var(total) = total / (2 N) and var(cross) = total / (8 N) taken as
+        # independent; s is the inferred signal mean and z the known LO mean
+        s, z, xi = 3.07, 12.15, 0.94
+        p = params_for(s, z, xi)
+        cal = calibrate_from_means(detection_rates(p, 0), detection_rates(p, 1),
+                                   known_lo_mean=z, shots_per_symbol=shots)
+        total = s + z
+        var = (total / (8 * shots)) / (s * z) + xi ** 2 / (4 * s ** 2) * (total / (2 * shots))
+        assert cal.xi_stderr == pytest.approx(math.sqrt(var), rel=1e-12)
 
     def test_exactly_one_known_required(self):
         with pytest.raises(ValidationError):

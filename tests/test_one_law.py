@@ -16,7 +16,7 @@ from pnrchan import (ChannelParams, binary_entropy, eve_params, information, mi_
                      mi_report, security_report_for)
 from pnrchan.receivers import DEFAULT_TAIL_TOL
 from pnrchan.security import mi_bob_eve
-from pnrchan.sweeps import SweepSpec, run_security, run_sweep
+from pnrchan.sweeps import run_security, run_sweep
 
 from oracles import mi_bob_eve_dense, mirror_law
 
@@ -42,18 +42,15 @@ class TestOneLawPerReceiver:
         assert len(law_builds) == builds
 
     def test_sweep_row_builds_one_law_per_visibility(self, law_builds):
-        spec = SweepSpec(mode="lo", signal_mean=3.07, grid=(12.17,),
-                         strategies=("wf", "hl", "bds", "hom"),
-                         visibilities=(0.86, 0.91))
-        run_sweep(spec)
+        run_sweep(mode="lo", signal_mean=3.07, grid=(12.17,),
+                  strategies=("wf", "hl", "bds", "hom"), visibilities=(0.86, 0.91))
         assert len(law_builds) == 2
 
     @pytest.mark.parametrize("loss_db, builds", [(3.0, 2), (0.0, 1)])
     def test_sweep_row_with_security_shares_bobs_law(self, law_builds, loss_db, builds):
-        spec = SweepSpec(mode="loss", signal_mean=3.2, grid=(loss_db,),
-                         strategies=("wf", "hl", "bds", "hom"), visibilities=(0.94,),
-                         lo_mean=12.15, security=("ia-dr", "ia-rr", "ca-rr"))
-        run_sweep(spec)
+        run_sweep(mode="loss", signal_mean=3.2, grid=(loss_db,),
+                  strategies=("wf", "hl", "bds", "hom"), visibilities=(0.94,),
+                  lo_mean=12.15, security=("ia-dr", "ia-rr", "ca-rr"))
         assert len(law_builds) == builds
 
     def test_mi_report(self, law_builds):

@@ -1,6 +1,8 @@
+import importlib
 import inspect
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +15,8 @@ from pnrchan import (ChannelParams, SecurityReport, ValidationError, calibrate_f
                      calibrate_params, coherent_overlap, empirical_distributions, mi_report,
                      mutual_information, plugin_mi, run_experiment, security_report_for,
                      shannon_entropy, skellam_pmf_grid)
-from pnrchan import montecarlo, recordio
-from pnrchan.sweeps import SweepSpec, run_security, run_sweep
+from pnrchan import montecarlo, recordio, sweeps
+from pnrchan.sweeps import run_security, run_sweep
 
 PUBLIC_NAMES = [
     "CalibrationError", "CalibrationResult", "ChannelParams", "ExperimentRun",
@@ -59,7 +61,7 @@ def test_cli_import_leaves_dataclasses_out():
 RECORD_FIELDS = {
     "ChannelParams": "alpha", "MiReport": "i_wf", "SecurityReport": "k_dr",
     "ExperimentRun": "blocks", "EmpiricalDistributions": "cells", "PluginMiReport": "wf",
-    "PluginEstimate": "value", "CalibrationResult": "xi", "SweepSpec": "grid",
+    "PluginEstimate": "value", "CalibrationResult": "xi",
 }
 
 
@@ -73,7 +75,6 @@ def public_records():
         "SecurityReport": security_report_for(params), "ExperimentRun": run,
         "EmpiricalDistributions": emp, "PluginMiReport": report, "PluginEstimate": report.wf,
         "CalibrationResult": calibrate_params(emp, known_lo_mean=9.0),
-        "SweepSpec": SweepSpec(mode="lo", signal_mean=1.0, grid=(1.0, 2.0)),
     }
 
 
@@ -108,14 +109,6 @@ SWEEP = {"mode": "lo", "signal_mean": 2.0, "grid": (1.0, 2.0, 4.0)}
     (ChannelParams, CHANNEL, {"visibility": 1.5}),
     (ChannelParams, CHANNEL, {"priors": (1.0,)}),
     (ChannelParams, CHANNEL, {"priors": (0.6, 0.6)}),
-    (SweepSpec, SWEEP, {"mode": "energy"}),
-    (SweepSpec, SWEEP, {"signal_mean": -2.0}),
-    (SweepSpec, SWEEP, {"strategies": ()}),
-    (SweepSpec, SWEEP, {"strategies": ("wf", "pnr")}),
-    (SweepSpec, SWEEP, {"security": ("ia-xx",)}),
-    (SweepSpec, SWEEP, {"visibilities": ()}),
-    (SweepSpec, SWEEP, {"mode": "loss"}),
-    (SweepSpec, SWEEP, {"grid": (1.0, 3.0, 2.0)}),
 ])
 def test_replace_validates_as_the_constructor_does(record, fields, change):
     with pytest.raises(ValidationError) as built:
@@ -142,12 +135,48 @@ PROBES = {
                                                       priors=(math.nan, 0.5)), "priors"),
     "calibrate_from_means": (lambda: calibrate_from_means((math.nan, 1), (1, 2),
                                                           known_lo_mean=12), "arm means"),
+    "calibrate_from_means(inf)": (lambda: calibrate_from_means((math.inf, 1), (1, 2),
+                                                               known_lo_mean=12), "arm means"),
     "run_experiment": (lambda: run_experiment(PAPER_POINT, 2.5, 1), "shots_per_symbol"),
     "empirical_distributions": (lambda: empirical_distributions([1, 2, 3]), "shots"),
     "mi_report": (lambda: mi_report(PAPER_POINT, tail_tol=math.nan), "tail_tol"),
     "skellam_pmf_grid": (lambda: skellam_pmf_grid(3.0, 2.0, math.inf), "tail_tol"),
-    "run_sweep": (lambda: run_sweep(SweepSpec(**SWEEP)._replace(tail_tol=math.nan)),
-                  "tail_tol"),
+    "run_sweep": (lambda: run_sweep(**SWEEP, tail_tol=math.nan), "tail_tol"),
+    # a sweep's own values, checked before its first point
+    "run_sweep(mode)": (lambda: run_sweep(**{**SWEEP, "mode": "energy"}),
+                        "mode must be 'lo' or 'loss', got 'energy'"),
+    "run_sweep(signal_mean)": (lambda: run_sweep(**{**SWEEP, "signal_mean": -2.0}),
+                               "signal_mean must be finite and >= 0, got -2.0"),
+    "run_sweep(no strategies)": (lambda: run_sweep(**SWEEP, strategies=()),
+                                 "strategies must not be empty"),
+    "run_sweep(strategies)": (lambda: run_sweep(**SWEEP, strategies=("wf", "pnr")),
+                              "unknown strategy 'pnr'"),
+    "run_sweep(security)": (lambda: run_sweep(**SWEEP, security=("ia-xx",)),
+                            "unknown security scenario 'ia-xx'"),
+    "run_sweep(visibilities)": (lambda: run_sweep(**SWEEP, visibilities=()),
+                                "need at least one visibility"),
+    "run_sweep(lo_mean)": (lambda: run_sweep(**{**SWEEP, "mode": "loss"}),
+                           "loss mode needs a fixed lo_mean"),
+    "run_sweep(grid)": (lambda: run_sweep(**{**SWEEP, "grid": (1.0, 3.0, 2.0)}),
+                        "grid must be strictly monotone"),
+    "run_sweep(grid repeats rising)": (lambda: run_sweep(**{**SWEEP, "grid": (1.0, 2.0, 2.0)}),
+                                       "grid must be strictly monotone"),
+    "run_sweep(grid repeats falling)": (lambda: run_sweep(**{**SWEEP, "grid": (2.0, 1.0, 1.0)}),
+                                        "grid must be strictly monotone"),
+    "run_sweep(grid falls, then rises)": (
+        lambda: run_sweep(**{**SWEEP, "grid": (3.0, 2.0, 2.5)}), "grid must be strictly monotone"),
+    "run_security(grid)": (lambda: run_security(3.2, 12.15, (0.0, 3.0, 1.0)),
+                           "grid must be strictly monotone"),
+    "run_security(signal_mean)": (lambda: run_security(math.nan, 12.15, (0.0,)),
+                                  "signal_mean must be finite and >= 0, got nan"),
+    "run_security(eve_lo_mean)": (lambda: run_security(3.2, 12.15, (0.0,), eve_lo_mean=-1.0),
+                                  "eve_lo_mean must be finite and >= 0, got -1.0"),
+    **{f"calibrate_from_means(shots_per_symbol={shots!r})": (
+        lambda shots=shots: calibrate_from_means((1, 2), (2, 1), known_lo_mean=1,
+                                                 shots_per_symbol=shots),
+        "shots_per_symbol") for shots in (math.nan, -5, math.inf, 0, 2.5)},
+    "plugin_mi": (lambda: plugin_mi([1, 2]), "emp"),
+    "calibrate_params": (lambda: calibrate_params([1]), "emp"),
     "ShotTally.add(empty)": (lambda: montecarlo.ShotTally().add(*block([], [], [])), "block"),
     "ShotTally.add(symbol 2)": (lambda: montecarlo.ShotTally().add(*block([2], [1], [1])),
                                 "symbols"),
@@ -161,7 +190,7 @@ def test_each_probe_is_refused_by_the_argument_it_names(probe):
         call()
 
 
-@pytest.mark.parametrize("record", [ChannelParams, SweepSpec])
+@pytest.mark.parametrize("record", [ChannelParams])
 def test_validated_records_show_their_fields_as_parameters(record):
     parameters = inspect.signature(record).parameters
     assert list(parameters) == list(record._fields)
@@ -173,10 +202,15 @@ def test_records_keep_their_repr():
     assert repr(ChannelParams(alpha=1.0)) == (
         "ChannelParams(alpha=1.0, transmissivity=1.0, lo_amplitude=0.0, visibility=1.0, "
         "priors=(0.5, 0.5))")
-    assert repr(SweepSpec(mode="lo", signal_mean=1.0, grid=(2.0,))) == (
-        "SweepSpec(mode='lo', signal_mean=1.0, grid=(2.0,), strategies=('wf', 'hl', 'bds'), "
-        "visibilities=(1.0,), lo_mean=None, fixed_loss_db=0.0, security=(), "
-        "eve_lo_mean=None, tail_tol=1e-10)")
+
+
+def test_the_modules_export_fifty_names():
+    # an export added to any module fails here until it is counted
+    modules = [importlib.import_module(f"pnrchan.{m.name}")
+               for m in pkgutil.iter_modules(pnrchan.__path__)]
+    assert len(modules) == 9
+    assert sum(len(getattr(m, "__all__", ())) for m in modules) == 50
+    assert sweeps.__all__ == ["STRATEGIES", "SECURITY_SCENARIOS", "run_sweep", "run_security"]
 
 
 class TestOneWayIntoATally:
