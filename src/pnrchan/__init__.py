@@ -31,7 +31,6 @@ from .information import (
 )
 from .montecarlo import (
     CalibrationResult,
-    ExperimentRun,
     calibrate_from_means,
     calibrate_params,
     empirical_distributions,

@@ -12,7 +12,6 @@ conditions.
 
 import argparse
 import gc
-import itertools
 import json
 import sys
 from functools import partial
@@ -337,19 +336,12 @@ def _cmd_analyze(ns):
 
 def _json_pieces(payload, spliced):
     """The text of ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``,
-    with the pieces of ``spliced`` in place of the JSON of ``_SPLICED``,
-    in pieces of 4096 encoder chunks, so it is never held whole.  The
-    encoder yields each string whole, so a piece holds all of the marker
-    or none of it."""
-    marker = json.dumps(_SPLICED)
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    while piece := "".join(itertools.islice(chunks, 4096)):
-        head, found, tail = piece.partition(marker)
-        yield head
-        if found:
-            yield from spliced
-            yield tail
-    yield "\n"
+    with the pieces of ``spliced`` in place of the JSON of ``_SPLICED``.
+    Only the spliced text grows with the cells, so the rest is encoded whole."""
+    head, _, tail = json.dumps(payload, indent=2, sort_keys=True).partition(json.dumps(_SPLICED))
+    yield head
+    yield from spliced
+    yield tail + "\n"
 
 
 # ---------------------------------------------------------------------------

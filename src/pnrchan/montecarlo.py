@@ -8,14 +8,14 @@ part of the stream: the counts depend only on (params, shots, seed), not on
 how many threads draw the chunks or in which order they finish, but a
 different ``_CHUNK`` would give different counts.
 
-A run is a plan of blocks, and every estimate comes from tallies of the
-distinct (n, m, symbol) cells, which add exactly across blocks: no column
-of a whole run is ever built.
+A run is a plain tuple of blocks: ``run[i]()`` makes block ``i``, its
+symbols (uint8) and its two arm counts (int32, each at most ``MAX_COUNT``).
+Every estimate comes from tallies of the distinct (n, m, symbol) cells,
+which add exactly across blocks: no column of a whole run is ever built.
 """
 
 import math
 from functools import partial
-from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -25,13 +25,13 @@ from .errors import CalibrationError, ValidationError
 from .information import mutual_information
 
 __all__ = [
-    "ExperimentRun",
     "EmpiricalDistributions",
     "ShotTally",
     "PluginEstimate",
     "PluginMiReport",
     "CalibrationResult",
     "run_experiment",
+    "run_from_columns",
     "empirical_distributions",
     "plugin_mi",
     "calibrate_params",
@@ -65,45 +65,20 @@ def _block_bounds(symbols, n, m, unit="block"):
     return bounds
 
 
-class ExperimentRun:
-    """A run of shot records, held as the plan of its blocks, not as columns.
+def run_from_columns(symbols, n, m) -> tuple:
+    """A run of columns already in memory: the symbols and the two arm
+    counts, integer arrays of any dtype, checked whole (``_block_bounds``)
+    and then sliced into a tuple of blocks of at most ``_CHUNK`` rows."""
+    _block_bounds(symbols, n, m, unit="run")
+    starts = (*range(0, len(symbols), _CHUNK), len(symbols))
+    return tuple(partial(_slice, symbols, n, m, a, b) for a, b in zip(starts, starts[1:]))
 
-    ``blocks[i]()`` makes block ``i``, rows ``starts[i]`` to ``starts[i + 1]``
-    of the run: its symbols (uint8) and its two arm counts (int32, each at
-    most ``MAX_COUNT``).  ``run_experiment`` draws a block when it is made;
-    ``from_columns`` slices columns already in memory.  ``len(run)`` is the
-    number of shots, so the record is a class of its own, not a tuple; its
-    two fields cannot be assigned or deleted.  A plan equals only itself:
-    its blocks are functions, which compare by identity.
-    """
 
-    __slots__ = ("blocks", "starts")
-
-    def __init__(self, blocks, starts):
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "starts", starts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        return f"ExperimentRun(blocks={self.blocks!r}, starts={self.starts!r})"
-
-    def __len__(self):
-        return self.starts[-1]
-
-    @classmethod
-    def from_columns(cls, symbols, n, m) -> "ExperimentRun":
-        """A run of columns already in memory: the symbols and the two arm
-        counts, integer arrays of any dtype, checked whole (``_block_bounds``)
-        and then sliced into blocks of ``_CHUNK`` rows."""
-        _block_bounds(symbols, n, m, unit="run")
-        starts = (*range(0, len(symbols), _CHUNK), len(symbols))
-        return cls(blocks=tuple(partial(_slice, symbols, n, m, a, b)
-                                for a, b in zip(starts, starts[1:])), starts=starts)
+def _check_run(run, name, expected="a run (a tuple of blocks)"):
+    """Refuse ``run`` unless it is a plain tuple of block makers: a NamedTuple,
+    such as an ``EmpiricalDistributions``, is a tuple but not a run."""
+    if type(run) is not tuple or not all(callable(block) for block in run):
+        raise ValidationError(f"{name} must be {expected}, got {type(run).__name__}")
 
 
 def _slice(symbols, n, m, start, stop):
@@ -129,9 +104,10 @@ def _draw(seed, symbol, index, rates, size):
     return (np.full(size, symbol, dtype=np.uint8), *counts)
 
 
-def run_experiment(params: ChannelParams, shots_per_symbol: int, seed: int) -> ExperimentRun:
+def run_experiment(params: ChannelParams, shots_per_symbol: int, seed: int) -> tuple:
     """Plan a balanced run: ``shots_per_symbol`` pulses for each symbol.
 
+    The run is a tuple of blocks, ``2 * shots_per_symbol`` shots in all.
     Deterministic for fixed (params, shots_per_symbol, seed); the record
     order is all symbol-0 shots followed by all symbol-1 shots.  Block ``i``
     is a chunk of at most ``_CHUNK`` shots of one symbol, drawn when it is
@@ -158,9 +134,8 @@ def run_experiment(params: ChannelParams, shots_per_symbol: int, seed: int) -> E
             raise ValidationError(f"arm mean {mu:.6g} is too large to record: mean + "
                                   f"40 sqrt(mean) must be at most the count limit {MAX_COUNT}")
     sizes = [min(_CHUNK, shots_per_symbol - start) for start in range(0, shots_per_symbol, _CHUNK)]
-    blocks = tuple(partial(_draw, seed, symbol, index, rates[symbol], size)
-                   for symbol in (0, 1) for index, size in enumerate(sizes))
-    return ExperimentRun(blocks=blocks, starts=tuple(accumulate(sizes + sizes, initial=0)))
+    return tuple(partial(_draw, seed, symbol, index, rates[symbol], size)
+                 for symbol in (0, 1) for index, size in enumerate(sizes))
 
 
 def _run_starts(keys):
@@ -298,18 +273,16 @@ def empirical_distributions(shots) -> EmpiricalDistributions:
     """Count each symbol's observed (n, m) pairs.
 
     ``shots`` is the ``ShotTally`` that ``write_shot_records`` or
-    ``read_shot_records`` returns, or an ``ExperimentRun``, whose blocks are
-    made and tallied here one after another.  Memory is that of the tally
-    and a block, whatever the length of the run.
+    ``read_shot_records`` returns, or a run, whose blocks are made and
+    tallied here one after another.  Memory is that of the tally and a
+    block, whatever the length of the run.
     """
-    if isinstance(shots, ExperimentRun):
+    if not isinstance(shots, ShotTally):
+        _check_run(shots, "shots", "a ShotTally or a run (a tuple of blocks)")
         tally = ShotTally()
-        for block in shots.blocks:
+        for block in shots:
             tally.add(*block())
         shots = tally
-    elif not isinstance(shots, ShotTally):
-        raise ValidationError(f"shots must be a ShotTally or an ExperimentRun, "
-                              f"got {type(shots).__name__}")
     keys, tally = shots.reduced()
     pairs, column = np.unique(keys >> 1, return_inverse=True)
     counts = np.zeros((2, len(pairs)), dtype=np.int64)
@@ -373,7 +346,8 @@ class CalibrationResult(NamedTuple):
 
     ``xi_raw`` is the unclamped visibility estimate; ``clamped`` flags a raw
     value above 1.  ``xi_stderr`` is a first-order propagation of Poisson
-    counting noise (None when shot counts are unknown).
+    counting noise, with the covariance of the total and cross terms (None
+    when shot counts are unknown or an arm is dark).
     """
 
     signal_mean: float
@@ -398,10 +372,10 @@ def calibrate_from_means(means_symbol0, means_symbol1, known_lo_mean=None,
         raise ValidationError(
             "exactly one of known_lo_mean or known_signal_mean is required"
         )
-    for label, known in (("known_lo_mean", known_lo_mean),
-                         ("known_signal_mean", known_signal_mean)):
-        if known is not None and not (math.isfinite(known) and known >= 0.0):
-            raise ValidationError(f"{label} must be a finite mean >= 0, got {known!r}")
+    label, known = (("lo_mean", known_lo_mean) if known_lo_mean is not None
+                    else ("signal_mean", known_signal_mean))
+    if not (math.isfinite(known) and known >= 0.0):
+        raise ValidationError(f"known_{label} must be a finite mean >= 0, got {known!r}")
     if shots_per_symbol is not None and (not isinstance(shots_per_symbol, (int, np.integer))
                                          or shots_per_symbol < 1):
         raise ValidationError(f"shots_per_symbol must be None or an integer >= 1, "
@@ -413,21 +387,15 @@ def calibrate_from_means(means_symbol0, means_symbol1, known_lo_mean=None,
                               f"symbol 0 and {means_symbol1} for symbol 1")
     total = 0.5 * (t0 + r0 + t1 + r1)
     cross = 0.25 * (abs(t1 - r1) + abs(t0 - r0))
-    if known_lo_mean is not None:
-        lo_mean = float(known_lo_mean)
-        signal_mean = total - lo_mean
-        known_label = "lo_mean"
-    else:
-        signal_mean = float(known_signal_mean)
-        lo_mean = total - signal_mean
-        known_label = "signal_mean"
-    unknown = signal_mean if known_label == "lo_mean" else lo_mean
+    known = float(known)
+    unknown = total - known
     if unknown < 0.0:
         raise CalibrationError(
             f"inconsistent system: total rate {total:.6g} is below the known "
-            f"{known_label}, leaving a negative {('signal' if known_label == 'lo_mean' else 'LO')} "
+            f"{label}, leaving a negative {'signal' if label == 'lo_mean' else 'LO'} "
             f"mean {unknown:.6g}"
         )
+    signal_mean, lo_mean = (unknown, known) if label == "lo_mean" else (known, unknown)
     denom_sq = signal_mean * lo_mean
     if denom_sq <= 0.0:
         if cross > 1e-9 * max(total, 1.0):
@@ -441,12 +409,15 @@ def calibrate_from_means(means_symbol0, means_symbol1, known_lo_mean=None,
     clamped = xi_raw > 1.0
     xi = min(xi_raw, 1.0)
     stderr = None
-    if shots_per_symbol is not None:
-        var_total = total / (2.0 * shots_per_symbol)
-        var_cross = total / (8.0 * shots_per_symbol)
-        if denom_sq > 0.0:
-            var_xi = var_cross / denom_sq + (xi * xi / (4.0 * unknown * unknown)) * var_total
-            stderr = math.sqrt(var_xi)
+    if shots_per_symbol is not None and denom_sq > 0.0:
+        # var(total) = total / 2N, var(cross) = total / 8N and cov(total, cross)
+        # = cross / 2N, through dxi/dcross = 1 / sqrt(s z) and dxi/dtotal =
+        # -xi / 2u; that covariance is positive semidefinite, so only rounding
+        # takes the sum below zero
+        n = shots_per_symbol
+        var_xi = (total / (8.0 * n * denom_sq) + xi * xi * total / (8.0 * n * unknown ** 2)
+                  - xi * cross / (2.0 * n * unknown * math.sqrt(denom_sq)))
+        stderr = math.sqrt(max(var_xi, 0.0))
     return CalibrationResult(
         signal_mean=signal_mean, lo_mean=lo_mean, xi=xi,
         xi_raw=xi_raw, xi_stderr=stderr, clamped=clamped,

@@ -17,7 +17,7 @@ import threading
 import numpy as np
 
 from .errors import ValidationError
-from .montecarlo import MAX_COUNT, ExperimentRun, ShotTally
+from .montecarlo import MAX_COUNT, ShotTally, _check_run
 
 __all__ = [
     "SHOT_HEADER",
@@ -174,7 +174,7 @@ def _format_block(columns):
     return memoryview(digits[keep])
 
 
-def write_shot_records(path, run: ExperimentRun) -> ShotTally:
+def write_shot_records(path, run: tuple) -> ShotTally:
     """Write a run as shot-record CSV (one line per pulse) and tally it.
 
     Each block of the run is one job (``_run_jobs``), which only makes it (a
@@ -188,8 +188,10 @@ def write_shot_records(path, run: ExperimentRun) -> ShotTally:
     the tally, and the bytes, those of ``"%d,%d,%d,%d\\n"`` applied to every
     row, do not depend on the thread count.  The first failure stops the
     jobs and no later block is written; the temp file then goes.  A run of
-    no blocks writes the header alone.
+    no blocks writes the header alone; anything but a run is refused before
+    the temp file is made.
     """
+    _check_run(run, "run")
     tally = ShotTally()
     start = 0  # the shot id of the block's first row
 
@@ -205,7 +207,7 @@ def write_shot_records(path, run: ExperimentRun) -> ShotTally:
 
     with _atomic_output(path) as handle:
         handle.write(_PLAIN_HEADER)
-        _run_jobs(run.blocks, deliver)
+        _run_jobs(run, deliver)
     return tally
 
 

@@ -60,6 +60,11 @@ def _sweep(mode, signal_mean, grid, strategies, visibilities, lo_mean, fixed_los
             raise ValidationError(f"unknown security scenario {s!r}")
     if not visibilities:
         raise ValidationError("need at least one visibility")
+    for kind, values in (("strategy", strategies), ("visibility", visibilities),
+                         ("security scenario", security)):
+        for at, value in enumerate(values):
+            if value in values[:at]:  # a repeat would write its columns twice
+                raise ValidationError(f"{kind} {value!r} is given twice")
     if security and len(visibilities) != 1:
         raise ValidationError("security columns need a single visibility")
     if mode == "loss" and lo_mean is None:

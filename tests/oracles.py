@@ -27,7 +27,6 @@ import numpy as np
 from scipy.special import gammaln, ive, xlogy
 
 from pnrchan import (
-    ExperimentRun,
     NumericsError,
     ValidationError,
     coherent_overlap,
@@ -37,7 +36,7 @@ from pnrchan import (
     mutual_information,
     shannon_entropy,
 )
-from pnrchan.montecarlo import MAX_COUNT
+from pnrchan.montecarlo import MAX_COUNT, run_from_columns
 from pnrchan.receivers import DEFAULT_TAIL_TOL, poisson_pmf, poisson_window, skellam_pmf_grid
 from pnrchan.recordio import SHOT_HEADER, _shot_blocks
 
@@ -498,15 +497,15 @@ class Columns:
         return len(self.symbols)
 
     def run(self):
-        """The in-memory ``ExperimentRun`` of these columns."""
-        return ExperimentRun.from_columns(self.symbols, self.n, self.m)
+        """The in-memory run of these columns."""
+        return run_from_columns(self.symbols, self.n, self.m)
 
 
 def run_columns(run):
     """The columns of ``run``, its blocks made one after another and joined."""
     if isinstance(run, Columns):
         return run
-    return Columns(*(np.concatenate(parts) for parts in zip(*(block() for block in run.blocks))))
+    return Columns(*(np.concatenate(parts) for parts in zip(*(block() for block in run))))
 
 
 def read_columns(path):

@@ -436,6 +436,9 @@ class TestSweep:
         (("--xi", "a"), "error: argument --xi: bad number list 'a'"),
         (("--strategies", "wf,xx"), "unknown strategy 'xx'"),
         (("--security", "ia-xx"), "unknown security scenario 'ia-xx'"),
+        (("--strategies", "wf,wf,hl"), "strategy 'wf' is given twice"),
+        (("--xi", "0.9,0.9"), "visibility 0.9 is given twice"),
+        (("--security", "ia-dr,ia-dr"), "security scenario 'ia-dr' is given twice"),
         (("--xi", ","), "need at least one visibility"),
         (("--xi", "0.9,0.95", "--security", "ia-dr"), "security columns need a single visibility"),
         (("--mode", "loss"), "loss mode needs a fixed lo_mean"),

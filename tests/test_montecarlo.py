@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import threading
 import tracemalloc
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from pnrchan import (
     CalibrationError,
     ChannelParams,
-    ExperimentRun,
     ValidationError,
     binary_entropy,
     calibrate_from_means,
@@ -27,7 +27,7 @@ from pnrchan import (
     skellam_pmf_grid,
 )
 from pnrchan import recordio
-from pnrchan.montecarlo import MAX_COUNT, EmpiricalDistributions, ShotTally
+from pnrchan.montecarlo import MAX_COUNT, EmpiricalDistributions, ShotTally, run_from_columns
 from pnrchan.recordio import write_shot_records
 
 from oracles import (
@@ -83,12 +83,24 @@ class TestSampling:
     def test_single_shot_run_is_valid(self):
         run = run_experiment(REF, 1, seed=5)
         assert len(run) == 2
+        assert [block()[0].tolist() for block in run] == [[0], [1]]  # a shot per symbol
 
     def test_a_plan_equals_itself_alone(self):
         run, again = run_experiment(REF, 10, seed=0), run_experiment(REF, 10, seed=0)
         assert run == run and hash(run) == hash(run)
-        assert run != again and again.starts == run.starts
+        assert run != again and len(again) == len(run)
         assert len({run, again}) == 2
+
+    def test_the_largest_recordable_mean_is_accepted(self, monkeypatch):
+        # mu + 40 sqrt(mu) is the count limit itself, and above the next double
+        mu = 2145630808.8273244
+        above = math.nextafter(mu, math.inf)
+        assert mu + 40.0 * math.sqrt(mu) == MAX_COUNT < above + 40.0 * math.sqrt(above)
+        monkeypatch.setattr(montecarlo, "detection_rates", lambda _params, _symbol: (mu, 0.0))
+        assert len(run_experiment(REF, 1, seed=0)) == 2
+        monkeypatch.setattr(montecarlo, "detection_rates", lambda _params, _symbol: (above, 0.0))
+        with pytest.raises(ValidationError, match=re.escape(f"arm mean {above:.6g} is too large")):
+            run_experiment(REF, 1, seed=0)
 
     def test_invalid_requests_rejected(self):
         with pytest.raises(ValidationError):
@@ -172,8 +184,8 @@ class TestDrawPieces:
 
 class TestEmpiricalDistributions:
     def test_point_mass_run(self):
-        run = ExperimentRun.from_columns(symbols=np.array([0, 1], dtype=np.uint8),
-                            n=np.array([2, 5]), m=np.array([7, 2]))
+        run = run_from_columns(symbols=np.array([0, 1], dtype=np.uint8),
+                               n=np.array([2, 5]), m=np.array([7, 2]))
         emp = empirical_distributions(run)
         assert emp.cells.tolist() == [[2, 7], [5, 2]]
         assert emp.wf[1].tolist() == [0.0, 1.0]
@@ -190,8 +202,8 @@ class TestEmpiricalDistributions:
             assert emp.bds[k].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_missing_symbol_rejected(self):
-        run = ExperimentRun.from_columns(symbols=np.array([1, 1], dtype=np.uint8),
-                            n=np.array([1, 2]), m=np.array([0, 0]))
+        run = run_from_columns(symbols=np.array([1, 1], dtype=np.uint8),
+                               n=np.array([1, 2]), m=np.array([0, 0]))
         with pytest.raises(ValidationError):
             empirical_distributions(run)
 
@@ -206,22 +218,23 @@ class TestEmpiricalDistributions:
         assert tv <= 0.02
 
     def test_outlier_count_keeps_the_law_linear_in_shots(self):
-        run = ExperimentRun.from_columns(symbols=np.array([0, 0, 1, 1], dtype=np.uint8),
-                            n=np.array([0, 10**6, 3, 1]), m=np.array([1, 0, 0, 2]))
+        symbols = np.array([0, 0, 1, 1], dtype=np.uint8)
+        run = run_from_columns(symbols=symbols, n=np.array([0, 10**6, 3, 1]),
+                               m=np.array([1, 0, 0, 2]))
         emp = empirical_distributions(run)
-        assert emp.wf.size <= 2 * len(run)
-        assert len(emp.deltas) <= len(run)
+        assert emp.wf.size <= 2 * len(symbols)
+        assert len(emp.deltas) <= len(symbols)
         assert emp.cells.tolist() == [[0, 1], [1, 2], [3, 0], [10**6, 0]]
 
     def test_counts_beyond_the_key_bound_rejected(self):
         symbols = np.array([0, 1], dtype=np.uint8)
-        largest = ExperimentRun.from_columns(symbols=symbols, n=np.array([MAX_COUNT, 0]),
-                                m=np.array([MAX_COUNT, MAX_COUNT]))
+        largest = run_from_columns(symbols=symbols, n=np.array([MAX_COUNT, 0]),
+                                   m=np.array([MAX_COUNT, MAX_COUNT]))
         assert empirical_distributions(largest).cells.tolist() == [
             [0, MAX_COUNT], [MAX_COUNT, MAX_COUNT]]
         for n, m in (([MAX_COUNT + 1, 0], [0, 0]), ([0, 0], [0, 2**62])):
             with pytest.raises(ValidationError):
-                ExperimentRun.from_columns(symbols=symbols, n=np.array(n), m=np.array(m))
+                run_from_columns(symbols=symbols, n=np.array(n), m=np.array(m))
 
     @pytest.mark.parametrize("symbols, n", [
         (np.array([0, -1], dtype=np.int8), np.array([0, 0])),
@@ -232,13 +245,12 @@ class TestEmpiricalDistributions:
     ])
     def test_columns_out_of_range_rejected(self, symbols, n):
         with pytest.raises(ValidationError):
-            ExperimentRun.from_columns(symbols=symbols, n=n, m=np.array([0, 0]))
+            run_from_columns(symbols=symbols, n=n, m=np.array([0, 0]))
 
     @pytest.mark.parametrize("n", [[2.5, 1.0], [np.nan, 1.0]])
     def test_non_integer_counts_rejected(self, n):
         with pytest.raises(ValidationError):
-            ExperimentRun.from_columns(symbols=np.array([0, 1]), n=np.array(n),
-                                       m=np.array([0, 0]))
+            run_from_columns(symbols=np.array([0, 1]), n=np.array(n), m=np.array([0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +392,8 @@ def test_a_tally_keeps_none_of_the_columns_it_is_given():
 
 
 def test_a_tally_takes_integer_columns_of_any_type():
-    """``add`` checks a block as ``from_columns`` checks whole columns, so it
-    takes the integer types that ``from_columns`` takes, and tallies the same
+    """``add`` checks a block as ``run_from_columns`` checks whole columns, so it
+    takes the integer types that ``run_from_columns`` takes, and tallies the same
     cells."""
     rng = np.random.default_rng(6)
     block = [rng.integers(0, top, 500).astype(t) for top, t in zip((2, 40, 40), COLUMN_TYPES)]
@@ -469,8 +481,8 @@ def test_difference_and_sign_laws_aggregate_the_cells(run):
 class TestPluginMi:
     def test_the_bias_counts_each_outcome_either_symbol_gives(self):
         # both symbols give the same two cells equally often: MI 0 on a support of 2
-        run = ExperimentRun.from_columns(symbols=np.array([0, 0, 1, 1], dtype=np.uint8),
-                                         n=np.array([1, 0, 1, 0]), m=np.zeros(4, dtype=int))
+        run = run_from_columns(symbols=np.array([0, 0, 1, 1], dtype=np.uint8),
+                               n=np.array([1, 0, 1, 0]), m=np.zeros(4, dtype=int))
         report = plugin_mi(empirical_distributions(run))
         assert report.wf.value == 0.0
         assert report.wf.miller_madow_bias == pytest.approx(1.0 / (2 * 4 * math.log(2)))
@@ -493,8 +505,8 @@ class TestPluginMi:
         assert rep.bds.value == pytest.approx(mi_bds(p), abs=1e-10)
 
     def test_single_shot_overfit_flagged(self):
-        run = ExperimentRun.from_columns(symbols=np.array([0, 1], dtype=np.uint8),
-                            n=np.array([0, 5]), m=np.array([5, 0]))
+        run = run_from_columns(symbols=np.array([0, 1], dtype=np.uint8),
+                               n=np.array([0, 5]), m=np.array([5, 0]))
         rep = plugin_mi(empirical_distributions(run))
         assert rep.wf.value == pytest.approx(1.0, abs=1e-12)
         assert rep.wf.miller_madow_bias > 0.3
@@ -616,18 +628,30 @@ class TestCalibration:
         assert cal.xi_raw == pytest.approx(xi_raw, rel=1e-15)
         assert (cal.xi, cal.clamped) == (1.0, clamped)
 
+    @pytest.mark.parametrize("known", ["known_lo_mean", "known_signal_mean"])
     @pytest.mark.parametrize("shots", [1, 2000])
-    def test_the_standard_error_is_first_order_poisson_noise(self, shots):
-        # var(xi) = var(cross) / (s z) + xi^2 / (4 s^2) var(total), with
-        # var(total) = total / (2 N) and var(cross) = total / (8 N) taken as
-        # independent; s is the inferred signal mean and z the known LO mean
+    def test_the_standard_error_is_first_order_poisson_noise(self, shots, known):
+        # var(xi) = var(cross) / (s z) + xi^2 / (4 u^2) var(total)
+        #           - 2 xi / (2 u sqrt(s z)) cov(total, cross), with
+        # var(total) = total / (2 N), var(cross) = total / (8 N) and
+        # cov(total, cross) = cross / (2 N); s is the signal mean, z the LO
+        # mean and u the inferred one of the two
         s, z, xi = 3.07, 12.15, 0.94
         p = params_for(s, z, xi)
         cal = calibrate_from_means(detection_rates(p, 0), detection_rates(p, 1),
-                                   known_lo_mean=z, shots_per_symbol=shots)
-        total = s + z
-        var = (total / (8 * shots)) / (s * z) + xi ** 2 / (4 * s ** 2) * (total / (2 * shots))
+                                   **{known: z if known == "known_lo_mean" else s},
+                                   shots_per_symbol=shots)
+        total, cross, u = s + z, xi * math.sqrt(s * z), s if known == "known_lo_mean" else z
+        var = (total / (8 * shots * s * z) + xi ** 2 * total / (8 * shots * u ** 2)
+               - xi * cross / (2 * shots * u * math.sqrt(s * z)))
         assert cal.xi_stderr == pytest.approx(math.sqrt(var), rel=1e-12)
+
+    def test_a_saturated_cross_term_has_a_zero_error_bar(self):
+        # each symbol lights one arm, so the cross term is half the total and
+        # the variance is zero; rounding takes its three terms a little below
+        cal = calibrate_from_means((0.0, 2.3956437432625597), (6.0458173229017165, 0.0),
+                                   known_lo_mean=2.110365266541069, shots_per_symbol=1)
+        assert (cal.xi, cal.xi_stderr) == (1.0, 0.0)
 
     def test_exactly_one_known_required(self):
         with pytest.raises(ValidationError):
@@ -638,11 +662,11 @@ class TestCalibration:
 
     def test_coverage_of_error_bars(self):
         # 3-sigma bars should cover the truth in at least 95 of 100 trials
+        # and the bars are as wide as the scatter of the estimates
         p = params_for(3.07, 12.15, 0.94)
-        hits = 0
-        for seed in range(100):
-            run = run_experiment(p, 2000, seed=seed)
-            cal = calibrate_params(empirical_distributions(run), known_lo_mean=12.15)
-            if abs(cal.xi_raw - 0.94) <= 3.0 * cal.xi_stderr:
-                hits += 1
+        cals = [calibrate_params(empirical_distributions(run_experiment(p, 2000, seed=seed)),
+                                 known_lo_mean=12.15) for seed in range(100)]
+        hits = sum(abs(cal.xi_raw - 0.94) <= 3.0 * cal.xi_stderr for cal in cals)
         assert hits >= 95
+        scatter = np.std([cal.xi_raw for cal in cals], ddof=1)
+        assert np.median([cal.xi_stderr for cal in cals]) == pytest.approx(scatter, rel=0.15)

@@ -19,8 +19,8 @@ from pnrchan import montecarlo, recordio, sweeps
 from pnrchan.sweeps import run_security, run_sweep
 
 PUBLIC_NAMES = [
-    "CalibrationError", "CalibrationResult", "ChannelParams", "ExperimentRun",
-    "MiReport", "NumericsError", "PnrchanError", "SecurityReport", "ValidationError",
+    "CalibrationError", "CalibrationResult", "ChannelParams", "MiReport", "NumericsError",
+    "PnrchanError", "SecurityReport", "ValidationError",
     "binary_entropy", "calibrate_from_means", "calibrate_params", "channel",
     "coherent_overlap", "detection_rates", "empirical_distributions", "errors",
     "eve_params", "homodyne_mean", "information", "loss_db_to_transmissivity",
@@ -48,11 +48,11 @@ def test_public_names_are_pinned():
     out = run_fresh("import pnrchan; "
                     "print(' '.join(sorted(n for n in dir(pnrchan) if not n.startswith('_'))))")
     assert out.split() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 36
+    assert len(PUBLIC_NAMES) == 35
 
 
 def test_cli_import_leaves_dataclasses_out():
-    # the records are tuples or slotted classes: no generated methods are
+    # the records are tuples: no generated methods are
     # compiled when a CLI process starts
     assert run_fresh("import sys, pnrchan.cli; print('dataclasses' in sys.modules)") == "False\n"
 
@@ -60,8 +60,8 @@ def test_cli_import_leaves_dataclasses_out():
 # each public record and one of its fields
 RECORD_FIELDS = {
     "ChannelParams": "alpha", "MiReport": "i_wf", "SecurityReport": "k_dr",
-    "ExperimentRun": "blocks", "EmpiricalDistributions": "cells", "PluginMiReport": "wf",
-    "PluginEstimate": "value", "CalibrationResult": "xi",
+    "EmpiricalDistributions": "cells", "PluginMiReport": "wf", "PluginEstimate": "value",
+    "CalibrationResult": "xi",
 }
 
 
@@ -72,8 +72,8 @@ def public_records():
     report = plugin_mi(emp)
     return {
         "ChannelParams": params, "MiReport": mi_report(params),
-        "SecurityReport": security_report_for(params), "ExperimentRun": run,
-        "EmpiricalDistributions": emp, "PluginMiReport": report, "PluginEstimate": report.wf,
+        "SecurityReport": security_report_for(params), "EmpiricalDistributions": emp,
+        "PluginMiReport": report, "PluginEstimate": report.wf,
         "CalibrationResult": calibrate_params(emp, known_lo_mean=9.0),
     }
 
@@ -139,6 +139,10 @@ PROBES = {
                                                                known_lo_mean=12), "arm means"),
     "run_experiment": (lambda: run_experiment(PAPER_POINT, 2.5, 1), "shots_per_symbol"),
     "empirical_distributions": (lambda: empirical_distributions([1, 2, 3]), "shots"),
+    # a tuple, but not of blocks; a NamedTuple, though a tuple, is a record
+    "empirical_distributions(tuple)": (lambda: empirical_distributions((1, 2)), "shots"),
+    "empirical_distributions(emp)": (lambda: empirical_distributions(
+        empirical_distributions(run_experiment(PAPER_POINT, 5, 1))), "shots"),
     "mi_report": (lambda: mi_report(PAPER_POINT, tail_tol=math.nan), "tail_tol"),
     "skellam_pmf_grid": (lambda: skellam_pmf_grid(3.0, 2.0, math.inf), "tail_tol"),
     "run_sweep": (lambda: run_sweep(**SWEEP, tail_tol=math.nan), "tail_tol"),
@@ -155,6 +159,13 @@ PROBES = {
                             "unknown security scenario 'ia-xx'"),
     "run_sweep(visibilities)": (lambda: run_sweep(**SWEEP, visibilities=()),
                                 "need at least one visibility"),
+    # a repeat would write its columns twice
+    "run_sweep(strategy twice)": (lambda: run_sweep(**SWEEP, strategies=("wf", "hl", "wf")),
+                                  "strategy 'wf' is given twice"),
+    "run_sweep(visibility twice)": (lambda: run_sweep(**SWEEP, visibilities=(0.9, 0.8, 0.9)),
+                                    "visibility 0.9 is given twice"),
+    "run_sweep(security twice)": (lambda: run_sweep(**SWEEP, security=("ia-dr", "ia-dr")),
+                                  "security scenario 'ia-dr' is given twice"),
     "run_sweep(lo_mean)": (lambda: run_sweep(**{**SWEEP, "mode": "loss"}),
                            "loss mode needs a fixed lo_mean"),
     "run_sweep(grid)": (lambda: run_sweep(**{**SWEEP, "grid": (1.0, 3.0, 2.0)}),
@@ -211,6 +222,26 @@ def test_the_modules_export_fifty_names():
     assert len(modules) == 9
     assert sum(len(getattr(m, "__all__", ())) for m in modules) == 50
     assert sweeps.__all__ == ["STRATEGIES", "SECURITY_SCENARIOS", "run_sweep", "run_security"]
+    assert "run_from_columns" in montecarlo.__all__ and "ExperimentRun" not in montecarlo.__all__
+
+
+SHOTS = montecarlo._CHUNK + 5  # a block and a short one per symbol, or in columns three
+
+
+@pytest.mark.parametrize("make, blocks", [
+    (lambda: run_experiment(PAPER_POINT, SHOTS, seed=3), 4),
+    # int64 columns, narrowed as each block is made
+    (lambda: montecarlo.run_from_columns(np.arange(2 * SHOTS) % 2, np.arange(2 * SHOTS) % 9,
+                                         np.arange(2 * SHOTS) % 5), 3),
+])
+def test_a_run_is_a_tuple_of_block_makers(make, blocks):
+    run = make()
+    assert type(run) is tuple and len(run) == blocks and all(callable(block) for block in run)
+    made = [block() for block in run]
+    assert sum(len(symbols) for symbols, _, _ in made) == 2 * SHOTS
+    for symbols, n, m in made:
+        assert len(symbols) == len(n) == len(m)
+        assert (symbols.dtype, n.dtype, m.dtype) == (np.uint8, np.int32, np.int32)
 
 
 class TestOneWayIntoATally:

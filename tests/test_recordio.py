@@ -28,8 +28,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnrchan import ChannelParams, ExperimentRun, ValidationError, cli, montecarlo, recordio
-from pnrchan.montecarlo import MAX_COUNT
+from pnrchan import ChannelParams, ValidationError, cli, montecarlo, recordio
+from pnrchan.montecarlo import MAX_COUNT, run_from_columns
 from pnrchan.recordio import SHOT_HEADER, read_shot_records, write_shot_records
 
 import oracles
@@ -171,7 +171,7 @@ def refuse(*_args):
 
 def test_written_files_take_the_vectorised_pass(tmp_path, monkeypatch):
     path = tmp_path / "shots.csv"
-    write_shot_records(path, ExperimentRun.from_columns(
+    write_shot_records(path, run_from_columns(
         symbols=np.array([0, 1, 1], dtype=np.uint8), n=np.array([1, 3, MAX_COUNT]),
         m=np.array([2, 0, 10])))
     expected = outcome(read_shot_lines, path)
@@ -316,8 +316,8 @@ def test_a_bad_last_row_is_named_from_its_own_block(tmp_path, monkeypatch):
     only the last block is normalised; the other forms count their lines
     through normalised blocks."""
     shots = 100_000
-    run = ExperimentRun.from_columns(symbols=np.arange(shots, dtype=np.uint8) % 2,
-                        n=np.arange(shots) % 41, m=np.arange(shots) % 7 + 10)
+    run = run_from_columns(symbols=np.arange(shots, dtype=np.uint8) % 2,
+                           n=np.arange(shots) % 41, m=np.arange(shots) % 7 + 10)
     path = tmp_path / "shots.csv"
     write_shot_records(path, run)
     written = path.read_bytes()
@@ -366,8 +366,8 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
     # on one thread the blocks are formatted in order, so the failure is the
     # last call; the threaded case is test_failure_on_a_worker_leaves_no_file
     monkeypatch.setattr(recordio, "_worker_count", lambda: 1)
-    run = ExperimentRun.from_columns(symbols=np.zeros(10, dtype=np.uint8), n=np.arange(10),
-                                     m=np.arange(10))
+    run = run_from_columns(symbols=np.zeros(10, dtype=np.uint8), n=np.arange(10),
+                           m=np.arange(10))
     calls = []
     real_format_block = recordio._format_block
 
@@ -451,9 +451,8 @@ def test_block_format_holds_any_int64():
 def varied_run(shots, seed):
     """A run whose field widths change from row to row and from block to block."""
     rng = np.random.default_rng(seed)
-    return ExperimentRun.from_columns(symbols=rng.integers(0, 2, shots, dtype=np.uint8),
-                                      n=rng.choice(EDGE_COUNTS, shots),
-                                      m=rng.integers(0, 30, shots))
+    return run_from_columns(symbols=rng.integers(0, 2, shots, dtype=np.uint8),
+                            n=rng.choice(EDGE_COUNTS, shots), m=rng.integers(0, 30, shots))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
@@ -533,7 +532,8 @@ def test_writer_peak_memory_is_a_block_per_thread_and_one_piece(tmp_path, monkey
     finally:
         tracemalloc.stop()
     keys, _ = tally.reduced()
-    widest_row = f"{len(run) - 1},1,{keys.max() >> 32},{((keys >> 1) & MAX_COUNT).max()}\n"
+    last_id = 2 * 3 * montecarlo._CHUNK - 1  # a run counts blocks, not shots
+    widest_row = f"{last_id},1,{keys.max() >> 32},{((keys >> 1) & MAX_COUNT).max()}\n"
     block = (1 + 4 + 4) * montecarlo._CHUNK  # uint8 symbols and int32 counts
     draw_piece = 8 * montecarlo._DRAW_PIECE
     text = 3 * len(widest_row) * recordio._WRITE_BLOCK_ROWS
@@ -545,9 +545,26 @@ def test_writer_peak_memory_is_a_block_per_thread_and_one_piece(tmp_path, monkey
 def test_a_run_of_no_blocks_writes_the_header_alone(tmp_path, monkeypatch, workers):
     monkeypatch.setattr(recordio, "_worker_count", lambda: workers)
     path = tmp_path / "shots.csv"
-    keys, counts = write_shot_records(path, ExperimentRun(blocks=(), starts=(0,))).reduced()
+    keys, counts = write_shot_records(path, ()).reduced()
     assert path.read_bytes() == f"{SHOT_HEADER}\n".encode()
     assert len(keys) == len(counts) == 0
+
+
+ONE_BLOCK = run_from_columns(np.array([0, 1]), np.array([1, 2]), np.array([0, 3]))[0]
+NOT_RUNS = {
+    "list": [1, 2],
+    "list of blocks": [ONE_BLOCK],
+    "tuple of ints": (1, 2),
+    # a NamedTuple of block makers is a record, not a run
+    "NamedTuple": montecarlo.PluginEstimate(ONE_BLOCK, ONE_BLOCK),
+}
+
+
+@pytest.mark.parametrize("run", NOT_RUNS.values(), ids=NOT_RUNS)
+def test_anything_but_a_run_is_refused_before_a_file_is_made(tmp_path, run):
+    with pytest.raises(ValidationError, match=r"^run must be a run \(a tuple of blocks\), got "):
+        write_shot_records(tmp_path / "shots.csv", run)
+    assert not list(tmp_path.iterdir())
 
 
 BLOCK_ROWS = 64
