@@ -31,6 +31,17 @@ __all__ = [
 ]
 
 
+def _check_priors(priors):
+    """Refuse anything but a pair of finite, nonnegative priors summing to 1."""
+    try:
+        q0, q1 = priors
+        finite = math.isfinite(q0) and math.isfinite(q1)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"priors must be a pair of numbers, got {priors!r}") from exc
+    if not finite or q0 < 0.0 or q1 < 0.0 or abs(q0 + q1 - 1.0) > 1e-12:
+        raise ValidationError(f"priors must be finite, nonnegative and sum to 1, got {priors}")
+
+
 class _ChannelFields(NamedTuple):
     alpha: float
     transmissivity: float = 1.0
@@ -79,17 +90,7 @@ class ChannelParams(_ChannelFields):
             raise ValidationError(
                 f"visibility must lie in [0, 1], got {self.visibility}"
             )
-        try:
-            q0, q1 = self.priors
-            finite = math.isfinite(q0) and math.isfinite(q1)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"priors must be a pair of numbers, got {self.priors!r}"
-            ) from exc
-        if not finite or q0 < 0.0 or q1 < 0.0 or abs(q0 + q1 - 1.0) > 1e-12:
-            raise ValidationError(
-                f"priors must be finite, nonnegative and sum to 1, got {self.priors}"
-            )
+        _check_priors(self.priors)
 
     @classmethod
     def from_means(cls, signal_mean, lo_mean, *, visibility=1.0, loss_db=0.0,

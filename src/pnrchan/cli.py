@@ -201,29 +201,18 @@ def _set_file_defaults(argv, parser):
 def _cmd_sweep(ns):
     columns, rows = run_sweep(ns.mode, ns.signal_mean, _parse_grid(ns.grid), ns.strategies, ns.xi,
                               ns.lo_mean, ns.loss_db, ns.security, ns.eve_lo_mean, ns.tail_tol)
-    preamble = [("command", "sweep"), ("mode", ns.mode),
-                ("signal_mean", f"{ns.signal_mean:.12g}")]
-    if ns.lo_mean is not None:
-        preamble.append(("lo_mean", f"{ns.lo_mean:.12g}"))
-    if ns.loss_db:
-        preamble.append(("loss_db", f"{ns.loss_db:.12g}"))
-    preamble.append(("xi", ",".join(f"{v:g}" for v in ns.xi)))
-    preamble.append(("strategies", ",".join(ns.strategies)))
-    if ns.security:
-        preamble.append(("security", ",".join(ns.security)))
-    if ns.eve_lo_mean is not None:
-        preamble.append(("eve_lo_mean", f"{ns.eve_lo_mean:.12g}"))
-    preamble.append(("grid", ns.grid))
-    preamble.append(("tail_tol", f"{ns.tail_tol:g}"))
+    preamble = [("command", "sweep"), ("mode", ns.mode), ("signal_mean", ns.signal_mean),
+                ("lo_mean", ns.lo_mean), ("loss_db", ns.loss_db or None), ("xi", ns.xi),
+                ("strategies", ns.strategies), ("security", ns.security),
+                ("eve_lo_mean", ns.eve_lo_mean), ("grid", ns.grid), ("tail_tol", ns.tail_tol)]
+    return _write_table(ns, preamble, columns, rows, f"pnrchan sweep ({ns.mode})")
+
+
+def _write_table(ns, preamble, columns, rows, title):
     write_text_atomic(ns.output, render_table(__version__, preamble, columns, rows))
-    _maybe_write_gnuplot(ns, columns, f"pnrchan sweep ({ns.mode})")
-    return 0
-
-
-def _maybe_write_gnuplot(ns, columns, title):
     if ns.gnuplot_script:
-        write_text_atomic(ns.gnuplot_script,
-                          render_gnuplot_script(ns.output, columns, title))
+        write_text_atomic(ns.gnuplot_script, render_gnuplot_script(ns.output, columns, title))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +222,11 @@ def _maybe_write_gnuplot(ns, columns, title):
 def _cmd_security(ns):
     columns, rows = run_security(ns.signal_mean, ns.lo_mean, _parse_grid(ns.grid), ns.xi,
                                  ns.eve_lo_mean, ns.tail_tol)
-    preamble = [
-        ("command", "security"),
-        ("signal_mean", f"{ns.signal_mean:.12g}"),
-        ("lo_mean", f"{ns.lo_mean:.12g}"),
-        ("xi_bob", f"{ns.xi:.12g}"),
-        ("xi_eve", "1"),
-        ("eve_lo_mean", "bob" if ns.eve_lo_mean is None else f"{ns.eve_lo_mean:.12g}"),
-        ("grid", ns.grid),
-        ("tail_tol", f"{ns.tail_tol:g}"),
-    ]
-    write_text_atomic(ns.output, render_table(__version__, preamble, columns, rows))
-    _maybe_write_gnuplot(ns, columns, "pnrchan security")
-    return 0
+    preamble = [("command", "security"), ("signal_mean", ns.signal_mean),
+                ("lo_mean", ns.lo_mean), ("xi_bob", ns.xi), ("xi_eve", "1"),
+                ("eve_lo_mean", "bob" if ns.eve_lo_mean is None else ns.eve_lo_mean),
+                ("grid", ns.grid), ("tail_tol", ns.tail_tol)]
+    return _write_table(ns, preamble, columns, rows, "pnrchan security")
 
 
 # ---------------------------------------------------------------------------

@@ -138,9 +138,8 @@ def poisson_logpmf(n, mu):
     n_arr = np.asarray(n)
     if n_arr.ndim == 0:
         return float(poisson_logpmf(n_arr.reshape(1), mu)[0])
-    if np.any(n_arr < 0) or not np.issubdtype(n_arr.dtype, np.integer):
-        if np.any(n_arr < 0) or np.any(n_arr != np.floor(n_arr)):
-            raise ValidationError("counts must be nonnegative integers")
+    if np.any(n_arr < 0) or not np.all(np.isfinite(n_arr) & (n_arr == np.floor(n_arr))):
+        raise ValidationError("counts must be nonnegative integers")
     nf = n_arr.astype(float)
     out = np.full(nf.shape, -np.inf)
     if mu == 0.0:
@@ -247,10 +246,13 @@ def skellam_window(mu_t, mu_r, tail_tol=DEFAULT_TAIL_TOL):
     is grown geometrically until the Chernoff bounds of the two tails
     (:func:`_skellam_chernoff_upper`) sum to at most ``tail_tol``.  A dark
     arm bounds the difference by 0 on its side: the window ends there, and
-    that side has no tail.  A non-finite ``tail_tol``, and a window of more
-    than ``_MAX_WINDOW_BINS`` bins before any bound is formed, are refused
-    with a ValidationError; a ``tail_tol`` <= 0 with a NumericsError.
+    that side has no tail; ``(mu_r, mu_t)`` gets the mirror ``[-hi, -lo]``,
+    same bound.  Rates not finite and >= 0, a non-finite ``tail_tol``, and a
+    window over ``_MAX_WINDOW_BINS`` bins before any bound is formed are
+    refused with a ValidationError; a ``tail_tol`` <= 0 with a NumericsError.
     """
+    if not (0.0 <= mu_t < math.inf and 0.0 <= mu_r < math.inf):
+        raise ValidationError(f"rates must be finite and >= 0, got ({mu_t:g}, {mu_r:g})")
     if not math.isfinite(tail_tol):
         raise ValidationError(f"tail_tol must be finite, got {tail_tol}")
     if tail_tol <= 0.0:  # an infinite alphabet leaves every window a tail
@@ -351,20 +353,18 @@ def _skellam_pmf_recurrence(mu_t, mu_r, lo, hi):
 def skellam_pmf_grid(mu_t, mu_r, tail_tol=DEFAULT_TAIL_TOL):
     """Skellam pmf of the count difference over a certified window.
 
-    Returns ``(deltas, probs, tail_bound)``.  The law is computed with the
-    larger rate on the n arm and reversed otherwise, so the law for
-    ``(mu_r, mu_t)`` is the exact mirror of the law for ``(mu_t, mu_r)``.
-    Every rate pair, a dark arm included, goes through one window
-    (:func:`skellam_window`) and the three-term recurrence
-    (:func:`_skellam_pmf_recurrence`).
+    Returns ``(deltas, probs, tail_bound)``.  Every rate pair, a dark arm
+    included, goes through one window (:func:`skellam_window`) and the
+    three-term recurrence (:func:`_skellam_pmf_recurrence`), which runs
+    with the larger rate on the n arm: for a smaller first rate, on the
+    mirrored window, reversed.  So the law for ``(mu_r, mu_t)`` is the exact
+    mirror of the law for ``(mu_t, mu_r)``.
     """
-    if not (0.0 <= mu_t < math.inf and 0.0 <= mu_r < math.inf):
-        raise ValidationError(f"rates must be finite and >= 0, got ({mu_t:g}, {mu_r:g})")
-    if mu_t < mu_r:
-        deltas, probs, bound = skellam_pmf_grid(mu_r, mu_t, tail_tol)
-        return -deltas[::-1], probs[::-1].copy(), bound
     lo, hi, bound = skellam_window(mu_t, mu_r, tail_tol)
-    return np.arange(lo, hi + 1), _skellam_pmf_recurrence(mu_t, mu_r, lo, hi), bound
+    deltas = np.arange(lo, hi + 1)
+    if mu_t < mu_r:
+        return deltas, _skellam_pmf_recurrence(mu_r, mu_t, -hi, -lo)[::-1].copy(), bound
+    return deltas, _skellam_pmf_recurrence(mu_t, mu_r, lo, hi), bound
 
 
 # ---------------------------------------------------------------------------

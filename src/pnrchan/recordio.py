@@ -418,10 +418,25 @@ def _format_cell(value) -> str:
     return f"{value:.12g}"
 
 
+def _echo(value) -> str:
+    """A table input as text that reads back as it: text as given, a tuple's
+    items joined by commas, a number as ``.12g`` if that reads back, else str."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return ",".join(_echo(item) for item in value)
+    text = f"{value:.12g}"
+    return text if float(text) == value else str(value)
+
+
 def render_table(version, preamble, columns, rows) -> str:
-    """Render a result table: '#' preamble, CSV header, then data rows."""
+    """Render a result table: '#' preamble, CSV header, then data rows.
+
+    The preamble is the table's inputs as ``(key, value)`` pairs, each value
+    echoed by ``_echo``; a value that is None or ``()`` is left out."""
     out = [f"# pnrchan {version}"]
-    out.extend(f"# {key} = {value}" for key, value in preamble)
+    out.extend(f"# {key} = {_echo(value)}" for key, value in preamble
+               if value not in (None, ()))
     out.append(",".join(columns))
     for row in rows:
         if len(row) != len(columns):

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channel import ChannelParams, eve_params
+from .channel import ChannelParams, _check_priors, eve_params
 from .information import _receiver_figures, _softplus, _xlogx
 from .receivers import DEFAULT_TAIL_TOL
 
@@ -165,6 +165,7 @@ def mi_bob_eve(priors, bob_posteriors, eve_posteriors) -> float:
     for N Chebyshev nodes.  Nothing of size w_B x w_E is built.  It is
     exactly 0 when either receiver's laws coincide or a prior is 0.
     """
+    _check_priors(priors)
     q0, q1 = priors
     bob, eve = bob_posteriors[0], eve_posteriors[0]
     if not bob[1].any() or not eve[1].any() or q0 == 0.0 or q1 == 0.0:

@@ -11,6 +11,7 @@ from .channel import ChannelParams, loss_db_to_transmissivity
 from .errors import ValidationError
 from .information import _receiver_figures, mi_homodyne
 from .receivers import DEFAULT_TAIL_TOL
+from .recordio import _echo
 from .security import SecurityReport, security_report_for
 
 __all__ = [
@@ -81,7 +82,7 @@ def _sweep(mode, signal_mean, grid, strategies, visibilities, lo_mean, fixed_los
                         for c in cols]
     columns = ["lo_mean"] if mode == "lo" else ["loss_db", "transmissivity", "signal_mean"]
     for xi in visibilities:
-        tag = f"[xi={xi:g}]" if len(visibilities) > 1 else ""
+        tag = f"[xi={_echo(xi)}]" if len(visibilities) > 1 else ""
         columns.extend(f"i_{s}{tag}" for s in strategies)
     columns += scenario_columns + ["trunc_err"]
     eve_lo = None if eve_lo_mean is None else eve_lo_mean ** 0.5

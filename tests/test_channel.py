@@ -135,10 +135,15 @@ class TestParamValidation:
         (1.0,),
         0.5,
         ("0.5", "0.5"),
+        (0.5, 0.5 + 1.1e-12),  # a sum off 1 by more than 1e-12
     ])
     def test_malformed_priors_rejected(self, priors):
         with pytest.raises(ValidationError):
             ChannelParams(alpha=1.0, priors=priors)
+
+    @pytest.mark.parametrize("priors", [(0.0, 1.0), (1.0, 0.0), (0.5, 0.5 + 0.9e-12)])
+    def test_priors_on_the_edge_are_accepted(self, priors):
+        assert ChannelParams(alpha=1.0, priors=priors).priors == priors
 
     def test_zero_alpha_is_the_degenerate_channel(self):
         p = ChannelParams(alpha=0.0, lo_amplitude=1.0)

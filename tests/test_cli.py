@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnrchan import cli, receivers, recordio, sweeps
@@ -606,6 +606,80 @@ class TestSecurityCommand:
                 if cell == "undefined":
                     continue
                 assert np.isfinite(float(cell))
+
+
+def preamble_numbers(path):
+    """The ``# key = value`` lines of a table whose value reads as one number."""
+    numbers = {}
+    for line in path.read_text().splitlines()[1:]:
+        if not line.startswith("# "):
+            break
+        key, _, value = line[2:].partition(" = ")
+        try:
+            numbers[key] = float(value)
+        except ValueError:
+            pass
+    return numbers
+
+
+class TestPreamble:
+    """A table's preamble echoes its inputs as ``recordio._echo`` writes them:
+    each number reads back as the value the command ran with."""
+
+    @pytest.mark.parametrize("args, ran_with", [
+        (("sweep", "--mode", "lo", "--signal-mean", "0.12345678901234567", "--grid", "1:3:2",
+          "--xi", "0.9412345", "--tail-tol", "1.23456789e-12"),
+         {"signal_mean": 0.12345678901234567, "xi": 0.9412345, "tail_tol": 1.23456789e-12}),
+        (("sweep", "--mode", "lo", "--signal-mean", "3", "--grid", "1,3", "--lo-mean",
+          "4.0000000000001", "--loss-db", "0.1000000000001", "--security", "ia-dr",
+          "--eve-lo-mean", "7.000000000001"),
+         {"signal_mean": 3.0, "lo_mean": 4.0000000000001, "loss_db": 0.1000000000001,
+          "xi": 1.0, "eve_lo_mean": 7.000000000001, "tail_tol": 1e-10}),
+        (("security", "--signal-mean", "3.2000000000001", "--lo-mean", "12.15",
+          "--xi", "0.9412345", "--grid", "0,3", "--tail-tol", "2.5e-11"),
+         {"signal_mean": 3.2000000000001, "lo_mean": 12.15, "xi_bob": 0.9412345,
+          "xi_eve": 1.0, "tail_tol": 2.5e-11}),
+    ])
+    def test_every_number_reads_back_as_its_input(self, tmp_path, args, ran_with):
+        out = tmp_path / "table.csv"
+        assert run_cli(*args, "-o", str(out)) == 0
+        assert preamble_numbers(out) == ran_with
+
+    def test_visibilities_that_differ_name_their_columns_apart(self, tmp_path):
+        out = tmp_path / "band.csv"
+        assert run_cli("sweep", "--mode", "lo", "--signal-mean", "3", "--grid", "1:3:2",
+                       "--xi", "0.9,0.9000001", "-o", str(out)) == 0
+        lines = out.read_text().splitlines()
+        assert "# xi = 0.9,0.9000001" in lines
+        header = [l for l in lines if not l.startswith("#")][0]
+        names = header.split(",")[1:-1]
+        assert len(set(names)) == len(names) == 6
+        assert names[3:] == ["i_wf[xi=0.9000001]", "i_hl[xi=0.9000001]", "i_bds[xi=0.9000001]"]
+
+    def test_inputs_left_unset_are_left_out(self):
+        text = recordio.render_table("v", [("a", None), ("b", ()), ("c", 0.0), ("d", ""),
+                                           ("e", ("x", 2.5, 3))], ["x"], [])
+        assert text == "# pnrchan v\n# c = 0\n# d = \n# e = x,2.5,3\nx\n"
+
+    @settings(derandomize=True, database=None, max_examples=2000, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(5e-324)  # the least subnormal
+    @example(2.225073858507201e-308)  # the greatest subnormal
+    @example(-0.0)
+    @example(0.12345678901234567)
+    @example(1.23456789e-12)
+    @example(2.0 ** 53 + 2.0)
+    @example(123456789012345.0)
+    @example(1.7976931348623157e308)
+    def test_a_number_is_echoed_in_twelve_digits_when_they_read_back(self, x):
+        text = recordio._echo(x)
+        assert float(text) == x
+        short = f"{x:.12g}"
+        if float(short) == x:
+            assert text == short
+        else:
+            assert text == repr(x)
+        assert recordio._echo(np.float64(x)) == text  # as a library caller may pass it
 
 
 class TestPresets:

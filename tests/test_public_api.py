@@ -15,7 +15,8 @@ from pnrchan import (ChannelParams, SecurityReport, ValidationError, calibrate_f
                      calibrate_params, coherent_overlap, empirical_distributions, mi_report,
                      mutual_information, plugin_mi, run_experiment, security_report_for,
                      shannon_entropy, skellam_pmf_grid)
-from pnrchan import montecarlo, recordio, sweeps
+from pnrchan import channel, information, montecarlo, receivers, recordio, security, sweeps
+from pnrchan.errors import PnrchanError
 from pnrchan.sweeps import run_security, run_sweep
 
 PUBLIC_NAMES = [
@@ -121,6 +122,12 @@ def test_replace_validates_as_the_constructor_does(record, fields, change):
 PAPER_POINT = ChannelParams.from_means(3.07, 12.17, visibility=0.94)
 
 
+LOSSY_POINT = ChannelParams.from_means(3.07, 12.17, visibility=0.94, loss_db=3.0)
+# Bob's and Eve's posteriors at LOSSY_POINT, as security_report_for builds them
+LOSSY_POSTERIORS = tuple(information._receiver_figures(p, 1e-10)[0]
+                         for p in (LOSSY_POINT, channel.eve_params(LOSSY_POINT)))
+
+
 def block(symbols, n, m):
     return (np.array(symbols, dtype=np.uint8), np.array(n, dtype=np.int32),
             np.array(m, dtype=np.int32))
@@ -191,6 +198,14 @@ PROBES = {
     "ShotTally.add(empty)": (lambda: montecarlo.ShotTally().add(*block([], [], [])), "block"),
     "ShotTally.add(symbol 2)": (lambda: montecarlo.ShotTally().add(*block([2], [1], [1])),
                                 "symbols"),
+    # the rates are checked by the window that uses them
+    "skellam_window(nan)": (lambda: receivers.skellam_window(math.nan, 2.0), "rates"),
+    "skellam_window(inf)": (lambda: receivers.skellam_window(2.0, math.inf), "rates"),
+    "skellam_window(-1)": (lambda: receivers.skellam_window(-1.0, 2.0), "rates"),
+    "poisson_window(nan)": (lambda: receivers.poisson_window(math.nan), "rates"),
+    "poisson_pmf(inf)": (lambda: receivers.poisson_pmf(math.inf, 2.0), "counts"),
+    "mi_bob_eve(priors)": (lambda: security.mi_bob_eve((math.nan, 0.5), *LOSSY_POSTERIORS),
+                           "priors"),
 }
 
 
@@ -256,3 +271,130 @@ class TestOneWayIntoATally:
     def test_block_tally_is_not_exported(self):
         assert "block_tally" not in montecarlo.__all__
         assert not hasattr(montecarlo, "block_tally")
+
+
+# One valid call of each exported callable that takes a number: the callable
+# and its positional arguments, every default that is a number given.
+NUMERIC_CALLS = {
+    "ChannelParams": lambda: (ChannelParams, (1.5, 0.5, 2.0, 0.9, (0.5, 0.5))),
+    "detection_rates": lambda: (channel.detection_rates, (PAPER_POINT, 1)),
+    "eve_params": lambda: (channel.eve_params, (LOSSY_POINT, 2.0)),
+    "coherent_overlap": lambda: (coherent_overlap, (1.0,)),
+    "loss_db_to_transmissivity": lambda: (channel.loss_db_to_transmissivity, (3.0,)),
+    "transmissivity_to_loss_db": lambda: (channel.transmissivity_to_loss_db, (0.5,)),
+    "shannon_entropy": lambda: (shannon_entropy, ([0.25, 0.75],)),
+    "binary_entropy": lambda: (information.binary_entropy, (0.25,)),
+    "mutual_information": lambda: (mutual_information, ([[0.5, 0.5], [0.2, 0.8]], (0.5, 0.5))),
+    "mi_wf": lambda: (information.mi_wf, (PAPER_POINT, 1e-10)),
+    "mi_hl": lambda: (information.mi_hl, (PAPER_POINT, 1e-10)),
+    "mi_bds": lambda: (information.mi_bds, (PAPER_POINT, 1e-10)),
+    "mi_report": lambda: (mi_report, (PAPER_POINT, 1e-10)),
+    "certified_error_bound": lambda: (information.certified_error_bound, (PAPER_POINT, 1e-10)),
+    "run_experiment": lambda: (run_experiment, (PAPER_POINT, 20, 1)),
+    "run_from_columns": lambda: (montecarlo.run_from_columns,
+                                 (np.array([0, 1]), np.array([3, 1]), np.array([1, 2]))),
+    "calibrate_params": lambda: (calibrate_params, (
+        empirical_distributions(run_experiment(PAPER_POINT, 50, 1)), 12.17, None)),
+    "calibrate_from_means": lambda: (calibrate_from_means, ((1.0, 2.0), (2.0, 1.0), 1.0, None,
+                                                           100)),
+    "poisson_logpmf": lambda: (receivers.poisson_logpmf, (2, 3.0)),
+    "poisson_pmf": lambda: (receivers.poisson_pmf, (2, 3.0)),
+    "poisson_window": lambda: (receivers.poisson_window, (3.0, 1e-10)),
+    "skellam_window": lambda: (receivers.skellam_window, (3.0, 2.0, 1e-10)),
+    "skellam_pmf_grid": lambda: (skellam_pmf_grid, (3.0, 2.0, 1e-10)),
+    "homodyne_mean": lambda: (receivers.homodyne_mean, (PAPER_POINT, 1)),
+    "mi_bob_eve": lambda: (security.mi_bob_eve, ((0.5, 0.5), *LOSSY_POSTERIORS)),
+    "security_report_for": lambda: (security_report_for, (LOSSY_POINT, 2.0, 1e-10)),
+    "run_sweep": lambda: (run_sweep, ("lo", 2.0, (1.0, 2.0), ("wf",), (0.9,), None, 1.0, (),
+                                      4.0, 1e-10)),
+    "run_security": lambda: (run_security, (3.2, 12.15, (0.0, 3.0), 0.94, 4.0, 1e-10)),
+    "render_table": lambda: (recordio.render_table, ("v", [("x", 0.5)], ["a"], [[1.5]])),
+}
+# exported callables that take no number, each with what it takes instead
+NO_NUMBER = {
+    "PnrchanError": "a message", "ValidationError": "a message",
+    "CalibrationError": "a message", "NumericsError": "a message",
+    "MiReport": "figures a function computed", "SecurityReport": "figures a function computed",
+    "EmpiricalDistributions": "a tally's laws", "PluginEstimate": "figures a function computed",
+    "PluginMiReport": "figures a function computed",
+    "CalibrationResult": "figures a function computed",
+    "ShotTally": "nothing", "mi_homodyne": "a ChannelParams",
+    "holevo_chi_wf": "Bob's posteriors and Eve's ChannelParams",
+    "holevo_chi_bds": "Bob's posteriors and Eve's ChannelParams",
+    "empirical_distributions": "a tally or a run", "plugin_mi": "empirical laws",
+    "main": "command-line words", "write_text_atomic": "a path and text",
+    "write_shot_records": "a path and a run", "read_shot_records": "a path",
+    "parse_config": "a path",
+}
+# (callable, argument index) of arguments that are laws the package built,
+# not numbers a caller picks: the posteriors of information._receiver_figures,
+# certified where they are built
+LAWS = {("mi_bob_eve", 1), ("mi_bob_eve", 2)}
+BAD_NUMBERS = (math.nan, math.inf, -math.inf, -1)
+# (callable, argument index, substituted value): why it is accepted
+ACCEPTED = {
+    ("coherent_overlap", 0, math.inf): "the overlap of ever brighter states falls to 0",
+    ("render_table", 3, -1): "a table prints any finite cell",
+}
+
+
+def exported_callables():
+    modules = [importlib.import_module(f"pnrchan.{m.name}")
+               for m in pkgutil.iter_modules(pnrchan.__path__)]
+    names = {n for n in PUBLIC_NAMES if callable(getattr(pnrchan, n))}
+    names.update(n for m in modules for n in getattr(m, "__all__", ())
+                 if callable(getattr(m, n)) and not isinstance(getattr(m, n), dict))
+    return names
+
+
+def with_first_number(value, bad):
+    """``value`` with its first number, or a sequence's first, made ``bad``;
+    None if it holds no number.  A record is not a sequence of numbers."""
+    if isinstance(value, bool) or value is None or hasattr(value, "_fields"):
+        return None
+    if isinstance(value, (int, float)):
+        return bad
+    if isinstance(value, np.ndarray):
+        changed = value.astype(np.result_type(value, bad))
+        changed.flat[0] = bad
+        return changed
+    if isinstance(value, (tuple, list)) and value:
+        first = with_first_number(value[0], bad)
+        return None if first is None else type(value)([first, *value[1:]])
+    return None
+
+
+def finite(value):
+    """Whether every number in a returned value is finite."""
+    if isinstance(value, (tuple, list)):
+        return all(finite(v) for v in value)
+    if isinstance(value, (float, int, np.ndarray, np.number)):
+        return bool(np.all(np.isfinite(value)))
+    return True
+
+
+def test_every_exported_callable_is_in_the_numeric_contract():
+    assert exported_callables() == set(NUMERIC_CALLS) | set(NO_NUMBER)
+    assert not set(NUMERIC_CALLS) & set(NO_NUMBER)
+
+
+@pytest.mark.parametrize("name", NUMERIC_CALLS)
+def test_a_number_out_of_range_is_refused_or_listed(name):
+    """NaN, +-inf and -1 in each numeric argument in turn: a PnrchanError, or
+    finite values for an input listed in ACCEPTED."""
+    function, args = NUMERIC_CALLS[name]()
+    assert finite(function(*args))
+    substituted = 0
+    for at, value in enumerate(args):
+        for bad in BAD_NUMBERS:
+            changed = with_first_number(value, bad)
+            if changed is None or (name, at) in LAWS:
+                continue
+            substituted += 1
+            call = args[:at] + (changed,) + args[at + 1:]
+            if (name, at, bad) in ACCEPTED:
+                assert finite(function(*call)), (at, bad)
+            else:
+                with pytest.raises(PnrchanError):
+                    function(*call)
+    assert substituted

@@ -111,6 +111,10 @@ class TestPoissonPmf:
             poisson_pmf(2, -0.5)
         with pytest.raises(ValidationError):
             poisson_pmf(2.5, 1.0)
+        # one bad count among good ones, and an infinite count
+        for counts in ([3, -1], [3.0, 2.5], [3.0, math.inf]):
+            with pytest.raises(ValidationError, match="counts must be nonnegative integers"):
+                poisson_logpmf(np.array(counts), 2.0)
 
 
 class TestPoissonWindow:
@@ -187,6 +191,23 @@ class TestChernoffBound:
             got = receivers._skellam_chernoff_upper(0.0, mu_r, d)
             assert sp_poisson.cdf(-d, mu_r) <= got <= 1.0, d
         assert receivers._skellam_chernoff_upper(0.0, mu_r, 1) == 0.0
+
+    def test_rounded_up_near_the_mean(self):
+        # where the exponent's terms are small, the cover of their rounding
+        # rests on its constant term: without it the bound fell below the
+        # exact value, at (1.2, 0.3, 1) for one
+        pytest.importorskip("mpmath")
+        for mu_t in (0.5, 1.2, 3.07, 12.17, 30.0):
+            for mu_r in (0.0, 0.3, 0.4 * mu_t, 0.9 * mu_t):
+                for d in range(1, math.ceil(mu_t - mu_r) + 3):
+                    got = receivers._skellam_chernoff_upper(mu_t, mu_r, d)
+                    assert got >= self.exact(mu_t, mu_r, d), (mu_t, mu_r, d)
+
+    def test_at_or_below_the_mean_the_bound_is_one(self):
+        # no tilt u > 1 lowers the bound there; at d = 2 the optimal tilt is
+        # exactly 1 (2 mu_t u = 2 + sqrt(4 + 12) = 6)
+        for d in range(-3, 3):
+            assert receivers._skellam_chernoff_upper(3.0, 1.0, d) == 1.0, d
 
     def test_extreme_rate_ratio_keeps_the_base_window(self):
         # d + sqrt(d^2 + 4 mu_t mu_r) cancels for d < 0: formed that way, the
@@ -439,6 +460,19 @@ class TestSkellamRecurrence:
     def test_mass_is_one_to_a_few_ulp(self, mu_t, mu_r):
         _, probs, tail = skellam_pmf_grid(mu_t, mu_r)
         assert abs(math.fsum(probs) - 1.0) <= 4 * UNIT_ROUNDOFF + tail
+
+    @pytest.mark.parametrize("mu_t", [0.5, 3.07, 30.0, 300.0, 3000.0])
+    def test_the_start_leaves_a_tail_below_rounding_of_the_window_tail(self, mu_t):
+        # on each side, the bound beyond the start is at most 2^-53 of the
+        # bound beyond the window edge
+        for mu_r in (0.0, 0.3, 0.4 * mu_t, 0.9 * mu_t):
+            lo, hi, _ = skellam_window(mu_t, mu_r)
+            for t, r, edge in ((mu_t, mu_r, hi), (mu_r, mu_t, -lo)):
+                if t == 0.0:
+                    continue
+                start = receivers._recurrence_start(t, r, edge)
+                assert (receivers._skellam_chernoff_upper(t, r, start + 1)
+                        <= UNIT_ROUNDOFF * receivers._skellam_chernoff_upper(t, r, edge + 1))
 
     @pytest.mark.parametrize("mu_t, mu_r", [(55000.0, 45000.0), (5500.0, 4500.0),
                                             (5081.0, 4922.0), (30.0, 30.0),
